@@ -14,19 +14,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import FitResidualTooLarge, IllConditioned, NotInSpan, SizeLimit
-from .theta import (
-    SectionIndex,
-    ThetaBasis,
-    ThetaTilde,
-    section_indices,
-    section_weights,
-)
-from .torsion import CharacterTable, TorsionPoint, characters, crt_split, k_group
+from .theta import SectionIndex, ThetaBasis, ThetaTilde, section_weights
+from .torsion import CharacterTable, TorsionPoint, characters
 from .varieties import PolarizedAbelianVariety
 
 #: least-squares residual above which an expansion is rejected
@@ -226,7 +220,11 @@ class Verdict(Enum):
 
 @dataclass(frozen=True, eq=False)
 class SurjectivityVerdict:
-    """Rank decision for mu_n with its spectrum and gap diagnostics."""
+    """Rank decision for mu_n with its spectrum and gap diagnostics.
+
+    ``mu`` is the fitted matrix the rank came from (None for the
+    dimensional shortcut), for callers that reuse it, e.g. ``gamma_blocks``.
+    """
 
     verdict: Verdict
     n: int
@@ -239,6 +237,7 @@ class SurjectivityVerdict:
     dimensional_shortcut: bool
     cond: float | None = None
     max_residual: float | None = None
+    mu: MuMatrix | None = None
 
 
 def surjectivity_verdict(
@@ -296,6 +295,7 @@ def surjectivity_verdict(
         dimensional_shortcut=False,
         cond=mu.cond,
         max_residual=mu.max_residual,
+        mu=mu,
     )
 
 

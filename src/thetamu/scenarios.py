@@ -13,6 +13,7 @@ the table format only, never in the JSON form.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -169,6 +170,21 @@ def _pairs_to_matrix(entries) -> np.ndarray:
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_counts(config: ScenarioConfig) -> None:
+    """Raise ValueError unless the seed is a non-negative integer and every
+    cap a positive integer."""
+    if not _is_int(config.seed) or config.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
+    for key in sorted(config.caps):
+        value = config.caps[key]
+        if not _is_int(value) or value < 1:
+            raise ValueError(f"cap '{key}' must be a positive integer, got {value!r}")
+
+
 def resolve_omega(config: ScenarioConfig) -> PeriodMatrix:
     if isinstance(config.omega, dict):
         request = config.omega.get("random")
@@ -230,6 +246,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
     }
 
     try:
+        _check_counts(config)
         omega = resolve_omega(config)
         n, note = resolve_n(config)
         if note:
@@ -290,7 +307,9 @@ def run_scenario(config: ScenarioConfig) -> Report:
             notes.append("block decomposition skipped: group order over cap")
         else:
             try:
-                blocks = timer.run("blocks", lambda: gamma_blocks(pav, n, config.seed))
+                blocks = timer.run(
+                    "blocks", lambda: gamma_blocks(pav, n, config.seed, mu=verdict_obj.mu)
+                )
                 payload["blocks"] = {
                     "count": len(blocks.blocks),
                     "row_dim": (n + 1) ** pav.g,

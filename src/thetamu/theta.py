@@ -17,10 +17,30 @@ Evaluation strategy: every point is first translated into the fundamental
 cell of the summation lattice (the quasi-periodicity factor is restored
 exactly), then a centred integer box is summed.  The box radius follows the
 Gaussian tail bound R = ceil(sqrt(log(1/eps) / (pi m lambda_min)) + |c| +
-|yhat| + 2), which the doubling certificate checks empirically.  Values are
-accurate to eps * exp(pi m y^T (Im Omega)^{-1} y), the natural growth
-envelope; sections whose envelope exceeds the double-precision range raise
-:class:`TruncationOverflow` (arbitrary precision is out of scope).
+|yhat| + 2), which the doubling certificate checks empirically.
+
+The box sum is one matrix product.  Writing l = c + b with b in the box,
+each term factors as Q[c, b] * E[b, z] * C[c, z], with
+Q = exp(pi i m l^T Omega l) independent of z, E = exp(2 pi i m b^T z) and
+C = exp(2 pi i m c^T z), so the K x P values are (Q @ E) * C: B P + K B
+exponentials instead of K B P, and the contraction runs in BLAS.  The bare
+factors overflow (|E| reaches exp(2 pi m |b^T y|)), so
+
+* half of the Gaussian, exp(-pi m b^T Y b / 2), moves from Q into E;
+* each row of Q and each column of E is divided by its largest modulus;
+* the values are recombined as exp(log(Q @ E) + log C + row + column scale).
+
+The scales then exceed the envelope of a (characteristic, point) pair by at
+most pi m v^T Y v, where v is the difference of the characteristic and the
+reduced point in lattice coordinates.  When that bound can pass 300 (large
+Im Omega, towards the cusp), characteristics and points are binned and each
+pair of bins gets a split centred between them, so no term that matters
+leaves the normal double range.  Points go through in chunks whose E holds
+a fixed number of elements, so temporary memory does not grow with P.
+
+Values are accurate to eps * exp(pi m y^T (Im Omega)^{-1} y), the natural
+growth envelope; sections whose envelope exceeds the double-precision range
+raise :class:`TruncationOverflow` (arbitrary precision is out of scope).
 """
 
 from __future__ import annotations
@@ -41,6 +61,14 @@ from .varieties import PolarizedAbelianVariety
 DEFAULT_CAPACITY = 4_000_000
 #: largest exponent exp() can take before double overflow, with margin
 _LOG_MAX = 700.0
+#: largest excess, in log scale, of a row scale times a column scale over the
+#: envelope of their pair; with _FLUSH it keeps every term that matters
+_SCALE_MAX = 300.0
+#: scaled factors below exp(-_FLUSH) are dropped; 2 * _FLUSH < 708, so no
+#: product of two kept factors is subnormal
+_FLUSH = _SCALE_MAX + 50.0
+#: elements of the (box, points) factor per chunk, which bounds temporary memory
+_CHUNK_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -119,6 +147,36 @@ def truncation_plan(
     return TruncationPlan(eps, lam, radii, capacity)
 
 
+def _log_envelope(Yinv: np.ndarray, m: int, zs) -> np.ndarray:
+    """pi m y^T Y^{-1} y per point: log of the natural growth envelope of L^m."""
+    y = np.asarray(zs).imag
+    return math.pi * m * np.einsum("pi,ij,pj->p", y, Yinv, y)
+
+
+def _scaled_exp(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(x - shift) and shift, the largest real part of x along ``axis``.
+
+    Entries below exp(-_FLUSH) become 0, so every product of two factors is
+    a normal double or 0: subnormal operands slow BLAS by an order of
+    magnitude, and a term cut this way is below exp(-50) of the envelope.
+    """
+    shift = x.real.max(axis=axis, keepdims=True)
+    x = x - shift
+    x.real[x.real < -_FLUSH] = -np.inf
+    return np.exp(x), shift
+
+
+def _bins(x: np.ndarray, nb: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split the rows of x, which lie in [-1/2, 1/2]^g, into nb equal bins per
+    axis; returns (row indices, bin centre) for every occupied bin."""
+    if nb == 1:  # the usual case, without the cost of np.unique
+        return [(np.arange(x.shape[0]), np.zeros(x.shape[1]))]
+    idx = np.clip(np.floor((x + 0.5) * nb), 0, nb - 1)
+    keys, inverse = np.unique(idx, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    return [(np.flatnonzero(inverse == j), (key + 0.5) / nb - 0.5) for j, key in enumerate(keys)]
+
+
 class _LatticeSum:
     """Truncated sum over Z^g + c of exp(pi i m l^T tau l + 2 pi i m l^T z)."""
 
@@ -137,6 +195,11 @@ class _LatticeSum:
         self.radius = int(radius) if radius is not None else box_radius(
             self.lambda_min, self.m, self.eps, half, half
         )
+        # characteristics and reduced points both lie in [-1/2, 1/2]^g; binning
+        # each into nb^g cells keeps the scale excess pi m v^T Y v, |v_i| <= 1/nb,
+        # of every (characteristic, point) block under _SCALE_MAX
+        spread = math.pi * self.m * float(np.abs(self.Y).sum())
+        self.nbins = max(1, math.ceil(math.sqrt(spread / _SCALE_MAX)))
         self._boxes: dict[int, np.ndarray] = {}
         self._box(self.radius)
 
@@ -170,38 +233,52 @@ class _LatticeSum:
         )
         return z0, aint, bint, pref
 
-    def log_envelope(self, zs: np.ndarray) -> np.ndarray:
-        """pi m y^T Y^{-1} y, the log of the growth envelope at each point."""
-        y = np.asarray(zs).imag
-        return math.pi * self.m * np.einsum("pi,ij,pj->p", y, self.Yinv, y)
-
     def eval(self, chars: np.ndarray, zs: np.ndarray, radius: int | None = None) -> np.ndarray:
-        """Evaluate every characteristic at every point; returns (K, P)."""
+        """Evaluate every characteristic at every point; returns (K, P).
+
+        One scaled matrix product per (bin, bin) block and chunk of points;
+        see the module docstring.
+        """
         chars = np.atleast_2d(np.asarray(chars, dtype=float))
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
         z0, _, bint, pref = self._reduce(zs)
-        env = self.log_envelope(z0) + pref.real
+        env = _log_envelope(self.Yinv, self.m, z0) + pref.real
         if env.size and float(env.max()) > _LOG_MAX:
             raise TruncationOverflow(
                 "section value exceeds double-precision range "
                 f"(log envelope {float(env.max()):.1f})"
             )
         box = self._box(int(radius) if radius is not None else self.radius)
+        pim = math.pi * self.m
         cshift = chars - np.round(chars)
-        ell = cshift[:, None, :] + box[None, :, :]  # (K, B, g)
-        quad = np.einsum("kbi,ij,kbj->kb", ell, self.tau, ell)
-        K, B = quad.shape
-        P = z0.shape[0]
-        out = np.empty((K, P), dtype=complex)
-        step = max(1, 2_000_000 // max(1, K * B))
-        for lo in range(0, P, step):
-            hi = min(P, lo + step)
-            lin = np.einsum("kbi,pi->kbp", ell, z0[lo:hi])
-            out[:, lo:hi] = np.exp(
-                1j * math.pi * self.m * quad[:, :, None] + 2j * math.pi * self.m * lin
-            ).sum(axis=1)
-        phase = np.exp(2j * math.pi * self.m * (chars @ bint.T))
-        return out * phase * np.exp(pref)[None, :]
+        # l^T tau l for l = c + b, expanded so that no (K, B, g) array is formed
+        ctau = cshift @ self.tau
+        qlog = 1j * pim * (
+            np.einsum("ki,ki->k", ctau, cshift)[:, None] + 2.0 * ctau @ box.T
+            + np.einsum("bi,ij,bj->b", box, self.tau, box)[None, :]
+        )
+        half_gauss = 0.5 * pim * np.einsum("bi,ij,bj->b", box, self.Y, box)
+        a = z0.imag @ self.Yinv.T
+        out = np.empty((chars.shape[0], z0.shape[0]), dtype=complex)
+        step = max(1, _CHUNK_ELEMENTS // box.shape[0])
+        for rows, cbar in _bins(cshift, self.nbins):
+            for cols, abar in _bins(a, self.nbins):
+                # the split of the Gaussian is centred between the two bins
+                split = half_gauss + pim * (box @ (self.Y @ (cbar - abar)))
+                q, row_shift = _scaled_exp(qlog[rows] + split, axis=1)
+                for lo in range(0, cols.size, step):
+                    p = cols[lo:lo + step]
+                    e, col_shift = _scaled_exp(
+                        2j * pim * (box @ z0[p].T) - split[:, None], axis=0
+                    )
+                    # log C, and the phase of the real translation in turns
+                    turns = np.mod(self.m * (chars[rows] @ bint[p].T), 1.0)
+                    outer = 2j * pim * (cshift[rows] @ z0[p].T) + 2j * math.pi * turns
+                    with np.errstate(divide="ignore"):
+                        out[np.ix_(rows, p)] = np.exp(
+                            np.log(q @ e) + outer + pref[p] + row_shift + col_shift
+                        )
+        return out
 
 
 def _points_2d(zs) -> tuple[np.ndarray, bool]:
@@ -263,14 +340,6 @@ class ThetaBasis:
         chars = self._chars[self.position(idx)][None, :]
         vals = self._sum.eval(chars, pts, radius=radius)[0]
         return complex(vals[0]) if single else vals
-
-    def log_envelope(self, zs) -> np.ndarray:
-        pts, _ = _points_2d(zs)
-        return self._sum.log_envelope(pts)
-
-    def weights(self, zs) -> np.ndarray:
-        """Row weights exp(-pi m y^T Y^{-1} y), the inverse growth envelope."""
-        return np.exp(-self.log_envelope(zs))
 
 
 class ThetaTilde:
@@ -394,13 +463,7 @@ def translate_action(pav: PolarizedAbelianVariety, m: int, x: TorsionPoint,
     return new_idx, factor
 
 
-def log_section_envelope(pav: PolarizedAbelianVariety, m: int, zs) -> np.ndarray:
-    """pi m y^T Y^{-1} y per point: log of the natural growth envelope of L^m."""
-    pts, _ = _points_2d(zs)
-    y = pts.imag
-    return math.pi * m * np.einsum("pi,ij,pj->p", y, pav.im_inv, y)
-
-
 def section_weights(pav: PolarizedAbelianVariety, m: int, zs) -> np.ndarray:
     """exp(-pi m y^T Y^{-1} y): equilibration weights for sampled sections."""
-    return np.exp(-log_section_envelope(pav, m, zs))
+    pts, _ = _points_2d(zs)
+    return np.exp(-_log_envelope(pav.im_inv, m, pts))

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import pi
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

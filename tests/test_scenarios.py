@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from thetamu import (
     run_scenario,
     validate_polarized,
 )
+from thetamu import mult
 from thetamu.cli import main as cli_main
 from thetamu.scenarios import resolve_n
 
@@ -96,6 +98,32 @@ def test_run_scenario_numeric_cap_exit_code():
     assert report.exit_code == 3
     assert any("mu_verdict" in e for e in report.payload["errors"])
     assert report.payload["surjectivity"] is None
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [({"seed": -1}, "seed"), ({"caps": {"mu_cells": "x"}}, "mu_cells")],
+    ids=["negative-seed", "non-integer-cap"],
+)
+def test_run_scenario_rejects_bad_seed_and_caps(change, message):
+    report = run_scenario(replace(_by_name("elliptic-d3"), **change))
+    assert report.exit_code == 2
+    assert any(message in e for e in report.payload["errors"])
+    assert "surjectivity" not in report.payload
+
+
+def test_run_scenario_fits_mu_once(monkeypatch):
+    calls = []
+    fit = mult.mu_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(mult, "mu_matrix", counted)
+    report = run_scenario(_by_name("elliptic-d3"))
+    assert report.payload["blocks"]["rank_sum"] == 6
+    assert len(calls) == 1
 
 
 def test_run_scenario_wirtinger_block():
@@ -228,3 +256,17 @@ def test_cli_verify_validation_error(tmp_path, capsys):
     code = cli_main(["verify", "--scenario", str(path)])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "change", [{"seed": -1}, {"caps": {"mu_cells": "x"}}], ids=["negative-seed", "non-integer-cap"]
+)
+def test_cli_verify_rejects_bad_seed_and_caps(tmp_path, capsys, change):
+    doc = {"name": "bad", "g": 1, "type": [3], "omega": {"random": {"seed": 101}}, "n": 1}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**doc, **change}))
+    code = cli_main(["verify", "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["errors"]
+    assert "Traceback" not in captured.err

@@ -1,9 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from thetamu import theta
 from thetamu import (
     NotInK1,
     NotLatticeVector,
@@ -120,6 +122,88 @@ def test_doubling_certificate(pav_g2):
                 basis.eval(idx, z, radius=radius) - basis.eval(idx, z, radius=2 * radius)
             )
             assert delta < pav_g2.eps
+    # at g = 3 the values reach 1e17, so the radius is certified against the
+    # growth envelope that the accuracy claim is stated in
+    pav = validate_polarized(random_period_matrix(3, 301), (1, 2, 2))
+    plan = truncation_plan(pav, [3])
+    basis = ThetaBasis(pav, 3, plan=plan)
+    radius = plan.radius(3)
+    for _ in range(3):
+        z = rng.random(3) @ pav.matrix.T + rng.random(3)
+        weight = section_weights(pav, 3, z)[0]
+        for idx in basis.indices[:3]:
+            delta = abs(
+                basis.eval(idx, z, radius=radius) - basis.eval(idx, z, radius=2 * radius)
+            )
+            assert delta * weight < pav.eps
+
+
+def per_term_theta(tau, m, c, z, radius):
+    """Independent reference: one exponential per lattice point of a box
+    centred on the dominant term, at the point z as given (no reduction,
+    no factorisation)."""
+    a = np.linalg.solve(tau.imag, z.imag)
+    box = np.array(list(itertools.product(range(-radius, radius + 1), repeat=len(c))))
+    ell = c - np.round(a + c) + box
+    quad = np.einsum("bi,ij,bj->b", ell, tau, ell)
+    return np.exp(1j * math.pi * m * quad + 2j * math.pi * m * (ell @ z)).sum()
+
+
+def cell_points(pav, count, rng):
+    """Points Omega a + Delta b with a, b uniform in [-1/2, 1/2)^g."""
+    g = pav.g
+    a = rng.random((count, g)) - 0.5
+    b = rng.random((count, g)) - 0.5
+    return a @ pav.matrix.T + b * pav.delta.as_diagonal()[None, :]
+
+
+@pytest.mark.parametrize(
+    "g,divisors,levels",
+    [(1, (3,), (1, 2, 3, 4)), (2, (1, 2), (1, 2, 3)), (3, (1, 1, 1), (1, 2)), (3, (1, 2, 2), (3,))],
+    ids=["g1", "g2", "g3-principal", "g3-122"],
+)
+def test_lattice_sum_matches_per_term_reference(g, divisors, levels):
+    pav = validate_polarized(random_period_matrix(g, 60 + g), divisors)
+    rng = np.random.default_rng(g)
+    zs = cell_points(pav, 4, rng)
+    for m in levels:
+        basis = ThetaBasis(pav, m)
+        vals = basis.eval_matrix(zs)
+        w = section_weights(pav, m, zs)
+        for i, idx in enumerate(basis.indices):
+            for p, z in enumerate(zs):
+                ref = per_term_theta(pav.matrix, m, idx.as_floats(), z, basis.radius)
+                assert abs(vals[i, p] - ref) * w[p] <= 1e-13
+
+
+def test_lattice_sum_cusp_probe():
+    # Im Omega = 80: the factored sum must keep every term that matters in
+    # range, at every corner of the fundamental cell, up to level 10
+    pav = validate_polarized(np.array([[0.1 + 80j]]), (1,))
+    a = np.linspace(-0.5, 0.5, 9)
+    zs = (np.add.outer(a * pav.matrix[0, 0], np.array([0.0, 0.37, -0.5]))).reshape(-1, 1)
+    for m in range(1, 11):
+        basis = ThetaBasis(pav, m)
+        vals = basis.eval_matrix(zs)
+        assert np.isfinite(vals).all()
+        envelope = 1.0 / section_weights(pav, m, zs)
+        for i, idx in enumerate(basis.indices):
+            for p, z in enumerate(zs):
+                ref = per_term_theta(pav.matrix, m, idx.as_floats(), z, basis.radius)
+                assert abs(vals[i, p] - ref) <= pav.eps * envelope[p]
+
+
+def test_lattice_sum_chunks_match_single_points():
+    pav = validate_polarized(random_period_matrix(3, 202), (1, 1, 1))
+    basis = ThetaBasis(pav, 2)
+    box = (2 * basis.radius + 1) ** 3
+    step = theta._CHUNK_ELEMENTS // box
+    zs = cell_points(pav, 2 * step + 7, np.random.default_rng(11))
+    vals = basis.eval_matrix(zs)
+    w = section_weights(pav, 2, zs)
+    for p in (0, step - 1, step, step + 1, 2 * step, 2 * step + 6):
+        single = basis.eval_matrix(zs[p])[:, 0]
+        assert np.abs(vals[:, p] - single).max() * w[p] <= 1e-14
 
 
 def test_quasi_periodicity_suite(pav_g1, pav_g2):
