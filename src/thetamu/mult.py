@@ -4,8 +4,16 @@ blocks, the Wirtinger coefficient matrix, and the spanning instance checks.
 All fits are interpolation-by-sampling: sections are evaluated at seeded
 random points, each sample row is equilibrated by the inverse growth
 envelope of its level (which is the natural hermitian scale of the bundle),
-and coefficients come from least squares.  Correctness is enforced by
-residual and conditioning checks rather than by exact addition formulas.
+and coefficients come from least squares.  Every fit goes through one
+helper that takes a single thin SVD of the weighted design: its singular
+values give the condition number checked against the cap (with reseeds),
+and the same factors give the minimum-norm solution for all right-hand
+sides at once.  Correctness is enforced by residual and conditioning checks
+rather than by exact addition formulas.
+
+The character blocks of mu_n come from the exact discrete Fourier transform
+over K(L)_1, built by integer index arithmetic and applied to the
+(h0(1), h0(n)) column axes of mu_n separately, never as a Kronecker product.
 """
 
 from __future__ import annotations
@@ -14,13 +22,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import FitResidualTooLarge, IllConditioned, NotInSpan, SizeLimit
 from .theta import SectionIndex, ThetaBasis, ThetaTilde, section_weights
-from .torsion import CharacterTable, TorsionPoint, characters
+from .torsion import TorsionPoint
 from .varieties import PolarizedAbelianVariety
 
 #: least-squares residual above which an expansion is rejected
@@ -75,6 +84,65 @@ def _weighted_design(basis: ThetaBasis, zs: np.ndarray) -> tuple[np.ndarray, np.
     return design, w
 
 
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """2-norm of every column, summed over the real and imaginary parts in
+    place of a complex temporary of the size of ``x``."""
+    squares = np.einsum("ij,ij->j", x.real, x.real) + np.einsum("ij,ij->j", x.imag, x.imag)
+    return np.sqrt(squares)
+
+
+class _Fit(NamedTuple):
+    coefficients: np.ndarray
+    residuals: np.ndarray
+    cond: float
+    attempt: int
+
+
+def _fit(
+    draw: Callable[[int], tuple[np.ndarray, Callable[[], np.ndarray]]],
+    *,
+    cond_cap: float,
+    attempts: int,
+    what: str,
+) -> _Fit:
+    """Least-squares fit of every column of a right-hand side from one thin
+    SVD ``design = U diag(s) Vh`` per attempt.
+
+    ``draw(attempt)`` returns the weighted design (samples x unknowns) of
+    that attempt's samples and a callable giving the weighted right-hand
+    sides (samples x columns), evaluated only once the design's condition
+    ``s_0 / s_min`` is within ``cond_cap``; otherwise the next attempt is
+    drawn, and :class:`IllConditioned` is raised after the last.  The
+    solution ``Vh^H ((U^H rhs) / s)`` drops ``s <= eps max(M, N) s_0`` as
+    ``lstsq(rcond=None)`` does, so it is the same minimum-norm solution.
+    Residuals are ``||design @ coef - rhs|| / ||rhs||`` per column (0 for a
+    zero column).
+    """
+    last_cond = None
+    for attempt in range(attempts):
+        design, rhs_of = draw(attempt)
+        u, s, vh = np.linalg.svd(design, full_matrices=False)
+        cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
+        if cond > cond_cap:
+            last_cond = cond
+            continue
+        rhs = rhs_of()
+        kept = int((s > np.finfo(float).eps * max(design.shape) * s[0]).sum())
+        coef = u[:, :kept].conj().T @ rhs
+        coef /= s[:kept, None]
+        coef = vh[:kept].conj().T @ coef
+        misfit = design @ coef
+        misfit -= rhs
+        misfit = _column_norms(misfit)
+        norms = _column_norms(rhs)
+        residuals = np.divide(misfit, norms, out=np.zeros_like(misfit), where=norms > 0)
+        return _Fit(coef, residuals, cond, attempt)
+    raise IllConditioned(
+        f"{what} condition {last_cond:.3e} exceeded {cond_cap:.1e} "
+        f"in {attempts} sample draw(s)"
+    )
+
+
 def expand_in_basis(
     pav: PolarizedAbelianVariety,
     m: int,
@@ -98,18 +166,21 @@ def expand_in_basis(
         raise ValueError(
             f"need at least {2 * basis.dim} samples for level {m}, got {samples.count}"
         )
-    design, w = _weighted_design(basis, samples.z)
-    svals = np.linalg.svd(design, compute_uv=False)
-    cond = float("inf") if svals[-1] == 0 else float(svals[0] / svals[-1])
-    if cond > cond_cap:
-        raise IllConditioned(f"sample matrix condition {cond:.3e} exceeds cap {cond_cap:.1e}")
-    values = np.asarray(f(samples.z) if callable(f) else f, dtype=complex) * w
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    norm = float(np.linalg.norm(values))
-    residual = 0.0 if norm == 0 else float(np.linalg.norm(design @ coef - values) / norm)
+
+    def draw(attempt):
+        design, w = _weighted_design(basis, samples.z)
+
+        def values():
+            values = np.asarray(f(samples.z) if callable(f) else f, dtype=complex)
+            return (values * w)[:, None]
+
+        return design, values
+
+    fit = _fit(draw, cond_cap=cond_cap, attempts=1, what="sample matrix")
+    residual = float(fit.residuals[0])
     if residual > residual_tol:
         raise NotInSpan(f"expansion residual {residual:.3e} exceeds {residual_tol:.1e}")
-    return Expansion(coef, residual, cond)
+    return Expansion(fit.coefficients[:, 0], residual, fit.cond)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +189,7 @@ class MuMatrix:
 
     Column (c, c') holds the level-(n+1) coefficients of the product
     theta_c^{(1)} theta_{c'}^{(n)}; columns are lexicographic in (c, c').
+    The samples were drawn with seed ``seed + attempt``.
     """
 
     n: int
@@ -125,9 +197,16 @@ class MuMatrix:
     row_indices: tuple[SectionIndex, ...]
     col_pairs: tuple[tuple[SectionIndex, SectionIndex], ...]
     seed: int
+    attempt: int
     sample_count: int
     cond: float
     max_residual: float
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of ``matrix``, computed once and shared by the
+        rank verdict and the block decomposition."""
+        return numerical_rank(self.matrix).singular_values
 
 
 def mu_matrix(
@@ -151,43 +230,32 @@ def mu_matrix(
     basisn = ThetaBasis(pav, n, eps=eps)
     target = ThetaBasis(pav, n + 1, eps=eps)
     count = OVERSAMPLE * rows
-    last_cond = None
-    for attempt in range(MAX_ATTEMPTS):
+
+    def draw(attempt):
         samples = sample_points(pav, count, seed + attempt)
         design, w = _weighted_design(target, samples.z)
-        svals = np.linalg.svd(design, compute_uv=False)
-        cond = float("inf") if svals[-1] == 0 else float(svals[0] / svals[-1])
-        if cond > cond_cap:
-            last_cond = cond
-            continue
-        b1 = basis1.eval_matrix(samples.z)
-        bn = basisn.eval_matrix(samples.z)
-        products = (b1[:, None, :] * bn[None, :, :]).reshape(cols, samples.count)
-        rhs = products.T * w[:, None]
-        coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-        norms = np.linalg.norm(rhs, axis=0)
-        resid = np.linalg.norm(design @ coef - rhs, axis=0) / norms
-        max_resid = float(resid.max())
-        if max_resid > residual_tol:
-            raise NotInSpan(
-                f"mu column residual {max_resid:.3e} exceeds {residual_tol:.1e}"
-            )
-        col_pairs = tuple(
-            (c1, cn) for c1 in basis1.indices for cn in basisn.indices
-        )
-        return MuMatrix(
-            n=n,
-            matrix=coef,
-            row_indices=target.indices,
-            col_pairs=col_pairs,
-            seed=seed,
-            sample_count=count,
-            cond=cond,
-            max_residual=max_resid,
-        )
-    raise IllConditioned(
-        f"sample matrix condition {last_cond:.3e} exceeded {cond_cap:.1e} "
-        f"after {MAX_ATTEMPTS} reseeds"
+
+        def products():
+            b1 = basis1.eval_matrix(samples.z) * w
+            bn = basisn.eval_matrix(samples.z)
+            return (b1[:, None, :] * bn[None, :, :]).reshape(cols, count).T
+
+        return design, products
+
+    fit = _fit(draw, cond_cap=cond_cap, attempts=MAX_ATTEMPTS, what="sample matrix")
+    max_resid = float(fit.residuals.max())
+    if max_resid > residual_tol:
+        raise NotInSpan(f"mu column residual {max_resid:.3e} exceeds {residual_tol:.1e}")
+    return MuMatrix(
+        n=n,
+        matrix=fit.coefficients,
+        row_indices=target.indices,
+        col_pairs=tuple((c1, cn) for c1 in basis1.indices for cn in basisn.indices),
+        seed=seed,
+        attempt=fit.attempt,
+        sample_count=count,
+        cond=fit.cond,
+        max_residual=max_resid,
     )
 
 
@@ -203,7 +271,11 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> Ran
     matrix = np.asarray(matrix)
     if matrix.size == 0:
         return RankResult(0, np.zeros(0), True)
-    s = np.linalg.svd(matrix, compute_uv=False)
+    return _spectrum_rank(np.linalg.svd(matrix, compute_uv=False), rel_tol)
+
+
+def _spectrum_rank(s: np.ndarray, rel_tol: float) -> RankResult:
+    """The rank rule of :func:`numerical_rank` on given singular values."""
     if s[0] == 0:
         return RankResult(0, s, True)
     thr = rel_tol * float(s[0])
@@ -223,7 +295,8 @@ class SurjectivityVerdict:
     """Rank decision for mu_n with its spectrum and gap diagnostics.
 
     ``mu`` is the fitted matrix the rank came from (None for the
-    dimensional shortcut), for callers that reuse it, e.g. ``gamma_blocks``.
+    dimensional shortcut), for callers that reuse it, e.g. ``gamma_blocks``;
+    ``attempt`` is the reseed attempt its samples came from.
     """
 
     verdict: Verdict
@@ -238,6 +311,7 @@ class SurjectivityVerdict:
     cond: float | None = None
     max_residual: float | None = None
     mu: MuMatrix | None = None
+    attempt: int | None = None
 
 
 def surjectivity_verdict(
@@ -272,7 +346,7 @@ def surjectivity_verdict(
     mu = mu_matrix(
         pav, n, seed, eps=eps, cond_cap=cond_cap, cell_cap=cell_cap
     )
-    rank, s, clean = numerical_rank(mu.matrix, rel_tol)
+    rank, s, clean = _spectrum_rank(mu.singular_values, rel_tol)
     floor = rel_tol * float(s[0])
     sigma_next = float(s[rank]) if rank < len(s) else floor
     denom = max(sigma_next, 0.0)
@@ -296,39 +370,52 @@ def surjectivity_verdict(
         cond=mu.cond,
         max_residual=mu.max_residual,
         mu=mu,
+        attempt=mu.attempt,
     )
 
 
-def _eigenbasis_matrix(
-    pav: PolarizedAbelianVariety, m: int, table: CharacterTable
-) -> np.ndarray:
+def _lex_vectors(dims) -> np.ndarray:
+    """All integer vectors of prod range(dims_i) in lexicographic order,
+    shape (prod dims, len(dims))."""
+    return np.indices(tuple(dims)).reshape(len(dims), -1).T
+
+
+def _eigenbasis_matrix(pav: PolarizedAbelianVariety, m: int) -> np.ndarray:
     """Unitary matrix whose columns diagonalize the normalized K(L)_1
     translation action on the level-m basis.
 
     Columns are grouped by character (order of K(L)_2) and, within a
     character, by orbit representative k in [0, m)^g lex; the action on the
-    column (y, r) has eigenvalue chi_y.
+    column (y, r) has eigenvalue chi_y.  The character of y = k in K(L)_2
+    takes the element Omega Delta^{-1} j of K(L)_1 to
+    exp(2 pi i sum_i j_i k_i / d_i); the phase stays an integer numerator
+    mod lcm(d) up to the final exponential.
     """
-    d = pav.delta.divisors
-    g = pav.g
-    group = table.group
-    deg = len(group.k1)
-    reps = list(itertools.product(*[range(m)] * g))
-    dims = tuple(m * di for di in d)
-    K = int(np.prod(dims))
-    jvecs = [
-        tuple(int(x.a[i] * d[i]) for i in range(g)) for x in group.k1
-    ]
-    U = np.zeros((K, K), dtype=complex)
-    for yi in range(deg):
-        for ri, rep in enumerate(reps):
-            col = yi * len(reps) + ri
-            for ji, j in enumerate(jvecs):
-                kk = tuple((rep[i] + m * j[i]) % dims[i] for i in range(g))
-                row = int(np.ravel_multi_index(kk, dims))
-                phase = float(table.phases[yi][ji])
-                U[row, col] = np.exp(-2j * math.pi * phase)
+    d = np.array(pav.delta.divisors)
+    lcm = math.lcm(*pav.delta.divisors)
+    elements = _lex_vectors(d)
+    deg = len(elements)
+    reps = _lex_vectors((m,) * pav.g)
+    dims = m * d
+    # phase[y, j]: chi_y(x_j) = exp(2 pi i phase / lcm)
+    phase = (elements * (lcm // d)) @ elements.T % lcm
+    # row[j, r]: the basis index r + m j (mod m d) in the orbit of r
+    shifted = (reps[None, :, :] + m * elements[:, None, :]) % dims
+    row = np.ravel_multi_index(tuple(np.moveaxis(shifted, -1, 0)), tuple(dims))
+    size = deg * len(reps)
+    col = np.arange(size).reshape(deg, len(reps))
+    roots = np.exp(-2j * math.pi * (np.arange(lcm) / lcm))
+    U = np.zeros((size, size), dtype=complex)
+    U[row[None, :, :], col[:, None, :]] = roots[phase][:, :, None]
     return U / math.sqrt(deg)
+
+
+def _character_sums(pav: PolarizedAbelianVariety) -> np.ndarray:
+    """Index in K(L)_2 of y_a + y_b, for every pair (a, b) of K(L)_2 indices."""
+    d = pav.delta.divisors
+    elements = _lex_vectors(d)
+    total = (elements[:, None, :] + elements[None, :, :]) % np.array(d)
+    return np.ravel_multi_index(tuple(np.moveaxis(total, -1, 0)), d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,48 +458,40 @@ def gamma_blocks(
     numerical noise, reported as ``off_block_mass``.
     """
     mu = mu if mu is not None else mu_matrix(pav, n, seed)
-    table = characters(pav, 1)
-    k2 = table.group.k2
-    deg = len(k2)
-    g = pav.g
-    U1 = _eigenbasis_matrix(pav, 1, table)
-    Un = _eigenbasis_matrix(pav, n, table)
-    Un1 = _eigenbasis_matrix(pav, n + 1, table)
-    transformed = Un1.conj().T @ mu.matrix @ np.kron(U1, Un)
-    reps_n = n**g
-    reps_n1 = (n + 1) ** g
-    kn = deg * reps_n
-    gamma_pos = {pt: i for i, pt in enumerate(k2)}
-    col_gamma = np.empty(transformed.shape[1], dtype=int)
-    for c1 in range(deg):
-        for c2 in range(deg):
-            gi = gamma_pos[k2[c1] + k2[c2]]
-            for r2 in range(reps_n):
-                col_gamma[c1 * kn + c2 * reps_n + r2] = gi
-    row_gamma = np.repeat(np.arange(deg), reps_n1)
+    d = pav.delta.divisors
+    U1 = _eigenbasis_matrix(pav, 1)
+    Un = _eigenbasis_matrix(pav, n)
+    Un1 = _eigenbasis_matrix(pav, n + 1)
+    # columns of mu are (c1, cn) lex, so the Kronecker product U1 (x) Un acts
+    # on the two axes separately: first Un on cn, then U1 on c1
+    x = (Un1.conj().T @ mu.matrix).reshape(-1, U1.shape[0], Un.shape[0])
+    x = x @ Un
+    transformed = (U1.T @ x).reshape(x.shape[0], -1)
+    reps_n1 = (n + 1) ** pav.g
+    # column (y1, yn, r) of the transform lies in character y1 + yn
+    col_gamma = np.repeat(_character_sums(pav).ravel(), n**pav.g)
     total_norm = float(np.linalg.norm(transformed))
-    off = transformed.copy()
+    off_sq = 0.0
     blocks = []
-    for gi in range(deg):
-        rows = np.where(row_gamma == gi)[0]
-        cols = np.where(col_gamma == gi)[0]
-        block = transformed[np.ix_(rows, cols)]
-        off[np.ix_(rows, cols)] = 0.0
+    for gi, k in enumerate(_lex_vectors(d)):
+        band = transformed[gi * reps_n1:(gi + 1) * reps_n1]
+        inside = col_gamma == gi
+        block = band[:, inside]
+        off_sq += float(np.linalg.norm(band[:, ~inside])) ** 2
         blocks.append(
             GammaBlock(
                 gamma_index=gi,
-                gamma=k2[gi],
+                gamma=TorsionPoint([0] * pav.g, k.tolist(), d),
                 matrix=block,
                 rank=numerical_rank(block, rel_tol).rank,
             )
         )
-    off_mass = 0.0 if total_norm == 0 else float(np.linalg.norm(off) / total_norm)
-    total_rank = numerical_rank(mu.matrix, rel_tol).rank
+    off_mass = 0.0 if total_norm == 0 else math.sqrt(off_sq) / total_norm
     return GammaBlocks(
         n=n,
         blocks=tuple(blocks),
         off_block_mass=off_mass,
-        total_rank=total_rank,
+        total_rank=_spectrum_rank(mu.singular_values, rel_tol).rank,
     )
 
 
@@ -435,6 +514,7 @@ class WirtingerMatrix:
     relation_residual: float
     cond: float
     seed: int
+    attempt: int
 
 
 def wirtinger_matrix(
@@ -464,60 +544,56 @@ def wirtinger_matrix(
     basis_1 = ThetaBasis(pav, 1, eps=eps)
     tilde = ThetaTilde(pav, n, eps=eps)
     count = OVERSAMPLE * unknowns
-    last_cond = None
-    for attempt in range(max_attempts):
+
+    def draw(attempt):
         samples = sample_points(pav, 2 * count, seed + attempt)
         us, vs = samples.z[:count], samples.z[count:]
         w = section_weights(pav, n + 1, us) * section_weights(pav, N, vs)
         ba = basis_a.eval_matrix(us)
         bb = basis_b.eval_matrix(vs)
         design = (ba[:, None, :] * bb[None, :, :]).reshape(unknowns, count).T * w[:, None]
-        svals = np.linalg.svd(design, compute_uv=False)
-        cond = float("inf") if svals[-1] == 0 else float(svals[0] / svals[-1])
-        if cond > cond_cap:
-            last_cond = cond
-            continue
-        rhs = basis_1.eval_matrix(us + n * vs)[0] * tilde.eval_many(us - vs) * w
-        cvec, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-        fit_residual = float(
-            np.linalg.norm(design @ cvec - rhs) / np.linalg.norm(rhs)
+
+        def rhs():
+            values = basis_1.eval_matrix(us + n * vs)[0] * tilde.eval_many(us - vs)
+            return (values * w)[:, None]
+
+        return design, rhs
+
+    fit = _fit(draw, cond_cap=cond_cap, attempts=max_attempts, what="Wirtinger sample")
+    fit_residual = float(fit.residuals[0])
+    if fit_residual > residual_tol:
+        raise FitResidualTooLarge(
+            f"Wirtinger fit residual {fit_residual:.3e} exceeds {residual_tol:.1e}"
         )
-        if fit_residual > residual_tol:
-            raise FitResidualTooLarge(
-                f"Wirtinger fit residual {fit_residual:.3e} exceeds {residual_tol:.1e}"
-            )
-        C = cvec.reshape(ka, kb)
-        dims_b = (N,) * g
-        scale = float(np.abs(C).max())
-        relation = 0.0
-        for k in itertools.product(*[range(N)] * g):
-            shifted = tuple((ki - (n + 1) * (ki % n)) % N for ki in k)
-            i0 = int(np.ravel_multi_index(k, dims_b))
-            i1 = int(np.ravel_multi_index(shifted, dims_b))
-            relation = max(relation, float(np.abs(C[:, i0] - C[:, i1]).max()))
-        relation /= scale
-        if relation > residual_tol:
-            raise FitResidualTooLarge(
-                f"coefficient relation residual {relation:.3e} exceeds {residual_tol:.1e}"
-            )
-        reduced_cols = [
-            int(np.ravel_multi_index(tuple(n * ti for ti in t), dims_b))
-            for t in itertools.product(*[range(n + 1)] * g)
-        ]
-        return WirtingerMatrix(
-            n=n,
-            full=C,
-            reduced=C[:, reduced_cols],
-            alpha_indices=basis_a.indices,
-            beta_indices=basis_b.indices,
-            fit_residual=fit_residual,
-            relation_residual=relation,
-            cond=cond,
-            seed=seed,
+    C = fit.coefficients[:, 0].reshape(ka, kb)
+    dims_b = (N,) * g
+    scale = float(np.abs(C).max())
+    relation = 0.0
+    for k in itertools.product(*[range(N)] * g):
+        shifted = tuple((ki - (n + 1) * (ki % n)) % N for ki in k)
+        i0 = int(np.ravel_multi_index(k, dims_b))
+        i1 = int(np.ravel_multi_index(shifted, dims_b))
+        relation = max(relation, float(np.abs(C[:, i0] - C[:, i1]).max()))
+    relation /= scale
+    if relation > residual_tol:
+        raise FitResidualTooLarge(
+            f"coefficient relation residual {relation:.3e} exceeds {residual_tol:.1e}"
         )
-    raise IllConditioned(
-        f"Wirtinger sample condition {last_cond:.3e} exceeded {cond_cap:.1e} "
-        f"after {max_attempts} reseeds"
+    reduced_cols = [
+        int(np.ravel_multi_index(tuple(n * ti for ti in t), dims_b))
+        for t in itertools.product(*[range(n + 1)] * g)
+    ]
+    return WirtingerMatrix(
+        n=n,
+        full=C,
+        reduced=C[:, reduced_cols],
+        alpha_indices=basis_a.indices,
+        beta_indices=basis_b.indices,
+        fit_residual=fit_residual,
+        relation_residual=relation,
+        cond=fit.cond,
+        seed=seed,
+        attempt=fit.attempt,
     )
 
 

@@ -103,7 +103,7 @@ class ScenarioConfig:
             omega=data["omega"],
             n=data.get("n", "g-1"),
             eps=float(data.get("eps", 1e-12)),
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
             simple_asserted=bool(data.get("simple_asserted", False)),
             caps=caps,
             checks=checks,
@@ -148,16 +148,13 @@ def itt_verdict(pav: PolarizedAbelianVariety, n: int, verdict: Verdict) -> ITTVe
 
 def resolve_n(config: ScenarioConfig) -> tuple[int, str | None]:
     """Resolve the "g-1" token (minimum n is 1; degenerate for g = 1)."""
-    if isinstance(config.n, str):
-        if config.n != "g-1":
-            raise ValueError(f"n must be an integer or 'g-1', got {config.n!r}")
+    if config.n == "g-1":
         if config.g == 1:
             return 1, "n token 'g-1' resolved to 1 for g = 1 (ITT implication degenerates)"
         return config.g - 1, None
-    n = int(config.n)
-    if n < 1:
-        raise ValueError(f"require n >= 1, got {n}")
-    return n, None
+    if not _is_int(config.n) or config.n < 1:
+        raise ValueError(f"n must be an integer >= 1 or 'g-1', got {config.n!r}")
+    return int(config.n), None
 
 
 def _complex_matrix_to_pairs(matrix: np.ndarray) -> list:
@@ -175,14 +172,20 @@ def _is_int(value) -> bool:
 
 
 def _check_counts(config: ScenarioConfig) -> None:
-    """Raise ValueError unless the seed is a non-negative integer and every
-    cap a positive integer."""
+    """Raise ValueError unless the seed is a non-negative integer, every cap
+    a positive integer and the spanning modulus a non-negative integer (0 or
+    absent skips the check); ``resolve_n`` checks n in the same stage."""
     if not _is_int(config.seed) or config.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
     for key in sorted(config.caps):
         value = config.caps[key]
         if not _is_int(value) or value < 1:
             raise ValueError(f"cap '{key}' must be a positive integer, got {value!r}")
+    modulus = config.checks.get("spanning_modulus", 0)
+    if modulus is not None and (not _is_int(modulus) or modulus < 0):
+        raise ValueError(
+            f"check 'spanning_modulus' must be a non-negative integer, got {modulus!r}"
+        )
 
 
 def resolve_omega(config: ScenarioConfig) -> PeriodMatrix:
@@ -230,6 +233,7 @@ def _verdict_payload(v: mult.SurjectivityVerdict) -> dict:
         "cond": v.cond,
         "max_column_residual": v.max_residual,
         "seed": v.seed,
+        "attempt": v.attempt,
     }
 
 
@@ -365,12 +369,12 @@ def run_scenario(config: ScenarioConfig) -> Report:
             span = timer.run(
                 "spanning",
                 lambda: spanning_check(
-                    pav, n, int(modulus),
+                    pav, n, modulus,
                     point_cap=int(caps.get("spanning_points", mult.DEFAULT_POINT_CAP)),
                 ),
             )
             payload["spanning"] = {
-                "modulus": int(modulus),
+                "modulus": modulus,
                 "npoints": span.npoints,
                 "rank": span.rank,
                 "required_rank": span.required_rank,
@@ -395,6 +399,7 @@ def _wirtinger_payload(pav: PolarizedAbelianVariety, n: int, config: ScenarioCon
         b = rng.random(pav.g) @ pav.matrix.T + rng.random(pav.g)
         residuals.append(mult.diagram_check(pav, n, b, config.seed, wirt=wirt))
     return {
+        "attempt": wirt.attempt,
         "fit_residual": wirt.fit_residual,
         "relation_residual": wirt.relation_residual,
         "reduced_sigma_min_ratio": float(svals[-1] / svals[0]),

@@ -2,7 +2,8 @@
 fixed tolerance and runtime budget.
 
 Every test prints a single ``[criterion NN] name: PASS/FAIL`` line (run
-pytest with ``-s`` to see them live).  Instances are g <= 2; the general
+pytest with ``-s`` to see them live).  Instances are g <= 2, except the
+g = 3 headline case at the paper's threshold (criterion 15); the general
 statements behind them are exercised as property suites in the other test
 modules.
 """
@@ -16,6 +17,7 @@ import pytest
 
 from thetamu import (
     ITTVerdict,
+    ScenarioConfig,
     ThetaBasis,
     ThetaTilde,
     Verdict,
@@ -299,3 +301,29 @@ def test_c14_determinism():
     second = emit_report(run_scenario(cfg), "json").encode()
     _report(14, "byte-identical-reports", first == second,
             f"{len(first)} bytes, identical = {first == second}")
+
+
+def test_c15_threshold_itt_g3():
+    # g = 3, n = g-1 = 2, type (1,1,21): h0(L) = 21 meets the bound 81/4, so
+    # mu_2 (567 x 3528) is onto and Infinitesimal Torelli holds
+    cfg = ScenarioConfig(
+        name="threshold-g3-1-1-21", g=3, type=(1, 1, 21), omega={"random": {"seed": 301}},
+        n="g-1", seed=31, simple_asserted=True,
+    )
+    start = time.perf_counter()
+    report = run_scenario(cfg)
+    elapsed = time.perf_counter() - start
+    p = report.payload
+    ok = (
+        report.exit_code == 0
+        and p["bound_prediction"] == "TheoremPredictsSurjective"
+        and p["surjectivity"]["verdict"] == "Surjective"
+        and p["surjectivity"]["rank"] == 567
+        and p["itt"]["verdict"] == "Holds"
+        and p["blocks"]["rank_sum"] == 567
+        and p["blocks"]["off_block_mass"] < 1e-8
+    )
+    _report(15, "threshold-itt-g3", ok,
+            f"(1,1,21) n=2: {p['surjectivity']['verdict']}, rank "
+            f"{p['surjectivity']['rank']}/567, block rank sum {p['blocks']['rank_sum']}, "
+            f"ITT {p['itt']['verdict']}, exit {report.exit_code}, {elapsed:.1f} s")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from thetamu import (
     ThetaBasis,
     ThetaTilde,
     Verdict,
+    characters,
     diagram_check,
     expand_in_basis,
     gamma_blocks,
@@ -24,6 +27,7 @@ from thetamu import (
     wirtinger_matrix,
     zero_point,
 )
+from thetamu import mult
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +321,130 @@ def test_weighted_sampling_keeps_design_bounded(elliptic_d3):
     samples = sample_points(elliptic_d3, 2 * basis.dim, 3)
     design = basis.eval_matrix(samples.z) * section_weights(elliptic_d3, 2, samples.z)
     assert np.abs(design).max() < 50.0
+
+
+# --- the one-SVD fit and the character transform against references ---------
+
+_FIT_CASES = [
+    ((3,), 1, 101), ((4,), 2, 102), ((3, 3), 1, 104), ((60,), 1, 101), ((1, 2, 2), 2, 301),
+]
+
+
+@pytest.mark.parametrize("divisors,n,seed", _FIT_CASES, ids=lambda v: str(v))
+def test_mu_fit_matches_lstsq(divisors, n, seed):
+    pav = validate_polarized(random_period_matrix(len(divisors), seed), divisors, True)
+    mu = mu_matrix(pav, n, seed)
+    # rebuild the design and right-hand sides of the attempt mu_matrix used
+    samples = sample_points(pav, mu.sample_count, seed + mu.attempt)
+    w = section_weights(pav, n + 1, samples.z)
+    design = (ThetaBasis(pav, n + 1).eval_matrix(samples.z) * w).T
+    b1 = ThetaBasis(pav, 1).eval_matrix(samples.z)
+    bn = ThetaBasis(pav, n).eval_matrix(samples.z)
+    rhs = (b1[:, None, :] * bn[None, :, :]).reshape(-1, samples.count).T * w[:, None]
+    coef, _, rank, svals = np.linalg.lstsq(design, rhs, rcond=None)
+    assert rank == design.shape[1]
+    assert np.abs(mu.matrix - coef).max() <= 1e-12 * np.abs(coef).max()
+    assert mu.cond == pytest.approx(svals[0] / svals[-1], rel=1e-12)
+    assert numerical_rank(mu.matrix).rank == numerical_rank(coef).rank
+
+
+def test_fit_drops_small_singular_values_like_lstsq():
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    # rank 3 design with 5 columns: lstsq keeps 3 singular values
+    design = np.hstack([base, base[:, :2] * 2.0])
+    rhs = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
+    fit = mult._fit(
+        lambda attempt: (design, lambda: rhs), cond_cap=np.inf, attempts=1, what="test"
+    )
+    coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    assert rank == 3
+    assert np.abs(fit.coefficients - coef).max() <= 1e-12 * np.abs(coef).max()
+    misfit = np.linalg.norm(design @ coef - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
+    assert np.allclose(fit.residuals, misfit, rtol=1e-10)
+    assert fit.attempt == 0
+
+
+def _table_eigenbasis(pav, m, table):
+    """The eigenbasis built entry by entry from the exact character table."""
+    d = pav.delta.divisors
+    g = pav.g
+    group = table.group
+    deg = len(group.k1)
+    reps = list(itertools.product(*[range(m)] * g))
+    dims = tuple(m * di for di in d)
+    jvecs = [tuple(int(x.a[i] * d[i]) for i in range(g)) for x in group.k1]
+    U = np.zeros((deg * len(reps),) * 2, dtype=complex)
+    for yi in range(deg):
+        for ri, rep in enumerate(reps):
+            for ji, j in enumerate(jvecs):
+                kk = tuple((rep[i] + m * j[i]) % dims[i] for i in range(g))
+                row = int(np.ravel_multi_index(kk, dims))
+                U[row, yi * len(reps) + ri] = np.exp(-2j * np.pi * float(table.phases[yi][ji]))
+    return U / np.sqrt(deg)
+
+
+@pytest.mark.parametrize("divisors", [(3,), (2, 4), (1, 2, 2)], ids=str)
+def test_integer_eigenbasis_matches_character_table(divisors):
+    pav = validate_polarized(random_period_matrix(len(divisors), 7), divisors, True)
+    table = characters(pav, 1)
+    for m in (1, 2, 3):
+        expected = _table_eigenbasis(pav, m, table)
+        assert np.abs(mult._eigenbasis_matrix(pav, m) - expected).max() <= 1e-15
+    k2 = table.group.k2
+    sums = mult._character_sums(pav)
+    for a, ya in enumerate(k2):
+        for b, yb in enumerate(k2):
+            assert sums[a, b] == table.character_of(ya + yb)
+    assert [block.gamma for block in gamma_blocks(pav, 1, 3).blocks] == list(k2)
+
+
+@pytest.mark.parametrize(
+    "divisors,n,seed", [((3,), 1, 101), ((4,), 2, 102), ((2, 4), 1, 5), ((1, 2, 2), 2, 301)],
+    ids=lambda v: str(v),
+)
+def test_block_transform_matches_kron(divisors, n, seed):
+    pav = validate_polarized(random_period_matrix(len(divisors), seed), divisors, True)
+    mu = mu_matrix(pav, n, seed)
+    blocks = gamma_blocks(pav, n, seed, mu=mu)
+    table = characters(pav, 1)
+    U1, Un, Un1 = (_table_eigenbasis(pav, m, table) for m in (1, n, n + 1))
+    full = Un1.conj().T @ mu.matrix @ np.kron(U1, Un)
+    k2 = table.group.k2
+    reps_n, reps_n1 = n**pav.g, (n + 1) ** pav.g
+    col_gamma = np.repeat(
+        [table.character_of(ya + yb) for ya in k2 for yb in k2], reps_n
+    )
+    scale = np.abs(full).max()
+    off = full.copy()
+    for gi, block in enumerate(blocks.blocks):
+        rows = slice(gi * reps_n1, (gi + 1) * reps_n1)
+        expected = full[rows][:, col_gamma == gi]
+        assert np.abs(block.matrix - expected).max() <= 1e-13 * scale
+        assert block.rank == numerical_rank(expected).rank
+        off[rows, col_gamma == gi] = 0.0
+    expected_mass = np.linalg.norm(off) / np.linalg.norm(full)
+    assert blocks.off_block_mass == pytest.approx(expected_mass, rel=1e-6, abs=1e-15)
+
+
+def test_reseed_attempt_is_recorded(elliptic_d3):
+    # the attempt-0 samples of seed 11 have condition ~3.7, those of seed 12
+    # (attempt 1) ~2.2; a cap between the two forces exactly one reseed
+    first = mu_matrix(elliptic_d3, 1, 11)
+    second = mu_matrix(elliptic_d3, 1, 12)
+    assert second.cond < first.cond and first.attempt == 0
+    cap = (first.cond + second.cond) / 2
+    mu = mu_matrix(elliptic_d3, 1, 11, cond_cap=cap)
+    assert (mu.attempt, mu.seed, mu.cond) == (1, 11, second.cond)
+    assert np.array_equal(mu.matrix, second.matrix)
+    verdict = surjectivity_verdict(elliptic_d3, 1, 11, cond_cap=cap)
+    assert verdict.attempt == 1 and verdict.verdict is Verdict.SURJECTIVE
+
+
+def test_wirtinger_reseed_attempt_is_recorded():
+    pav = validate_polarized(random_period_matrix(1, 105), (1,), simple_asserted=True)
+    first = wirtinger_matrix(pav, 1, 15)
+    second = wirtinger_matrix(pav, 1, 16)
+    assert second.cond < first.cond and first.attempt == 0
+    wirt = wirtinger_matrix(pav, 1, 15, cond_cap=(first.cond + second.cond) / 2)
+    assert (wirt.attempt, wirt.seed, wirt.cond) == (1, 15, second.cond)

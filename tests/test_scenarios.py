@@ -16,7 +16,7 @@ from thetamu import (
     run_scenario,
     validate_polarized,
 )
-from thetamu import mult
+from thetamu import mult, scenarios
 from thetamu.cli import main as cli_main
 from thetamu.scenarios import resolve_n
 
@@ -259,7 +259,9 @@ def test_cli_verify_validation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "change", [{"seed": -1}, {"caps": {"mu_cells": "x"}}], ids=["negative-seed", "non-integer-cap"]
+    "change",
+    [{"seed": -1}, {"seed": 11.7}, {"caps": {"mu_cells": "x"}}],
+    ids=["negative-seed", "float-seed", "non-integer-cap"],
 )
 def test_cli_verify_rejects_bad_seed_and_caps(tmp_path, capsys, change):
     doc = {"name": "bad", "g": 1, "type": [3], "omega": {"random": {"seed": 101}}, "n": 1}
@@ -270,3 +272,71 @@ def test_cli_verify_rejects_bad_seed_and_caps(tmp_path, capsys, change):
     assert code == 2
     assert json.loads(captured.out)["errors"]
     assert "Traceback" not in captured.err
+
+
+_BAD_CONTENT = [
+    ({"checks": {"spanning_modulus": -2}}, "spanning_modulus"),
+    ({"checks": {"spanning_modulus": "a"}}, "spanning_modulus"),
+    ({"checks": {"spanning_modulus": 2.5}}, "spanning_modulus"),
+    ({"checks": {"spanning_modulus": True}}, "spanning_modulus"),
+    ({"n": 1.5}, "n must be"),
+    ({"n": True}, "n must be"),
+]
+_BAD_IDS = ["modulus-negative", "modulus-string", "modulus-float", "modulus-bool",
+            "n-float", "n-bool"]
+
+
+@pytest.mark.parametrize("change,message", _BAD_CONTENT, ids=_BAD_IDS)
+def test_run_scenario_rejects_bad_n_and_modulus(change, message):
+    report = run_scenario(replace(_by_name("spanning-g1-n2"), **change))
+    assert report.exit_code == 2
+    assert any(message in e for e in report.payload["errors"])
+    assert "surjectivity" not in report.payload
+
+
+def test_run_scenario_zero_modulus_skips_spanning():
+    report = run_scenario(replace(_by_name("spanning-g1-n2"), checks={"spanning_modulus": 0}))
+    assert report.exit_code == 0
+    assert report.payload["spanning"] is None
+
+
+@pytest.mark.parametrize("change,message", _BAD_CONTENT, ids=_BAD_IDS)
+def test_cli_verify_rejects_bad_n_and_modulus(tmp_path, capsys, change, message):
+    doc = {"name": "bad", "g": 1, "type": [1], "omega": {"random": {"seed": 108}}, "n": 2}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**doc, **change}))
+    code = cli_main(["verify", "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert any(message in e for e in json.loads(captured.out)["errors"])
+    assert "Traceback" not in captured.err
+
+
+def test_run_scenario_takes_one_svd_of_mu(monkeypatch):
+    cfg = _by_name("elliptic-d3")
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    report = run_scenario(cfg)
+    assert report.payload["blocks"]["rank_sum"] == 6
+    # mu_1 of type (3) is h0(2) x h0(1)^2 = 6 x 9
+    assert shapes.count((6, 9)) == 1
+
+
+def test_report_records_reseed_attempt(monkeypatch):
+    cfg = _by_name("elliptic-d3")
+    assert run_scenario(cfg).payload["surjectivity"]["attempt"] == 0
+    # between the sample conditions of attempts 0 (~3.7) and 1 (~2.2)
+    verdict = scenarios.surjectivity_verdict
+    monkeypatch.setattr(
+        scenarios, "surjectivity_verdict", lambda *a, **k: verdict(*a, cond_cap=3.0, **k)
+    )
+    report = run_scenario(cfg)
+    assert report.payload["surjectivity"]["attempt"] == 1
+    assert report.payload["surjectivity"]["seed"] == cfg.seed
+    assert report.exit_code == 0
