@@ -1,15 +1,20 @@
 """Multiplication maps mu_n as explicit matrices, rank verdicts, character
 blocks, the Wirtinger coefficient matrix, and the spanning instance checks.
 
-All fits are interpolation-by-sampling: sections are evaluated at seeded
-random points, each sample row is equilibrated by the inverse growth
-envelope of its level (which is the natural hermitian scale of the bundle),
-and coefficients come from least squares.  Every fit goes through one
-helper that takes a single thin SVD of the weighted design: its singular
-values give the condition number checked against the cap (with reseeds),
-and the same factors give the minimum-norm solution for all right-hand
-sides at once.  Correctness is enforced by residual and conditioning checks
-rather than by exact addition formulas.
+mu_n and the divisor-map coordinates are fit by interpolation-by-sampling:
+sections are evaluated at seeded random points, each sample row is
+equilibrated by the inverse growth envelope of its level (which is the
+natural hermitian scale of the bundle), and coefficients come from least
+squares.  Every fit goes through one helper that takes a single thin SVD of
+the weighted design: its singular values give the condition number checked
+against the cap (with reseeds), and the same factors give the minimum-norm
+solution for all right-hand sides at once.  Residual and conditioning
+checks guard every fit.
+
+The Wirtinger matrix is exact: under the package normalization it is the
+0/1 incidence matrix of alpha + n beta = 0 mod Z^g, built by index
+arithmetic.  Sampling only checks it, by the weighted misfit of the theta
+relation at seeded points.
 
 The character blocks of mu_n come from the exact discrete Fourier transform
 over K(L)_1, built by integer index arithmetic and applied to the
@@ -28,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import FitResidualTooLarge, IllConditioned, NotInSpan, SizeLimit
-from .theta import SectionIndex, ThetaBasis, ThetaTilde, section_weights
+from .theta import SectionIndex, ThetaBasis, ThetaTilde, section_indices, section_weights
 from .torsion import TorsionPoint
 from .varieties import PolarizedAbelianVariety
 
@@ -150,7 +155,6 @@ def expand_in_basis(
     samples: SampleSet,
     *,
     basis: ThetaBasis | None = None,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
     cond_cap: float = DEFAULT_COND_CAP,
 ) -> Expansion:
     """Least-squares coefficients of f in the level-m basis.
@@ -178,8 +182,8 @@ def expand_in_basis(
 
     fit = _fit(draw, cond_cap=cond_cap, attempts=1, what="sample matrix")
     residual = float(fit.residuals[0])
-    if residual > residual_tol:
-        raise NotInSpan(f"expansion residual {residual:.3e} exceeds {residual_tol:.1e}")
+    if residual > DEFAULT_RESIDUAL_TOL:
+        raise NotInSpan(f"expansion residual {residual:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}")
     return Expansion(fit.coefficients[:, 0], residual, fit.cond)
 
 
@@ -214,8 +218,6 @@ def mu_matrix(
     n: int,
     seed: int,
     *,
-    eps: float | None = None,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
     cond_cap: float = DEFAULT_COND_CAP,
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> MuMatrix:
@@ -226,9 +228,9 @@ def mu_matrix(
     cols = pav.h0(1) * pav.h0(n)
     if rows * cols > cell_cap:
         raise SizeLimit(f"mu_{n} needs {rows}x{cols} cells, cap is {cell_cap}")
-    basis1 = ThetaBasis(pav, 1, eps=eps)
-    basisn = ThetaBasis(pav, n, eps=eps)
-    target = ThetaBasis(pav, n + 1, eps=eps)
+    basis1 = ThetaBasis(pav, 1)
+    basisn = ThetaBasis(pav, n)
+    target = ThetaBasis(pav, n + 1)
     count = OVERSAMPLE * rows
 
     def draw(attempt):
@@ -244,8 +246,8 @@ def mu_matrix(
 
     fit = _fit(draw, cond_cap=cond_cap, attempts=MAX_ATTEMPTS, what="sample matrix")
     max_resid = float(fit.residuals.max())
-    if max_resid > residual_tol:
-        raise NotInSpan(f"mu column residual {max_resid:.3e} exceeds {residual_tol:.1e}")
+    if max_resid > DEFAULT_RESIDUAL_TOL:
+        raise NotInSpan(f"mu column residual {max_resid:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}")
     return MuMatrix(
         n=n,
         matrix=fit.coefficients,
@@ -265,20 +267,20 @@ class RankResult(NamedTuple):
     clean_gap: bool
 
 
-def numerical_rank(matrix: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> RankResult:
-    """Rank = #{sigma_i > rel_tol * sigma_max}; the gap flag is set when no
-    singular value falls within a decade of the threshold."""
+def numerical_rank(matrix: np.ndarray) -> RankResult:
+    """Rank = #{sigma_i > DEFAULT_RANK_TOL * sigma_max}; the gap flag is set
+    when no singular value falls within a decade of the threshold."""
     matrix = np.asarray(matrix)
     if matrix.size == 0:
         return RankResult(0, np.zeros(0), True)
-    return _spectrum_rank(np.linalg.svd(matrix, compute_uv=False), rel_tol)
+    return _spectrum_rank(np.linalg.svd(matrix, compute_uv=False))
 
 
-def _spectrum_rank(s: np.ndarray, rel_tol: float) -> RankResult:
+def _spectrum_rank(s: np.ndarray) -> RankResult:
     """The rank rule of :func:`numerical_rank` on given singular values."""
     if s[0] == 0:
         return RankResult(0, s, True)
-    thr = rel_tol * float(s[0])
+    thr = DEFAULT_RANK_TOL * float(s[0])
     rank = int((s > thr).sum())
     near = (s >= thr / 10.0) & (s <= thr * 10.0)
     return RankResult(rank, s, not bool(near.any()))
@@ -319,8 +321,6 @@ def surjectivity_verdict(
     n: int,
     seed: int,
     *,
-    eps: float | None = None,
-    rel_tol: float = DEFAULT_RANK_TOL,
     cond_cap: float = DEFAULT_COND_CAP,
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> SurjectivityVerdict:
@@ -343,11 +343,9 @@ def surjectivity_verdict(
             clean_gap=True,
             dimensional_shortcut=True,
         )
-    mu = mu_matrix(
-        pav, n, seed, eps=eps, cond_cap=cond_cap, cell_cap=cell_cap
-    )
-    rank, s, clean = _spectrum_rank(mu.singular_values, rel_tol)
-    floor = rel_tol * float(s[0])
+    mu = mu_matrix(pav, n, seed, cond_cap=cond_cap, cell_cap=cell_cap)
+    rank, s, clean = _spectrum_rank(mu.singular_values)
+    floor = DEFAULT_RANK_TOL * float(s[0])
     sigma_next = float(s[rank]) if rank < len(s) else floor
     denom = max(sigma_next, 0.0)
     gap_ratio = float("inf") if denom == 0 else float(s[rank - 1]) / denom if rank else 0.0
@@ -448,7 +446,6 @@ def gamma_blocks(
     seed: int,
     *,
     mu: MuMatrix | None = None,
-    rel_tol: float = DEFAULT_RANK_TOL,
 ) -> GammaBlocks:
     """Transform mu_n to the K(L)_1 eigenbasis on both sides and cut blocks.
 
@@ -483,7 +480,7 @@ def gamma_blocks(
                 gamma_index=gi,
                 gamma=TorsionPoint([0] * pav.g, k.tolist(), d),
                 matrix=block,
-                rank=numerical_rank(block, rel_tol).rank,
+                rank=numerical_rank(block).rank,
             )
         )
     off_mass = 0.0 if total_norm == 0 else math.sqrt(off_sq) / total_norm
@@ -491,7 +488,7 @@ def gamma_blocks(
         n=n,
         blocks=tuple(blocks),
         off_block_mass=off_mass,
-        total_rank=_spectrum_rank(mu.singular_values, rel_tol).rank,
+        total_rank=_spectrum_rank(mu.singular_values).rank,
     )
 
 
@@ -503,6 +500,7 @@ class WirtingerMatrix:
 
     Both theta and theta~ carry the package normalization, so the matrix is
     canonical here; against other normalizations it is defined projectively.
+    ``fit_residual`` is the misfit of the relation at the samples of ``seed``.
     """
 
     n: int
@@ -511,10 +509,25 @@ class WirtingerMatrix:
     alpha_indices: tuple[SectionIndex, ...]
     beta_indices: tuple[SectionIndex, ...]
     fit_residual: float
-    relation_residual: float
-    cond: float
     seed: int
-    attempt: int
+
+
+def _wirtinger_residual(pav: PolarizedAbelianVariety, n: int, C: np.ndarray, seed: int) -> float:
+    """Weighted relative misfit ||w (lhs - rhs)|| / ||w lhs|| of
+    lhs = theta(u+nv) theta~(u-v) against
+    rhs = sum_{alpha beta} C[alpha, beta] theta_alpha(u) theta_beta(v)
+    at 2 * C.size pairs (u, v) drawn from ``seed``."""
+    count = OVERSAMPLE * C.size
+    z = sample_points(pav, 2 * count, seed).z
+    us, vs = z[:count], z[count:]
+    N = n * (n + 1)
+    w = section_weights(pav, n + 1, us) * section_weights(pav, N, vs)
+    theta = ThetaBasis(pav, 1).eval_matrix(us + n * vs)[0]
+    lhs = theta * ThetaTilde(pav, n).eval_many(us - vs)
+    ta = ThetaBasis(pav, n + 1).eval_matrix(us)
+    tb = ThetaBasis(pav, N).eval_matrix(vs)
+    rhs = (ta * (C @ tb)).sum(axis=0)
+    return float(np.linalg.norm(w * (lhs - rhs)) / np.linalg.norm(w * lhs))
 
 
 def wirtinger_matrix(
@@ -522,78 +535,41 @@ def wirtinger_matrix(
     n: int,
     seed: int,
     *,
-    eps: float | None = None,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    cond_cap: float = DEFAULT_COND_CAP,
-    max_attempts: int = MAX_ATTEMPTS,
     unknown_cap: int = DEFAULT_UNKNOWN_CAP,
 ) -> WirtingerMatrix:
-    """Fit the coefficient matrix of the bilinear theta relation at level
-    (n+1, n(n+1)) from >= 2 * #unknowns sampled pairs (u, v)."""
+    """The coefficient matrix of the bilinear theta relation at level
+    (n+1, n(n+1)), checked at 2 * #coefficients sampled pairs (u, v).
+
+    Substituting s = (l+k)/(n+1), t = (n l - k)/(n(n+1)) in the product of
+    the two lattice sums (Mumford 1966, Koizumi 1976) gives c_{alpha beta} = 1
+    when alpha + n beta = 0 mod Z^g and 0 otherwise; for alpha = k/(n+1) and
+    beta = j/(n(n+1)) that is k + j = 0 mod n+1 componentwise.
+    """
     if not pav.delta.is_principal:
         raise ValueError("the Wirtinger matrix requires a principal polarization")
     g = pav.g
     N = n * (n + 1)
-    ka = (n + 1) ** g
-    kb = N**g
-    unknowns = ka * kb
+    unknowns = (n + 1) ** g * N**g
     if unknowns > unknown_cap:
         raise SizeLimit(f"{unknowns} Wirtinger unknowns exceed cap {unknown_cap}")
-    basis_a = ThetaBasis(pav, n + 1, eps=eps)
-    basis_b = ThetaBasis(pav, N, eps=eps)
-    basis_1 = ThetaBasis(pav, 1, eps=eps)
-    tilde = ThetaTilde(pav, n, eps=eps)
-    count = OVERSAMPLE * unknowns
-
-    def draw(attempt):
-        samples = sample_points(pav, 2 * count, seed + attempt)
-        us, vs = samples.z[:count], samples.z[count:]
-        w = section_weights(pav, n + 1, us) * section_weights(pav, N, vs)
-        ba = basis_a.eval_matrix(us)
-        bb = basis_b.eval_matrix(vs)
-        design = (ba[:, None, :] * bb[None, :, :]).reshape(unknowns, count).T * w[:, None]
-
-        def rhs():
-            values = basis_1.eval_matrix(us + n * vs)[0] * tilde.eval_many(us - vs)
-            return (values * w)[:, None]
-
-        return design, rhs
-
-    fit = _fit(draw, cond_cap=cond_cap, attempts=max_attempts, what="Wirtinger sample")
-    fit_residual = float(fit.residuals[0])
-    if fit_residual > residual_tol:
+    k = _lex_vectors((n + 1,) * g)
+    j = _lex_vectors((N,) * g)
+    C = ((k[:, None, :] + j[None, :, :]) % (n + 1) == 0).all(axis=-1).astype(float)
+    fit_residual = _wirtinger_residual(pav, n, C, seed)
+    if fit_residual > DEFAULT_RESIDUAL_TOL:
         raise FitResidualTooLarge(
-            f"Wirtinger fit residual {fit_residual:.3e} exceeds {residual_tol:.1e}"
+            f"Wirtinger residual {fit_residual:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}"
         )
-    C = fit.coefficients[:, 0].reshape(ka, kb)
-    dims_b = (N,) * g
-    scale = float(np.abs(C).max())
-    relation = 0.0
-    for k in itertools.product(*[range(N)] * g):
-        shifted = tuple((ki - (n + 1) * (ki % n)) % N for ki in k)
-        i0 = int(np.ravel_multi_index(k, dims_b))
-        i1 = int(np.ravel_multi_index(shifted, dims_b))
-        relation = max(relation, float(np.abs(C[:, i0] - C[:, i1]).max()))
-    relation /= scale
-    if relation > residual_tol:
-        raise FitResidualTooLarge(
-            f"coefficient relation residual {relation:.3e} exceeds {residual_tol:.1e}"
-        )
-    reduced_cols = [
-        int(np.ravel_multi_index(tuple(n * ti for ti in t), dims_b))
-        for t in itertools.product(*[range(n + 1)] * g)
-    ]
+    # columns repeat along the n-torsion shifts of beta; keep beta' = n t / (n(n+1))
+    reduced_cols = np.ravel_multi_index(tuple((n * k).T), (N,) * g)
     return WirtingerMatrix(
         n=n,
         full=C,
         reduced=C[:, reduced_cols],
-        alpha_indices=basis_a.indices,
-        beta_indices=basis_b.indices,
+        alpha_indices=section_indices(pav, n + 1),
+        beta_indices=section_indices(pav, N),
         fit_residual=fit_residual,
-        relation_residual=relation,
-        cond=fit.cond,
         seed=seed,
-        attempt=fit.attempt,
     )
 
 
@@ -609,7 +585,6 @@ def phi_map_coords(
     b,
     seed: int,
     *,
-    eps: float | None = None,
     basis: ThetaBasis | None = None,
     tilde: ThetaTilde | None = None,
 ) -> Expansion:
@@ -620,9 +595,9 @@ def phi_map_coords(
     if not pav.delta.is_principal:
         raise ValueError("the divisor map requires a principal polarization")
     b = _as_point(pav, b)
-    basis = basis if basis is not None else ThetaBasis(pav, n + 1, eps=eps)
-    tilde = tilde if tilde is not None else ThetaTilde(pav, n, eps=eps)
-    basis_1 = ThetaBasis(pav, 1, eps=eps)
+    basis = basis if basis is not None else ThetaBasis(pav, n + 1)
+    tilde = tilde if tilde is not None else ThetaTilde(pav, n)
+    basis_1 = ThetaBasis(pav, 1)
 
     def f(zs):
         return basis_1.eval_matrix(zs + n * b)[0] * tilde.eval_many(zs - b)
@@ -652,7 +627,6 @@ def diagram_check(
     seed: int,
     *,
     wirt: WirtingerMatrix | None = None,
-    eps: float | None = None,
 ) -> float:
     """Projective distance between the divisor coordinates of b and the
     Wirtinger image (sum_beta c_{alpha beta} theta_beta(b))_alpha.
@@ -660,10 +634,10 @@ def diagram_check(
     A small value is the pointwise commutativity of the triangle relating
     the (n+1)-theta embedding, the coefficient form, and the divisor map.
     """
-    wirt = wirt if wirt is not None else wirtinger_matrix(pav, n, seed, eps=eps)
+    wirt = wirt if wirt is not None else wirtinger_matrix(pav, n, seed)
     b = _as_point(pav, b)
-    phi = phi_map_coords(pav, n, b, seed, eps=eps).coefficients
-    basis_b = ThetaBasis(pav, n * (n + 1), eps=eps)
+    phi = phi_map_coords(pav, n, b, seed).coefficients
+    basis_b = ThetaBasis(pav, n * (n + 1))
     tb = basis_b.eval_matrix(b[None, :])[:, 0]
     return projective_residual(phi, wirt.full @ tb)
 
@@ -680,8 +654,6 @@ def spanning_check(
     n: int,
     G,
     *,
-    eps: float | None = None,
-    rel_tol: float = DEFAULT_RANK_TOL,
     point_cap: int = DEFAULT_POINT_CAP,
 ) -> SpanningReport:
     """Rank of the evaluation vectors (theta_alpha^{(n+1)}(b))_alpha over b in G.
@@ -703,10 +675,10 @@ def spanning_check(
         pts = np.array([_as_point(pav, b) for b in G], dtype=complex)
         if pts.shape[0] > point_cap:
             raise SizeLimit(f"|G| = {pts.shape[0]} exceeds cap {point_cap}")
-    basis = ThetaBasis(pav, n + 1, eps=eps)
+    basis = ThetaBasis(pav, n + 1)
     w = section_weights(pav, n + 1, pts)
     matrix = basis.eval_matrix(pts).T * w[:, None]
-    rank, svals, _ = numerical_rank(matrix, rel_tol)
+    rank, svals, _ = numerical_rank(matrix)
     return SpanningReport(rank, (n + 1) ** g, pts.shape[0], svals)
 
 

@@ -54,7 +54,9 @@ class ScenarioConfig:
 
     ``omega`` is either a nested list of [re, im] pairs or the mapping
     {"random": {"seed": <int>}}; ``n`` is an integer or the token "g-1",
-    which resolves to max(g-1, 1) once g is known.
+    which resolves to max(g-1, 1) once g is known.  ``g``, ``type``, ``n``
+    and the seeds are kept as given; ``run_scenario`` rejects a wrong kind
+    instead of rounding it.
     """
 
     name: str
@@ -72,7 +74,7 @@ class ScenarioConfig:
         return {
             "name": self.name,
             "g": self.g,
-            "type": list(self.type),
+            "type": list(self.type) if isinstance(self.type, (list, tuple)) else self.type,
             "omega": self.omega,
             "n": self.n,
             "eps": self.eps,
@@ -98,8 +100,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown check keys: {sorted(set(checks) - _CHECK_KEYS)}")
         return ScenarioConfig(
             name=str(data.get("name", "scenario")),
-            g=int(data["g"]),
-            type=tuple(int(d) for d in data["type"]),
+            g=data["g"],
+            type=tuple(data["type"]) if isinstance(data["type"], list) else data["type"],
             omega=data["omega"],
             n=data.get("n", "g-1"),
             eps=float(data.get("eps", 1e-12)),
@@ -172,9 +174,15 @@ def _is_int(value) -> bool:
 
 
 def _check_counts(config: ScenarioConfig) -> None:
-    """Raise ValueError unless the seed is a non-negative integer, every cap
-    a positive integer and the spanning modulus a non-negative integer (0 or
-    absent skips the check); ``resolve_n`` checks n in the same stage."""
+    """Raise ValueError unless g is a positive integer, the type a list of
+    integers, the seed a non-negative integer, every cap a positive integer
+    and the spanning modulus a non-negative integer (0 or absent skips the
+    check); ``resolve_n`` and ``resolve_omega`` check n and the omega seed in
+    the same stage."""
+    if not _is_int(config.g) or config.g < 1:
+        raise ValueError(f"g must be a positive integer, got {config.g!r}")
+    if not isinstance(config.type, (list, tuple)) or not all(_is_int(d) for d in config.type):
+        raise ValueError(f"type must be a list of integers, got {config.type!r}")
     if not _is_int(config.seed) or config.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
     for key in sorted(config.caps):
@@ -191,9 +199,13 @@ def _check_counts(config: ScenarioConfig) -> None:
 def resolve_omega(config: ScenarioConfig) -> PeriodMatrix:
     if isinstance(config.omega, dict):
         request = config.omega.get("random")
-        if request is None or set(config.omega) != {"random"}:
+        if (not isinstance(request, dict) or set(config.omega) != {"random"}
+                or set(request) - {"seed"}):
             raise ValueError("omega mapping must be exactly {'random': {'seed': <int>}}")
-        return random_period_matrix(config.g, int(request.get("seed", config.seed)))
+        seed = request.get("seed", config.seed)
+        if not _is_int(seed) or seed < 0:
+            raise ValueError(f"omega seed must be a non-negative integer, got {seed!r}")
+        return random_period_matrix(config.g, seed)
     return PeriodMatrix(_pairs_to_matrix(config.omega))
 
 
@@ -399,9 +411,7 @@ def _wirtinger_payload(pav: PolarizedAbelianVariety, n: int, config: ScenarioCon
         b = rng.random(pav.g) @ pav.matrix.T + rng.random(pav.g)
         residuals.append(mult.diagram_check(pav, n, b, config.seed, wirt=wirt))
     return {
-        "attempt": wirt.attempt,
         "fit_residual": wirt.fit_residual,
-        "relation_residual": wirt.relation_residual,
         "reduced_sigma_min_ratio": float(svals[-1] / svals[0]),
         "diagram_residual_max": float(max(residuals)),
     }

@@ -380,18 +380,6 @@ class ThetaTilde:
         return complex(self.eval_many(np.asarray(z, dtype=complex)[None, :], radius=radius)[0])
 
 
-def theta_basis_eval(pav: PolarizedAbelianVariety, idx: SectionIndex, z, *,
-                     radius: int | None = None):
-    """One-shot evaluation of theta_c^{(m)} at z (prefer ThetaBasis for batches)."""
-    return ThetaBasis(pav, idx.m).eval(idx, z, radius=radius)
-
-
-def invariant_theta_tilde(pav: PolarizedAbelianVariety, n: int, z, *,
-                          radius: int | None = None) -> complex:
-    """One-shot evaluation of the invariant section theta~ of M^n."""
-    return ThetaTilde(pav, n).eval(z, radius=radius)
-
-
 def lattice_coordinates(pav: PolarizedAbelianVariety, lam, tol: float = 1e-9):
     """Integer coordinates (a, bhat) with lam = Omega a + Delta bhat.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -193,39 +194,87 @@ def test_wirtinger_g1_n1_lemniscatic():
     assert svals[-1] > 1e-6 * svals[0]
 
 
+def _shifted_columns(g, n):
+    """For every Wirtinger column k, the column k - (n+1) (k mod n) mod n(n+1)
+    it must equal: the n-torsion shift of beta onto its reduced column."""
+    N = n * (n + 1)
+    k = np.indices((N,) * g).reshape(g, -1)
+    return np.ravel_multi_index(tuple((k - (n + 1) * (k % n)) % N), (N,) * g)
+
+
 def test_wirtinger_relation_and_reduction(principal_g1):
     wirt = wirtinger_matrix(principal_g1, 2, 16)
     assert wirt.full.shape == (3, 6)
     assert wirt.reduced.shape == (3, 3)
-    assert wirt.relation_residual < 1e-10
+    assert np.array_equal(wirt.full, wirt.full[:, _shifted_columns(1, 2)])
     # reduced columns are exactly the beta' = n t / (n(n+1)) columns
     assert np.array_equal(wirt.reduced, wirt.full[:, [0, 2, 4]])
 
 
-def test_wirtinger_cross_check_independent_expansion():
-    # second route: expand u -> theta(u+v) theta~(u-v) in the level-2 basis at
-    # fixed sampled v, then solve for the coefficient matrix in the v-basis
-    pav = validate_polarized(np.array([[1j]]), (1,), simple_asserted=True)
-    n = 1
+@pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (2, 1)], ids=["g1-n1", "g1-n2", "g2-n1"])
+def test_wirtinger_cross_check_independent_expansion(g, n):
+    # second route: expand u -> theta(u+nv) theta~(u-v) in the level-(n+1)
+    # basis at fixed sampled v, then solve for the coefficient matrix in the
+    # level-n(n+1) v-basis
+    omega = np.array([[1j]]) if (g, n) == (1, 1) else random_period_matrix(g, 100 + 10 * g + n)
+    pav = validate_polarized(omega, (1,) * g, simple_asserted=True)
     wirt = wirtinger_matrix(pav, n, 21)
     basis1 = ThetaBasis(pav, 1)
-    basis2 = ThetaBasis(pav, 2)
-    tilde = ThetaTilde(pav, 1)
+    basis_a = ThetaBasis(pav, n + 1)
+    basis_b = ThetaBasis(pav, n * (n + 1))
+    tilde = ThetaTilde(pav, n)
     rng = np.random.default_rng(55)
-    vs = rng.random((6, 1)) @ pav.matrix.T + rng.random((6, 1))
+    nv = 3 * basis_b.dim
+    vs = rng.random((nv, g)) @ pav.matrix.T + rng.random((nv, g))
     coeff_rows = []
     for v in vs:
-        samples = sample_points(pav, 2 * basis2.dim + 2, 77)
+        samples = sample_points(pav, 2 * basis_a.dim + 2, 77)
         exp = expand_in_basis(
-            pav, 2,
-            lambda zs, v=v: basis1.eval_matrix(zs + v)[0] * tilde.eval_many(zs - v),
-            samples, basis=basis2,
+            pav, n + 1,
+            lambda zs, v=v: basis1.eval_matrix(zs + n * v)[0] * tilde.eval_many(zs - v),
+            samples, basis=basis_a,
         )
         coeff_rows.append(exp.coefficients)
     d_matrix = np.array(coeff_rows)  # (nv, KA): d_alpha(v) = sum_b c_{ab} theta_b(v)
-    tb = basis2.eval_matrix(vs).T    # (nv, KB)
+    tb = basis_b.eval_matrix(vs).T   # (nv, KB)
     c_indep = np.linalg.lstsq(tb, d_matrix, rcond=None)[0].T
     assert projective_residual(c_indep.ravel(), wirt.full.ravel()) < 1e-8
+    # not only projectively: the package normalization makes the scale exact
+    assert np.abs(c_indep - wirt.full).max() < 1e-8
+
+
+@pytest.mark.parametrize(
+    "g,n", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)], ids=lambda v: str(v)
+)
+def test_wirtinger_matrix_is_exact_incidence(g, n):
+    pav = validate_polarized(random_period_matrix(g, 100 + 10 * g + n), (1,) * g, True)
+    wirt = wirtinger_matrix(pav, n, 21)
+    C = wirt.full
+    assert C.shape == ((n + 1) ** g, (n * (n + 1)) ** g)
+    assert set(np.unique(C)) <= {0.0, 1.0}
+    assert np.array_equal(C.sum(axis=1), np.full(C.shape[0], float(n**g)))
+    assert np.array_equal(wirt.reduced, np.eye(C.shape[0]))
+    # columns repeat along the n-torsion shifts of beta, exactly
+    assert np.array_equal(C, C[:, _shifted_columns(g, n)])
+    assert wirt.fit_residual < 1e-12
+
+
+def test_wrong_wirtinger_incidence_is_rejected(principal_g1):
+    n, seed = 2, 16
+    wirt = wirtinger_matrix(principal_g1, n, seed)
+    k = np.arange(n + 1)[:, None]
+    j = np.arange(n * (n + 1))[None, :]
+    same_sign = ((k - j) % (n + 1) == 0).astype(float)  # alpha = n beta in place of -n beta
+    flipped = wirt.full.copy()
+    flipped[1, 0] = 1.0 - flipped[1, 0]
+    rng = np.random.default_rng(61)
+    points = [rng.random(1) @ principal_g1.matrix.T + rng.random(1) for _ in range(3)]
+    assert mult._wirtinger_residual(principal_g1, n, wirt.full, seed) == wirt.fit_residual
+    for wrong in (same_sign, flipped):
+        assert mult._wirtinger_residual(principal_g1, n, wrong, seed) > 1e-8
+        bad = dataclasses.replace(wirt, full=wrong)
+        for b in points:
+            assert diagram_check(principal_g1, n, b, seed, wirt=bad) > 1e-8
 
 
 def test_phi_map_coords_properties(principal_g1):
@@ -441,10 +490,13 @@ def test_reseed_attempt_is_recorded(elliptic_d3):
     assert verdict.attempt == 1 and verdict.verdict is Verdict.SURJECTIVE
 
 
-def test_wirtinger_reseed_attempt_is_recorded():
-    pav = validate_polarized(random_period_matrix(1, 105), (1,), simple_asserted=True)
-    first = wirtinger_matrix(pav, 1, 15)
-    second = wirtinger_matrix(pav, 1, 16)
-    assert second.cond < first.cond and first.attempt == 0
-    wirt = wirtinger_matrix(pav, 1, 15, cond_cap=(first.cond + second.cond) / 2)
-    assert (wirt.attempt, wirt.seed, wirt.cond) == (1, 15, second.cond)
+def test_wirtinger_matrix_is_seed_and_period_independent():
+    # the matrix is exact, so neither the seed of its sampled check nor the
+    # period matrix moves a bit of it
+    first = wirtinger_matrix(validate_polarized(random_period_matrix(2, 105), (1, 1), True), 1, 15)
+    for omega, seed in ((random_period_matrix(2, 105), 16), (random_period_matrix(2, 117), 977),
+                        (np.diag([1j, 2j]), 0)):
+        wirt = wirtinger_matrix(validate_polarized(omega, (1, 1), True), 1, seed)
+        assert wirt.seed == seed and wirt.fit_residual < 1e-12
+        assert wirt.full.tobytes() == first.full.tobytes()
+        assert wirt.reduced.tobytes() == first.reduced.tobytes()

@@ -100,10 +100,25 @@ def test_run_scenario_numeric_cap_exit_code():
     assert report.payload["surjectivity"] is None
 
 
+#: scenario values to reject, not coerce or ignore: (change, text of the error)
+_BAD_VALUES = [
+    ({"g": 1.7}, "g must"),
+    ({"g": True}, "g must"),
+    ({"type": [3.5]}, "type must"),
+    ({"g": 2, "type": "12"}, "type must"),
+    ({"omega": {"random": {"seed": 101.9}}}, "omega seed"),
+    ({"omega": {"random": {"seed": "x"}}}, "omega seed"),
+    ({"omega": {"random": 5}}, "omega mapping"),
+    ({"omega": {"random": {"sed": 5}}}, "omega mapping"),
+]
+_BAD_VALUE_IDS = ["g-float", "g-bool", "type-float", "type-string", "omega-seed-float",
+                  "omega-seed-string", "omega-random-not-mapping", "omega-unknown-key"]
+
+
 @pytest.mark.parametrize(
     "change,message",
-    [({"seed": -1}, "seed"), ({"caps": {"mu_cells": "x"}}, "mu_cells")],
-    ids=["negative-seed", "non-integer-cap"],
+    [({"seed": -1}, "seed"), ({"caps": {"mu_cells": "x"}}, "mu_cells"), *_BAD_VALUES],
+    ids=["negative-seed", "non-integer-cap", *_BAD_VALUE_IDS],
 )
 def test_run_scenario_rejects_bad_seed_and_caps(change, message):
     report = run_scenario(replace(_by_name("elliptic-d3"), **change))
@@ -126,13 +141,24 @@ def test_run_scenario_fits_mu_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_run_scenario_wirtinger_block():
+def test_run_scenario_wirtinger_block(monkeypatch):
+    made = []
+
+    def recorded(*args, **kwargs):
+        made.append(mult.wirtinger_matrix(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(scenarios, "wirtinger_matrix", recorded)
     report = run_scenario(_by_name("wirtinger-g1-n2"))
     w = report.payload["wirtinger"]
     assert w["fit_residual"] < 1e-8
-    assert w["relation_residual"] < 1e-8
+    # the columns of the reported matrix repeat along the 2-torsion shifts of
+    # beta; for g = 1, n = 2 that is column j = column j mod 3, exactly
+    full = made[0].full
+    assert np.array_equal(full, np.tile(full[:, :3], 2))
     assert w["reduced_sigma_min_ratio"] > 1e-6
     assert w["diagram_residual_max"] < 1e-8
+    assert set(w) == {"fit_residual", "reduced_sigma_min_ratio", "diagram_residual_max"}
 
 
 def test_run_scenario_spanning_block():
@@ -259,18 +285,21 @@ def test_cli_verify_validation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "change",
-    [{"seed": -1}, {"seed": 11.7}, {"caps": {"mu_cells": "x"}}],
-    ids=["negative-seed", "float-seed", "non-integer-cap"],
+    "change,message",
+    [({"seed": -1}, "seed"), ({"seed": 11.7}, "seed"), ({"caps": {"mu_cells": "x"}}, "mu_cells"),
+     *_BAD_VALUES],
+    ids=["negative-seed", "float-seed", "non-integer-cap", *_BAD_VALUE_IDS],
 )
-def test_cli_verify_rejects_bad_seed_and_caps(tmp_path, capsys, change):
+def test_cli_verify_rejects_bad_seed_and_caps(tmp_path, capsys, change, message):
     doc = {"name": "bad", "g": 1, "type": [3], "omega": {"random": {"seed": 101}}, "n": 1}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**doc, **change}))
     code = cli_main(["verify", "--scenario", str(path)])
     captured = capsys.readouterr()
     assert code == 2
-    assert json.loads(captured.out)["errors"]
+    errors = json.loads(captured.out)["errors"]
+    assert errors
+    assert any(message in e for e in errors)
     assert "Traceback" not in captured.err
 
 

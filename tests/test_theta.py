@@ -15,7 +15,6 @@ from thetamu import (
     TorsionPoint,
     TruncationOverflow,
     automorphy_factor,
-    invariant_theta_tilde,
     k_group,
     lattice_coordinates,
     quasi_periodicity_residual,
@@ -23,7 +22,6 @@ from thetamu import (
     section_index,
     section_indices,
     section_weights,
-    theta_basis_eval,
     translate_action,
     truncation_plan,
     validate_polarized,
@@ -75,7 +73,7 @@ def brute_theta(tau, m, c, z, radius):
 def test_theta_oracle_value(elliptic):
     # closed form at the lemniscatic point: pi^(1/4) / Gamma(3/4)
     idx = section_index(elliptic, 1, [0])
-    value = theta_basis_eval(elliptic, idx, np.zeros(1))
+    value = ThetaBasis(elliptic, 1).eval(idx, np.zeros(1))
     reference = math.pi ** 0.25 / math.gamma(0.75)
     assert abs(value - reference) < 1e-12
     assert abs(brute_theta(elliptic.matrix, 1, np.zeros(1), np.zeros(1), 12) - reference) < 1e-12
@@ -395,7 +393,7 @@ def test_theta_tilde_satisfies_level_n_cocycle():
 
 def test_invariant_theta_tilde_requires_principal(pav_g1):
     with pytest.raises(ValueError):
-        invariant_theta_tilde(pav_g1, 2, np.zeros(1))
+        ThetaTilde(pav_g1, 2).eval(np.zeros(1))
 
 
 def test_linear_independence_gram_rank():
