@@ -1,20 +1,21 @@
 """Multiplication maps mu_n as explicit matrices, rank verdicts, character
 blocks, the Wirtinger coefficient matrix, and the spanning instance checks.
 
-mu_n and the divisor-map coordinates are fit by interpolation-by-sampling:
-sections are evaluated at seeded random points, each sample row is
-equilibrated by the inverse growth envelope of its level (which is the
-natural hermitian scale of the bundle), and coefficients come from least
-squares.  Every fit goes through one helper that takes a single thin SVD of
-the weighted design: its singular values give the condition number checked
-against the cap (with reseeds), and the same factors give the minimum-norm
-solution for all right-hand sides at once.  Residual and conditioning
-checks guard every fit.
+mu_n is exact: every product theta_a^{(1)} theta_b^{(n)} expands in the
+level-(n+1) basis with the level-n(n+1) theta constants as coefficients
+(Mumford 1966, Koizumi 1976), so the matrix is assembled by index arithmetic
+from one evaluation at z = 0.  The Wirtinger matrix is exact too: under the
+package normalization it is the 0/1 incidence matrix of
+alpha + n beta = 0 mod Z^g.
 
-The Wirtinger matrix is exact: under the package normalization it is the
-0/1 incidence matrix of alpha + n beta = 0 mod Z^g, built by index
-arithmetic.  Sampling only checks it, by the weighted misfit of the theta
-relation at seeded points.
+Sampling remains only for the divisor-map coordinates and the Wirtinger
+check.  The coordinates are fit by least squares at seeded random points,
+each sample row equilibrated by the inverse growth envelope of its level
+(the natural hermitian scale of the bundle), from one thin SVD of the
+weighted design that gives both the condition number checked against the
+cap and the minimum-norm solution; a residual gate guards the fit.  The
+Wirtinger matrix is checked by the weighted misfit of the theta relation at
+seeded points.
 
 The character blocks of mu_n come from the exact discrete Fourier transform
 over K(L)_1, built by integer index arithmetic and applied to the
@@ -33,7 +34,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import FitResidualTooLarge, IllConditioned, NotInSpan, SizeLimit
-from .theta import SectionIndex, ThetaBasis, ThetaTilde, section_indices, section_weights
+from .theta import (
+    SectionIndex,
+    ThetaBasis,
+    ThetaTilde,
+    section_indices,
+    section_weights,
+    theta_constants,
+)
 from .torsion import TorsionPoint
 from .varieties import PolarizedAbelianVariety
 
@@ -45,8 +53,6 @@ DEFAULT_COND_CAP = 1e10
 DEFAULT_RANK_TOL = 1e-8
 #: sigma_rank must exceed the discard level by this factor for "Surjective"
 GAP_RATIO_MIN = 1e3
-#: reseed attempts before giving up on conditioning
-MAX_ATTEMPTS = 3
 #: sample count per basis dimension
 OVERSAMPLE = 2
 #: cap on mu-matrix cells
@@ -83,69 +89,32 @@ class Expansion(NamedTuple):
     cond: float
 
 
-def _weighted_design(basis: ThetaBasis, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w = section_weights(basis.pav, basis.m, zs)
-    design = (basis.eval_matrix(zs) * w[None, :]).T
-    return design, w
-
-
-def _column_norms(x: np.ndarray) -> np.ndarray:
-    """2-norm of every column, summed over the real and imaginary parts in
-    place of a complex temporary of the size of ``x``."""
-    squares = np.einsum("ij,ij->j", x.real, x.real) + np.einsum("ij,ij->j", x.imag, x.imag)
-    return np.sqrt(squares)
-
-
 class _Fit(NamedTuple):
     coefficients: np.ndarray
     residuals: np.ndarray
     cond: float
-    attempt: int
 
 
-def _fit(
-    draw: Callable[[int], tuple[np.ndarray, Callable[[], np.ndarray]]],
-    *,
-    cond_cap: float,
-    attempts: int,
-    what: str,
-) -> _Fit:
-    """Least-squares fit of every column of a right-hand side from one thin
-    SVD ``design = U diag(s) Vh`` per attempt.
+def _fit(design: np.ndarray, rhs: np.ndarray, *, cond_cap: float) -> _Fit:
+    """Least-squares fit of every column of ``rhs`` from one thin SVD
+    ``design = U diag(s) Vh``.
 
-    ``draw(attempt)`` returns the weighted design (samples x unknowns) of
-    that attempt's samples and a callable giving the weighted right-hand
-    sides (samples x columns), evaluated only once the design's condition
-    ``s_0 / s_min`` is within ``cond_cap``; otherwise the next attempt is
-    drawn, and :class:`IllConditioned` is raised after the last.  The
-    solution ``Vh^H ((U^H rhs) / s)`` drops ``s <= eps max(M, N) s_0`` as
-    ``lstsq(rcond=None)`` does, so it is the same minimum-norm solution.
-    Residuals are ``||design @ coef - rhs|| / ||rhs||`` per column (0 for a
-    zero column).
+    Raises :class:`IllConditioned` when the condition ``s_0 / s_min``
+    exceeds ``cond_cap``.  The solution ``Vh^H ((U^H rhs) / s)`` drops
+    ``s <= eps max(M, N) s_0`` as ``lstsq(rcond=None)`` does, so it is the
+    same minimum-norm solution.  Residuals are ``||design @ coef - rhs|| /
+    ||rhs||`` per column (0 for a zero column).
     """
-    last_cond = None
-    for attempt in range(attempts):
-        design, rhs_of = draw(attempt)
-        u, s, vh = np.linalg.svd(design, full_matrices=False)
-        cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
-        if cond > cond_cap:
-            last_cond = cond
-            continue
-        rhs = rhs_of()
-        kept = int((s > np.finfo(float).eps * max(design.shape) * s[0]).sum())
-        coef = u[:, :kept].conj().T @ rhs
-        coef /= s[:kept, None]
-        coef = vh[:kept].conj().T @ coef
-        misfit = design @ coef
-        misfit -= rhs
-        misfit = _column_norms(misfit)
-        norms = _column_norms(rhs)
-        residuals = np.divide(misfit, norms, out=np.zeros_like(misfit), where=norms > 0)
-        return _Fit(coef, residuals, cond, attempt)
-    raise IllConditioned(
-        f"{what} condition {last_cond:.3e} exceeded {cond_cap:.1e} "
-        f"in {attempts} sample draw(s)"
-    )
+    u, s, vh = np.linalg.svd(design, full_matrices=False)
+    cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
+    if cond > cond_cap:
+        raise IllConditioned(f"sample matrix condition {cond:.3e} exceeded {cond_cap:.1e}")
+    kept = int((s > np.finfo(float).eps * max(design.shape) * s[0]).sum())
+    coef = vh[:kept].conj().T @ ((u[:, :kept].conj().T @ rhs) / s[:kept, None])
+    misfit = np.linalg.norm(design @ coef - rhs, axis=0)
+    norms = np.linalg.norm(rhs, axis=0)
+    residuals = np.divide(misfit, norms, out=np.zeros_like(misfit), where=norms > 0)
+    return _Fit(coef, residuals, cond)
 
 
 def expand_in_basis(
@@ -170,17 +139,10 @@ def expand_in_basis(
         raise ValueError(
             f"need at least {2 * basis.dim} samples for level {m}, got {samples.count}"
         )
-
-    def draw(attempt):
-        design, w = _weighted_design(basis, samples.z)
-
-        def values():
-            values = np.asarray(f(samples.z) if callable(f) else f, dtype=complex)
-            return (values * w)[:, None]
-
-        return design, values
-
-    fit = _fit(draw, cond_cap=cond_cap, attempts=1, what="sample matrix")
+    w = section_weights(pav, m, samples.z)
+    design = (basis.eval_matrix(samples.z) * w[None, :]).T
+    values = np.asarray(f(samples.z) if callable(f) else f, dtype=complex)
+    fit = _fit(design, (values * w)[:, None], cond_cap=cond_cap)
     residual = float(fit.residuals[0])
     if residual > DEFAULT_RESIDUAL_TOL:
         raise NotInSpan(f"expansion residual {residual:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}")
@@ -193,18 +155,12 @@ class MuMatrix:
 
     Column (c, c') holds the level-(n+1) coefficients of the product
     theta_c^{(1)} theta_{c'}^{(n)}; columns are lexicographic in (c, c').
-    The samples were drawn with seed ``seed + attempt``.
     """
 
     n: int
     matrix: np.ndarray
     row_indices: tuple[SectionIndex, ...]
     col_pairs: tuple[tuple[SectionIndex, SectionIndex], ...]
-    seed: int
-    attempt: int
-    sample_count: int
-    cond: float
-    max_residual: float
 
     @cached_property
     def singular_values(self) -> np.ndarray:
@@ -216,48 +172,44 @@ class MuMatrix:
 def mu_matrix(
     pav: PolarizedAbelianVariety,
     n: int,
-    seed: int,
     *,
-    cond_cap: float = DEFAULT_COND_CAP,
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> MuMatrix:
-    """Assemble mu_n by expanding every basis product at level n+1."""
+    """Assemble mu_n from the level-n(n+1) theta constants.
+
+    Substituting s = (l + n k)/(n+1), t = (l - k)/(n+1) in the product of the
+    level-1 and level-n lattice sums (Mumford 1966, Koizumi 1976) gives
+
+        theta_a^{(1)} theta_b^{(n)} = sum_{tau : (n+1) tau = a - b mod Z^g}
+                                      theta_tau^{(n(n+1))}(0) theta_{b+tau}^{(n+1)}.
+
+    For a = k1/d, b = kn/(n d) and j in [0, n+1)^g, tau is
+    (n k1 - kn + n d j)/(n(n+1) d) and b + tau is (k1 + kn + d j)/((n+1) d),
+    so every column has exactly (n+1)^g entries.
+    """
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")
     rows = pav.h0(n + 1)
     cols = pav.h0(1) * pav.h0(n)
     if rows * cols > cell_cap:
         raise SizeLimit(f"mu_{n} needs {rows}x{cols} cells, cap is {cell_cap}")
-    basis1 = ThetaBasis(pav, 1)
-    basisn = ThetaBasis(pav, n)
-    target = ThetaBasis(pav, n + 1)
-    count = OVERSAMPLE * rows
-
-    def draw(attempt):
-        samples = sample_points(pav, count, seed + attempt)
-        design, w = _weighted_design(target, samples.z)
-
-        def products():
-            b1 = basis1.eval_matrix(samples.z) * w
-            bn = basisn.eval_matrix(samples.z)
-            return (b1[:, None, :] * bn[None, :, :]).reshape(cols, count).T
-
-        return design, products
-
-    fit = _fit(draw, cond_cap=cond_cap, attempts=MAX_ATTEMPTS, what="sample matrix")
-    max_resid = float(fit.residuals.max())
-    if max_resid > DEFAULT_RESIDUAL_TOL:
-        raise NotInSpan(f"mu column residual {max_resid:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}")
+    d = np.array(pav.delta.divisors)
+    # axes (k1, kn, j, coordinate)
+    k1 = _lex_vectors(d)[:, None, None, :]
+    kn = _lex_vectors(n * d)[None, :, None, :]
+    dj = d * _lex_vectors((n + 1,) * pav.g)[None, None, :, :]
+    row = _ravel((k1 + kn + dj) % ((n + 1) * d), (n + 1) * d)
+    tau = _ravel((n * k1 - kn + n * dj) % (n * (n + 1) * d), n * (n + 1) * d)
+    col = np.arange(cols).reshape(row.shape[:2] + (1,))
+    matrix = np.zeros((rows, cols), dtype=complex)
+    matrix[row, col] = theta_constants(pav, n * (n + 1))[tau]
+    basis1 = section_indices(pav, 1)
+    basisn = section_indices(pav, n)
     return MuMatrix(
         n=n,
-        matrix=fit.coefficients,
-        row_indices=target.indices,
-        col_pairs=tuple((c1, cn) for c1 in basis1.indices for cn in basisn.indices),
-        seed=seed,
-        attempt=fit.attempt,
-        sample_count=count,
-        cond=fit.cond,
-        max_residual=max_resid,
+        matrix=matrix,
+        row_indices=section_indices(pav, n + 1),
+        col_pairs=tuple((c1, cn) for c1 in basis1 for cn in basisn),
     )
 
 
@@ -296,35 +248,28 @@ class Verdict(Enum):
 class SurjectivityVerdict:
     """Rank decision for mu_n with its spectrum and gap diagnostics.
 
-    ``mu`` is the fitted matrix the rank came from (None for the
-    dimensional shortcut), for callers that reuse it, e.g. ``gamma_blocks``;
-    ``attempt`` is the reseed attempt its samples came from.
+    ``mu`` is the matrix the rank came from (None for the dimensional
+    shortcut), for callers that reuse it, e.g. ``gamma_blocks``.
     """
 
     verdict: Verdict
     n: int
-    seed: int
     rank: int | None
     required_rank: int
     singular_values: tuple[float, ...]
     gap_ratio: float | None
     clean_gap: bool
     dimensional_shortcut: bool
-    cond: float | None = None
-    max_residual: float | None = None
     mu: MuMatrix | None = None
-    attempt: int | None = None
 
 
 def surjectivity_verdict(
     pav: PolarizedAbelianVariety,
     n: int,
-    seed: int,
     *,
-    cond_cap: float = DEFAULT_COND_CAP,
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> SurjectivityVerdict:
-    """Decide surjectivity of mu_n numerically (deterministic per seed).
+    """Decide surjectivity of mu_n numerically.
 
     The source dimension h0(1) h0(n) < h0(n+1) forces NotSurjective without
     any evaluation; otherwise the verdict comes from the numerical rank of
@@ -335,7 +280,6 @@ def surjectivity_verdict(
         return SurjectivityVerdict(
             verdict=Verdict.NOT_SURJECTIVE,
             n=n,
-            seed=seed,
             rank=None,
             required_rank=required,
             singular_values=(),
@@ -343,7 +287,7 @@ def surjectivity_verdict(
             clean_gap=True,
             dimensional_shortcut=True,
         )
-    mu = mu_matrix(pav, n, seed, cond_cap=cond_cap, cell_cap=cell_cap)
+    mu = mu_matrix(pav, n, cell_cap=cell_cap)
     rank, s, clean = _spectrum_rank(mu.singular_values)
     floor = DEFAULT_RANK_TOL * float(s[0])
     sigma_next = float(s[rank]) if rank < len(s) else floor
@@ -358,17 +302,13 @@ def surjectivity_verdict(
     return SurjectivityVerdict(
         verdict=verdict,
         n=n,
-        seed=seed,
         rank=rank,
         required_rank=required,
         singular_values=tuple(float(x) for x in s),
         gap_ratio=gap_ratio,
         clean_gap=clean,
         dimensional_shortcut=False,
-        cond=mu.cond,
-        max_residual=mu.max_residual,
         mu=mu,
-        attempt=mu.attempt,
     )
 
 
@@ -376,6 +316,12 @@ def _lex_vectors(dims) -> np.ndarray:
     """All integer vectors of prod range(dims_i) in lexicographic order,
     shape (prod dims, len(dims))."""
     return np.indices(tuple(dims)).reshape(len(dims), -1).T
+
+
+def _ravel(vectors: np.ndarray, dims) -> np.ndarray:
+    """Lexicographic position in prod range(dims_i) of every integer vector
+    along the last axis of ``vectors``."""
+    return np.ravel_multi_index(tuple(np.moveaxis(vectors, -1, 0)), tuple(dims))
 
 
 def _eigenbasis_matrix(pav: PolarizedAbelianVariety, m: int) -> np.ndarray:
@@ -399,7 +345,7 @@ def _eigenbasis_matrix(pav: PolarizedAbelianVariety, m: int) -> np.ndarray:
     phase = (elements * (lcm // d)) @ elements.T % lcm
     # row[j, r]: the basis index r + m j (mod m d) in the orbit of r
     shifted = (reps[None, :, :] + m * elements[:, None, :]) % dims
-    row = np.ravel_multi_index(tuple(np.moveaxis(shifted, -1, 0)), tuple(dims))
+    row = _ravel(shifted, dims)
     size = deg * len(reps)
     col = np.arange(size).reshape(deg, len(reps))
     roots = np.exp(-2j * math.pi * (np.arange(lcm) / lcm))
@@ -413,7 +359,7 @@ def _character_sums(pav: PolarizedAbelianVariety) -> np.ndarray:
     d = pav.delta.divisors
     elements = _lex_vectors(d)
     total = (elements[:, None, :] + elements[None, :, :]) % np.array(d)
-    return np.ravel_multi_index(tuple(np.moveaxis(total, -1, 0)), d)
+    return _ravel(total, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,7 +389,6 @@ class GammaBlocks:
 def gamma_blocks(
     pav: PolarizedAbelianVariety,
     n: int,
-    seed: int,
     *,
     mu: MuMatrix | None = None,
 ) -> GammaBlocks:
@@ -454,7 +399,7 @@ def gamma_blocks(
     transform over K(L)_1 the matrix is block diagonal over characters up to
     numerical noise, reported as ``off_block_mass``.
     """
-    mu = mu if mu is not None else mu_matrix(pav, n, seed)
+    mu = mu if mu is not None else mu_matrix(pav, n)
     d = pav.delta.divisors
     U1 = _eigenbasis_matrix(pav, 1)
     Un = _eigenbasis_matrix(pav, n)
@@ -561,7 +506,7 @@ def wirtinger_matrix(
             f"Wirtinger residual {fit_residual:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}"
         )
     # columns repeat along the n-torsion shifts of beta; keep beta' = n t / (n(n+1))
-    reduced_cols = np.ravel_multi_index(tuple((n * k).T), (N,) * g)
+    reduced_cols = _ravel(n * k, (N,) * g)
     return WirtingerMatrix(
         n=n,
         full=C,
@@ -682,11 +627,11 @@ def spanning_check(
     return SpanningReport(rank, (n + 1) ** g, pts.shape[0], svals)
 
 
-def monotonicity_check(pav: PolarizedAbelianVariety, n: int, seed: int, **kwargs) -> bool:
+def monotonicity_check(pav: PolarizedAbelianVariety, n: int, **kwargs) -> bool:
     """Check that surjectivity of mu_n propagates to mu_{n+1} on this instance
     (vacuously true when mu_n is not verified surjective)."""
-    first = surjectivity_verdict(pav, n, seed, **kwargs)
+    first = surjectivity_verdict(pav, n, **kwargs)
     if first.verdict is not Verdict.SURJECTIVE:
         return True
-    second = surjectivity_verdict(pav, n + 1, seed, **kwargs)
+    second = surjectivity_verdict(pav, n + 1, **kwargs)
     return second.verdict is Verdict.SURJECTIVE

@@ -54,9 +54,9 @@ class ScenarioConfig:
 
     ``omega`` is either a nested list of [re, im] pairs or the mapping
     {"random": {"seed": <int>}}; ``n`` is an integer or the token "g-1",
-    which resolves to max(g-1, 1) once g is known.  ``g``, ``type``, ``n``
-    and the seeds are kept as given; ``run_scenario`` rejects a wrong kind
-    instead of rounding it.
+    which resolves to max(g-1, 1) once g is known.  ``g``, ``type``, ``n``,
+    ``eps``, ``simple_asserted`` and the seeds are kept as given;
+    ``run_scenario`` rejects a wrong kind instead of coercing it.
     """
 
     name: str
@@ -104,9 +104,9 @@ class ScenarioConfig:
             type=tuple(data["type"]) if isinstance(data["type"], list) else data["type"],
             omega=data["omega"],
             n=data.get("n", "g-1"),
-            eps=float(data.get("eps", 1e-12)),
+            eps=data.get("eps", 1e-12),
             seed=data.get("seed", 0),
-            simple_asserted=bool(data.get("simple_asserted", False)),
+            simple_asserted=data.get("simple_asserted", False),
             caps=caps,
             checks=checks,
         )
@@ -175,14 +175,20 @@ def _is_int(value) -> bool:
 
 def _check_counts(config: ScenarioConfig) -> None:
     """Raise ValueError unless g is a positive integer, the type a list of
-    integers, the seed a non-negative integer, every cap a positive integer
-    and the spanning modulus a non-negative integer (0 or absent skips the
-    check); ``resolve_n`` and ``resolve_omega`` check n and the omega seed in
-    the same stage."""
+    integers, eps a real number in (0, 1), simple_asserted a boolean, the
+    seed a non-negative integer, every cap a positive integer and the
+    spanning modulus a non-negative integer (0 or absent skips the check);
+    ``resolve_n`` and ``resolve_omega`` check n and the omega seed in the
+    same stage."""
     if not _is_int(config.g) or config.g < 1:
         raise ValueError(f"g must be a positive integer, got {config.g!r}")
     if not isinstance(config.type, (list, tuple)) or not all(_is_int(d) for d in config.type):
         raise ValueError(f"type must be a list of integers, got {config.type!r}")
+    eps = config.eps
+    if not isinstance(eps, numbers.Real) or isinstance(eps, bool) or not 0 < eps < 1:
+        raise ValueError(f"eps must be a real number in (0, 1), got {eps!r}")
+    if not isinstance(config.simple_asserted, bool):
+        raise ValueError(f"simple_asserted must be a boolean, got {config.simple_asserted!r}")
     if not _is_int(config.seed) or config.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
     for key in sorted(config.caps):
@@ -242,10 +248,6 @@ def _verdict_payload(v: mult.SurjectivityVerdict) -> dict:
         "clean_gap": v.clean_gap,
         "dimensional_shortcut": v.dimensional_shortcut,
         "singular_values": list(v.singular_values),
-        "cond": v.cond,
-        "max_column_residual": v.max_residual,
-        "seed": v.seed,
-        "attempt": v.attempt,
     }
 
 
@@ -305,7 +307,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
         verdict_obj = timer.run(
             "mu_verdict",
             lambda: surjectivity_verdict(
-                pav, n, config.seed,
+                pav, n,
                 cell_cap=int(caps.get("mu_cells", mult.DEFAULT_CELL_CAP)),
             ),
         )
@@ -324,7 +326,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
         else:
             try:
                 blocks = timer.run(
-                    "blocks", lambda: gamma_blocks(pav, n, config.seed, mu=verdict_obj.mu)
+                    "blocks", lambda: gamma_blocks(pav, n, mu=verdict_obj.mu)
                 )
                 payload["blocks"] = {
                     "count": len(blocks.blocks),

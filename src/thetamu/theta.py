@@ -69,6 +69,9 @@ _SCALE_MAX = 300.0
 _FLUSH = _SCALE_MAX + 50.0
 #: elements of the (box, points) factor per chunk, which bounds temporary memory
 _CHUNK_ELEMENTS = 1 << 19
+#: elements of the (characteristics, box) factor per chunk of theta constants;
+#: smaller, as that factor has more complex temporaries than the points one
+_CONST_CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -279,6 +282,27 @@ class _LatticeSum:
                             np.log(q @ e) + outer + pref[p] + row_shift + col_shift
                         )
         return out
+
+
+def theta_constants(pav: PolarizedAbelianVariety, m: int) -> np.ndarray:
+    """theta_c^{(m)}(0) for every level-m characteristic c = k/(m d), in the
+    lexicographic order of :func:`section_indices`.
+
+    The reduced point of z = 0 is 0 itself, so the box radius needs no slack
+    for the point, only for the characteristic.
+    """
+    g = pav.g
+    radius = box_radius(pav.lambda_min, m, pav.eps, math.sqrt(g) / 2.0, 0.0)
+    lattice = _LatticeSum(pav.matrix, m, pav.eps, radius)
+    dims = m * np.array(pav.delta.divisors)
+    chars = np.indices(tuple(dims)).reshape(g, -1).T / dims
+    zero = np.zeros((1, g))
+    # characteristics go through in chunks, so temporary memory does not grow
+    # with their number
+    step = max(1, _CONST_CHUNK_ELEMENTS // (2 * radius + 1) ** g)
+    return np.concatenate(
+        [lattice.eval(chars[lo:lo + step], zero)[:, 0] for lo in range(0, len(chars), step)]
+    )
 
 
 def _points_2d(zs) -> tuple[np.ndarray, bool]:

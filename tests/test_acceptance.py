@@ -3,7 +3,7 @@ fixed tolerance and runtime budget.
 
 Every test prints a single ``[criterion NN] name: PASS/FAIL`` line (run
 pytest with ``-s`` to see them live).  Instances are g <= 2, except the
-g = 3 headline case at the paper's threshold (criterion 15); the general
+g = 3 headline cases at the paper's threshold (criteria 15 and 16); the general
 statements behind them are exercised as property suites in the other test
 modules.
 """
@@ -100,7 +100,7 @@ def test_c02_quasi_periodicity_suite():
 def test_c03_elliptic_surjectivity():
     start = time.perf_counter()
     pav = validate_polarized(random_period_matrix(1, 101), (3,), simple_asserted=True)
-    verdict = surjectivity_verdict(pav, 1, 11)
+    verdict = surjectivity_verdict(pav, 1)
     prediction = bound_prediction(pav, 1)
     bound = torelli_bound(1, 1).value
     elapsed = time.perf_counter() - start
@@ -118,7 +118,7 @@ def test_c03_elliptic_surjectivity():
 def test_c04_dimensional_obstruction():
     start = time.perf_counter()
     pav = validate_polarized(random_period_matrix(2, 103), (1, 1), simple_asserted=True)
-    verdict = surjectivity_verdict(pav, 1, 13)
+    verdict = surjectivity_verdict(pav, 1)
     elapsed = time.perf_counter() - start
     ok = (
         verdict.verdict is Verdict.NOT_SURJECTIVE
@@ -131,10 +131,10 @@ def test_c04_dimensional_obstruction():
 
 def test_c05_theorem_instance_three_seeds():
     results = []
-    for omega_seed, sample_seed in ((104, 14), (204, 38), (304, 91)):
+    for omega_seed in (104, 204, 304):
         start = time.perf_counter()
         pav = validate_polarized(random_period_matrix(2, omega_seed), (3, 3), simple_asserted=True)
-        verdict = surjectivity_verdict(pav, 1, sample_seed)
+        verdict = surjectivity_verdict(pav, 1)
         elapsed = time.perf_counter() - start
         results.append((verdict, elapsed))
     ok = all(
@@ -225,15 +225,15 @@ def test_c08_theta_tilde_properties():
 
 def test_c09_block_decomposition():
     cases = [
-        ((3,), 101, 11),   # criterion 3 instance
-        ((3, 3), 104, 14), # criterion 5 instance
+        ((3,), 101),   # criterion 3 instance
+        ((3, 3), 104), # criterion 5 instance
     ]
     ok = True
     details = []
-    for divisors, omega_seed, seed in cases:
+    for divisors, omega_seed in cases:
         g = len(divisors)
         pav = validate_polarized(random_period_matrix(g, omega_seed), divisors, True)
-        blocks = gamma_blocks(pav, 1, seed)
+        blocks = gamma_blocks(pav, 1)
         row_ok = all(b.matrix.shape[0] == 2**g for b in blocks.blocks)
         case_ok = (
             blocks.off_block_mass < 1e-8
@@ -264,8 +264,8 @@ def test_c11_monotonicity():
     details = []
     for divisors, omega_seed in (((3,), 101), ((4,), 102)):
         pav = validate_polarized(random_period_matrix(1, omega_seed), divisors, True)
-        v1 = surjectivity_verdict(pav, 1, 11)
-        v2 = surjectivity_verdict(pav, 2, 11)
+        v1 = surjectivity_verdict(pav, 1)
+        v2 = surjectivity_verdict(pav, 2)
         case_ok = v1.verdict is Verdict.SURJECTIVE and v2.verdict is Verdict.SURJECTIVE
         ok = ok and case_ok
         details.append(f"{divisors}: mu1 rank {v1.rank}, mu2 rank {v2.rank}")
@@ -304,11 +304,13 @@ def test_c14_determinism():
             f"{len(first)} bytes, identical = {first == second}")
 
 
-def test_c15_threshold_itt_g3():
-    # g = 3, n = g-1 = 2, type (1,1,21): h0(L) = 21 meets the bound 81/4, so
-    # mu_2 (567 x 3528) is onto and Infinitesimal Torelli holds
+def _threshold_itt_g3(number, divisors):
+    # g = 3, n = g-1 = 2: h0(L) = 21 or 27 meets the bound 81/4, so mu_2 is
+    # onto and Infinitesimal Torelli holds
+    rank = 27 * math.prod(divisors)
+    name = "-".join(map(str, divisors))
     cfg = ScenarioConfig(
-        name="threshold-g3-1-1-21", g=3, type=(1, 1, 21), omega={"random": {"seed": 301}},
+        name=f"threshold-g3-{name}", g=3, type=divisors, omega={"random": {"seed": 301}},
         n="g-1", seed=31, simple_asserted=True,
     )
     start = time.perf_counter()
@@ -319,12 +321,22 @@ def test_c15_threshold_itt_g3():
         report.exit_code == 0
         and p["bound_prediction"] == "TheoremPredictsSurjective"
         and p["surjectivity"]["verdict"] == "Surjective"
-        and p["surjectivity"]["rank"] == 567
+        and p["surjectivity"]["rank"] == rank
         and p["itt"]["verdict"] == "Holds"
-        and p["blocks"]["rank_sum"] == 567
+        and p["blocks"]["rank_sum"] == rank
         and p["blocks"]["off_block_mass"] < 1e-8
     )
-    _report(15, "threshold-itt-g3", ok,
-            f"(1,1,21) n=2: {p['surjectivity']['verdict']}, rank "
-            f"{p['surjectivity']['rank']}/567, block rank sum {p['blocks']['rank_sum']}, "
+    _report(number, f"threshold-itt-g3-{name}", ok,
+            f"{divisors} n=2: {p['surjectivity']['verdict']}, rank "
+            f"{p['surjectivity']['rank']}/{rank}, block rank sum {p['blocks']['rank_sum']}, "
             f"ITT {p['itt']['verdict']}, exit {report.exit_code}, {elapsed:.1f} s")
+
+
+def test_c15_threshold_itt_g3():
+    # mu_2 of type (1,1,21) is 567 x 3528
+    _threshold_itt_g3(15, (1, 1, 21))
+
+
+def test_c16_threshold_itt_g3_139():
+    # mu_2 of type (1,3,9) is 729 x 5832
+    _threshold_itt_g3(16, (1, 3, 9))

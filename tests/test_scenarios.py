@@ -110,9 +110,15 @@ _BAD_VALUES = [
     ({"omega": {"random": {"seed": "x"}}}, "omega seed"),
     ({"omega": {"random": 5}}, "omega mapping"),
     ({"omega": {"random": {"sed": 5}}}, "omega mapping"),
+    ({"simple_asserted": "no"}, "simple_asserted"),
+    ({"eps": True}, "eps"),
+    ({"eps": "1e-3"}, "eps"),
+    ({"eps": float("inf")}, "eps"),
+    ({"eps": 2.0}, "eps"),
 ]
 _BAD_VALUE_IDS = ["g-float", "g-bool", "type-float", "type-string", "omega-seed-float",
-                  "omega-seed-string", "omega-random-not-mapping", "omega-unknown-key"]
+                  "omega-seed-string", "omega-random-not-mapping", "omega-unknown-key",
+                  "simple-asserted-string", "eps-bool", "eps-string", "eps-inf", "eps-above-one"]
 
 
 @pytest.mark.parametrize(
@@ -355,17 +361,3 @@ def test_run_scenario_takes_one_svd_of_mu(monkeypatch):
     assert report.payload["blocks"]["rank_sum"] == 6
     # mu_1 of type (3) is h0(2) x h0(1)^2 = 6 x 9
     assert shapes.count((6, 9)) == 1
-
-
-def test_report_records_reseed_attempt(monkeypatch):
-    cfg = _by_name("elliptic-d3")
-    assert run_scenario(cfg).payload["surjectivity"]["attempt"] == 0
-    # between the sample conditions of attempts 0 (~3.7) and 1 (~2.2)
-    verdict = scenarios.surjectivity_verdict
-    monkeypatch.setattr(
-        scenarios, "surjectivity_verdict", lambda *a, **k: verdict(*a, cond_cap=3.0, **k)
-    )
-    report = run_scenario(cfg)
-    assert report.payload["surjectivity"]["attempt"] == 1
-    assert report.payload["surjectivity"]["seed"] == cfg.seed
-    assert report.exit_code == 0

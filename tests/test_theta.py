@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,6 +23,7 @@ from thetamu import (
     section_index,
     section_indices,
     section_weights,
+    theta_constants,
     translate_action,
     truncation_plan,
     validate_polarized,
@@ -202,6 +204,56 @@ def test_lattice_sum_chunks_match_single_points():
     for p in (0, step - 1, step, step + 1, 2 * step, 2 * step + 6):
         single = basis.eval_matrix(zs[p])[:, 0]
         assert np.abs(vals[:, p] - single).max() * w[p] <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "divisors,levels", [((3,), (1, 2, 6)), ((1, 2), (2, 6)), ((1, 2, 2), (2, 6))],
+    ids=["g1", "g2", "g3"],
+)
+def test_theta_constants_match_basis_and_doubled_radius(divisors, levels):
+    g = len(divisors)
+    pav = validate_polarized(random_period_matrix(g, 80 + g), divisors)
+    zero = np.zeros((1, g))
+    for m in levels:
+        consts = theta_constants(pav, m)
+        basis = ThetaBasis(pav, m)
+        ref = basis.eval_matrix(zero)[:, 0]
+        assert np.abs(consts - ref).max() <= 1e-14 * np.abs(ref).max()
+        # the radius without point slack, certified by doubling it
+        radius = theta.box_radius(pav.lambda_min, m, pav.eps, math.sqrt(g) / 2, 0)
+        chars = np.array([idx.as_floats() for idx in basis.indices])
+        doubled = theta._LatticeSum(pav.matrix, m, pav.eps).eval(chars, zero, radius=2 * radius)
+        assert np.abs(consts - doubled[:, 0]).max() <= pav.eps
+
+
+def mp_theta_constant(tau, m, c, digits=30):
+    """High-precision oracle: theta_c^(m)(0) as a plain mpmath lattice sum at
+    ``digits`` digits over a box whose Gaussian tail is below 1e-34."""
+    g = len(c)
+    lam = float(np.linalg.eigvalsh(tau.imag).min())
+    radius = math.ceil(1 + math.sqrt(80 / (math.pi * m * lam)))
+    with mpmath.workdps(digits):
+        t = [[mpmath.mpc(complex(tau[i, j])) for j in range(g)] for i in range(g)]
+        cm = [mpmath.mpf(x.numerator) / x.denominator for x in c]
+        total = mpmath.mpc(0)
+        for k in itertools.product(range(-radius, radius + 1), repeat=g):
+            ell = [ki + ci for ki, ci in zip(k, cm)]
+            quad = mpmath.fsum(ell[i] * t[i][j] * ell[j] for i in range(g) for j in range(g))
+            total += mpmath.exp(1j * mpmath.pi * m * quad)
+        return complex(total)
+
+
+@pytest.mark.parametrize(
+    "divisors,m", [((3,), 2), ((1, 2), 6), ((1, 1, 1), 6)], ids=["g1-m2", "g2-m6", "g3-m6"]
+)
+def test_theta_constants_match_mpmath(divisors, m):
+    # the accuracy claim eps * envelope, with envelope 1 at z = 0
+    g = len(divisors)
+    pav = validate_polarized(random_period_matrix(g, 90 + g), divisors)
+    consts = theta_constants(pav, m)
+    indices = section_indices(pav, m)
+    for i in sorted({0, 1, len(indices) // 2, len(indices) - 1}):
+        assert abs(consts[i] - mp_theta_constant(pav.matrix, m, indices[i].c)) <= pav.eps
 
 
 def test_quasi_periodicity_suite(pav_g1, pav_g2):
