@@ -17,9 +17,10 @@ cap and the minimum-norm solution; a residual gate guards the fit.  The
 Wirtinger matrix is checked by the weighted misfit of the theta relation at
 seeded points.
 
-The character blocks of mu_n come from the exact discrete Fourier transform
-over K(L)_1, built by integer index arithmetic and applied to the
-(h0(1), h0(n)) column axes of mu_n separately, never as a Kronecker product.
+The verdict never forms mu_n itself.  mu_n commutes with the K(L)_1
+translations, so its character blocks are the group DFT of its h0(n+1) x
+h0(n) slice at level-1 index 0; one batched SVD of the blocks gives every
+block rank, and the union of the block spectra is the spectrum of mu_n.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -162,12 +162,6 @@ class MuMatrix:
     row_indices: tuple[SectionIndex, ...]
     col_pairs: tuple[tuple[SectionIndex, SectionIndex], ...]
 
-    @cached_property
-    def singular_values(self) -> np.ndarray:
-        """Singular values of ``matrix``, computed once and shared by the
-        rank verdict and the block decomposition."""
-        return numerical_rank(self.matrix).singular_values
-
 
 def mu_matrix(
     pav: PolarizedAbelianVariety,
@@ -193,16 +187,7 @@ def mu_matrix(
     cols = pav.h0(1) * pav.h0(n)
     if rows * cols > cell_cap:
         raise SizeLimit(f"mu_{n} needs {rows}x{cols} cells, cap is {cell_cap}")
-    d = np.array(pav.delta.divisors)
-    # axes (k1, kn, j, coordinate)
-    k1 = _lex_vectors(d)[:, None, None, :]
-    kn = _lex_vectors(n * d)[None, :, None, :]
-    dj = d * _lex_vectors((n + 1,) * pav.g)[None, None, :, :]
-    row = _ravel((k1 + kn + dj) % ((n + 1) * d), (n + 1) * d)
-    tau = _ravel((n * k1 - kn + n * dj) % (n * (n + 1) * d), n * (n + 1) * d)
-    col = np.arange(cols).reshape(row.shape[:2] + (1,))
-    matrix = np.zeros((rows, cols), dtype=complex)
-    matrix[row, col] = theta_constants(pav, n * (n + 1))[tau]
+    matrix = _mu_columns(pav, n, _lex_vectors(pav.delta.divisors))
     basis1 = section_indices(pav, 1)
     basisn = section_indices(pav, n)
     return MuMatrix(
@@ -211,6 +196,22 @@ def mu_matrix(
         row_indices=section_indices(pav, n + 1),
         col_pairs=tuple((c1, cn) for c1 in basis1 for cn in basisn),
     )
+
+
+def _mu_columns(pav: PolarizedAbelianVariety, n: int, k1: np.ndarray) -> np.ndarray:
+    """The columns (k1, kn) of mu_n, lexicographic, for the level-1 indices
+    ``k1`` (rows of integer vectors) and every level-n index kn."""
+    d = np.array(pav.delta.divisors)
+    # axes (k1, kn, j, coordinate)
+    k1 = k1[:, None, None, :]
+    kn = _lex_vectors(n * d)[None, :, None, :]
+    dj = d * _lex_vectors((n + 1,) * pav.g)[None, None, :, :]
+    row = _ravel((k1 + kn + dj) % ((n + 1) * d), (n + 1) * d)
+    tau = _ravel((n * k1 - kn + n * dj) % (n * (n + 1) * d), n * (n + 1) * d)
+    col = np.arange(row.shape[0] * row.shape[1]).reshape(row.shape[:2] + (1,))
+    matrix = np.zeros((pav.h0(n + 1), col.size), dtype=complex)
+    matrix[row, col] = theta_constants(pav, n * (n + 1))[tau]
+    return matrix
 
 
 class RankResult(NamedTuple):
@@ -248,8 +249,9 @@ class Verdict(Enum):
 class SurjectivityVerdict:
     """Rank decision for mu_n with its spectrum and gap diagnostics.
 
-    ``mu`` is the matrix the rank came from (None for the dimensional
-    shortcut), for callers that reuse it, e.g. ``gamma_blocks``.
+    ``blocks`` are the character blocks whose spectra, taken together, are
+    ``singular_values`` (None for the dimensional shortcut), for callers that
+    report them.
     """
 
     verdict: Verdict
@@ -260,7 +262,7 @@ class SurjectivityVerdict:
     gap_ratio: float | None
     clean_gap: bool
     dimensional_shortcut: bool
-    mu: MuMatrix | None = None
+    blocks: GammaBlocks | None = None
 
 
 def surjectivity_verdict(
@@ -273,7 +275,9 @@ def surjectivity_verdict(
 
     The source dimension h0(1) h0(n) < h0(n+1) forces NotSurjective without
     any evaluation; otherwise the verdict comes from the numerical rank of
-    the mu matrix, with Inconclusive whenever the spectrum has no clear gap.
+    mu_n, read off the union of its character-block spectra, with
+    Inconclusive whenever the spectrum has no clear gap.  ``cell_cap`` bounds
+    the h0(n+1) h0(n) cells of the blocks.
     """
     required = pav.h0(n + 1)
     if pav.h0(1) * pav.h0(n) < required:
@@ -287,8 +291,11 @@ def surjectivity_verdict(
             clean_gap=True,
             dimensional_shortcut=True,
         )
-    mu = mu_matrix(pav, n, cell_cap=cell_cap)
-    rank, s, clean = _spectrum_rank(mu.singular_values)
+    cells = required * pav.h0(n)
+    if cells > cell_cap:
+        raise SizeLimit(f"mu_{n} blocks need {cells} cells, cap is {cell_cap}")
+    blocks = gamma_blocks(pav, n)
+    rank, s, clean = _spectrum_rank(blocks.singular_values)
     floor = DEFAULT_RANK_TOL * float(s[0])
     sigma_next = float(s[rank]) if rank < len(s) else floor
     denom = max(sigma_next, 0.0)
@@ -308,7 +315,7 @@ def surjectivity_verdict(
         gap_ratio=gap_ratio,
         clean_gap=clean,
         dimensional_shortcut=False,
-        mu=mu,
+        blocks=blocks,
     )
 
 
@@ -324,44 +331,6 @@ def _ravel(vectors: np.ndarray, dims) -> np.ndarray:
     return np.ravel_multi_index(tuple(np.moveaxis(vectors, -1, 0)), tuple(dims))
 
 
-def _eigenbasis_matrix(pav: PolarizedAbelianVariety, m: int) -> np.ndarray:
-    """Unitary matrix whose columns diagonalize the normalized K(L)_1
-    translation action on the level-m basis.
-
-    Columns are grouped by character (order of K(L)_2) and, within a
-    character, by orbit representative k in [0, m)^g lex; the action on the
-    column (y, r) has eigenvalue chi_y.  The character of y = k in K(L)_2
-    takes the element Omega Delta^{-1} j of K(L)_1 to
-    exp(2 pi i sum_i j_i k_i / d_i); the phase stays an integer numerator
-    mod lcm(d) up to the final exponential.
-    """
-    d = np.array(pav.delta.divisors)
-    lcm = math.lcm(*pav.delta.divisors)
-    elements = _lex_vectors(d)
-    deg = len(elements)
-    reps = _lex_vectors((m,) * pav.g)
-    dims = m * d
-    # phase[y, j]: chi_y(x_j) = exp(2 pi i phase / lcm)
-    phase = (elements * (lcm // d)) @ elements.T % lcm
-    # row[j, r]: the basis index r + m j (mod m d) in the orbit of r
-    shifted = (reps[None, :, :] + m * elements[:, None, :]) % dims
-    row = _ravel(shifted, dims)
-    size = deg * len(reps)
-    col = np.arange(size).reshape(deg, len(reps))
-    roots = np.exp(-2j * math.pi * (np.arange(lcm) / lcm))
-    U = np.zeros((size, size), dtype=complex)
-    U[row[None, :, :], col[:, None, :]] = roots[phase][:, :, None]
-    return U / math.sqrt(deg)
-
-
-def _character_sums(pav: PolarizedAbelianVariety) -> np.ndarray:
-    """Index in K(L)_2 of y_a + y_b, for every pair (a, b) of K(L)_2 indices."""
-    d = pav.delta.divisors
-    elements = _lex_vectors(d)
-    total = (elements[:, None, :] + elements[None, :, :]) % np.array(d)
-    return _ravel(total, d)
-
-
 @dataclass(frozen=True, eq=False)
 class GammaBlock:
     """One character block mu_{n,gamma}: (n+1)^g rows."""
@@ -374,67 +343,65 @@ class GammaBlock:
 
 @dataclass(frozen=True, eq=False)
 class GammaBlocks:
-    """Eigenbasis block decomposition of mu_n over the characters of K(L)_1."""
+    """Block decomposition of mu_n over the characters of K(L)_1.
+
+    ``singular_values`` is the union of the block spectra, descending; the
+    eigenbasis transform is unitary, so it is the spectrum of mu_n.
+    """
 
     n: int
     blocks: tuple[GammaBlock, ...]
-    off_block_mass: float
-    total_rank: int
+    singular_values: np.ndarray
 
     @property
     def rank_sum(self) -> int:
         return sum(b.rank for b in self.blocks)
 
+    @property
+    def total_rank(self) -> int:
+        return _spectrum_rank(self.singular_values).rank
 
-def gamma_blocks(
-    pav: PolarizedAbelianVariety,
-    n: int,
-    *,
-    mu: MuMatrix | None = None,
-) -> GammaBlocks:
-    """Transform mu_n to the K(L)_1 eigenbasis on both sides and cut blocks.
 
-    The multiplication intertwines the normalized translation actions (the
-    level cocycles multiply exactly), so after the exact discrete Fourier
-    transform over K(L)_1 the matrix is block diagonal over characters up to
-    numerical noise, reported as ``off_block_mass``.
+def gamma_blocks(pav: PolarizedAbelianVariety, n: int) -> GammaBlocks:
+    """The character blocks of mu_n, from its columns at level-1 index 0.
+
+    Write a level-m index as k = r + m e with r in [0, m)^g and e in
+    K = prod Z/d_i.  K(L)_1 acts by e -> e + x on every level, and the
+    multiplication intertwines the actions (the level cocycles multiply
+    exactly), so mu[(r', e'), (e1; rn, en)] = F[(r', e' - e1), (rn, en - e1)]
+    for the slice F of columns with k1 = 0.  In the eigenbasis of the action
+    (column (y, r) holds chi_y(e)^-1 / sqrt|K| at k = r + m e) mu_n is block
+    diagonal: block gamma holds the columns with y1 + yn = gamma, in the
+    order (y1, rn), and its entry at (r', (y1, rn)) is sqrt|K| times the
+    group DFT of F, inverse over e' at gamma and forward over en at
+    gamma - y1.
     """
-    mu = mu if mu is not None else mu_matrix(pav, n)
+    g = pav.g
     d = pav.delta.divisors
-    U1 = _eigenbasis_matrix(pav, 1)
-    Un = _eigenbasis_matrix(pav, n)
-    Un1 = _eigenbasis_matrix(pav, n + 1)
-    # columns of mu are (c1, cn) lex, so the Kronecker product U1 (x) Un acts
-    # on the two axes separately: first Un on cn, then U1 on c1
-    x = (Un1.conj().T @ mu.matrix).reshape(-1, U1.shape[0], Un.shape[0])
-    x = x @ Un
-    transformed = (U1.T @ x).reshape(x.shape[0], -1)
-    reps_n1 = (n + 1) ** pav.g
-    # column (y1, yn, r) of the transform lies in character y1 + yn
-    col_gamma = np.repeat(_character_sums(pav).ravel(), n**pav.g)
-    total_norm = float(np.linalg.norm(transformed))
-    off_sq = 0.0
-    blocks = []
-    for gi, k in enumerate(_lex_vectors(d)):
-        band = transformed[gi * reps_n1:(gi + 1) * reps_n1]
-        inside = col_gamma == gi
-        block = band[:, inside]
-        off_sq += float(np.linalg.norm(band[:, ~inside])) ** 2
-        blocks.append(
-            GammaBlock(
-                gamma_index=gi,
-                gamma=TorsionPoint([0] * pav.g, k.tolist(), d),
-                matrix=block,
-                rank=numerical_rank(block).rank,
-            )
+    deg = pav.delta.degree
+    rows, cols = (n + 1) ** g, n**g
+    F = _mu_columns(pav, n, np.zeros((1, g), dtype=int))
+    # split k_i = e_i m + r_i on every axis, then order the axes (e', r', en, rn)
+    F = F.reshape(*(x for di in d for x in (di, n + 1)), *(x for di in d for x in (di, n)))
+    F = F.transpose(*range(0, 2 * g, 2), *range(1, 2 * g, 2),
+                    *range(2 * g, 4 * g, 2), *range(2 * g + 1, 4 * g, 2))
+    H = np.fft.fftn(np.fft.ifftn(F, axes=tuple(range(g))), axes=tuple(range(2 * g, 3 * g)))
+    H = H.reshape(deg, rows, deg, cols).transpose(0, 2, 1, 3) * math.sqrt(deg)
+    chars = _lex_vectors(d)
+    # H[gamma, gamma - y1] for every pair (gamma, y1)
+    partner = _ravel((chars[:, None, :] - chars[None, :, :]) % np.array(d), d)
+    stacked = H[np.arange(deg)[:, None], partner].transpose(0, 2, 1, 3).reshape(deg, rows, -1)
+    spectra = np.linalg.svd(stacked, compute_uv=False)
+    blocks = tuple(
+        GammaBlock(
+            gamma_index=gi,
+            gamma=TorsionPoint([0] * g, k.tolist(), d),
+            matrix=stacked[gi],
+            rank=_spectrum_rank(spectra[gi]).rank,
         )
-    off_mass = 0.0 if total_norm == 0 else math.sqrt(off_sq) / total_norm
-    return GammaBlocks(
-        n=n,
-        blocks=tuple(blocks),
-        off_block_mass=off_mass,
-        total_rank=_spectrum_rank(mu.singular_values).rank,
+        for gi, k in enumerate(chars)
     )
+    return GammaBlocks(n=n, blocks=blocks, singular_values=np.sort(spectra, axis=None)[::-1])
 
 
 @dataclass(frozen=True, eq=False)

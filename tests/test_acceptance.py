@@ -28,6 +28,7 @@ from thetamu import (
     emit_report,
     gamma_blocks,
     k_group,
+    mu_matrix,
     quasi_periodicity_residual,
     random_period_matrix,
     run_scenario,
@@ -235,14 +236,17 @@ def test_c09_block_decomposition():
         pav = validate_polarized(random_period_matrix(g, omega_seed), divisors, True)
         blocks = gamma_blocks(pav, 1)
         row_ok = all(b.matrix.shape[0] == 2**g for b in blocks.blocks)
+        # the block spectra together are the spectrum of the dense mu_1
+        dense = np.linalg.svd(mu_matrix(pav, 1).matrix, compute_uv=False)
+        spectrum_gap = np.abs(blocks.singular_values - dense).max() / dense[0]
         case_ok = (
-            blocks.off_block_mass < 1e-8
+            spectrum_gap <= 1e-13
             and row_ok
             and blocks.rank_sum == blocks.total_rank
         )
         ok = ok and case_ok
         details.append(
-            f"{divisors}: off {blocks.off_block_mass:.1e}, "
+            f"{divisors}: spectrum vs dense {spectrum_gap:.1e}, "
             f"{len(blocks.blocks)} blocks x {2**g} rows, "
             f"rank sum {blocks.rank_sum} = {blocks.total_rank}"
         )

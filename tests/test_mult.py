@@ -163,12 +163,19 @@ def test_verdict_invariant_under_reseeding():
     assert v1 == v2
 
 
+def _assert_union_is_dense_spectrum(blocks, mu):
+    """The block spectra together are the spectrum of the dense mu_n."""
+    dense = np.linalg.svd(mu.matrix, compute_uv=False)
+    assert blocks.singular_values.shape == dense.shape
+    assert np.abs(blocks.singular_values - dense).max() <= 1e-13 * dense[0]
+
+
 def test_gamma_blocks_principal_single_block(principal_g1):
     mu = mu_matrix(principal_g1, 2)
-    blocks = gamma_blocks(principal_g1, 2, mu=mu)
+    blocks = gamma_blocks(principal_g1, 2)
     assert len(blocks.blocks) == 1
     assert np.allclose(blocks.blocks[0].matrix, mu.matrix)
-    assert blocks.off_block_mass == 0.0
+    _assert_union_is_dense_spectrum(blocks, mu)
 
 
 def test_gamma_blocks_elliptic_d3(elliptic_d3):
@@ -176,7 +183,7 @@ def test_gamma_blocks_elliptic_d3(elliptic_d3):
     assert len(blocks.blocks) == 3
     for block in blocks.blocks:
         assert block.matrix.shape == (2, 3)
-    assert blocks.off_block_mass < 1e-12
+    _assert_union_is_dense_spectrum(blocks, mu_matrix(elliptic_d3, 1))
     assert blocks.rank_sum == blocks.total_rank == 6
 
 
@@ -186,7 +193,7 @@ def test_gamma_blocks_rank_additivity_catalog():
         g = len(divisors)
         pav = validate_polarized(random_period_matrix(g, seed), divisors, True)
         blocks = gamma_blocks(pav, n)
-        assert blocks.off_block_mass < 1e-8
+        _assert_union_is_dense_spectrum(blocks, mu_matrix(pav, n))
         assert blocks.rank_sum == blocks.total_rank
 
 
@@ -461,33 +468,21 @@ def _table_eigenbasis(pav, m, table):
     return U / np.sqrt(deg)
 
 
-@pytest.mark.parametrize("divisors", [(3,), (2, 4), (1, 2, 2)], ids=str)
-def test_integer_eigenbasis_matches_character_table(divisors):
-    pav = validate_polarized(random_period_matrix(len(divisors), 7), divisors, True)
-    table = characters(pav, 1)
-    for m in (1, 2, 3):
-        expected = _table_eigenbasis(pav, m, table)
-        assert np.abs(mult._eigenbasis_matrix(pav, m) - expected).max() <= 1e-15
-    k2 = table.group.k2
-    sums = mult._character_sums(pav)
-    for a, ya in enumerate(k2):
-        for b, yb in enumerate(k2):
-            assert sums[a, b] == table.character_of(ya + yb)
-    assert [block.gamma for block in gamma_blocks(pav, 1).blocks] == list(k2)
-
-
 @pytest.mark.parametrize(
     "divisors,n,seed", [((3,), 1, 101), ((4,), 2, 102), ((2, 4), 1, 5), ((1, 2, 2), 2, 301)],
     ids=lambda v: str(v),
 )
 def test_block_transform_matches_kron(divisors, n, seed):
+    # the reference transforms the dense mu_n with eigenbases built entry by
+    # entry from the exact character table
     pav = validate_polarized(random_period_matrix(len(divisors), seed), divisors, True)
     mu = mu_matrix(pav, n)
-    blocks = gamma_blocks(pav, n, mu=mu)
+    blocks = gamma_blocks(pav, n)
     table = characters(pav, 1)
     U1, Un, Un1 = (_table_eigenbasis(pav, m, table) for m in (1, n, n + 1))
     full = Un1.conj().T @ mu.matrix @ np.kron(U1, Un)
     k2 = table.group.k2
+    assert [block.gamma for block in blocks.blocks] == list(k2)
     reps_n, reps_n1 = n**pav.g, (n + 1) ** pav.g
     col_gamma = np.repeat(
         [table.character_of(ya + yb) for ya in k2 for yb in k2], reps_n
@@ -500,8 +495,9 @@ def test_block_transform_matches_kron(divisors, n, seed):
         assert np.abs(block.matrix - expected).max() <= 1e-13 * scale
         assert block.rank == numerical_rank(expected).rank
         off[rows, col_gamma == gi] = 0.0
-    expected_mass = np.linalg.norm(off) / np.linalg.norm(full)
-    assert blocks.off_block_mass == pytest.approx(expected_mass, rel=1e-6, abs=1e-15)
+    # the reference is block diagonal, so the blocks miss nothing
+    assert np.linalg.norm(off) <= 1e-13 * np.linalg.norm(full)
+    _assert_union_is_dense_spectrum(blocks, mu)
 
 
 def test_wirtinger_matrix_is_seed_and_period_independent():

@@ -134,17 +134,34 @@ def test_run_scenario_rejects_bad_seed_and_caps(change, message):
 
 
 def test_run_scenario_fits_mu_once(monkeypatch):
+    # the verdict and the blocks come from one evaluation of the constants;
+    # the dense mu_n is never assembled
     calls = []
-    fit = mult.mu_matrix
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fit(*args, **kwargs)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(mult, "mu_matrix", counted)
+    for name in ("mu_matrix", "theta_constants"):
+        monkeypatch.setattr(mult, name, counting(name, getattr(mult, name)))
     report = run_scenario(_by_name("elliptic-d3"))
     assert report.payload["blocks"]["rank_sum"] == 6
-    assert len(calls) == 1
+    assert calls == ["theta_constants"]
+
+
+@pytest.mark.parametrize("cap,code", [(18, 0), (17, 3)])
+def test_mu_cells_cap_bounds_the_blocks(cap, code):
+    # elliptic-d3 n=1: the blocks hold h0(2) h0(1) = 6 x 3 = 18 cells, the
+    # dense mu_1 6 x 9 = 54
+    report = run_scenario(replace(_by_name("elliptic-d3"), caps={"mu_cells": cap}))
+    assert report.exit_code == code
+    if code:
+        assert report.payload["surjectivity"] is None
+        assert [e for e in report.payload["errors"] if e.startswith("mu_verdict: ")]
+    else:
+        assert report.payload["surjectivity"]["verdict"] == "Surjective"
 
 
 def test_run_scenario_wirtinger_block(monkeypatch):
@@ -359,5 +376,5 @@ def test_run_scenario_takes_one_svd_of_mu(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     report = run_scenario(cfg)
     assert report.payload["blocks"]["rank_sum"] == 6
-    # mu_1 of type (3) is h0(2) x h0(1)^2 = 6 x 9
-    assert shapes.count((6, 9)) == 1
+    # mu_1 of type (3) has 3 character blocks of 2 x 3, one stacked SVD
+    assert shapes == [(3, 2, 3)]
