@@ -15,10 +15,13 @@ from thetamu import (
     automorphy_factor,
     k_group,
     quasi_periodicity_residual,
+    random_period_matrix,
     section_index,
+    section_weights,
     translate_action,
     validate_polarized,
 )
+from thetamu.theta import constants_radius
 
 # --- evaluation and a closed-form cross-check --------------------------------
 pav = validate_polarized(np.array([[1j]]), (1,), simple_asserted=True)
@@ -27,6 +30,25 @@ value = basis.eval(section_index(pav, 1, [0]), np.zeros(1))
 closed = math.pi ** 0.25 / math.gamma(0.75)
 print(f"theta(0; i) = {value.real:.15f}")
 print(f"pi^(1/4)/Gamma(3/4) = {closed:.15f}   (diff {abs(value - closed):.1e})")
+
+# --- truncation --------------------------------------------------------------
+# Every lattice sum is cut at the smallest cube radius whose dropped terms are
+# provably below eps times the growth envelope; doubling the radius moves the
+# values by rounding only.  Constants (z = 0) need less: the Gaussian centre
+# is then the characteristic alone.
+pav122 = validate_polarized(random_period_matrix(3, 301), (1, 2, 2))
+zc = pav122.matrix @ np.full(3, 0.49)  # a cell corner: the Gaussian centre is far off
+print(f"\n(1,2,2), lambda_min = {pav122.lambda_min:.2f}:")
+for m in (1, 2, 3, 6):
+    bm = ThetaBasis(pav122, m)
+    r = bm.radius
+    full = bm.eval_matrix(zc, radius=2 * r)
+    w = section_weights(pav122, m, zc)[0]
+    line = f"level {m}: radius {r} ({(2 * r + 1) ** 3} points), doubling residual "
+    line += f"{np.abs(bm.eval_matrix(zc) - full).max() * w:.1e} of the envelope"
+    if r > 1:  # one less than the rule asks for
+        line += f" (radius {r - 1}: {np.abs(bm.eval_matrix(zc, radius=r - 1) - full).max() * w:.1e})"
+    print(f"{line}; constants radius {constants_radius(pav122, m)}")
 
 # --- quasi-periodicity --------------------------------------------------------
 # Sections of L^m transform under the period lattice by the level-m cocycle.

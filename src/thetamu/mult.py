@@ -38,6 +38,7 @@ from .theta import (
     SectionIndex,
     ThetaBasis,
     ThetaTilde,
+    constants_radius,
     section_indices,
     section_weights,
     theta_constants,
@@ -250,8 +251,10 @@ class SurjectivityVerdict:
     """Rank decision for mu_n with its spectrum and gap diagnostics.
 
     ``blocks`` are the character blocks whose spectra, taken together, are
-    ``singular_values`` (None for the dimensional shortcut), for callers that
-    report them.
+    ``singular_values``, for callers that report them; ``truncation`` holds
+    the level n(n+1) of the theta constants behind mu_n, their box radius and
+    the (2 radius + 1)^g lattice points summed per characteristic.  Both are
+    None for the dimensional shortcut.
     """
 
     verdict: Verdict
@@ -263,6 +266,7 @@ class SurjectivityVerdict:
     clean_gap: bool
     dimensional_shortcut: bool
     blocks: GammaBlocks | None = None
+    truncation: dict | None = None
 
 
 def surjectivity_verdict(
@@ -306,6 +310,8 @@ def surjectivity_verdict(
         verdict = Verdict.NOT_SURJECTIVE
     else:
         verdict = Verdict.INCONCLUSIVE
+    level = n * (n + 1)
+    radius = constants_radius(pav, level)
     return SurjectivityVerdict(
         verdict=verdict,
         n=n,
@@ -316,6 +322,7 @@ def surjectivity_verdict(
         clean_gap=clean,
         dimensional_shortcut=False,
         blocks=blocks,
+        truncation={"level": level, "radius": radius, "points": (2 * radius + 1) ** pav.g},
     )
 
 

@@ -25,7 +25,6 @@ import numpy as np
 from . import mult
 from .errors import ThetamuError, ValidationError
 from .mult import Verdict, spanning_check, surjectivity_verdict, wirtinger_matrix
-from .torsion import DEFAULT_GROUP_CAP
 from .varieties import (
     BoundPrediction,
     PeriodMatrix,
@@ -38,7 +37,7 @@ from .varieties import (
 _SCENARIO_KEYS = {
     "name", "g", "type", "omega", "n", "eps", "seed", "simple_asserted", "caps", "checks",
 }
-_CAP_KEYS = {"group_order", "mu_cells", "wirtinger_unknowns", "spanning_points"}
+_CAP_KEYS = {"mu_cells", "wirtinger_unknowns", "spanning_points"}
 _CHECK_KEYS = {"wirtinger", "spanning_modulus"}
 
 #: exit codes: CI-friendly
@@ -92,9 +91,6 @@ class ScenarioConfig:
         for key in ("g", "type", "omega"):
             if key not in data:
                 raise ValueError(f"scenario is missing required key '{key}'")
-        caps = dict(data.get("caps") or {})
-        if set(caps) - _CAP_KEYS:
-            raise ValueError(f"unknown cap keys: {sorted(set(caps) - _CAP_KEYS)}")
         checks = dict(data.get("checks") or {})
         if set(checks) - _CHECK_KEYS:
             raise ValueError(f"unknown check keys: {sorted(set(checks) - _CHECK_KEYS)}")
@@ -107,7 +103,7 @@ class ScenarioConfig:
             eps=data.get("eps", 1e-12),
             seed=data.get("seed", 0),
             simple_asserted=data.get("simple_asserted", False),
-            caps=caps,
+            caps=dict(data.get("caps") or {}),
             checks=checks,
         )
 
@@ -176,9 +172,9 @@ def _is_int(value) -> bool:
 def _check_counts(config: ScenarioConfig) -> None:
     """Raise ValueError unless g is a positive integer, the type a list of
     integers, eps a real number in (0, 1), simple_asserted a boolean, the
-    seed a non-negative integer, every cap a positive integer and the
-    spanning modulus a non-negative integer (0 or absent skips the check);
-    ``resolve_n`` and ``resolve_omega`` check n and the omega seed in the
+    seed a non-negative integer, every cap a known key with a positive
+    integer value and the spanning modulus a non-negative integer (0 or
+    absent skips the check); ``resolve_n`` and ``resolve_omega`` check n and the omega seed in the
     same stage."""
     if not _is_int(config.g) or config.g < 1:
         raise ValueError(f"g must be a positive integer, got {config.g!r}")
@@ -192,6 +188,8 @@ def _check_counts(config: ScenarioConfig) -> None:
     if not _is_int(config.seed) or config.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
     for key in sorted(config.caps):
+        if key not in _CAP_KEYS:
+            raise ValueError(f"unknown cap '{key}', expected one of {sorted(_CAP_KEYS)}")
         value = config.caps[key]
         if not _is_int(value) or value < 1:
             raise ValueError(f"cap '{key}' must be a positive integer, got {value!r}")
@@ -248,6 +246,7 @@ def _verdict_payload(v: mult.SurjectivityVerdict) -> dict:
         "clean_gap": v.clean_gap,
         "dimensional_shortcut": v.dimensional_shortcut,
         "singular_values": list(v.singular_values),
+        "truncation": v.truncation,
     }
 
 
@@ -321,20 +320,17 @@ def run_scenario(config: ScenarioConfig) -> Report:
 
     payload["blocks"] = None
     if verdict_obj is not None and not verdict_obj.dimensional_shortcut:
-        if pav.delta.degree > int(caps.get("group_order", DEFAULT_GROUP_CAP)):
-            notes.append("block decomposition skipped: group order over cap")
-        else:
-            blocks = verdict_obj.blocks
-            payload["blocks"] = {
-                "count": len(blocks.blocks),
-                "row_dim": (n + 1) ** pav.g,
-                # 0 by construction (the blocks are built directly); kept while
-                # the benchmark pins this key
-                "off_block_mass": 0.0,
-                "ranks": [b.rank for b in blocks.blocks],
-                "rank_sum": blocks.rank_sum,
-                "total_rank": blocks.total_rank,
-            }
+        blocks = verdict_obj.blocks
+        payload["blocks"] = {
+            "count": len(blocks.blocks),
+            "row_dim": (n + 1) ** pav.g,
+            # 0 by construction (the blocks are built directly); kept while
+            # the benchmark pins this key
+            "off_block_mass": 0.0,
+            "ranks": [b.rank for b in blocks.blocks],
+            "rank_sum": blocks.rank_sum,
+            "total_rank": blocks.total_rank,
+        }
     elif verdict_obj is not None and verdict_obj.dimensional_shortcut:
         notes.append("block decomposition skipped: dimensional obstruction shortcut")
 

@@ -15,9 +15,9 @@ K(L^m)_1 = {Omega a} permutes characteristics: theta_c -> theta_{c+a}.
 
 Evaluation strategy: every point is first translated into the fundamental
 cell of the summation lattice (the quasi-periodicity factor is restored
-exactly), then a centred integer box is summed.  The box radius follows the
-Gaussian tail bound R = ceil(sqrt(log(1/eps) / (pi m lambda_min)) + |c| +
-|yhat| + 2), which the doubling certificate checks empirically.
+exactly), then the centred integer cube [-R, R]^g is summed.  Every sum takes
+R from one rule, :func:`box_radius`: the smallest R >= 1 whose dropped terms
+provably sum to at most eps times the envelope.
 
 The box sum is one matrix product.  Writing l = c + b with b in the box,
 each term factors as Q[c, b] * E[b, z] * C[c, z], with
@@ -112,11 +112,35 @@ def section_indices(pav: PolarizedAbelianVariety, m: int) -> tuple[SectionIndex,
     return tuple(section_index(pav, m, k) for k in itertools.product(*ranges))
 
 
-def box_radius(lambda_min: float, m: int, eps: float, c_bound: float, yhat_bound: float) -> int:
-    """Gaussian-tail truncation radius for a level-m sum."""
+def box_radius(lambda_min: float, m: int, eps: float, g: int, offset: float) -> int:
+    """Smallest cube radius R >= 1 whose dropped terms sum to at most eps
+    times the envelope.
+
+    Relative to the envelope, the term at b in Z^g is exp(-pi m v^T Y v) <=
+    prod_i exp(-a v_i^2), with v = b - x, a = pi m lambda_min and x the
+    Gaussian centre, |x_i| <= offset (1/2 at z = 0, where x is the
+    characteristic; 1 at a reduced point, where x adds Y^{-1} Im z0).  A
+    point off the cube has some |v_i| >= rho = R + 1 - offset; as
+    (rho + k)^2 >= rho^2 + 2 rho k, that axis sums to at most
+    T(rho) = 2 exp(-a rho^2) / (1 - exp(-2 a rho)) over both sides.  On any
+    other axis the two integers nearest x_j give at most 1 each and the rest
+    at most exp(-a (1 + k)^2) per side: S = 2 + 2 exp(-a) / (1 - exp(-2 a)).
+    A union bound over the axis that leaves the cube gives g T(rho) S^(g-1)
+    (cf. Deconinck et al., Math. Comp. 73 (2004), Thm 2).  The floor R >= 1
+    keeps both nearest coset points of c_i = 1/2, so constants far below eps
+    stay accurate relative to their own size.
+    """
     if lambda_min <= 0:
         raise ValueError("lambda_min must be positive")
-    return math.ceil(math.sqrt(math.log(1.0 / eps) / (math.pi * m * lambda_min)) + c_bound + yhat_bound + 2)
+    a = math.pi * m * lambda_min
+    # log of the largest T(rho) allowed, eps / (g S^(g-1))
+    budget = math.log(eps / g) - (g - 1) * math.log(2 + 2 * math.exp(-a) / -math.expm1(-2 * a))
+    # T(rho) >= 2 exp(-a rho^2), so no radius below the start meets the budget
+    start = max(1, math.ceil(math.sqrt((math.log(2.0) - budget) / a) + offset - 1))
+    for radius in itertools.count(start):
+        rho = radius + 1 - offset
+        if math.log(2.0) - a * rho * rho - math.log(-math.expm1(-2.0 * a * rho)) <= budget:
+            return radius
 
 
 @dataclass(frozen=True)
@@ -141,12 +165,11 @@ def truncation_plan(
     eps: float | None = None,
     capacity: int = DEFAULT_CAPACITY,
 ) -> TruncationPlan:
-    """Plan box radii for the given levels; reduced points keep both the
-    characteristic and the lattice coordinate of Im z within sqrt(g)/2."""
+    """Plan box radii for the given levels at reduced points, where the
+    Gaussian centre is within 1 of a lattice point on each axis."""
     eps = float(eps if eps is not None else pav.eps)
     lam = pav.lambda_min
-    half = math.sqrt(pav.g) / 2.0
-    radii = tuple((int(m), box_radius(lam, m, eps, half, half)) for m in levels)
+    radii = tuple((int(m), box_radius(lam, m, eps, pav.g, 1.0)) for m in levels)
     return TruncationPlan(eps, lam, radii, capacity)
 
 
@@ -171,20 +194,21 @@ def _scaled_exp(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _bins(x: np.ndarray, nb: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split the rows of x, which lie in [-1/2, 1/2]^g, into nb equal bins per
-    axis; returns (row indices, bin centre) for every occupied bin."""
+    axis; returns (row indices, centre of their range) for every occupied bin,
+    so each row lies within 1/(2 nb) of its centre on every axis."""
     if nb == 1:  # the usual case, without the cost of np.unique
         return [(np.arange(x.shape[0]), np.zeros(x.shape[1]))]
     idx = np.clip(np.floor((x + 0.5) * nb), 0, nb - 1)
-    keys, inverse = np.unique(idx, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    return [(np.flatnonzero(inverse == j), (key + 0.5) / nb - 0.5) for j, key in enumerate(keys)]
+    inverse = np.unique(idx, axis=0, return_inverse=True)[1].ravel()
+    groups = [np.flatnonzero(inverse == j) for j in range(inverse.max() + 1)]
+    return [(rows, (x[rows].min(axis=0) + x[rows].max(axis=0)) / 2) for rows in groups]
 
 
 class _LatticeSum:
     """Truncated sum over Z^g + c of exp(pi i m l^T tau l + 2 pi i m l^T z)."""
 
     def __init__(self, tau, m: int, eps: float, radius: int | None = None,
-                 capacity: int = DEFAULT_CAPACITY):
+                 capacity: int = DEFAULT_CAPACITY, offset: float = 1.0):
         tau = np.asarray(tau, dtype=complex)
         self.tau = tau
         self.g = tau.shape[0]
@@ -194,15 +218,15 @@ class _LatticeSum:
         self.Yinv = np.linalg.inv(self.Y)
         self.lambda_min = float(np.linalg.eigvalsh(self.Y).min())
         self.capacity = int(capacity)
-        half = math.sqrt(self.g) / 2.0
+        # offset bounds the Gaussian centre per axis (see box_radius)
         self.radius = int(radius) if radius is not None else box_radius(
-            self.lambda_min, self.m, self.eps, half, half
+            self.lambda_min, self.m, self.eps, self.g, offset
         )
-        # characteristics and reduced points both lie in [-1/2, 1/2]^g; binning
-        # each into nb^g cells keeps the scale excess pi m v^T Y v, |v_i| <= 1/nb,
-        # of every (characteristic, point) block under _SCALE_MAX
+        # binning characteristics and points into nb^g cells each keeps the
+        # scale excess pi m v^T Y v, |v_i| <= offset / nb, of every
+        # (characteristic, point) block under _SCALE_MAX
         spread = math.pi * self.m * float(np.abs(self.Y).sum())
-        self.nbins = max(1, math.ceil(math.sqrt(spread / _SCALE_MAX)))
+        self.nbins = max(1, math.ceil(offset * math.sqrt(spread / _SCALE_MAX)))
         self._boxes: dict[int, np.ndarray] = {}
         self._box(self.radius)
 
@@ -284,25 +308,37 @@ class _LatticeSum:
         return out
 
 
+def constants_radius(pav: PolarizedAbelianVariety, m: int) -> int:
+    """The box radius of :func:`theta_constants` at level m: at z = 0 the
+    Gaussian centre is the characteristic, within 1/2 of a lattice point."""
+    return box_radius(pav.lambda_min, m, pav.eps, pav.g, 0.5)
+
+
 def theta_constants(pav: PolarizedAbelianVariety, m: int) -> np.ndarray:
     """theta_c^{(m)}(0) for every level-m characteristic c = k/(m d), in the
     lexicographic order of :func:`section_indices`.
 
-    The reduced point of z = 0 is 0 itself, so the box radius needs no slack
-    for the point, only for the characteristic.
+    The sum is even, theta_c(0) = theta_{-c}(0), so one characteristic of
+    each pair {k, -k mod m d} is evaluated and its value written to both.
     """
     g = pav.g
-    radius = box_radius(pav.lambda_min, m, pav.eps, math.sqrt(g) / 2.0, 0.0)
-    lattice = _LatticeSum(pav.matrix, m, pav.eps, radius)
+    radius = constants_radius(pav, m)
+    lattice = _LatticeSum(pav.matrix, m, pav.eps, radius, offset=0.5)
     dims = m * np.array(pav.delta.divisors)
-    chars = np.indices(tuple(dims)).reshape(g, -1).T / dims
+    ks = np.indices(tuple(dims)).reshape(g, -1).T
+    # the first index of each pair {k, -k mod m d}
+    rep = np.minimum(np.arange(len(ks)), np.ravel_multi_index(tuple((-ks % dims).T), tuple(dims)))
+    first = np.flatnonzero(rep == np.arange(len(ks)))
+    chars = ks[first] / dims
     zero = np.zeros((1, g))
     # characteristics go through in chunks, so temporary memory does not grow
     # with their number
     step = max(1, _CONST_CHUNK_ELEMENTS // (2 * radius + 1) ** g)
-    return np.concatenate(
+    values = np.empty(len(ks), dtype=complex)
+    values[first] = np.concatenate(
         [lattice.eval(chars[lo:lo + step], zero)[:, 0] for lo in range(0, len(chars), step)]
     )
+    return values[rep]
 
 
 def _points_2d(zs) -> tuple[np.ndarray, bool]:

@@ -16,7 +16,7 @@ from thetamu import (
     run_scenario,
     validate_polarized,
 )
-from thetamu import mult, scenarios
+from thetamu import mult, scenarios, theta
 from thetamu.cli import main as cli_main
 from thetamu.scenarios import resolve_n
 
@@ -162,6 +162,30 @@ def test_mu_cells_cap_bounds_the_blocks(cap, code):
         assert [e for e in report.payload["errors"] if e.startswith("mu_verdict: ")]
     else:
         assert report.payload["surjectivity"]["verdict"] == "Surjective"
+
+
+def test_retired_group_order_cap_is_rejected(tmp_path, capsys):
+    # the block work is bounded by mu_cells; group_order is no longer a cap
+    report = run_scenario(replace(_by_name("elliptic-d3"), caps={"group_order": 2}))
+    assert report.exit_code == 2
+    assert any("group_order" in e for e in report.payload["errors"])
+    doc = {"name": "bad", "g": 1, "type": [3], "omega": {"random": {"seed": 101}}, "n": 1,
+           "caps": {"group_order": 2}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["verify", "--scenario", str(path)]) == 2
+    assert any("group_order" in e for e in json.loads(capsys.readouterr().out)["errors"])
+
+
+def test_report_names_the_theta_constant_truncation():
+    report = run_scenario(_by_name("elliptic-d3"))
+    pav = validate_polarized(random_period_matrix(1, 101), (3,))
+    radius = theta.constants_radius(pav, 2)
+    assert report.payload["surjectivity"]["truncation"] == {
+        "level": 2, "radius": radius, "points": 2 * radius + 1,
+    }
+    report = run_scenario(_by_name("surface-principal-dimcount"))
+    assert report.payload["surjectivity"]["truncation"] is None
 
 
 def test_run_scenario_wirtinger_block(monkeypatch):

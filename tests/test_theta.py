@@ -219,27 +219,32 @@ def test_theta_constants_match_basis_and_doubled_radius(divisors, levels):
         basis = ThetaBasis(pav, m)
         ref = basis.eval_matrix(zero)[:, 0]
         assert np.abs(consts - ref).max() <= 1e-14 * np.abs(ref).max()
-        # the radius without point slack, certified by doubling it
-        radius = theta.box_radius(pav.lambda_min, m, pav.eps, math.sqrt(g) / 2, 0)
+        # the radius theta_constants sums, certified by doubling it
+        radius = theta.constants_radius(pav, m)
         chars = np.array([idx.as_floats() for idx in basis.indices])
         doubled = theta._LatticeSum(pav.matrix, m, pav.eps).eval(chars, zero, radius=2 * radius)
         assert np.abs(consts - doubled[:, 0]).max() <= pav.eps
 
 
-def mp_theta_constant(tau, m, c, digits=30):
-    """High-precision oracle: theta_c^(m)(0) as a plain mpmath lattice sum at
-    ``digits`` digits over a box whose Gaussian tail is below 1e-34."""
+def mp_theta(tau, m, c, z=None, digits=30):
+    """High-precision oracle: theta_c^(m)(z) as a plain mpmath lattice sum at
+    ``digits`` digits over a box centred on the dominant term, whose
+    Gaussian tail is below 1e-34 of the envelope; z = 0 by default."""
     g = len(c)
+    z = np.zeros(g, dtype=complex) if z is None else np.asarray(z, dtype=complex)
     lam = float(np.linalg.eigvalsh(tau.imag).min())
     radius = math.ceil(1 + math.sqrt(80 / (math.pi * m * lam)))
+    centre = np.round(-np.linalg.solve(tau.imag, z.imag) - np.array([float(x) for x in c]))
     with mpmath.workdps(digits):
         t = [[mpmath.mpc(complex(tau[i, j])) for j in range(g)] for i in range(g)]
-        cm = [mpmath.mpf(x.numerator) / x.denominator for x in c]
+        zm = [mpmath.mpc(complex(x)) for x in z]
+        cm = [mpmath.mpf(Fraction(x).numerator) / Fraction(x).denominator for x in c]
         total = mpmath.mpc(0)
         for k in itertools.product(range(-radius, radius + 1), repeat=g):
-            ell = [ki + ci for ki, ci in zip(k, cm)]
+            ell = [int(ci) + ki + xi for ci, ki, xi in zip(centre, k, cm)]
             quad = mpmath.fsum(ell[i] * t[i][j] * ell[j] for i in range(g) for j in range(g))
-            total += mpmath.exp(1j * mpmath.pi * m * quad)
+            lin = mpmath.fsum(ell[i] * zm[i] for i in range(g))
+            total += mpmath.exp(1j * mpmath.pi * m * (quad + 2 * lin))
         return complex(total)
 
 
@@ -253,7 +258,71 @@ def test_theta_constants_match_mpmath(divisors, m):
     consts = theta_constants(pav, m)
     indices = section_indices(pav, m)
     for i in sorted({0, 1, len(indices) // 2, len(indices) - 1}):
-        assert abs(consts[i] - mp_theta_constant(pav.matrix, m, indices[i].c)) <= pav.eps
+        assert abs(consts[i] - mp_theta(pav.matrix, m, indices[i].c)) <= pav.eps
+
+
+def test_tiny_theta_constants_keep_relative_accuracy():
+    # (1,2,2) level 6 at omega seed 301: the smallest constants are ~5e-21,
+    # far below eps, yet accurate relative to their own size
+    pav = validate_polarized(random_period_matrix(3, 301), (1, 2, 2))
+    consts = theta_constants(pav, 6)
+    indices = section_indices(pav, 6)
+    for i in np.argsort(np.abs(consts))[:4]:
+        ref = mp_theta(pav.matrix, 6, indices[i].c)
+        assert abs(consts[i] - ref) <= 1e-12 * abs(ref)
+    # g = 1 at level 12 with Im Omega = 3.5: the tail bound alone allows
+    # radius 0, which would drop one of the two nearest coset points of
+    # c = 1/2 and the second-nearest point of every other characteristic
+    pav = validate_polarized(np.array([[0.3 + 3.5j]]), (1,))
+    consts = theta_constants(pav, 12)
+    for i, idx in enumerate(section_indices(pav, 12)):
+        ref = mp_theta(pav.matrix, 12, idx.c)
+        assert abs(consts[i] - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("divisors,m", [((3,), 4), ((1, 2), 6), ((1, 2, 2), 6)])
+def test_theta_constants_are_even(divisors, m):
+    # theta_c(0) = theta_{-c}(0): the values at k and -k mod m d are equal
+    g = len(divisors)
+    pav = validate_polarized(random_period_matrix(g, 100 + g), divisors)
+    consts = theta_constants(pav, m)
+    dims = m * np.array(divisors)
+    ks = np.indices(tuple(dims)).reshape(g, -1).T
+    negated = np.ravel_multi_index(tuple((-ks % dims).T), tuple(dims))
+    assert np.array_equal(consts, consts[negated])
+
+
+@pytest.mark.parametrize(
+    "divisors,levels", [((3,), (1, 2, 3)), ((1, 2), (1, 2)), ((1, 1, 1), (1, 2)), ((1, 2, 2), (1,))],
+    ids=["g1", "g2", "g3-principal", "g3-122"],
+)
+def test_theta_basis_matches_mpmath_at_cell_points(divisors, levels):
+    # the accuracy claim eps * exp(pi m y^T Y^-1 y) away from z = 0, with
+    # the radius the basis picks for reduced points
+    g = len(divisors)
+    pav = validate_polarized(random_period_matrix(g, 110 + g), divisors)
+    zs = cell_points(pav, 3, np.random.default_rng(20 + g))
+    for m in levels:
+        basis = ThetaBasis(pav, m)
+        vals = basis.eval_matrix(zs)
+        w = section_weights(pav, m, zs)
+        for i in sorted({0, basis.dim // 2, basis.dim - 1}):
+            for p, z in enumerate(zs):
+                ref = mp_theta(pav.matrix, m, basis.indices[i].c, z)
+                assert abs(vals[i, p] - ref) * w[p] <= pav.eps
+
+
+@pytest.mark.parametrize("g,n", [(1, 2), (1, 3), (2, 2)])
+def test_theta_tilde_matches_mpmath_at_cell_points(g, n):
+    pav = validate_polarized(random_period_matrix(g, 120 + g), (1,) * g)
+    tilde = ThetaTilde(pav, n)
+    zs = cell_points(pav, 4, np.random.default_rng(30 + g))
+    vals = tilde.eval_many(zs)
+    # theta~ is the level-1 series of Omega/n, with the level-n envelope
+    w = section_weights(pav, n, zs)
+    for p, z in enumerate(zs):
+        ref = mp_theta(pav.matrix / n, 1, (0,) * g, z)
+        assert abs(vals[p] - ref) * w[p] <= pav.eps
 
 
 def test_quasi_periodicity_suite(pav_g1, pav_g2):
