@@ -57,9 +57,9 @@ basis2 = ThetaBasis(pav3, 2)
 idx = basis2.indices[1]
 z = np.array([0.31 + 0.22j])
 lam = pav3.lattice_vector([1], [-2])
-print(f"\nlattice residual: {quasi_periodicity_residual(pav3, idx, lam, z, basis=basis2):.2e}")
+print(f"\nlattice residual: {quasi_periodicity_residual(pav3, idx, lam, z):.2e}")
 off = pav3.matrix @ np.array([0.5])  # not a period
-print(f"off-lattice residual: {quasi_periodicity_residual(pav3, idx, off, z, basis=basis2):.2f}")
+print(f"off-lattice residual: {quasi_periodicity_residual(pav3, idx, off, z):.2f}")
 print(f"factor for a real period is trivial: {automorphy_factor(pav3, 2, np.array([3.0 + 0j]), z):.1f}")
 
 # --- the normalized theta-group action ----------------------------------------

@@ -46,7 +46,6 @@ from .theta import (
     SectionIndex,
     ThetaBasis,
     ThetaTilde,
-    TruncationPlan,
     automorphy_factor,
     lattice_coordinates,
     quasi_periodicity_residual,
@@ -55,7 +54,6 @@ from .theta import (
     section_weights,
     theta_constants,
     translate_action,
-    truncation_plan,
 )
 from .mult import (
     Expansion,

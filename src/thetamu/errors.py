@@ -64,8 +64,8 @@ class NotInK1(ThetamuError):
 
 
 class TruncationOverflow(ThetamuError):
-    """A lattice sum cannot be evaluated within the truncation plan capacity
-    or within double-precision range."""
+    """A lattice sum needs more box points than ``theta.DEFAULT_CAPACITY``,
+    or a value beyond double-precision range."""
 
 
 class IllConditioned(ThetamuError):

@@ -35,11 +35,10 @@ import numpy as np
 
 from .errors import FitResidualTooLarge, IllConditioned, NotInSpan, SizeLimit
 from .theta import (
-    SectionIndex,
     ThetaBasis,
     ThetaTilde,
     constants_radius,
-    section_indices,
+    lex_vectors,
     section_weights,
     theta_constants,
 )
@@ -123,19 +122,16 @@ def expand_in_basis(
     m: int,
     f: Callable | np.ndarray,
     samples: SampleSet,
-    *,
-    basis: ThetaBasis | None = None,
-    cond_cap: float = DEFAULT_COND_CAP,
 ) -> Expansion:
     """Least-squares coefficients of f in the level-m basis.
 
     ``f`` is a vectorized callable on point arrays or an array of values at
     ``samples.z``.  Raises :class:`IllConditioned` when the sample matrix is
-    unusable (caller reseeds) and :class:`NotInSpan` when the residual
-    exceeds tolerance (every admissible section lies in the span, so that is
-    a numerical fault).
+    unusable (condition above DEFAULT_COND_CAP; caller reseeds) and
+    :class:`NotInSpan` when the residual exceeds tolerance (every admissible
+    section lies in the span, so that is a numerical fault).
     """
-    basis = basis if basis is not None else ThetaBasis(pav, m)
+    basis = ThetaBasis(pav, m)
     if samples.count < 2 * basis.dim:
         raise ValueError(
             f"need at least {2 * basis.dim} samples for level {m}, got {samples.count}"
@@ -143,7 +139,7 @@ def expand_in_basis(
     w = section_weights(pav, m, samples.z)
     design = (basis.eval_matrix(samples.z) * w[None, :]).T
     values = np.asarray(f(samples.z) if callable(f) else f, dtype=complex)
-    fit = _fit(design, (values * w)[:, None], cond_cap=cond_cap)
+    fit = _fit(design, (values * w)[:, None], cond_cap=DEFAULT_COND_CAP)
     residual = float(fit.residuals[0])
     if residual > DEFAULT_RESIDUAL_TOL:
         raise NotInSpan(f"expansion residual {residual:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}")
@@ -155,13 +151,12 @@ class MuMatrix:
     """mu_n in the canonical bases: h0(n+1) rows, h0(1) * h0(n) columns.
 
     Column (c, c') holds the level-(n+1) coefficients of the product
-    theta_c^{(1)} theta_{c'}^{(n)}; columns are lexicographic in (c, c').
+    theta_c^{(1)} theta_{c'}^{(n)}; rows are lexicographic in the level-(n+1)
+    characteristics, columns in (c, c') (see ``theta.section_indices``).
     """
 
     n: int
     matrix: np.ndarray
-    row_indices: tuple[SectionIndex, ...]
-    col_pairs: tuple[tuple[SectionIndex, SectionIndex], ...]
 
 
 def mu_matrix(
@@ -188,15 +183,7 @@ def mu_matrix(
     cols = pav.h0(1) * pav.h0(n)
     if rows * cols > cell_cap:
         raise SizeLimit(f"mu_{n} needs {rows}x{cols} cells, cap is {cell_cap}")
-    matrix = _mu_columns(pav, n, _lex_vectors(pav.delta.divisors))
-    basis1 = section_indices(pav, 1)
-    basisn = section_indices(pav, n)
-    return MuMatrix(
-        n=n,
-        matrix=matrix,
-        row_indices=section_indices(pav, n + 1),
-        col_pairs=tuple((c1, cn) for c1 in basis1 for cn in basisn),
-    )
+    return MuMatrix(n=n, matrix=_mu_columns(pav, n, lex_vectors(pav.delta.divisors)))
 
 
 def _mu_columns(pav: PolarizedAbelianVariety, n: int, k1: np.ndarray) -> np.ndarray:
@@ -205,8 +192,8 @@ def _mu_columns(pav: PolarizedAbelianVariety, n: int, k1: np.ndarray) -> np.ndar
     d = np.array(pav.delta.divisors)
     # axes (k1, kn, j, coordinate)
     k1 = k1[:, None, None, :]
-    kn = _lex_vectors(n * d)[None, :, None, :]
-    dj = d * _lex_vectors((n + 1,) * pav.g)[None, None, :, :]
+    kn = lex_vectors(n * d)[None, :, None, :]
+    dj = d * lex_vectors((n + 1,) * pav.g)[None, None, :, :]
     row = _ravel((k1 + kn + dj) % ((n + 1) * d), (n + 1) * d)
     tau = _ravel((n * k1 - kn + n * dj) % (n * (n + 1) * d), n * (n + 1) * d)
     col = np.arange(row.shape[0] * row.shape[1]).reshape(row.shape[:2] + (1,))
@@ -326,12 +313,6 @@ def surjectivity_verdict(
     )
 
 
-def _lex_vectors(dims) -> np.ndarray:
-    """All integer vectors of prod range(dims_i) in lexicographic order,
-    shape (prod dims, len(dims))."""
-    return np.indices(tuple(dims)).reshape(len(dims), -1).T
-
-
 def _ravel(vectors: np.ndarray, dims) -> np.ndarray:
     """Lexicographic position in prod range(dims_i) of every integer vector
     along the last axis of ``vectors``."""
@@ -394,7 +375,7 @@ def gamma_blocks(pav: PolarizedAbelianVariety, n: int) -> GammaBlocks:
                     *range(2 * g, 4 * g, 2), *range(2 * g + 1, 4 * g, 2))
     H = np.fft.fftn(np.fft.ifftn(F, axes=tuple(range(g))), axes=tuple(range(2 * g, 3 * g)))
     H = H.reshape(deg, rows, deg, cols).transpose(0, 2, 1, 3) * math.sqrt(deg)
-    chars = _lex_vectors(d)
+    chars = lex_vectors(d)
     # H[gamma, gamma - y1] for every pair (gamma, y1)
     partner = _ravel((chars[:, None, :] - chars[None, :, :]) % np.array(d), d)
     stacked = H[np.arange(deg)[:, None], partner].transpose(0, 2, 1, 3).reshape(deg, rows, -1)
@@ -419,14 +400,14 @@ class WirtingerMatrix:
 
     Both theta and theta~ carry the package normalization, so the matrix is
     canonical here; against other normalizations it is defined projectively.
-    ``fit_residual`` is the misfit of the relation at the samples of ``seed``.
+    Rows (alpha) and columns (beta) are lexicographic in the characteristics
+    (see ``theta.section_indices``).  ``fit_residual`` is the misfit of the
+    relation at the samples of ``seed``.
     """
 
     n: int
     full: np.ndarray
     reduced: np.ndarray
-    alpha_indices: tuple[SectionIndex, ...]
-    beta_indices: tuple[SectionIndex, ...]
     fit_residual: float
     seed: int
 
@@ -471,8 +452,8 @@ def wirtinger_matrix(
     unknowns = (n + 1) ** g * N**g
     if unknowns > unknown_cap:
         raise SizeLimit(f"{unknowns} Wirtinger unknowns exceed cap {unknown_cap}")
-    k = _lex_vectors((n + 1,) * g)
-    j = _lex_vectors((N,) * g)
+    k = lex_vectors((n + 1,) * g)
+    j = lex_vectors((N,) * g)
     C = ((k[:, None, :] + j[None, :, :]) % (n + 1) == 0).all(axis=-1).astype(float)
     fit_residual = _wirtinger_residual(pav, n, C, seed)
     if fit_residual > DEFAULT_RESIDUAL_TOL:
@@ -485,8 +466,6 @@ def wirtinger_matrix(
         n=n,
         full=C,
         reduced=C[:, reduced_cols],
-        alpha_indices=section_indices(pav, n + 1),
-        beta_indices=section_indices(pav, N),
         fit_residual=fit_residual,
         seed=seed,
     )
@@ -503,9 +482,6 @@ def phi_map_coords(
     n: int,
     b,
     seed: int,
-    *,
-    basis: ThetaBasis | None = None,
-    tilde: ThetaTilde | None = None,
 ) -> Expansion:
     """Coordinates in |(n+1) theta| of the divisor of u -> theta(u+nb) theta~(u-b).
 
@@ -514,15 +490,14 @@ def phi_map_coords(
     if not pav.delta.is_principal:
         raise ValueError("the divisor map requires a principal polarization")
     b = _as_point(pav, b)
-    basis = basis if basis is not None else ThetaBasis(pav, n + 1)
-    tilde = tilde if tilde is not None else ThetaTilde(pav, n)
+    tilde = ThetaTilde(pav, n)
     basis_1 = ThetaBasis(pav, 1)
 
     def f(zs):
         return basis_1.eval_matrix(zs + n * b)[0] * tilde.eval_many(zs - b)
 
-    samples = sample_points(pav, OVERSAMPLE * basis.dim, seed)
-    return expand_in_basis(pav, n + 1, f, samples, basis=basis)
+    samples = sample_points(pav, OVERSAMPLE * pav.h0(n + 1), seed)
+    return expand_in_basis(pav, n + 1, f, samples)
 
 
 def projective_residual(x: np.ndarray, y: np.ndarray) -> float:
@@ -601,11 +576,9 @@ def spanning_check(
     return SpanningReport(rank, (n + 1) ** g, pts.shape[0], svals)
 
 
-def monotonicity_check(pav: PolarizedAbelianVariety, n: int, **kwargs) -> bool:
+def monotonicity_check(pav: PolarizedAbelianVariety, n: int) -> bool:
     """Check that surjectivity of mu_n propagates to mu_{n+1} on this instance
     (vacuously true when mu_n is not verified surjective)."""
-    first = surjectivity_verdict(pav, n, **kwargs)
-    if first.verdict is not Verdict.SURJECTIVE:
+    if surjectivity_verdict(pav, n).verdict is not Verdict.SURJECTIVE:
         return True
-    second = surjectivity_verdict(pav, n + 1, **kwargs)
-    return second.verdict is Verdict.SURJECTIVE
+    return surjectivity_verdict(pav, n + 1).verdict is Verdict.SURJECTIVE

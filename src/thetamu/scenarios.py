@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -51,11 +52,11 @@ EXIT_CONSISTENCY = 4
 class ScenarioConfig:
     """Deterministic description of one verification run.
 
-    ``omega`` is either a nested list of [re, im] pairs or the mapping
+    ``omega`` is either a g x g nested list of [re, im] pairs or the mapping
     {"random": {"seed": <int>}}; ``n`` is an integer or the token "g-1",
-    which resolves to max(g-1, 1) once g is known.  ``g``, ``type``, ``n``,
-    ``eps``, ``simple_asserted`` and the seeds are kept as given;
-    ``run_scenario`` rejects a wrong kind instead of coercing it.
+    which resolves to max(g-1, 1) once g is known.  Every field but the name
+    is kept as given; ``run_scenario`` rejects a wrong kind instead of
+    coercing it.
     """
 
     name: str
@@ -79,21 +80,20 @@ class ScenarioConfig:
             "eps": self.eps,
             "seed": self.seed,
             "simple_asserted": self.simple_asserted,
-            "caps": dict(self.caps),
-            "checks": dict(self.checks),
+            "caps": self.caps,
+            "checks": self.checks,
         }
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"a scenario must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - _SCENARIO_KEYS
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
         for key in ("g", "type", "omega"):
             if key not in data:
                 raise ValueError(f"scenario is missing required key '{key}'")
-        checks = dict(data.get("checks") or {})
-        if set(checks) - _CHECK_KEYS:
-            raise ValueError(f"unknown check keys: {sorted(set(checks) - _CHECK_KEYS)}")
         return ScenarioConfig(
             name=str(data.get("name", "scenario")),
             g=data["g"],
@@ -103,8 +103,8 @@ class ScenarioConfig:
             eps=data.get("eps", 1e-12),
             seed=data.get("seed", 0),
             simple_asserted=data.get("simple_asserted", False),
-            caps=dict(data.get("caps") or {}),
-            checks=checks,
+            caps={} if data.get("caps") is None else data["caps"],
+            checks={} if data.get("checks") is None else data["checks"],
         )
 
 
@@ -159,27 +159,29 @@ def _complex_matrix_to_pairs(matrix: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
 
 
-def _pairs_to_matrix(entries) -> np.ndarray:
-    return np.array(
-        [[complex(float(p[0]), float(p[1])) for p in row] for row in entries]
-    )
-
-
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A real number, not a bool, that a double holds finitely."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _check_counts(config: ScenarioConfig) -> None:
-    """Raise ValueError unless g is a positive integer, the type a list of
+    """Raise ValueError unless g is a positive integer, the type a list of g
     integers, eps a real number in (0, 1), simple_asserted a boolean, the
-    seed a non-negative integer, every cap a known key with a positive
-    integer value and the spanning modulus a non-negative integer (0 or
-    absent skips the check); ``resolve_n`` and ``resolve_omega`` check n and the omega seed in the
-    same stage."""
+    seed a non-negative integer, caps a mapping from known keys to positive
+    integers, checks a mapping from known keys with a boolean ``wirtinger``
+    and a non-negative integer ``spanning_modulus`` (0 or absent skips the
+    check); ``resolve_n`` and ``resolve_omega`` check n and omega in the same
+    stage."""
     if not _is_int(config.g) or config.g < 1:
         raise ValueError(f"g must be a positive integer, got {config.g!r}")
-    if not isinstance(config.type, (list, tuple)) or not all(_is_int(d) for d in config.type):
-        raise ValueError(f"type must be a list of integers, got {config.type!r}")
+    if (not isinstance(config.type, (list, tuple)) or len(config.type) != config.g
+            or not all(_is_int(d) for d in config.type)):
+        raise ValueError(f"type must be a list of g = {config.g} integers, got {config.type!r}")
     eps = config.eps
     if not isinstance(eps, numbers.Real) or isinstance(eps, bool) or not 0 < eps < 1:
         raise ValueError(f"eps must be a real number in (0, 1), got {eps!r}")
@@ -187,12 +189,23 @@ def _check_counts(config: ScenarioConfig) -> None:
         raise ValueError(f"simple_asserted must be a boolean, got {config.simple_asserted!r}")
     if not _is_int(config.seed) or config.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
+    if not isinstance(config.caps, dict):
+        raise ValueError(f"caps must be a mapping, got {config.caps!r}")
     for key in sorted(config.caps):
         if key not in _CAP_KEYS:
             raise ValueError(f"unknown cap '{key}', expected one of {sorted(_CAP_KEYS)}")
         value = config.caps[key]
         if not _is_int(value) or value < 1:
             raise ValueError(f"cap '{key}' must be a positive integer, got {value!r}")
+    if not isinstance(config.checks, dict):
+        raise ValueError(f"checks must be a mapping, got {config.checks!r}")
+    unknown = set(config.checks) - _CHECK_KEYS
+    if unknown:
+        raise ValueError(f"unknown check keys: {sorted(unknown)}")
+    if not isinstance(config.checks.get("wirtinger", False), bool):
+        raise ValueError(
+            f"check 'wirtinger' must be a boolean, got {config.checks['wirtinger']!r}"
+        )
     modulus = config.checks.get("spanning_modulus", 0)
     if modulus is not None and (not _is_int(modulus) or modulus < 0):
         raise ValueError(
@@ -210,7 +223,15 @@ def resolve_omega(config: ScenarioConfig) -> PeriodMatrix:
         if not _is_int(seed) or seed < 0:
             raise ValueError(f"omega seed must be a non-negative integer, got {seed!r}")
         return random_period_matrix(config.g, seed)
-    return PeriodMatrix(_pairs_to_matrix(config.omega))
+    rows, g, seq = config.omega, config.g, (list, tuple)
+    square = isinstance(rows, seq) and len(rows) == g and all(
+        isinstance(row, seq) and len(row) == g for row in rows)
+    if not square or not all(isinstance(p, seq) and len(p) == 2 and all(map(_is_finite, p))
+                             for row in rows for p in row):
+        raise ValueError(
+            f"omega must be a {g} x {g} list of [re, im] pairs of finite numbers, got {rows!r}"
+        )
+    return PeriodMatrix([[complex(float(re), float(im)) for re, im in row] for row in rows])
 
 
 @dataclass(eq=False)

@@ -17,7 +17,9 @@ Evaluation strategy: every point is first translated into the fundamental
 cell of the summation lattice (the quasi-periodicity factor is restored
 exactly), then the centred integer cube [-R, R]^g is summed.  Every sum takes
 R from one rule, :func:`box_radius`: the smallest R >= 1 whose dropped terms
-provably sum to at most eps times the envelope.
+provably sum to at most eps times the envelope.  So an evaluator needs only
+the variety and a level: the period matrix, eps and the radius all come from
+the validated variety.
 
 The box sum is one matrix product.  Writing l = c + b with b in the box,
 each term factors as Q[c, b] * E[b, z] * C[c, z], with
@@ -45,7 +47,7 @@ raise :class:`TruncationOverflow` (arbitrary precision is out of scope).
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,7 +59,7 @@ from .errors import NotInK1, NotLatticeVector, TruncationOverflow
 from .torsion import TorsionPoint
 from .varieties import PolarizedAbelianVariety
 
-#: hard cap on the number of lattice points summed per evaluation
+#: hard cap on the number of lattice points in one summation box
 DEFAULT_CAPACITY = 4_000_000
 #: largest exponent exp() can take before double overflow, with margin
 _LOG_MAX = 700.0
@@ -105,11 +107,16 @@ def section_index(pav: PolarizedAbelianVariety, m: int, k: Sequence[int]) -> Sec
     return SectionIndex(m, [Fraction(int(ki), m * di) for ki, di in zip(k, d, strict=True)])
 
 
+def lex_vectors(dims) -> np.ndarray:
+    """All integer vectors of prod range(dims_i) in lexicographic order,
+    shape (prod dims, len(dims))."""
+    return np.indices(tuple(dims)).reshape(len(dims), -1).T
+
+
 def section_indices(pav: PolarizedAbelianVariety, m: int) -> tuple[SectionIndex, ...]:
     """All m^g d_1...d_g level-m indices, lexicographic in k."""
-    d = pav.delta.divisors
-    ranges = [range(m * di) for di in d]
-    return tuple(section_index(pav, m, k) for k in itertools.product(*ranges))
+    dims = [m * di for di in pav.delta.divisors]
+    return tuple(section_index(pav, m, k) for k in lex_vectors(dims).tolist())
 
 
 def box_radius(lambda_min: float, m: int, eps: float, g: int, offset: float) -> int:
@@ -128,49 +135,31 @@ def box_radius(lambda_min: float, m: int, eps: float, g: int, offset: float) -> 
     A union bound over the axis that leaves the cube gives g T(rho) S^(g-1)
     (cf. Deconinck et al., Math. Comp. 73 (2004), Thm 2).  The floor R >= 1
     keeps both nearest coset points of c_i = 1/2, so constants far below eps
-    stay accurate relative to their own size.
+    stay accurate relative to their own size.  A lambda_min so small that no
+    float radius bounds the tail raises :class:`TruncationOverflow`.
     """
     if lambda_min <= 0:
         raise ValueError("lambda_min must be positive")
     a = math.pi * m * lambda_min
     # log of the largest T(rho) allowed, eps / (g S^(g-1))
     budget = math.log(eps / g) - (g - 1) * math.log(2 + 2 * math.exp(-a) / -math.expm1(-2 * a))
-    # T(rho) >= 2 exp(-a rho^2), so no radius below the start meets the budget
-    start = max(1, math.ceil(math.sqrt((math.log(2.0) - budget) / a) + offset - 1))
-    for radius in itertools.count(start):
+
+    def fits(radius: int) -> bool:
         rho = radius + 1 - offset
-        if math.log(2.0) - a * rho * rho - math.log(-math.expm1(-2.0 * a * rho)) <= budget:
-            return radius
+        return math.log(2.0) - a * rho * rho - math.log(-math.expm1(-2.0 * a * rho)) <= budget
 
-
-@dataclass(frozen=True)
-class TruncationPlan:
-    """Box radii per level for a fixed variety and target accuracy."""
-
-    eps: float
-    lambda_min: float
-    radii: tuple[tuple[int, int], ...]
-    capacity: int = DEFAULT_CAPACITY
-
-    def radius(self, m: int) -> int:
-        for level, r in self.radii:
-            if level == m:
-                return r
-        raise KeyError(f"no radius planned for level {m}")
-
-
-def truncation_plan(
-    pav: PolarizedAbelianVariety,
-    levels: Sequence[int],
-    eps: float | None = None,
-    capacity: int = DEFAULT_CAPACITY,
-) -> TruncationPlan:
-    """Plan box radii for the given levels at reduced points, where the
-    Gaussian centre is within 1 of a lattice point on each axis."""
-    eps = float(eps if eps is not None else pav.eps)
-    lam = pav.lambda_min
-    radii = tuple((int(m), box_radius(lam, m, eps, pav.g, 1.0)) for m in levels)
-    return TruncationPlan(eps, lam, radii, capacity)
+    # T(rho) >= 2 exp(-a rho^2), so no radius below lo meets the budget; T
+    # falls as rho grows, so double up to a radius that fits, then bisect
+    start = math.sqrt((math.log(2.0) - budget) / a) + offset - 1
+    if not math.isfinite(start):
+        raise TruncationOverflow(f"lambda_min {lambda_min:.3e} needs a radius past the float range")
+    lo = hi = max(1, math.ceil(start))
+    while not fits(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid + 1, hi)
+    return hi
 
 
 def _log_envelope(Yinv: np.ndarray, m: int, zs) -> np.ndarray:
@@ -205,23 +194,19 @@ def _bins(x: np.ndarray, nb: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 class _LatticeSum:
-    """Truncated sum over Z^g + c of exp(pi i m l^T tau l + 2 pi i m l^T z)."""
+    """Truncated sum over Z^g + c of exp(pi i m l^T tau l + 2 pi i m l^T z),
+    over the cube of radius :func:`box_radius`; ``offset`` bounds the
+    Gaussian centre per axis (1/2 when every characteristic is 0 or z = 0)."""
 
-    def __init__(self, tau, m: int, eps: float, radius: int | None = None,
-                 capacity: int = DEFAULT_CAPACITY, offset: float = 1.0):
+    def __init__(self, tau, m: int, eps: float, offset: float = 1.0):
         tau = np.asarray(tau, dtype=complex)
         self.tau = tau
         self.g = tau.shape[0]
         self.m = int(m)
-        self.eps = float(eps)
         self.Y = tau.imag
         self.Yinv = np.linalg.inv(self.Y)
-        self.lambda_min = float(np.linalg.eigvalsh(self.Y).min())
-        self.capacity = int(capacity)
-        # offset bounds the Gaussian centre per axis (see box_radius)
-        self.radius = int(radius) if radius is not None else box_radius(
-            self.lambda_min, self.m, self.eps, self.g, offset
-        )
+        lambda_min = float(np.linalg.eigvalsh(self.Y).min())
+        self.radius = box_radius(lambda_min, self.m, float(eps), self.g, offset)
         # binning characteristics and points into nb^g cells each keeps the
         # scale excess pi m v^T Y v, |v_i| <= offset / nb, of every
         # (characteristic, point) block under _SCALE_MAX
@@ -234,13 +219,11 @@ class _LatticeSum:
         box = self._boxes.get(R)
         if box is None:
             cells = (2 * R + 1) ** self.g
-            if cells > self.capacity:
+            if cells > DEFAULT_CAPACITY:
                 raise TruncationOverflow(
-                    f"radius {R} needs {cells} lattice points, capacity is {self.capacity}"
+                    f"radius {R} needs {cells} lattice points, capacity is {DEFAULT_CAPACITY}"
                 )
-            box = np.array(
-                list(itertools.product(range(-R, R + 1), repeat=self.g)), dtype=float
-            )
+            box = (lex_vectors((2 * R + 1,) * self.g) - R).astype(float)
             self._boxes[R] = box
         return box
 
@@ -321,19 +304,17 @@ def theta_constants(pav: PolarizedAbelianVariety, m: int) -> np.ndarray:
     The sum is even, theta_c(0) = theta_{-c}(0), so one characteristic of
     each pair {k, -k mod m d} is evaluated and its value written to both.
     """
-    g = pav.g
-    radius = constants_radius(pav, m)
-    lattice = _LatticeSum(pav.matrix, m, pav.eps, radius, offset=0.5)
+    lattice = _LatticeSum(pav.matrix, m, pav.eps, offset=0.5)
     dims = m * np.array(pav.delta.divisors)
-    ks = np.indices(tuple(dims)).reshape(g, -1).T
+    ks = lex_vectors(dims)
     # the first index of each pair {k, -k mod m d}
     rep = np.minimum(np.arange(len(ks)), np.ravel_multi_index(tuple((-ks % dims).T), tuple(dims)))
     first = np.flatnonzero(rep == np.arange(len(ks)))
     chars = ks[first] / dims
-    zero = np.zeros((1, g))
+    zero = np.zeros((1, pav.g))
     # characteristics go through in chunks, so temporary memory does not grow
     # with their number
-    step = max(1, _CONST_CHUNK_ELEMENTS // (2 * radius + 1) ** g)
+    step = max(1, _CONST_CHUNK_ELEMENTS // (2 * lattice.radius + 1) ** pav.g)
     values = np.empty(len(ks), dtype=complex)
     values[first] = np.concatenate(
         [lattice.eval(chars[lo:lo + step], zero)[:, 0] for lo in range(0, len(chars), step)]
@@ -351,43 +332,44 @@ def _points_2d(zs) -> tuple[np.ndarray, bool]:
 class ThetaBasis:
     """The canonical basis of H^0(A, L^m) as a batch evaluator.
 
+    The variety fixes everything: the period matrix, the accuracy eps and,
+    through :func:`box_radius`, the radius.  Sections are ordered
+    lexicographically in k, c = k / (m d), as in :func:`section_indices`.
     Evaluations are pure; batches over point sets may run concurrently and
     results are assembled in input order.
     """
 
-    def __init__(self, pav: PolarizedAbelianVariety, m: int, *,
-                 eps: float | None = None, radius: int | None = None,
-                 plan: TruncationPlan | None = None,
-                 capacity: int | None = None):
+    def __init__(self, pav: PolarizedAbelianVariety, m: int):
         self.pav = pav
         self.m = int(m)
-        self.indices = section_indices(pav, m)
-        self._pos = {idx: i for i, idx in enumerate(self.indices)}
-        if plan is not None:
-            eps = plan.eps if eps is None else eps
-            radius = plan.radius(m) if radius is None else radius
-            capacity = plan.capacity if capacity is None else capacity
-        self._sum = _LatticeSum(
-            pav.matrix, m,
-            float(eps if eps is not None else pav.eps),
-            radius,
-            capacity if capacity is not None else DEFAULT_CAPACITY,
-        )
-        self._chars = np.array([idx.as_floats() for idx in self.indices])
+        self._dims = tuple(self.m * di for di in pav.delta.divisors)
+        self._sum = _LatticeSum(pav.matrix, m, pav.eps)
+        self._chars = lex_vectors(self._dims) / np.array(self._dims)
+
+    @functools.cached_property
+    def indices(self) -> tuple[SectionIndex, ...]:
+        return section_indices(self.pav, self.m)
 
     @property
     def dim(self) -> int:
-        return len(self.indices)
+        return len(self._chars)
 
     @property
     def radius(self) -> int:
         return self._sum.radius
 
     def position(self, idx: SectionIndex) -> int:
-        try:
-            return self._pos[idx]
-        except KeyError:
-            raise KeyError(f"{idx} is not a level-{self.m} index of this polarization") from None
+        """Lexicographic position of idx, from k_i = c_i m d_i."""
+        if idx.m == self.m and idx.g == len(self._dims):
+            pos = 0
+            for ci, dim in zip(idx.c, self._dims):
+                k = ci * dim
+                if k.denominator != 1:
+                    break
+                pos = pos * dim + k.numerator
+            else:
+                return pos
+        raise KeyError(f"{idx} is not a level-{self.m} index of this polarization")
 
     def eval_matrix(self, zs, radius: int | None = None) -> np.ndarray:
         """Values of all basis elements at all points, shape (dim, npoints)."""
@@ -408,24 +390,19 @@ class ThetaTilde:
     Realized as the theta series of the quotient period matrix Omega/n:
     theta~(z) = sum_{l in Z^g} exp(pi i l^T (Omega/n) l + 2 pi i l^T z).
     It satisfies the level-n factor of automorphy and equals the sum of all
-    level-n basis elements (fixed normalization, no free scalar here).
+    level-n basis elements (fixed normalization, no free scalar here).  Its
+    only characteristic is 0, so the Gaussian centre of a reduced point is
+    within 1/2 of a lattice point and the radius is taken with offset 1/2.
     """
 
-    def __init__(self, pav: PolarizedAbelianVariety, n: int, *,
-                 eps: float | None = None, radius: int | None = None,
-                 capacity: int | None = None):
+    def __init__(self, pav: PolarizedAbelianVariety, n: int):
         if not pav.delta.is_principal:
             raise ValueError("theta~ is defined for principal polarizations only")
         if n < 1:
             raise ValueError(f"require n >= 1, got {n}")
         self.pav = pav
         self.n = int(n)
-        self._sum = _LatticeSum(
-            pav.matrix / n, 1,
-            float(eps if eps is not None else pav.eps),
-            radius,
-            capacity if capacity is not None else DEFAULT_CAPACITY,
-        )
+        self._sum = _LatticeSum(pav.matrix / n, 1, pav.eps, offset=0.5)
         self._zero = np.zeros((1, pav.g))
 
     @property
@@ -467,15 +444,14 @@ def automorphy_factor(pav: PolarizedAbelianVariety, m: int, lam, z):
     return np.exp(-1j * math.pi * m * (a @ pav.matrix @ a) - 2j * math.pi * m * (z @ a))
 
 
-def quasi_periodicity_residual(pav: PolarizedAbelianVariety, idx: SectionIndex, lam, z,
-                               basis: ThetaBasis | None = None) -> float:
+def quasi_periodicity_residual(pav: PolarizedAbelianVariety, idx: SectionIndex, lam, z) -> float:
     """|theta_c(z + lam) - e(lam, z) theta_c(z)| / (1 + |theta_c(z)|).
 
     Vanishes (to evaluation accuracy) when lam is a period; for non-periods
     the same formula is applied with the real solution a of Im lam = Y a,
     and the residual is O(1) generically.
     """
-    basis = basis if basis is not None else ThetaBasis(pav, idx.m)
+    basis = ThetaBasis(pav, idx.m)
     lam = np.asarray(lam, dtype=complex)
     z = np.asarray(z, dtype=complex)
     a = pav.im_inv @ lam.imag

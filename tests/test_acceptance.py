@@ -91,7 +91,7 @@ def test_c02_quasi_periodicity_suite():
                 lam = pav.matrix @ a + d * bhat
                 idx = basis.indices[int(rng.integers(0, basis.dim))]
                 for z in zs:
-                    worst = max(worst, quasi_periodicity_residual(pav, idx, lam, z, basis=basis))
+                    worst = max(worst, quasi_periodicity_residual(pav, idx, lam, z))
                     checked += 1
     elapsed = time.perf_counter() - start
     _report(2, "quasi-periodicity", worst < 1e-9 and elapsed < 30.0,
@@ -202,10 +202,10 @@ def test_c08_theta_tilde_properties():
         rng = np.random.default_rng(70 + g)
         s = rng.uniform(-0.3, 0.3, (g, g))
         omega = (s + s.T) / 2 + 1j * (0.5 * np.eye(g) + 0.05 * np.ones((g, g)))
-        pav = validate_polarized(omega, (1,) * g)
+        pav = validate_polarized(omega, (1,) * g, eps=1e-14)
         for n in (2, 3):
-            tilde = ThetaTilde(pav, n, eps=1e-14)
-            basis = ThetaBasis(pav, n, eps=1e-14)
+            tilde = ThetaTilde(pav, n)
+            basis = ThetaBasis(pav, n)
             group = k_group(pav, n)
             for z in rng.random((4, g)).astype(complex):
                 base = tilde.eval(z)

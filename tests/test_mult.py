@@ -24,6 +24,7 @@ from thetamu import (
     random_period_matrix,
     run_scenario,
     sample_points,
+    section_indices,
     section_weights,
     spanning_check,
     surjectivity_verdict,
@@ -60,9 +61,7 @@ def test_sample_points_deterministic(elliptic_d3):
 def test_expand_recovers_basis_vectors(elliptic_d3):
     basis = ThetaBasis(elliptic_d3, 2)
     samples = sample_points(elliptic_d3, 2 * basis.dim, 3)
-    unit = expand_in_basis(
-        elliptic_d3, 2, lambda zs: basis.eval_matrix(zs)[4], samples, basis=basis
-    )
+    unit = expand_in_basis(elliptic_d3, 2, lambda zs: basis.eval_matrix(zs)[4], samples)
     expected = np.zeros(basis.dim)
     expected[4] = 1.0
     assert np.allclose(unit.coefficients, expected, atol=1e-10)
@@ -72,7 +71,6 @@ def test_expand_recovers_basis_vectors(elliptic_d3):
         2,
         lambda zs: basis.eval_matrix(zs)[0] + basis.eval_matrix(zs)[1],
         samples,
-        basis=basis,
     )
     expected = np.zeros(basis.dim)
     expected[:2] = 1.0
@@ -98,24 +96,26 @@ def test_expand_flags_out_of_span(elliptic_d3):
     samples = sample_points(elliptic_d3, 2 * basis.dim, 9)
     with pytest.raises(NotInSpan):
         expand_in_basis(
-            elliptic_d3, 2, lambda zs: np.conj(basis.eval_matrix(zs)[0]), samples, basis=basis
+            elliptic_d3, 2, lambda zs: np.conj(basis.eval_matrix(zs)[0]), samples
         )
 
 
 def test_expand_ill_conditioned_cap(elliptic_d3):
+    # one point drawn 2 * dim times: the design has rank 1, so its condition
+    # exceeds DEFAULT_COND_CAP
     basis = ThetaBasis(elliptic_d3, 2)
-    samples = sample_points(elliptic_d3, 2 * basis.dim, 3)
+    drawn = sample_points(elliptic_d3, 1, 3)
+    count = 2 * basis.dim
+    samples = mult.SampleSet(
+        drawn.seed, count, *(np.repeat(x, count, axis=0) for x in (drawn.a, drawn.b, drawn.z))
+    )
     with pytest.raises(IllConditioned):
-        expand_in_basis(
-            elliptic_d3, 2, lambda zs: basis.eval_matrix(zs)[0], samples,
-            basis=basis, cond_cap=1.0,
-        )
+        expand_in_basis(elliptic_d3, 2, lambda zs: basis.eval_matrix(zs)[0], samples)
 
 
 def test_mu_matrix_shapes(elliptic_d3, principal_g2):
     mu = mu_matrix(elliptic_d3, 1)
     assert mu.matrix.shape == (6, 9)
-    assert len(mu.col_pairs) == 9
     mu_p = mu_matrix(principal_g2, 1)
     assert mu_p.matrix.shape == (4, 1)
 
@@ -244,7 +244,7 @@ def test_wirtinger_cross_check_independent_expansion(g, n):
         exp = expand_in_basis(
             pav, n + 1,
             lambda zs, v=v: basis1.eval_matrix(zs + n * v)[0] * tilde.eval_many(zs - v),
-            samples, basis=basis_a,
+            samples,
         )
         coeff_rows.append(exp.coefficients)
     d_matrix = np.array(coeff_rows)  # (nv, KA): d_alpha(v) = sum_b c_{ab} theta_b(v)
@@ -424,14 +424,14 @@ def test_mu_matrix_is_exact_incidence(divisors, n):
     taus = ThetaBasis(pav, n * (n + 1))
     consts = theta_constants(pav, n * (n + 1))
     expected = np.zeros_like(mu.matrix)
-    for col, (a, b) in enumerate(mu.col_pairs):
+    pairs = itertools.product(section_indices(pav, 1), section_indices(pav, n))
+    for col, (a, b) in enumerate(pairs):
         for j in itertools.product(range(n + 1), repeat=g):
             tau = [(ai - bi + ji) / (n + 1) for ai, bi, ji in zip(a.c, b.c, j)]
             row = SectionIndex(n + 1, [bi + ti for bi, ti in zip(b.c, tau)])
             expected[rows.position(row), col] = consts[taus.position(SectionIndex(n * (n + 1), tau))]
     assert np.array_equal(mu.matrix, expected)
     assert np.array_equal((mu.matrix != 0).sum(axis=0), np.full(mu.matrix.shape[1], (n + 1) ** g))
-    assert mu.row_indices == rows.indices
     assert mu_matrix(pav, n).matrix.tobytes() == mu.matrix.tobytes()
 
 

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetamu import (
     ITTVerdict,
@@ -100,6 +102,15 @@ def test_run_scenario_numeric_cap_exit_code():
     assert report.payload["surjectivity"] is None
 
 
+def test_run_scenario_reports_a_radius_past_the_float_range():
+    # Im Omega = diag(1e-310, 1) is valid, but no float radius bounds its tail
+    cfg = ScenarioConfig(name="subnormal", g=2, type=(3, 3), n=1,
+                         omega=[[[0, 1e-310], [0, 0]], [[0, 0], [0, 1]]])
+    report = run_scenario(cfg)
+    assert report.exit_code == 3
+    assert any(e.startswith("mu_verdict: ") for e in report.payload["errors"])
+
+
 #: scenario values to reject, not coerce or ignore: (change, text of the error)
 _BAD_VALUES = [
     ({"g": 1.7}, "g must"),
@@ -115,10 +126,26 @@ _BAD_VALUES = [
     ({"eps": "1e-3"}, "eps"),
     ({"eps": float("inf")}, "eps"),
     ({"eps": 2.0}, "eps"),
+    ({"type": [3, 3]}, "type must"),
+    ({"omega": [[5]]}, "omega must"),
+    ({"omega": [[[0, None]]]}, "omega must"),
+    ({"omega": [[[0, float("inf")]]]}, "omega must"),
+    ({"omega": [[[0, 10**400]]]}, "omega must"),
+    ({"omega": [[[1, 2, 3]]]}, "omega must"),
+    ({"omega": [[[0, True]]]}, "omega must"),
+    ({"omega": [[[0, 1]], [[0, 1]]]}, "omega must"),
+    ({"omega": "i"}, "omega must"),
+    ({"caps": [1]}, "caps must"),
+    ({"checks": [1]}, "checks must"),
+    ({"checks": {"wirtinger": 1}}, "wirtinger"),
+    ({"checks": {"bogus": True}}, "unknown check"),
 ]
 _BAD_VALUE_IDS = ["g-float", "g-bool", "type-float", "type-string", "omega-seed-float",
                   "omega-seed-string", "omega-random-not-mapping", "omega-unknown-key",
-                  "simple-asserted-string", "eps-bool", "eps-string", "eps-inf", "eps-above-one"]
+                  "simple-asserted-string", "eps-bool", "eps-string", "eps-inf", "eps-above-one",
+                  "type-length", "omega-scalar-entry", "omega-null", "omega-inf", "omega-huge-int",
+                  "omega-triple", "omega-bool", "omega-shape", "omega-string", "caps-list",
+                  "checks-list", "wirtinger-int", "unknown-check"]
 
 
 @pytest.mark.parametrize(
@@ -350,6 +377,17 @@ def test_cli_verify_rejects_bad_seed_and_caps(tmp_path, capsys, change, message)
     assert "Traceback" not in captured.err
 
 
+def test_cli_verify_rejects_overflowing_omega(tmp_path, capsys):
+    # JSON reads 1e400 as inf
+    path = tmp_path / "bad.json"
+    path.write_text('{"g": 1, "type": [3], "omega": [[[0, 1e400]]], "n": 1}')
+    code = cli_main(["verify", "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert any("omega must" in e for e in json.loads(captured.out)["errors"])
+    assert "Traceback" not in captured.err
+
+
 _BAD_CONTENT = [
     ({"checks": {"spanning_modulus": -2}}, "spanning_modulus"),
     ({"checks": {"spanning_modulus": "a"}}, "spanning_modulus"),
@@ -402,3 +440,75 @@ def test_run_scenario_takes_one_svd_of_mu(monkeypatch):
     assert report.payload["blocks"]["rank_sum"] == 6
     # mu_1 of type (3) has 3 character blocks of 2 x 3, one stacked SVD
     assert shapes == [(3, 2, 3)]
+
+
+#: JSON values of the wrong kind for any scenario field
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5), st.floats(), st.text(max_size=2),
+    st.lists(st.integers(0, 2), max_size=2), st.dictionaries(st.text(max_size=2), st.none(),
+                                                             max_size=1),
+)
+
+
+def _or_junk(strategy):
+    """``strategy``, or a value of the wrong kind one time in ten."""
+    return st.integers(0, 9).flatmap(lambda k: _JUNK if k == 9 else strategy)
+
+
+@st.composite
+def _omegas(draw, g):
+    """A random-seed mapping, or a g x g matrix of [re, im] pairs (symmetric,
+    with Im positive definite or not), or a matrix of another shape."""
+    kind = draw(st.sampled_from(["random", "explicit", "malformed"]))
+    if kind == "random":
+        return {"random": {"seed": draw(_or_junk(st.integers(0, 2**64)))}}
+    size = g if kind == "explicit" else draw(st.integers(0, 3))
+    entry = st.lists(_or_junk(st.floats(-1, 1)), min_size=2, max_size=2)
+    rows = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            re, im = draw(entry) if kind == "malformed" else (
+                draw(st.floats(-1, 1)),
+                draw(st.floats(0.3, 3) if i == j else st.floats(-0.2, 0.2)),
+            )
+            rows[i][j] = rows[j][i] = [re, im]
+    if kind == "explicit" and draw(st.integers(0, 4)) == 0:
+        rows[0][0] = [0.0, -1.0]  # not positive definite
+    return rows
+
+
+@st.composite
+def _scenarios(draw):
+    g = draw(st.integers(1, 2))
+    checks = draw(_or_junk(st.one_of(
+        st.just({}), st.fixed_dictionaries({"wirtinger": _or_junk(st.booleans())}),
+        st.fixed_dictionaries({"spanning_modulus": _or_junk(st.integers(0, 3))}),
+    )))
+    caps = draw(_or_junk(st.dictionaries(
+        st.sampled_from(["mu_cells", "wirtinger_unknowns", "spanning_points"]),
+        _or_junk(st.integers(1, 10**7)), max_size=2,
+    )))
+    return {
+        "name": "property",
+        "g": draw(_or_junk(st.just(g))),
+        "type": draw(_or_junk(st.lists(st.integers(1, 4), min_size=g, max_size=g))),
+        "omega": draw(_omegas(g)),
+        "n": draw(_or_junk(st.one_of(st.integers(1, 2), st.just("g-1")))),
+        "eps": draw(_or_junk(st.sampled_from([1e-12, 1e-8, 1e-6]))),
+        "seed": draw(_or_junk(st.integers(0, 2**64))),
+        "simple_asserted": draw(_or_junk(st.booleans())),
+        "caps": caps,
+        "checks": checks,
+    }
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(_scenarios())
+def test_run_scenario_never_raises_on_scenario_content(doc):
+    # JSON-shaped scenarios with g <= 2, divisors <= 4 and n <= 2, well formed
+    # or not: every one gets a report with a known exit code, byte for byte
+    # the same on a second run
+    config = ScenarioConfig.from_dict(json.loads(json.dumps(doc)))
+    first = run_scenario(config)
+    assert first.exit_code in {0, 2, 3, 4}
+    assert emit_report(run_scenario(config), "json") == emit_report(first, "json")

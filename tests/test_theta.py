@@ -25,7 +25,6 @@ from thetamu import (
     section_weights,
     theta_constants,
     translate_action,
-    truncation_plan,
     validate_polarized,
 )
 
@@ -86,6 +85,12 @@ def test_section_indices_count(pav_g2):
         idxs = section_indices(pav_g2, m)
         assert len(idxs) == pav_g2.h0(m)
         assert len(set(idxs)) == len(idxs)
+        basis = ThetaBasis(pav_g2, m)
+        assert basis.indices == idxs
+        assert [basis.position(idx) for idx in idxs] == list(range(len(idxs)))
+        for other in (SectionIndex(m + 1, idxs[1].c), SectionIndex(m, [Fraction(1, 5)] * 2)):
+            with pytest.raises(KeyError):
+                basis.position(other)
 
 
 def test_matches_brute_force_at_generic_points(pav_g1):
@@ -111,12 +116,11 @@ def test_evenness_of_zero_characteristic(pav_g1):
 
 
 def test_doubling_certificate(pav_g2):
-    plan = truncation_plan(pav_g2, [1, 2, 3])
     rng = np.random.default_rng(2)
     for m in (1, 2, 3):
-        basis = ThetaBasis(pav_g2, m, plan=plan)
+        basis = ThetaBasis(pav_g2, m)
         z = rng.random(2) @ pav_g2.matrix.T + rng.random(2)
-        radius = plan.radius(m)
+        radius = basis.radius
         for idx in basis.indices[:3]:
             delta = abs(
                 basis.eval(idx, z, radius=radius) - basis.eval(idx, z, radius=2 * radius)
@@ -125,9 +129,8 @@ def test_doubling_certificate(pav_g2):
     # at g = 3 the values reach 1e17, so the radius is certified against the
     # growth envelope that the accuracy claim is stated in
     pav = validate_polarized(random_period_matrix(3, 301), (1, 2, 2))
-    plan = truncation_plan(pav, [3])
-    basis = ThetaBasis(pav, 3, plan=plan)
-    radius = plan.radius(3)
+    basis = ThetaBasis(pav, 3)
+    radius = basis.radius
     for _ in range(3):
         z = rng.random(3) @ pav.matrix.T + rng.random(3)
         weight = section_weights(pav, 3, z)[0]
@@ -343,16 +346,16 @@ def test_quasi_periodicity_suite(pav_g1, pav_g2):
                 drawn += 1
                 lam = pav.matrix @ a + d * bhat
                 idx = basis.indices[int(rng.integers(0, basis.dim))]
-                assert quasi_periodicity_residual(pav, idx, lam, z, basis=basis) < 1e-9
+                assert quasi_periodicity_residual(pav, idx, lam, z) < 1e-9
 
 
 def test_quasi_periodicity_zero_and_real_lattice(pav_g1):
     basis = ThetaBasis(pav_g1, 2)
     idx = basis.indices[2]
     z = np.array([0.3 + 0.2j])
-    assert quasi_periodicity_residual(pav_g1, idx, np.zeros(1), z, basis=basis) < 1e-14
+    assert quasi_periodicity_residual(pav_g1, idx, np.zeros(1), z) < 1e-14
     lam = np.array([6.0 + 0j])  # 2 * Delta
-    assert quasi_periodicity_residual(pav_g1, idx, lam, z, basis=basis) < 1e-12
+    assert quasi_periodicity_residual(pav_g1, idx, lam, z) < 1e-12
 
 
 def test_quasi_periodicity_fails_off_lattice(elliptic):
@@ -473,9 +476,9 @@ def test_theta_tilde_invariance_and_expansion(g, n):
     rng = np.random.default_rng(70 + g)
     s = rng.uniform(-0.3, 0.3, (g, g))
     omega = (s + s.T) / 2 + 1j * (0.5 * np.eye(g) + 0.05 * np.ones((g, g)))
-    pav = validate_polarized(omega, (1,) * g)
-    tilde = ThetaTilde(pav, n, eps=1e-14)
-    basis = ThetaBasis(pav, n, eps=1e-14)
+    pav = validate_polarized(omega, (1,) * g, eps=1e-14)
+    tilde = ThetaTilde(pav, n)
+    basis = ThetaBasis(pav, n)
     group = k_group(pav, n)
     zs = rng.random((4, g)).astype(complex)
     for z in zs:
@@ -492,6 +495,16 @@ def test_theta_tilde_invariance_and_expansion(g, n):
         # expansion identity: theta~ = sum over all level-n characteristics
         total = basis.eval_matrix(z[None, :]).sum()
         assert abs(base - total) < 1e-10 * (1 + abs(base))
+
+
+def test_theta_tilde_radius_uses_its_zero_characteristic():
+    # theta~ sums Z^g with characteristic 0, so at a reduced point the
+    # Gaussian centre is within 1/2 of a lattice point: offset 1/2, as for
+    # theta constants, not the offset 1 of a basis with c in [0, 1)^g
+    pav = validate_polarized(random_period_matrix(2, 107), (1, 1))
+    tilde = ThetaTilde(pav, 1)
+    assert tilde.radius == theta.box_radius(pav.lambda_min, 1, pav.eps, 2, 0.5) == 2
+    assert ThetaBasis(pav, 1).radius == 3
 
 
 def test_theta_tilde_satisfies_level_n_cocycle():
@@ -533,9 +546,22 @@ def test_linear_independence_gram_rank():
             assert int((s > 1e-8 * s[0]).sum()) == basis.dim
 
 
-def test_truncation_capacity_guard(pav_g2):
+def test_truncation_capacity_guard():
+    # Im Omega = 1e-6 I needs radius 3803 at level 1, (2 R + 1)^2 points
+    # over theta.DEFAULT_CAPACITY, so the box is refused before it is built
+    pav = validate_polarized(1e-6j * np.eye(2), (1, 2))
+    assert theta.box_radius(pav.lambda_min, 1, pav.eps, 2, 1.0) == 3803
+    assert 7607**2 > theta.DEFAULT_CAPACITY
     with pytest.raises(TruncationOverflow):
-        ThetaBasis(pav_g2, 1, capacity=9)
+        ThetaBasis(pav, 1)
+    # at 1e-300 the radius passes 1e150, where R + 1 and R round to the
+    # same float: the radius search still ends, and the box is refused
+    assert theta.box_radius(1e-300, 1, pav.eps, 1, 1.0) > 10**150
+    with pytest.raises(TruncationOverflow):
+        ThetaBasis(validate_polarized(np.array([[1e-300j]]), (1,)), 1)
+    # a subnormal lambda_min puts even the first radius past the float range
+    with pytest.raises(TruncationOverflow):
+        ThetaBasis(validate_polarized(np.diag([1e-310j, 1j]), (1, 1)), 1)
 
 
 def test_envelope_overflow_guard(elliptic):
