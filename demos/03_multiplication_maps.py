@@ -49,9 +49,9 @@ print(f"\nprincipal surface: {shortcut.verdict.value} "
 blocks = gamma_blocks(pav, 1)
 dense = np.linalg.svd(mu.matrix, compute_uv=False)
 agreement = np.abs(blocks.singular_values - dense).max() / dense[0]
-print(f"\n{len(blocks.blocks)} blocks, block spectra vs dense spectrum {agreement:.1e}")
-for block in blocks.blocks:
-    print(f"  character #{block.gamma_index}: shape {block.matrix.shape}, rank {block.rank}")
+print(f"\n{len(blocks.ranks)} blocks, block spectra vs dense spectrum {agreement:.1e}")
+for i, (block, rank) in enumerate(zip(blocks.matrices, blocks.ranks)):
+    print(f"  character #{i}: shape {block.shape}, rank {rank}")
 print(f"rank sum {blocks.rank_sum} = full rank {blocks.total_rank}")
 
 # --- a (3,3)-polarized surface: the section-count criterion in action ----------

@@ -59,7 +59,6 @@ from .mult import (
     Expansion,
     GammaBlocks,
     MuMatrix,
-    SampleSet,
     SurjectivityVerdict,
     Verdict,
     WirtingerMatrix,

@@ -13,9 +13,10 @@ check.  The coordinates are fit by least squares at seeded random points,
 each sample row equilibrated by the inverse growth envelope of its level
 (the natural hermitian scale of the bundle), from one thin SVD of the
 weighted design that gives both the condition number checked against the
-cap and the minimum-norm solution; a residual gate guards the fit.  The
-Wirtinger matrix is checked by the weighted misfit of the theta relation at
-seeded points.
+cap and the solution; a residual gate guards the fit.  The diagram check
+fits the coordinates of all its points in that one solve, one column per
+point.  The Wirtinger matrix is checked by the weighted misfit of the theta
+relation at seeded points.
 
 The verdict never forms mu_n itself.  mu_n commutes with the K(L)_1
 translations, so its character blocks are the group DFT of its h0(n+1) x
@@ -63,87 +64,58 @@ DEFAULT_UNKNOWN_CAP = 20_000
 DEFAULT_POINT_CAP = 10**6
 
 
-@dataclass(frozen=True, eq=False)
-class SampleSet:
-    """Seeded evaluation points z_p = Omega a_p + Delta b_p, a_p, b_p in [0,1)^g."""
-
-    seed: int
-    count: int
-    a: np.ndarray
-    b: np.ndarray
-    z: np.ndarray
-
-
-def sample_points(pav: PolarizedAbelianVariety, count: int, seed: int) -> SampleSet:
-    """Draw a deterministic SampleSet (a first, then b, from default_rng(seed))."""
+def sample_points(pav: PolarizedAbelianVariety, count: int, seed: int) -> np.ndarray:
+    """The (count, g) seeded points z_p = Omega a_p + Delta b_p with a_p, b_p
+    uniform in [0,1)^g, drawn from default_rng(seed), a first, then b."""
     rng = np.random.default_rng(seed)
     a = rng.random((count, pav.g))
     b = rng.random((count, pav.g))
-    z = a @ pav.matrix.T + b * pav.delta.as_diagonal()[None, :]
-    return SampleSet(int(seed), int(count), a, b, z)
+    return a @ pav.matrix.T + b * pav.delta.as_diagonal()[None, :]
 
 
 class Expansion(NamedTuple):
     coefficients: np.ndarray
     residual: float
-    cond: float
-
-
-class _Fit(NamedTuple):
-    coefficients: np.ndarray
-    residuals: np.ndarray
-    cond: float
-
-
-def _fit(design: np.ndarray, rhs: np.ndarray, *, cond_cap: float) -> _Fit:
-    """Least-squares fit of every column of ``rhs`` from one thin SVD
-    ``design = U diag(s) Vh``.
-
-    Raises :class:`IllConditioned` when the condition ``s_0 / s_min``
-    exceeds ``cond_cap``.  The solution ``Vh^H ((U^H rhs) / s)`` drops
-    ``s <= eps max(M, N) s_0`` as ``lstsq(rcond=None)`` does, so it is the
-    same minimum-norm solution.  Residuals are ``||design @ coef - rhs|| /
-    ||rhs||`` per column (0 for a zero column).
-    """
-    u, s, vh = np.linalg.svd(design, full_matrices=False)
-    cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
-    if cond > cond_cap:
-        raise IllConditioned(f"sample matrix condition {cond:.3e} exceeded {cond_cap:.1e}")
-    kept = int((s > np.finfo(float).eps * max(design.shape) * s[0]).sum())
-    coef = vh[:kept].conj().T @ ((u[:, :kept].conj().T @ rhs) / s[:kept, None])
-    misfit = np.linalg.norm(design @ coef - rhs, axis=0)
-    norms = np.linalg.norm(rhs, axis=0)
-    residuals = np.divide(misfit, norms, out=np.zeros_like(misfit), where=norms > 0)
-    return _Fit(coef, residuals, cond)
 
 
 def expand_in_basis(
     pav: PolarizedAbelianVariety,
     m: int,
     f: Callable | np.ndarray,
-    samples: SampleSet,
+    zs: np.ndarray,
 ) -> Expansion:
-    """Least-squares coefficients of f in the level-m basis.
+    """Least-squares coefficients of f in the level-m basis, from the
+    samples ``zs`` of shape (P, g).
 
-    ``f`` is a vectorized callable on point arrays or an array of values at
-    ``samples.z``.  Raises :class:`IllConditioned` when the sample matrix is
-    unusable (condition above DEFAULT_COND_CAP; caller reseeds) and
-    :class:`NotInSpan` when the residual exceeds tolerance (every admissible
-    section lies in the span, so that is a numerical fault).
+    ``f`` is a vectorized callable on point arrays or its values at ``zs``,
+    of shape (P,) or (P, k); the coefficients have shape (h0(m),) or
+    (h0(m), k), one column per column of values.  Every sample row is scaled
+    by the inverse growth envelope of level m, and one thin SVD
+    ``design = U diag(s) Vh`` of the weighted design gives both the
+    condition ``s_0 / s_min`` and the solution ``Vh^H ((U^H rhs) / s)``.
+    Raises :class:`IllConditioned` when the condition exceeds
+    DEFAULT_COND_CAP and :class:`NotInSpan` when the largest relative
+    column residual exceeds DEFAULT_RESIDUAL_TOL (every admissible section
+    lies in the span, so that is a numerical fault).
     """
     basis = ThetaBasis(pav, m)
-    if samples.count < 2 * basis.dim:
-        raise ValueError(
-            f"need at least {2 * basis.dim} samples for level {m}, got {samples.count}"
-        )
-    w = section_weights(pav, m, samples.z)
-    design = (basis.eval_matrix(samples.z) * w[None, :]).T
-    values = np.asarray(f(samples.z) if callable(f) else f, dtype=complex)
-    fit = _fit(design, (values * w)[:, None], cond_cap=DEFAULT_COND_CAP)
-    residual = float(fit.residuals[0])
+    if len(zs) < 2 * basis.dim:
+        raise ValueError(f"need at least {2 * basis.dim} samples for level {m}, got {len(zs)}")
+    w = section_weights(pav, m, zs)
+    design = (basis.eval_matrix(zs) * w[None, :]).T
+    u, s, vh = np.linalg.svd(design, full_matrices=False)
+    cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
+    if cond > DEFAULT_COND_CAP:
+        raise IllConditioned(f"sample matrix condition {cond:.3e} exceeded {DEFAULT_COND_CAP:.1e}")
+    values = np.asarray(f(zs) if callable(f) else f, dtype=complex)
+    rhs = values.reshape(len(zs), -1) * w[:, None]
+    coef = vh.conj().T @ ((u.conj().T @ rhs) / s[:, None])
+    misfit = np.linalg.norm(design @ coef - rhs, axis=0)
+    norms = np.linalg.norm(rhs, axis=0)
+    residual = float(np.divide(misfit, norms, out=np.zeros_like(misfit), where=norms > 0).max())
     if residual > DEFAULT_RESIDUAL_TOL:
         raise NotInSpan(f"expansion residual {residual:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}")
-    return Expansion(fit.coefficients[:, 0], residual, fit.cond)
+    return Expansion(coef.reshape(basis.dim, *values.shape[1:]), residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,30 +292,25 @@ def _ravel(vectors: np.ndarray, dims) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class GammaBlock:
-    """One character block mu_{n,gamma}: (n+1)^g rows."""
-
-    gamma_index: int
-    gamma: TorsionPoint
-    matrix: np.ndarray
-    rank: int
-
-
-@dataclass(frozen=True, eq=False)
 class GammaBlocks:
-    """Block decomposition of mu_n over the characters of K(L)_1.
+    """Block decomposition of mu_n over the characters gamma of K(L)_1.
 
+    The characters are in the order of ``lex_vectors(d)``: block i belongs
+    to gamma = k_i, the i-th integer vector of prod range(d_j).
+    ``matrices`` stacks the blocks, shape (|K|, (n+1)^g, |K| n^g); ``ranks``
+    holds their numerical ranks by the rule of :func:`numerical_rank`.
     ``singular_values`` is the union of the block spectra, descending; the
     eigenbasis transform is unitary, so it is the spectrum of mu_n.
     """
 
     n: int
-    blocks: tuple[GammaBlock, ...]
+    matrices: np.ndarray
+    ranks: np.ndarray
     singular_values: np.ndarray
 
     @property
     def rank_sum(self) -> int:
-        return sum(b.rank for b in self.blocks)
+        return int(self.ranks.sum())
 
     @property
     def total_rank(self) -> int:
@@ -380,16 +347,8 @@ def gamma_blocks(pav: PolarizedAbelianVariety, n: int) -> GammaBlocks:
     partner = _ravel((chars[:, None, :] - chars[None, :, :]) % np.array(d), d)
     stacked = H[np.arange(deg)[:, None], partner].transpose(0, 2, 1, 3).reshape(deg, rows, -1)
     spectra = np.linalg.svd(stacked, compute_uv=False)
-    blocks = tuple(
-        GammaBlock(
-            gamma_index=gi,
-            gamma=TorsionPoint([0] * g, k.tolist(), d),
-            matrix=stacked[gi],
-            rank=_spectrum_rank(spectra[gi]).rank,
-        )
-        for gi, k in enumerate(chars)
-    )
-    return GammaBlocks(n=n, blocks=blocks, singular_values=np.sort(spectra, axis=None)[::-1])
+    ranks = (spectra > DEFAULT_RANK_TOL * spectra[:, :1]).sum(axis=1)
+    return GammaBlocks(n, stacked, ranks, np.sort(spectra, axis=None)[::-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,7 +377,7 @@ def _wirtinger_residual(pav: PolarizedAbelianVariety, n: int, C: np.ndarray, see
     rhs = sum_{alpha beta} C[alpha, beta] theta_alpha(u) theta_beta(v)
     at 2 * C.size pairs (u, v) drawn from ``seed``."""
     count = OVERSAMPLE * C.size
-    z = sample_points(pav, 2 * count, seed).z
+    z = sample_points(pav, 2 * count, seed)
     us, vs = z[:count], z[count:]
     N = n * (n + 1)
     w = section_weights(pav, n + 1, us) * section_weights(pav, N, vs)
@@ -471,33 +430,37 @@ def wirtinger_matrix(
     )
 
 
-def _as_point(pav: PolarizedAbelianVariety, b) -> np.ndarray:
-    if isinstance(b, TorsionPoint):
-        return b.to_complex(pav)
-    return np.asarray(b, dtype=complex)
+def _as_points(pav: PolarizedAbelianVariety, points) -> np.ndarray:
+    """The (P, g) complex array of one point or a sequence of points, each a
+    TorsionPoint or a complex g-vector."""
+    if isinstance(points, TorsionPoint):
+        points = [points]
+    if not isinstance(points, np.ndarray):
+        points = [p.to_complex(pav) if isinstance(p, TorsionPoint) else p for p in points]
+    return np.asarray(points, dtype=complex).reshape(-1, pav.g)
 
 
 def phi_map_coords(
     pav: PolarizedAbelianVariety,
     n: int,
-    b,
+    points,
     seed: int,
 ) -> Expansion:
-    """Coordinates in |(n+1) theta| of the divisor of u -> theta(u+nb) theta~(u-b).
+    """Coordinates in |(n+1) theta| of the divisor of u -> theta(u+nb) theta~(u-b)
+    for every point b of ``points``: coefficients of shape (h0(n+1), P), one
+    column per point, fit at one draw of samples u from ``seed``.
 
     The underlying point of projective space depends only on b mod Lambda.
     """
     if not pav.delta.is_principal:
         raise ValueError("the divisor map requires a principal polarization")
-    b = _as_point(pav, b)
-    tilde = ThetaTilde(pav, n)
-    basis_1 = ThetaBasis(pav, 1)
-
-    def f(zs):
-        return basis_1.eval_matrix(zs + n * b)[0] * tilde.eval_many(zs - b)
-
-    samples = sample_points(pav, OVERSAMPLE * pav.h0(n + 1), seed)
-    return expand_in_basis(pav, n + 1, f, samples)
+    bs = _as_points(pav, points)
+    us = sample_points(pav, OVERSAMPLE * pav.h0(n + 1), seed)
+    # every pair (u, b) at once, u along the rows
+    shifted = (us[:, None, :] + n * bs[None, :, :]).reshape(-1, pav.g)
+    diff = (us[:, None, :] - bs[None, :, :]).reshape(-1, pav.g)
+    values = ThetaBasis(pav, 1).eval_matrix(shifted)[0] * ThetaTilde(pav, n).eval_many(diff)
+    return expand_in_basis(pav, n + 1, values.reshape(len(us), len(bs)), us)
 
 
 def projective_residual(x: np.ndarray, y: np.ndarray) -> float:
@@ -514,26 +477,21 @@ def projective_residual(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(x - lam * y) / nx)
 
 
-def diagram_check(
-    pav: PolarizedAbelianVariety,
-    n: int,
-    b,
-    seed: int,
-    *,
-    wirt: WirtingerMatrix | None = None,
-) -> float:
-    """Projective distance between the divisor coordinates of b and the
-    Wirtinger image (sum_beta c_{alpha beta} theta_beta(b))_alpha.
+def diagram_check(pav: PolarizedAbelianVariety, wirt: WirtingerMatrix, points) -> np.ndarray:
+    """Projective distance, for every point b of ``points``, between the
+    divisor coordinates of b and the Wirtinger image
+    (sum_beta c_{alpha beta} theta_beta(b))_alpha; one residual per point.
 
     A small value is the pointwise commutativity of the triangle relating
     the (n+1)-theta embedding, the coefficient form, and the divisor map.
+    All points share one fit of the coordinates, at the samples of
+    ``wirt.seed``.
     """
-    wirt = wirt if wirt is not None else wirtinger_matrix(pav, n, seed)
-    b = _as_point(pav, b)
-    phi = phi_map_coords(pav, n, b, seed).coefficients
-    basis_b = ThetaBasis(pav, n * (n + 1))
-    tb = basis_b.eval_matrix(b[None, :])[:, 0]
-    return projective_residual(phi, wirt.full @ tb)
+    n = wirt.n
+    bs = _as_points(pav, points)
+    phi = phi_map_coords(pav, n, bs, wirt.seed).coefficients
+    image = wirt.full @ ThetaBasis(pav, n * (n + 1)).eval_matrix(bs)
+    return np.array([projective_residual(x, y) for x, y in zip(phi.T, image.T)])
 
 
 class SpanningReport(NamedTuple):
@@ -566,7 +524,7 @@ def spanning_check(
         frac = np.array(list(itertools.product(range(int(G)), repeat=2 * g))) / float(G)
         pts = frac[:, :g] @ pav.matrix.T + frac[:, g:] * pav.delta.as_diagonal()[None, :]
     else:
-        pts = np.array([_as_point(pav, b) for b in G], dtype=complex)
+        pts = _as_points(pav, G)
         if pts.shape[0] > point_cap:
             raise SizeLimit(f"|G| = {pts.shape[0]} exceeds cap {point_cap}")
     basis = ThetaBasis(pav, n + 1)

@@ -102,7 +102,8 @@ class PeriodMatrix:
         bad: list[ValidationError] = []
         scale = float(np.abs(self.omega).max()) or 1.0
         dev = np.abs(self.omega - self.omega.T)
-        if dev.max() >= SYMMETRY_RTOL * scale:
+        # strict: for a subnormal scale the bound underflows to 0
+        if dev.max() > SYMMETRY_RTOL * scale:
             i, j = np.unravel_index(int(dev.argmax()), dev.shape)
             bad.append(NotSymmetric(int(i), int(j), float(dev[i, j])))
         lam = self.lambda_min()

@@ -189,9 +189,8 @@ def test_c07_diagram_check(wirtinger_results):
     worst = 0.0
     for (g, n), (pav, wirt, _) in wirtinger_results.items():
         rng = np.random.default_rng(700 + 10 * g + n)
-        for _ in range(10):
-            b = rng.random(g) @ pav.matrix.T + rng.random(g)
-            worst = max(worst, diagram_check(pav, n, b, wirt.seed, wirt=wirt))
+        points = [rng.random(g) @ pav.matrix.T + rng.random(g) for _ in range(10)]
+        worst = max(worst, float(diagram_check(pav, wirt, points).max()))
     _report(7, "diagram-commutes", worst < 1e-8, f"worst projective residual {worst:.2e}")
 
 
@@ -235,7 +234,7 @@ def test_c09_block_decomposition():
         g = len(divisors)
         pav = validate_polarized(random_period_matrix(g, omega_seed), divisors, True)
         blocks = gamma_blocks(pav, 1)
-        row_ok = all(b.matrix.shape[0] == 2**g for b in blocks.blocks)
+        row_ok = blocks.matrices.shape[1] == 2**g
         # the block spectra together are the spectrum of the dense mu_1
         dense = np.linalg.svd(mu_matrix(pav, 1).matrix, compute_uv=False)
         spectrum_gap = np.abs(blocks.singular_values - dense).max() / dense[0]
@@ -247,7 +246,7 @@ def test_c09_block_decomposition():
         ok = ok and case_ok
         details.append(
             f"{divisors}: spectrum vs dense {spectrum_gap:.1e}, "
-            f"{len(blocks.blocks)} blocks x {2**g} rows, "
+            f"{len(blocks.ranks)} blocks x {2**g} rows, "
             f"rank sum {blocks.rank_sum} = {blocks.total_rank}"
         )
     _report(9, "block-decomposition", ok, "; ".join(details))

@@ -34,6 +34,7 @@ from thetamu import (
     zero_point,
 )
 from thetamu import mult
+from thetamu.theta import lex_vectors
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +54,9 @@ def principal_g2():
 
 def test_sample_points_deterministic(elliptic_d3):
     s1 = sample_points(elliptic_d3, 12, 5)
-    s2 = sample_points(elliptic_d3, 12, 5)
-    assert np.array_equal(s1.z, s2.z)
-    assert not np.array_equal(s1.z, sample_points(elliptic_d3, 12, 6).z)
+    assert s1.shape == (12, 1)
+    assert np.array_equal(s1, sample_points(elliptic_d3, 12, 5))
+    assert not np.array_equal(s1, sample_points(elliptic_d3, 12, 6))
 
 
 def test_expand_recovers_basis_vectors(elliptic_d3):
@@ -104,11 +105,7 @@ def test_expand_ill_conditioned_cap(elliptic_d3):
     # one point drawn 2 * dim times: the design has rank 1, so its condition
     # exceeds DEFAULT_COND_CAP
     basis = ThetaBasis(elliptic_d3, 2)
-    drawn = sample_points(elliptic_d3, 1, 3)
-    count = 2 * basis.dim
-    samples = mult.SampleSet(
-        drawn.seed, count, *(np.repeat(x, count, axis=0) for x in (drawn.a, drawn.b, drawn.z))
-    )
+    samples = np.repeat(sample_points(elliptic_d3, 1, 3), 2 * basis.dim, axis=0)
     with pytest.raises(IllConditioned):
         expand_in_basis(elliptic_d3, 2, lambda zs: basis.eval_matrix(zs)[0], samples)
 
@@ -173,16 +170,15 @@ def _assert_union_is_dense_spectrum(blocks, mu):
 def test_gamma_blocks_principal_single_block(principal_g1):
     mu = mu_matrix(principal_g1, 2)
     blocks = gamma_blocks(principal_g1, 2)
-    assert len(blocks.blocks) == 1
-    assert np.allclose(blocks.blocks[0].matrix, mu.matrix)
+    assert blocks.matrices.shape == (1, *mu.matrix.shape)
+    assert np.allclose(blocks.matrices[0], mu.matrix)
     _assert_union_is_dense_spectrum(blocks, mu)
 
 
 def test_gamma_blocks_elliptic_d3(elliptic_d3):
     blocks = gamma_blocks(elliptic_d3, 1)
-    assert len(blocks.blocks) == 3
-    for block in blocks.blocks:
-        assert block.matrix.shape == (2, 3)
+    assert blocks.matrices.shape == (3, 2, 3)
+    assert blocks.ranks.tolist() == [2, 2, 2]
     _assert_union_is_dense_spectrum(blocks, mu_matrix(elliptic_d3, 1))
     assert blocks.rank_sum == blocks.total_rank == 6
 
@@ -282,17 +278,19 @@ def test_wrong_wirtinger_incidence_is_rejected(principal_g1):
     rng = np.random.default_rng(61)
     points = [rng.random(1) @ principal_g1.matrix.T + rng.random(1) for _ in range(3)]
     assert mult._wirtinger_residual(principal_g1, n, wirt.full, seed) == wirt.fit_residual
+    assert (diagram_check(principal_g1, wirt, points) < 1e-8).all()
     for wrong in (same_sign, flipped):
         assert mult._wirtinger_residual(principal_g1, n, wrong, seed) > 1e-8
-        bad = dataclasses.replace(wirt, full=wrong)
-        for b in points:
-            assert diagram_check(principal_g1, n, b, seed, wirt=bad) > 1e-8
+        # every point of the batch flags the wrong matrix
+        residuals = diagram_check(principal_g1, dataclasses.replace(wirt, full=wrong), points)
+        assert residuals.shape == (3,) and (residuals > 1e-8).all()
 
 
 def test_phi_map_coords_properties(principal_g1):
     n = 2
     rng = np.random.default_rng(31)
     zero = phi_map_coords(principal_g1, n, zero_point(principal_g1), 41)
+    assert zero.coefficients.shape == (n + 1, 1)
     tilde = ThetaTilde(principal_g1, n)
     basis1 = ThetaBasis(principal_g1, 1)
     samples = sample_points(principal_g1, 2 * principal_g1.h0(n + 1), 41)
@@ -301,16 +299,15 @@ def test_phi_map_coords_properties(principal_g1):
         lambda zs: basis1.eval_matrix(zs)[0] * tilde.eval_many(zs),
         samples,
     )
-    assert np.allclose(zero.coefficients, direct.coefficients, atol=1e-9)
-    for trial in range(20):
-        b = rng.random(1) @ principal_g1.matrix.T + rng.random(1)
-        coords = phi_map_coords(principal_g1, n, b, 41)
-        assert np.linalg.norm(coords.coefficients) > 1e-6
+    assert np.allclose(zero.coefficients[:, 0], direct.coefficients, atol=1e-9)
+    bs = rng.random((20, 1)) @ principal_g1.matrix.T + rng.random((20, 1))
+    coords = phi_map_coords(principal_g1, n, bs, 41).coefficients
+    assert coords.shape == (n + 1, 20)
+    assert np.linalg.norm(coords, axis=0).min() > 1e-6
     # coordinates depend on b only mod Lambda (projectively)
     b = np.array([0.31 + 0.17j])
     lam = principal_g1.lattice_vector([1], [2])
-    c1 = phi_map_coords(principal_g1, n, b, 41).coefficients
-    c2 = phi_map_coords(principal_g1, n, b + lam, 41).coefficients
+    c1, c2 = phi_map_coords(principal_g1, n, [b, b + lam], 41).coefficients.T
     assert projective_residual(c1, c2) < 1e-8
 
 
@@ -318,10 +315,27 @@ def test_diagram_check_cases(principal_g1):
     n = 2
     wirt = wirtinger_matrix(principal_g1, n, 16)
     rng = np.random.default_rng(61)
-    for _ in range(5):
-        b = rng.random(1) @ principal_g1.matrix.T + rng.random(1)
-        assert diagram_check(principal_g1, n, b, 16, wirt=wirt) < 1e-8
-    assert diagram_check(principal_g1, n, np.zeros(1), 16, wirt=wirt) < 1e-8
+    points = [*(rng.random(1) @ principal_g1.matrix.T + rng.random(1) for _ in range(5)),
+              np.zeros(1)]
+    residuals = diagram_check(principal_g1, wirt, points)
+    assert residuals.shape == (6,)
+    assert residuals.max() < 1e-8
+
+
+@pytest.mark.parametrize("g,n", [(1, 2), (2, 1)], ids=["g1-n2", "g2-n1"])
+def test_batched_diagram_check_matches_single_points(g, n):
+    # one fit for the batch gives each point the residual of its own fit
+    pav = validate_polarized(random_period_matrix(g, 150 + g), (1,) * g, True)
+    wirt = wirtinger_matrix(pav, n, 16)
+    rng = np.random.default_rng(62)
+    points = rng.random((4, g)) @ pav.matrix.T + rng.random((4, g))
+    batched = diagram_check(pav, wirt, points)
+    single = [diagram_check(pav, wirt, b)[0] for b in points]
+    assert np.abs(batched - single).max() <= 1e-13
+    coords = phi_map_coords(pav, n, points, 16).coefficients
+    for p, b in enumerate(points):
+        alone = phi_map_coords(pav, n, b, 16).coefficients[:, 0]
+        assert np.abs(coords[:, p] - alone).max() <= 1e-13 * np.abs(alone).max()
 
 
 def test_diagram_projectivity():
@@ -375,7 +389,7 @@ def test_size_caps(elliptic_d3, principal_g1, principal_g2):
 def test_weighted_sampling_keeps_design_bounded(elliptic_d3):
     basis = ThetaBasis(elliptic_d3, 2)
     samples = sample_points(elliptic_d3, 2 * basis.dim, 3)
-    design = basis.eval_matrix(samples.z) * section_weights(elliptic_d3, 2, samples.z)
+    design = basis.eval_matrix(samples) * section_weights(elliptic_d3, 2, samples)
     assert np.abs(design).max() < 50.0
 
 
@@ -395,11 +409,11 @@ def test_mu_fit_matches_lstsq(divisors, n, seed):
     pav = validate_polarized(random_period_matrix(len(divisors), seed), divisors, True)
     mu = mu_matrix(pav, n)
     samples = sample_points(pav, 2 * pav.h0(n + 1), seed)
-    w = section_weights(pav, n + 1, samples.z)
-    design = (ThetaBasis(pav, n + 1).eval_matrix(samples.z) * w).T
-    b1 = ThetaBasis(pav, 1).eval_matrix(samples.z)
-    bn = ThetaBasis(pav, n).eval_matrix(samples.z)
-    rhs = (b1[:, None, :] * bn[None, :, :]).reshape(-1, samples.count).T * w[:, None]
+    w = section_weights(pav, n + 1, samples)
+    design = (ThetaBasis(pav, n + 1).eval_matrix(samples) * w).T
+    b1 = ThetaBasis(pav, 1).eval_matrix(samples)
+    bn = ThetaBasis(pav, n).eval_matrix(samples)
+    rhs = (b1[:, None, :] * bn[None, :, :]).reshape(-1, len(samples)).T * w[:, None]
     coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     assert rank == design.shape[1]
     assert np.abs(mu.matrix - coef).max() <= 1e-12 * np.abs(coef).max()
@@ -435,18 +449,37 @@ def test_mu_matrix_is_exact_incidence(divisors, n):
     assert mu_matrix(pav, n).matrix.tobytes() == mu.matrix.tobytes()
 
 
-def test_fit_drops_small_singular_values_like_lstsq():
+def test_expand_in_basis_matches_lstsq():
+    # several columns of values in the span at once: the coefficients are
+    # lstsq's on the envelope-weighted design, column by column, and the
+    # residual is the largest column misfit
+    pav = validate_polarized(random_period_matrix(2, 33), (1, 2), True)
+    basis = ThetaBasis(pav, 2)
+    zs = sample_points(pav, 2 * basis.dim, 8)
     rng = np.random.default_rng(5)
-    base = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
-    # rank 3 design with 5 columns: lstsq keeps 3 singular values
-    design = np.hstack([base, base[:, :2] * 2.0])
-    rhs = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
-    fit = mult._fit(design, rhs, cond_cap=np.inf)
-    coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    assert rank == 3
-    assert np.abs(fit.coefficients - coef).max() <= 1e-12 * np.abs(coef).max()
-    misfit = np.linalg.norm(design @ coef - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
-    assert np.allclose(fit.residuals, misfit, rtol=1e-10)
+    true = rng.standard_normal((basis.dim, 3)) + 1j * rng.standard_normal((basis.dim, 3))
+    values = basis.eval_matrix(zs).T @ true
+    result = expand_in_basis(pav, 2, values, zs)
+    w = section_weights(pav, 2, zs)
+    design = (basis.eval_matrix(zs) * w).T
+    coef, _, rank, _ = np.linalg.lstsq(design, values * w[:, None], rcond=None)
+    assert rank == basis.dim
+    assert result.coefficients.shape == (basis.dim, 3)
+    assert np.abs(result.coefficients - coef).max() <= 1e-12 * np.abs(coef).max()
+    assert np.abs(result.coefficients - true).max() <= 1e-10 * np.abs(true).max()
+    rhs = values * w[:, None]
+    misfit = np.linalg.norm(design @ result.coefficients - rhs, axis=0)
+    assert result.residual == pytest.approx((misfit / np.linalg.norm(rhs, axis=0)).max())
+    assert result.residual < 1e-12
+    # one column alone gives that column's coefficients, as a vector
+    single = expand_in_basis(pav, 2, values[:, 1], zs)
+    assert single.coefficients.shape == (basis.dim,)
+    gap = np.abs(single.coefficients - result.coefficients[:, 1]).max()
+    assert gap <= 1e-13 * np.abs(coef).max()
+    # one column outside the span fails the whole batch
+    values[:, 2] = np.conj(values[:, 2])
+    with pytest.raises(NotInSpan):
+        expand_in_basis(pav, 2, values, zs)
 
 
 def _table_eigenbasis(pav, m, table):
@@ -482,18 +515,20 @@ def test_block_transform_matches_kron(divisors, n, seed):
     U1, Un, Un1 = (_table_eigenbasis(pav, m, table) for m in (1, n, n + 1))
     full = Un1.conj().T @ mu.matrix @ np.kron(U1, Un)
     k2 = table.group.k2
-    assert [block.gamma for block in blocks.blocks] == list(k2)
+    # block i belongs to the character gamma = lex_vectors(d)[i], the order of k2
+    assert [tuple(int(b) for b in y.b) for y in k2] == [tuple(k) for k in lex_vectors(divisors)]
+    assert blocks.matrices.shape[0] == len(k2)
     reps_n, reps_n1 = n**pav.g, (n + 1) ** pav.g
     col_gamma = np.repeat(
         [table.character_of(ya + yb) for ya in k2 for yb in k2], reps_n
     )
     scale = np.abs(full).max()
     off = full.copy()
-    for gi, block in enumerate(blocks.blocks):
+    for gi, (block, rank) in enumerate(zip(blocks.matrices, blocks.ranks)):
         rows = slice(gi * reps_n1, (gi + 1) * reps_n1)
         expected = full[rows][:, col_gamma == gi]
-        assert np.abs(block.matrix - expected).max() <= 1e-13 * scale
-        assert block.rank == numerical_rank(expected).rank
+        assert np.abs(block - expected).max() <= 1e-13 * scale
+        assert rank == numerical_rank(expected).rank
         off[rows, col_gamma == gi] = 0.0
     # the reference is block diagonal, so the blocks miss nothing
     assert np.linalg.norm(off) <= 1e-13 * np.linalg.norm(full)

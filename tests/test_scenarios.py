@@ -111,6 +111,69 @@ def test_run_scenario_reports_a_radius_past_the_float_range():
     assert any(e.startswith("mu_verdict: ") for e in report.payload["errors"])
 
 
+#: subnormal period matrices: (type, omega, exit code, text of the error or None)
+_SUBNORMAL = [
+    ((3,), [[[0, 1e-320]]], 3,
+     "mu_verdict: lambda_min 1.000e-320 needs a radius past the float range"),
+    ((1, 1), [[[0, 1e-320], [0, 0]], [[0, 0], [0, 1e-320]]], 0, None),
+    ((1, 1), [[[0, 1e-320], [0, 1e-320]], [[0, 0], [0, 1e-320]]], 2, "not symmetric at (0,1)"),
+]
+_SUBNORMAL_IDS = ["elliptic-d3", "principal-g2-shortcut", "asymmetric"]
+
+
+@pytest.mark.parametrize("divisors,omega,code,message", _SUBNORMAL, ids=_SUBNORMAL_IDS)
+def test_subnormal_symmetric_period_matrix_is_symmetric(tmp_path, capsys, divisors, omega,
+                                                        code, message):
+    # the symmetry bound 1e-12 * max |Omega_ij| underflows to 0 here, so only
+    # a nonzero deviation may fail it
+    doc = {"name": "subnormal", "g": len(divisors), "type": list(divisors), "omega": omega,
+           "n": 1}
+    report = run_scenario(ScenarioConfig.from_dict(doc))
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["verify", "--scenario", str(path)]) == report.exit_code == code
+    assert json.loads(capsys.readouterr().out)["errors"] == report.payload["errors"]
+    if message is None:
+        assert report.payload["errors"] == []
+        assert report.payload["surjectivity"]["dimensional_shortcut"]
+    else:
+        assert any(message in e for e in report.payload["errors"])
+
+
+def test_wirtinger_stage_fits_once(monkeypatch):
+    # the diagram check fits all its points in one solve: per catalog
+    # scenario the relation check and the fit build the level-1, theta~,
+    # level-(n+1) and level-n(n+1) lattice sums once each, draw one sample
+    # set each, and the stage takes one SVD for the fit and one of the
+    # reduced matrix
+    counts = {"sums": 0, "draws": 0, "svds": 0}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    stage_counts = []
+    payload = scenarios._wirtinger_payload
+
+    def stage(*args, **kwargs):
+        counts.update(sums=0, draws=0, svds=0)
+        result = payload(*args, **kwargs)
+        stage_counts.append(dict(counts))
+        return result
+
+    monkeypatch.setattr(theta._LatticeSum, "__init__",
+                        counting("sums", theta._LatticeSum.__init__))
+    monkeypatch.setattr(mult, "sample_points", counting("draws", mult.sample_points))
+    monkeypatch.setattr(np.linalg, "svd", counting("svds", np.linalg.svd))
+    monkeypatch.setattr(scenarios, "_wirtinger_payload", stage)
+    for cfg in catalog():
+        if cfg.checks.get("wirtinger"):
+            assert run_scenario(cfg).payload["wirtinger"]["diagram_residual_max"] < 1e-14
+    assert stage_counts == [{"sums": 8, "draws": 2, "svds": 2}] * 3
+
+
 #: scenario values to reject, not coerce or ignore: (change, text of the error)
 _BAD_VALUES = [
     ({"g": 1.7}, "g must"),

@@ -315,6 +315,30 @@ def test_theta_basis_matches_mpmath_at_cell_points(divisors, levels):
                 assert abs(vals[i, p] - ref) * w[p] <= pav.eps
 
 
+@pytest.mark.parametrize(
+    "omega,divisors",
+    [([[0.1 + 80j]], (3,)), ([[0.2 + 27j, 0.1 + 2j], [0.1 + 2j, -0.3 + 25j]], (1, 2))],
+    ids=["g1-80i", "g2-27i"],
+)
+def test_theta_basis_matches_mpmath_near_the_cusp(omega, divisors):
+    # Im Omega this large makes the lattice sum bin characteristics and
+    # points; the corners a = -1/2 and a = 0.49 of the cell lie in different
+    # point bins, so the oracle sees values from more than one bin
+    pav = validate_polarized(np.array(omega), divisors)
+    g = pav.g
+    corners = np.array([[-0.5] * g, [0.49] * g]) @ pav.matrix.T
+    zs = np.vstack([cell_points(pav, 4, np.random.default_rng(40 + g)), corners])
+    for m in (2, 3):
+        basis = ThetaBasis(pav, m)
+        assert basis._sum.nbins > 1
+        vals = basis.eval_matrix(zs)
+        w = section_weights(pav, m, zs)
+        for i in range(basis.dim):
+            for p, z in enumerate(zs):
+                ref = mp_theta(pav.matrix, m, basis.indices[i].c, z)
+                assert abs(vals[i, p] - ref) * w[p] <= pav.eps
+
+
 @pytest.mark.parametrize("g,n", [(1, 2), (1, 3), (2, 2)])
 def test_theta_tilde_matches_mpmath_at_cell_points(g, n):
     pav = validate_polarized(random_period_matrix(g, 120 + g), (1,) * g)
