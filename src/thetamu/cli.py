@@ -41,7 +41,11 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    bound = torelli_bound(args.g, args.n)
+    try:
+        bound = torelli_bound(args.g, args.n)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"bound = {bound.value} = {float(bound.value):.17g}")
     print(f"least sufficient integer h0 = {bound.least_sufficient}")
     return 0

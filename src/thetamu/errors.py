@@ -69,7 +69,7 @@ class TruncationOverflow(ThetamuError):
 
 
 class IllConditioned(ThetamuError):
-    """Sample matrix condition number exceeded the cap after all reseeds."""
+    """Sample matrix condition number exceeded the cap."""
 
 
 class NotInSpan(ThetamuError):
@@ -81,4 +81,4 @@ class NotInSpan(ThetamuError):
 
 
 class FitResidualTooLarge(ThetamuError):
-    """The bilinear coefficient fit did not reproduce the sampled data."""
+    """The sampled check of the Wirtinger theta relation left a misfit above tolerance."""

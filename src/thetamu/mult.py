@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,19 +79,15 @@ class Expansion(NamedTuple):
 
 
 def expand_in_basis(
-    pav: PolarizedAbelianVariety,
-    m: int,
-    f: Callable | np.ndarray,
-    zs: np.ndarray,
+    pav: PolarizedAbelianVariety, m: int, values: np.ndarray, zs: np.ndarray
 ) -> Expansion:
-    """Least-squares coefficients of f in the level-m basis, from the
-    samples ``zs`` of shape (P, g).
+    """Least-squares coefficients in the level-m basis of the function whose
+    ``values`` at the samples ``zs`` of shape (P, g) are given.
 
-    ``f`` is a vectorized callable on point arrays or its values at ``zs``,
-    of shape (P,) or (P, k); the coefficients have shape (h0(m),) or
-    (h0(m), k), one column per column of values.  Every sample row is scaled
-    by the inverse growth envelope of level m, and one thin SVD
-    ``design = U diag(s) Vh`` of the weighted design gives both the
+    ``values`` has shape (P,) or (P, k); the coefficients have shape
+    (h0(m),) or (h0(m), k), one column per column of values.  Every sample
+    row is scaled by the inverse growth envelope of level m, and one thin
+    SVD ``design = U diag(s) Vh`` of the weighted design gives both the
     condition ``s_0 / s_min`` and the solution ``Vh^H ((U^H rhs) / s)``.
     Raises :class:`IllConditioned` when the condition exceeds
     DEFAULT_COND_CAP and :class:`NotInSpan` when the largest relative
@@ -107,7 +103,7 @@ def expand_in_basis(
     cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
     if cond > DEFAULT_COND_CAP:
         raise IllConditioned(f"sample matrix condition {cond:.3e} exceeded {DEFAULT_COND_CAP:.1e}")
-    values = np.asarray(f(zs) if callable(f) else f, dtype=complex)
+    values = np.asarray(values, dtype=complex)
     rhs = values.reshape(len(zs), -1) * w[:, None]
     coef = vh.conj().T @ ((u.conj().T @ rhs) / s[:, None])
     misfit = np.linalg.norm(design @ coef - rhs, axis=0)
@@ -131,12 +127,7 @@ class MuMatrix:
     matrix: np.ndarray
 
 
-def mu_matrix(
-    pav: PolarizedAbelianVariety,
-    n: int,
-    *,
-    cell_cap: int = DEFAULT_CELL_CAP,
-) -> MuMatrix:
+def mu_matrix(pav: PolarizedAbelianVariety, n: int) -> MuMatrix:
     """Assemble mu_n from the level-n(n+1) theta constants.
 
     Substituting s = (l + n k)/(n+1), t = (l - k)/(n+1) in the product of the
@@ -147,14 +138,15 @@ def mu_matrix(
 
     For a = k1/d, b = kn/(n d) and j in [0, n+1)^g, tau is
     (n k1 - kn + n d j)/(n(n+1) d) and b + tau is (k1 + kn + d j)/((n+1) d),
-    so every column has exactly (n+1)^g entries.
+    so every column has exactly (n+1)^g entries.  Raises :class:`SizeLimit`
+    before any evaluation when the matrix exceeds DEFAULT_CELL_CAP cells.
     """
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")
     rows = pav.h0(n + 1)
     cols = pav.h0(1) * pav.h0(n)
-    if rows * cols > cell_cap:
-        raise SizeLimit(f"mu_{n} needs {rows}x{cols} cells, cap is {cell_cap}")
+    if rows * cols > DEFAULT_CELL_CAP:
+        raise SizeLimit(f"mu_{n} needs {rows}x{cols} cells, cap is {DEFAULT_CELL_CAP}")
     return MuMatrix(n=n, matrix=_mu_columns(pav, n, lex_vectors(pav.delta.divisors)))
 
 

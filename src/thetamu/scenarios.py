@@ -16,7 +16,7 @@ import json
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Any
@@ -35,9 +35,6 @@ from .varieties import (
     validate_polarized,
 )
 
-_SCENARIO_KEYS = {
-    "name", "g", "type", "omega", "n", "eps", "seed", "simple_asserted", "caps", "checks",
-}
 _CAP_KEYS = {"mu_cells", "wirtinger_unknowns", "spanning_points"}
 _CHECK_KEYS = {"wirtinger", "spanning_modulus"}
 
@@ -71,41 +68,32 @@ class ScenarioConfig:
     checks: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "g": self.g,
-            "type": list(self.type) if isinstance(self.type, (list, tuple)) else self.type,
-            "omega": self.omega,
-            "n": self.n,
-            "eps": self.eps,
-            "seed": self.seed,
-            "simple_asserted": self.simple_asserted,
-            "caps": self.caps,
-            "checks": self.checks,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        if isinstance(self.type, (list, tuple)):
+            data["type"] = list(self.type)
+        return data
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
+        """The config of a JSON object keyed by the fields; the name defaults
+        to "scenario", a list type becomes a tuple and a null caps or checks {}."""
         if not isinstance(data, dict):
             raise ValueError(f"a scenario must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - _SCENARIO_KEYS
+        spec = fields(ScenarioConfig)
+        unknown = set(data) - {f.name for f in spec}
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        for key in ("g", "type", "omega"):
-            if key not in data:
-                raise ValueError(f"scenario is missing required key '{key}'")
-        return ScenarioConfig(
-            name=str(data.get("name", "scenario")),
-            g=data["g"],
-            type=tuple(data["type"]) if isinstance(data["type"], list) else data["type"],
-            omega=data["omega"],
-            n=data.get("n", "g-1"),
-            eps=data.get("eps", 1e-12),
-            seed=data.get("seed", 0),
-            simple_asserted=data.get("simple_asserted", False),
-            caps={} if data.get("caps") is None else data["caps"],
-            checks={} if data.get("checks") is None else data["checks"],
-        )
+        for f in spec:
+            if (f.name != "name" and f.name not in data
+                    and f.default is MISSING and f.default_factory is MISSING):
+                raise ValueError(f"scenario is missing required key '{f.name}'")
+        values = dict(data, name=str(data.get("name", "scenario")))
+        if isinstance(values["type"], list):
+            values["type"] = tuple(values["type"])
+        for key in ("caps", "checks"):
+            if key in values and values[key] is None:
+                values[key] = {}
+        return ScenarioConfig(**values)
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -37,8 +37,9 @@ most pi m v^T Y v, where v is the difference of the characteristic and the
 reduced point in lattice coordinates.  When that bound can pass 300 (large
 Im Omega, towards the cusp), characteristics and points are binned and each
 pair of bins gets a split centred between them, so no term that matters
-leaves the normal double range.  Points go through in chunks whose E holds
-a fixed number of elements, so temporary memory does not grow with P.
+leaves the normal double range.  Within a bin, characteristics and points
+go through in chunks whose factors Q and E and block of values hold at most a
+fixed number of elements, so temporary memory grows with neither K nor P.
 
 Values are accurate to eps * exp(pi m y^T (Im Omega)^{-1} y), the natural
 growth envelope; sections whose envelope exceeds the double-precision range
@@ -69,11 +70,8 @@ _SCALE_MAX = 300.0
 #: scaled factors below exp(-_FLUSH) are dropped; 2 * _FLUSH < 708, so no
 #: product of two kept factors is subnormal
 _FLUSH = _SCALE_MAX + 50.0
-#: elements of the (box, points) factor per chunk, which bounds temporary memory
+#: elements of every factor and block of values per chunk, which bounds temporary memory
 _CHUNK_ELEMENTS = 1 << 19
-#: elements of the (characteristics, box) factor per chunk of theta constants;
-#: smaller, as that factor has more complex temporaries than the points one
-_CONST_CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ class _LatticeSum:
     def _reduce(self, zs: np.ndarray):
         """Translate into the fundamental cell of tau Z^g + Z^g.
 
-        Returns (z0, aint, bint, pref) with
+        Returns (z0, bint, pref) with
         theta_c(z) = exp(2 pi i m c.bint) * exp(pref) * theta_c(z0).
         """
         aint = np.round(zs.imag @ self.Yinv.T)
@@ -241,17 +239,17 @@ class _LatticeSum:
         pref = -1j * math.pi * self.m * quad - 2j * math.pi * self.m * np.einsum(
             "pi,pi->p", aint, z0
         )
-        return z0, aint, bint, pref
+        return z0, bint, pref
 
     def eval(self, chars: np.ndarray, zs: np.ndarray, radius: int | None = None) -> np.ndarray:
         """Evaluate every characteristic at every point; returns (K, P).
 
-        One scaled matrix product per (bin, bin) block and chunk of points;
-        see the module docstring.
+        One scaled matrix product per (bin, bin) block and chunk of
+        characteristics and points; see the module docstring.
         """
         chars = np.atleast_2d(np.asarray(chars, dtype=float))
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-        z0, _, bint, pref = self._reduce(zs)
+        z0, bint, pref = self._reduce(zs)
         env = _log_envelope(self.Yinv, self.m, z0) + pref.real
         if env.size and float(env.max()) > _LOG_MAX:
             raise TruncationOverflow(
@@ -261,33 +259,35 @@ class _LatticeSum:
         box = self._box(int(radius) if radius is not None else self.radius)
         pim = math.pi * self.m
         cshift = chars - np.round(chars)
-        # l^T tau l for l = c + b, expanded so that no (K, B, g) array is formed
-        ctau = cshift @ self.tau
-        qlog = 1j * pim * (
-            np.einsum("ki,ki->k", ctau, cshift)[:, None] + 2.0 * ctau @ box.T
-            + np.einsum("bi,ij,bj->b", box, self.tau, box)[None, :]
-        )
+        btb = np.einsum("bi,ij,bj->b", box, self.tau, box)
         half_gauss = 0.5 * pim * np.einsum("bi,ij,bj->b", box, self.Y, box)
         a = z0.imag @ self.Yinv.T
         out = np.empty((chars.shape[0], z0.shape[0]), dtype=complex)
-        step = max(1, _CHUNK_ELEMENTS // box.shape[0])
-        for rows, cbar in _bins(cshift, self.nbins):
-            for cols, abar in _bins(a, self.nbins):
-                # the split of the Gaussian is centred between the two bins
-                split = half_gauss + pim * (box @ (self.Y @ (cbar - abar)))
-                q, row_shift = _scaled_exp(qlog[rows] + split, axis=1)
-                for lo in range(0, cols.size, step):
-                    p = cols[lo:lo + step]
-                    e, col_shift = _scaled_exp(
-                        2j * pim * (box @ z0[p].T) - split[:, None], axis=0
-                    )
-                    # log C, and the phase of the real translation in turns
-                    turns = np.mod(self.m * (chars[rows] @ bint[p].T), 1.0)
-                    outer = 2j * pim * (cshift[rows] @ z0[p].T) + 2j * math.pi * turns
-                    with np.errstate(divide="ignore"):
-                        out[np.ix_(rows, p)] = np.exp(
-                            np.log(q @ e) + outer + pref[p] + row_shift + col_shift
+        krows = max(1, _CHUNK_ELEMENTS // box.shape[0])
+        for bin_rows, cbar in _bins(cshift, self.nbins):
+            for lo in range(0, bin_rows.size, krows):
+                rows = bin_rows[lo:lo + krows]
+                # l^T tau l for l = c + b, expanded so that no (K, B, g) array is formed
+                ctau = cshift[rows] @ self.tau
+                qlog = 1j * pim * (np.einsum("ki,ki->k", ctau, cshift[rows])[:, None]
+                                   + 2.0 * ctau @ box.T + btb)
+                step = max(1, _CHUNK_ELEMENTS // max(box.shape[0], rows.size))
+                for cols, abar in _bins(a, self.nbins):
+                    # the split of the Gaussian is centred between the two bins
+                    split = half_gauss + pim * (box @ (self.Y @ (cbar - abar)))
+                    q, row_shift = _scaled_exp(qlog + split, axis=1)
+                    for plo in range(0, cols.size, step):
+                        p = cols[plo:plo + step]
+                        e, col_shift = _scaled_exp(
+                            2j * pim * (box @ z0[p].T) - split[:, None], axis=0
                         )
+                        # log C, and the phase of the real translation in turns
+                        turns = np.mod(self.m * (chars[rows] @ bint[p].T), 1.0)
+                        outer = 2j * pim * (cshift[rows] @ z0[p].T) + 2j * math.pi * turns
+                        with np.errstate(divide="ignore"):
+                            out[np.ix_(rows, p)] = np.exp(
+                                np.log(q @ e) + outer + pref[p] + row_shift + col_shift
+                            )
         return out
 
 
@@ -311,14 +311,8 @@ def theta_constants(pav: PolarizedAbelianVariety, m: int) -> np.ndarray:
     rep = np.minimum(np.arange(len(ks)), np.ravel_multi_index(tuple((-ks % dims).T), tuple(dims)))
     first = np.flatnonzero(rep == np.arange(len(ks)))
     chars = ks[first] / dims
-    zero = np.zeros((1, pav.g))
-    # characteristics go through in chunks, so temporary memory does not grow
-    # with their number
-    step = max(1, _CONST_CHUNK_ELEMENTS // (2 * lattice.radius + 1) ** pav.g)
     values = np.empty(len(ks), dtype=complex)
-    values[first] = np.concatenate(
-        [lattice.eval(chars[lo:lo + step], zero)[:, 0] for lo in range(0, len(chars), step)]
-    )
+    values[first] = lattice.eval(chars, np.zeros((1, pav.g)))[:, 0]
     return values[rep]
 
 
@@ -417,11 +411,12 @@ class ThetaTilde:
         return complex(self.eval_many(np.asarray(z, dtype=complex)[None, :], radius=radius)[0])
 
 
-def lattice_coordinates(pav: PolarizedAbelianVariety, lam, tol: float = 1e-9):
+def lattice_coordinates(pav: PolarizedAbelianVariety, lam):
     """Integer coordinates (a, bhat) with lam = Omega a + Delta bhat.
 
-    Raises :class:`NotLatticeVector` when lam is not a period within tol.
+    Raises :class:`NotLatticeVector` when lam is not a period within 1e-9.
     """
+    tol = 1e-9
     lam = np.asarray(lam, dtype=complex)
     a = pav.im_inv @ lam.imag
     aint = np.round(a)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NotInGroup, NotTorsion, SizeLimit
 from .varieties import PolarizedAbelianVariety
 
-#: default cap on |K(L^m)| enumerations
+#: cap on |K(L^m)| enumerations
 DEFAULT_GROUP_CAP = 10**6
 
 
@@ -117,7 +117,7 @@ def _check_torsion(pav: PolarizedAbelianVariety, m: int, x: TorsionPoint, label:
 
 @dataclass(frozen=True)
 class TorsionSubgroup:
-    """Full enumeration of K(L^m) = K(L^m)_1 + K(L^m)_2 with generators.
+    """Full enumeration of K(L^m) = K(L^m)_1 + K(L^m)_2.
 
     ``k1`` lists ``Omega (m Delta)^{-1} k mod Lambda`` and ``k2`` lists
     ``(1/m) k mod Lambda`` in lexicographic k-order; both halves are
@@ -127,23 +127,19 @@ class TorsionSubgroup:
     level: int
     k1: tuple[TorsionPoint, ...]
     k2: tuple[TorsionPoint, ...]
-    k1_generators: tuple[TorsionPoint, ...]
-    k2_generators: tuple[TorsionPoint, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.k1)
 
 
-def k_group(pav: PolarizedAbelianVariety, m: int, cap: int = DEFAULT_GROUP_CAP) -> TorsionSubgroup:
-    """Enumerate K(L^m)_1 and K(L^m)_2 for the polarization of ``pav``."""
+def k_group(pav: PolarizedAbelianVariety, m: int) -> TorsionSubgroup:
+    """Enumerate K(L^m)_1 and K(L^m)_2 for the polarization of ``pav``;
+    raises :class:`SizeLimit` before enumerating more than DEFAULT_GROUP_CAP
+    points per half."""
     if m < 1:
         raise ValueError(f"level must be >= 1, got {m}")
     d = pav.delta.divisors
     g = pav.g
     order = pav.h0(m)
-    if order > cap:
-        raise SizeLimit(f"|K(L^{m})| = {order} exceeds cap {cap}")
+    if order > DEFAULT_GROUP_CAP:
+        raise SizeLimit(f"|K(L^{m})| = {order} exceeds cap {DEFAULT_GROUP_CAP}")
     ranges = [range(m * di) for di in d]
     k1 = tuple(
         TorsionPoint([Fraction(ki, m * di) for ki, di in zip(k, d)], [0] * g, d)
@@ -153,17 +149,7 @@ def k_group(pav: PolarizedAbelianVariety, m: int, cap: int = DEFAULT_GROUP_CAP) 
         TorsionPoint([0] * g, [Fraction(ki, m) for ki in k], d)
         for k in itertools.product(*ranges)
     )
-    k1_gens = tuple(
-        TorsionPoint(
-            [Fraction(1, m * d[i]) if j == i else 0 for j in range(g)], [0] * g, d
-        )
-        for i in range(g)
-    )
-    k2_gens = tuple(
-        TorsionPoint([0] * g, [Fraction(1, m) if j == i else 0 for j in range(g)], d)
-        for i in range(g)
-    )
-    return TorsionSubgroup(m, k1, k2, k1_gens, k2_gens)
+    return TorsionSubgroup(m, k1, k2)
 
 
 def weil_pairing_phase(
@@ -210,11 +196,9 @@ class CharacterTable:
         raise NotInGroup(f"{y} is not an enumerated element of K(L^m)_2")
 
 
-def characters(
-    pav: PolarizedAbelianVariety, m: int, group: TorsionSubgroup | None = None
-) -> CharacterTable:
+def characters(pav: PolarizedAbelianVariety, m: int) -> CharacterTable:
     """Character table of K(L^m)_1 with rows indexed by K(L^m)_2."""
-    group = group if group is not None else k_group(pav, m)
+    group = k_group(pav, m)
     phases = tuple(
         tuple(weil_pairing_phase(pav, m, x, y) for x in group.k1) for y in group.k2
     )

@@ -62,17 +62,12 @@ def test_sample_points_deterministic(elliptic_d3):
 def test_expand_recovers_basis_vectors(elliptic_d3):
     basis = ThetaBasis(elliptic_d3, 2)
     samples = sample_points(elliptic_d3, 2 * basis.dim, 3)
-    unit = expand_in_basis(elliptic_d3, 2, lambda zs: basis.eval_matrix(zs)[4], samples)
+    unit = expand_in_basis(elliptic_d3, 2, basis.eval_matrix(samples)[4], samples)
     expected = np.zeros(basis.dim)
     expected[4] = 1.0
     assert np.allclose(unit.coefficients, expected, atol=1e-10)
     assert unit.residual < 1e-10
-    pair = expand_in_basis(
-        elliptic_d3,
-        2,
-        lambda zs: basis.eval_matrix(zs)[0] + basis.eval_matrix(zs)[1],
-        samples,
-    )
+    pair = expand_in_basis(elliptic_d3, 2, basis.eval_matrix(samples)[:2].sum(axis=0), samples)
     expected = np.zeros(basis.dim)
     expected[:2] = 1.0
     assert np.allclose(pair.coefficients, expected, atol=1e-10)
@@ -82,23 +77,21 @@ def test_expand_theta_tilde_is_all_ones(principal_g1):
     n = 3
     tilde = ThetaTilde(principal_g1, n)
     samples = sample_points(principal_g1, 2 * principal_g1.h0(n) + 2, 4)
-    result = expand_in_basis(principal_g1, n, lambda zs: tilde.eval_many(zs), samples)
+    result = expand_in_basis(principal_g1, n, tilde.eval_many(samples), samples)
     assert np.allclose(result.coefficients, 1.0, atol=1e-10)
 
 
 def test_expand_rejects_undersampling(elliptic_d3):
     samples = sample_points(elliptic_d3, 3, 1)
     with pytest.raises(ValueError):
-        expand_in_basis(elliptic_d3, 2, lambda zs: zs[:, 0], samples)
+        expand_in_basis(elliptic_d3, 2, samples[:, 0], samples)
 
 
 def test_expand_flags_out_of_span(elliptic_d3):
     basis = ThetaBasis(elliptic_d3, 2)
     samples = sample_points(elliptic_d3, 2 * basis.dim, 9)
     with pytest.raises(NotInSpan):
-        expand_in_basis(
-            elliptic_d3, 2, lambda zs: np.conj(basis.eval_matrix(zs)[0]), samples
-        )
+        expand_in_basis(elliptic_d3, 2, np.conj(basis.eval_matrix(samples)[0]), samples)
 
 
 def test_expand_ill_conditioned_cap(elliptic_d3):
@@ -107,7 +100,7 @@ def test_expand_ill_conditioned_cap(elliptic_d3):
     basis = ThetaBasis(elliptic_d3, 2)
     samples = np.repeat(sample_points(elliptic_d3, 1, 3), 2 * basis.dim, axis=0)
     with pytest.raises(IllConditioned):
-        expand_in_basis(elliptic_d3, 2, lambda zs: basis.eval_matrix(zs)[0], samples)
+        expand_in_basis(elliptic_d3, 2, basis.eval_matrix(samples)[0], samples)
 
 
 def test_mu_matrix_shapes(elliptic_d3, principal_g2):
@@ -237,11 +230,8 @@ def test_wirtinger_cross_check_independent_expansion(g, n):
     coeff_rows = []
     for v in vs:
         samples = sample_points(pav, 2 * basis_a.dim + 2, 77)
-        exp = expand_in_basis(
-            pav, n + 1,
-            lambda zs, v=v: basis1.eval_matrix(zs + n * v)[0] * tilde.eval_many(zs - v),
-            samples,
-        )
+        values = basis1.eval_matrix(samples + n * v)[0] * tilde.eval_many(samples - v)
+        exp = expand_in_basis(pav, n + 1, values, samples)
         coeff_rows.append(exp.coefficients)
     d_matrix = np.array(coeff_rows)  # (nv, KA): d_alpha(v) = sum_b c_{ab} theta_b(v)
     tb = basis_b.eval_matrix(vs).T   # (nv, KB)
@@ -294,11 +284,8 @@ def test_phi_map_coords_properties(principal_g1):
     tilde = ThetaTilde(principal_g1, n)
     basis1 = ThetaBasis(principal_g1, 1)
     samples = sample_points(principal_g1, 2 * principal_g1.h0(n + 1), 41)
-    direct = expand_in_basis(
-        principal_g1, n + 1,
-        lambda zs: basis1.eval_matrix(zs)[0] * tilde.eval_many(zs),
-        samples,
-    )
+    values = basis1.eval_matrix(samples)[0] * tilde.eval_many(samples)
+    direct = expand_in_basis(principal_g1, n + 1, values, samples)
     assert np.allclose(zero.coefficients[:, 0], direct.coefficients, atol=1e-9)
     bs = rng.random((20, 1)) @ principal_g1.matrix.T + rng.random((20, 1))
     coords = phi_map_coords(principal_g1, n, bs, 41).coefficients
@@ -375,11 +362,18 @@ def test_monotonicity_vacuous(principal_g2):
     assert monotonicity_check(principal_g2, 1)
 
 
-def test_size_caps(elliptic_d3, principal_g1, principal_g2):
+def _never_called(*args, **kwargs):
+    raise AssertionError("a size guard let the work start")
+
+
+def test_size_caps(principal_g1, principal_g2, monkeypatch):
     from thetamu import SizeLimit
 
-    with pytest.raises(SizeLimit):
-        mu_matrix(elliptic_d3, 1, cell_cap=10)
+    # 1600 x 90000 cells exceed DEFAULT_CELL_CAP: refused before any evaluation
+    pav = validate_polarized(random_period_matrix(2, 5), (1, 100))
+    monkeypatch.setattr(mult, "theta_constants", _never_called)
+    with pytest.raises(SizeLimit, match="1600x90000"):
+        mu_matrix(pav, 3)
     with pytest.raises(SizeLimit):
         wirtinger_matrix(principal_g1, 2, 16, unknown_cap=4)
     with pytest.raises(SizeLimit):

@@ -1,0 +1,33 @@
+"""The README's library tour and scenario example run as written."""
+
+import json
+import re
+from pathlib import Path
+
+from thetamu import ITTVerdict, ScenarioConfig, Verdict, run_scenario
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _block(language, after):
+    """The first fenced ``language`` block after the heading ``after``."""
+    text = README[README.index(after):]
+    return re.search(rf"```{language}\n(.*?)```", text, re.S).group(1)
+
+
+def test_library_tour_runs_as_written():
+    scope = {}
+    exec(compile(_block("python", "## Library tour"), "README.md", "exec"), scope)
+    assert scope["v"].verdict is Verdict.SURJECTIVE and scope["v"].rank == 36
+    assert scope["itt"] is ITTVerdict.HOLDS
+    assert scope["basis"].dim == 36
+    assert scope["basis"].eval_matrix(scope["np"].zeros((1, 2))).shape == (36, 1)
+
+
+def test_scenario_example_runs_as_written():
+    config = ScenarioConfig.from_dict(json.loads(_block("json", "## CLI")))
+    report = run_scenario(config)
+    assert report.exit_code == 0
+    assert report.payload["surjectivity"]["verdict"] == "Surjective"
+    assert report.payload["surjectivity"]["rank"] == 36
+    assert report.payload["itt"]["verdict"] == "Holds"

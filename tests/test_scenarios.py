@@ -380,6 +380,14 @@ def test_cli_bound(capsys):
     assert "81/4" in out and "21" in out
 
 
+@pytest.mark.parametrize("g,n", [(0, 1), (2, -1)])
+def test_cli_bound_rejects_out_of_range_input(capsys, g, n):
+    assert cli_main(["bound", "--g", str(g), "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_catalog_lists(capsys):
     assert cli_main(["catalog"]) == 0
     out = capsys.readouterr().out

@@ -210,6 +210,32 @@ def test_lattice_sum_chunks_match_single_points():
 
 
 @pytest.mark.parametrize(
+    "omega,divisors,m",
+    [(random_period_matrix(2, 33).omega, (1, 2), 3), ([[0.1 + 80j]], (3,), 6)],
+    ids=["g2", "cusp"],
+)
+def test_lattice_sum_chunk_rule_matches_one_chunk(omega, divisors, m, monkeypatch):
+    # chunks of two characteristics and two points, several in every bin,
+    # give the values of the default chunks, for the basis and for the
+    # constants, up to rounding: the SIMD remainder loops of the smaller
+    # products round some exponents differently (3.7e-15 of the envelope here)
+    pav = validate_polarized(np.array(omega), divisors)
+    basis = ThetaBasis(pav, m)
+    zs = cell_points(pav, 24, np.random.default_rng(3))
+    vals, consts = basis.eval_matrix(zs), theta_constants(pav, m)
+    envelope = 1.0 / section_weights(pav, m, zs)
+    lattice = basis._sum
+    if divisors == (3,):
+        assert lattice.nbins > 1
+    for x in (basis._chars - np.round(basis._chars), zs.imag @ lattice.Yinv.T):
+        assert min(rows.size for rows, _ in theta._bins(x, lattice.nbins)) > 2
+    box = (2 * max(lattice.radius, theta.constants_radius(pav, m)) + 1) ** pav.g
+    monkeypatch.setattr(theta, "_CHUNK_ELEMENTS", 2 * box)
+    assert (np.abs(basis.eval_matrix(zs) - vals) <= 1e-14 * envelope).all()
+    assert np.abs(theta_constants(pav, m) - consts).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
     "divisors,levels", [((3,), (1, 2, 6)), ((1, 2), (2, 6)), ((1, 2, 2), (2, 6))],
     ids=["g1", "g2", "g3"],
 )

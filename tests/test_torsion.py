@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from thetamu import torsion
 from thetamu import (
     NotInGroup,
     NotTorsion,
@@ -61,10 +62,17 @@ def test_k_group_size_matches_h0(divisors, m):
     assert len(grp.k1) == len(grp.k2) == pav.h0(m)
 
 
-def test_k_group_cap():
-    pav = validate_polarized(random_period_matrix(1, 2), (5,))
-    with pytest.raises(SizeLimit):
-        k_group(pav, 2, cap=5)
+def test_k_group_cap(monkeypatch):
+    # h0(L^1001) = 1,001,000 exceeds DEFAULT_GROUP_CAP: refused before any
+    # point is enumerated
+    pav = validate_polarized(random_period_matrix(1, 2), (1000,))
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("k_group enumerated points past its cap")
+
+    monkeypatch.setattr(torsion, "TorsionPoint", never_called)
+    with pytest.raises(SizeLimit, match="1001000"):
+        k_group(pav, 1001)
 
 
 def test_weil_pairing_example(elliptic):
