@@ -26,7 +26,6 @@ block rank, and the union of the block spectra is the spectrum of mu_n.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -38,6 +37,7 @@ from .errors import FitResidualTooLarge, IllConditioned, NotInSpan, SizeLimit
 from .theta import (
     ThetaBasis,
     ThetaTilde,
+    _ravel,
     constants_radius,
     lex_vectors,
     section_weights,
@@ -69,8 +69,7 @@ def sample_points(pav: PolarizedAbelianVariety, count: int, seed: int) -> np.nda
     uniform in [0,1)^g, drawn from default_rng(seed), a first, then b."""
     rng = np.random.default_rng(seed)
     a = rng.random((count, pav.g))
-    b = rng.random((count, pav.g))
-    return a @ pav.matrix.T + b * pav.delta.as_diagonal()[None, :]
+    return pav.lattice_vector(a, rng.random((count, pav.g)))
 
 
 class Expansion(NamedTuple):
@@ -181,12 +180,17 @@ def numerical_rank(matrix: np.ndarray) -> RankResult:
     return _spectrum_rank(np.linalg.svd(matrix, compute_uv=False))
 
 
+def _ranks(s: np.ndarray) -> np.ndarray:
+    """#{sigma_i > DEFAULT_RANK_TOL * sigma_max} along the last axis of spectra."""
+    return (s > DEFAULT_RANK_TOL * s[..., :1]).sum(axis=-1)
+
+
 def _spectrum_rank(s: np.ndarray) -> RankResult:
     """The rank rule of :func:`numerical_rank` on given singular values."""
     if s[0] == 0:
         return RankResult(0, s, True)
     thr = DEFAULT_RANK_TOL * float(s[0])
-    rank = int((s > thr).sum())
+    rank = int(_ranks(s))
     near = (s >= thr / 10.0) & (s <= thr * 10.0)
     return RankResult(rank, s, not bool(near.any()))
 
@@ -277,12 +281,6 @@ def surjectivity_verdict(
     )
 
 
-def _ravel(vectors: np.ndarray, dims) -> np.ndarray:
-    """Lexicographic position in prod range(dims_i) of every integer vector
-    along the last axis of ``vectors``."""
-    return np.ravel_multi_index(tuple(np.moveaxis(vectors, -1, 0)), tuple(dims))
-
-
 @dataclass(frozen=True, eq=False)
 class GammaBlocks:
     """Block decomposition of mu_n over the characters gamma of K(L)_1.
@@ -339,7 +337,7 @@ def gamma_blocks(pav: PolarizedAbelianVariety, n: int) -> GammaBlocks:
     partner = _ravel((chars[:, None, :] - chars[None, :, :]) % np.array(d), d)
     stacked = H[np.arange(deg)[:, None], partner].transpose(0, 2, 1, 3).reshape(deg, rows, -1)
     spectra = np.linalg.svd(stacked, compute_uv=False)
-    ranks = (spectra > DEFAULT_RANK_TOL * spectra[:, :1]).sum(axis=1)
+    ranks = _ranks(spectra)
     return GammaBlocks(n, stacked, ranks, np.sort(spectra, axis=None)[::-1])
 
 
@@ -363,6 +361,11 @@ class WirtingerMatrix:
     seed: int
 
 
+def _divisor_values(pav: PolarizedAbelianVariety, n: int, us, bs) -> np.ndarray:
+    """theta(u + n b) theta~(u - b) for every pair of rows u of us, b of bs."""
+    return ThetaBasis(pav, 1).eval_matrix(us + n * bs)[0] * ThetaTilde(pav, n).eval_many(us - bs)
+
+
 def _wirtinger_residual(pav: PolarizedAbelianVariety, n: int, C: np.ndarray, seed: int) -> float:
     """Weighted relative misfit ||w (lhs - rhs)|| / ||w lhs|| of
     lhs = theta(u+nv) theta~(u-v) against
@@ -373,8 +376,7 @@ def _wirtinger_residual(pav: PolarizedAbelianVariety, n: int, C: np.ndarray, see
     us, vs = z[:count], z[count:]
     N = n * (n + 1)
     w = section_weights(pav, n + 1, us) * section_weights(pav, N, vs)
-    theta = ThetaBasis(pav, 1).eval_matrix(us + n * vs)[0]
-    lhs = theta * ThetaTilde(pav, n).eval_many(us - vs)
+    lhs = _divisor_values(pav, n, us, vs)
     ta = ThetaBasis(pav, n + 1).eval_matrix(us)
     tb = ThetaBasis(pav, N).eval_matrix(vs)
     rhs = (ta * (C @ tb)).sum(axis=0)
@@ -449,9 +451,8 @@ def phi_map_coords(
     bs = _as_points(pav, points)
     us = sample_points(pav, OVERSAMPLE * pav.h0(n + 1), seed)
     # every pair (u, b) at once, u along the rows
-    shifted = (us[:, None, :] + n * bs[None, :, :]).reshape(-1, pav.g)
-    diff = (us[:, None, :] - bs[None, :, :]).reshape(-1, pav.g)
-    values = ThetaBasis(pav, 1).eval_matrix(shifted)[0] * ThetaTilde(pav, n).eval_many(diff)
+    u, b = (x.reshape(-1, pav.g) for x in np.broadcast_arrays(us[:, None], bs[None]))
+    values = _divisor_values(pav, n, u, b)
     return expand_in_basis(pav, n + 1, values.reshape(len(us), len(bs)), us)
 
 
@@ -504,21 +505,23 @@ def spanning_check(
 
     ``G`` is an integer N (the subgroup (1/N) Lambda / Lambda) or an iterable
     of points (TorsionPoint or complex vectors).  Full rank (n+1)^g means the
-    image of G spans the dual projective space of H^0(M^{n+1}).
+    image of G spans the dual projective space of H^0(M^{n+1}).  Raises
+    :class:`SizeLimit` before building the grid or the basis when |G| exceeds
+    ``point_cap`` or the h0(n+1) x |G| values exceed DEFAULT_CELL_CAP.
     """
     if not pav.delta.is_principal:
         raise ValueError("the spanning check requires a principal polarization")
     g = pav.g
-    if isinstance(G, (int, np.integer)):
-        npts = int(G) ** (2 * g)
-        if npts > point_cap:
-            raise SizeLimit(f"|G| = {npts} exceeds cap {point_cap}")
-        frac = np.array(list(itertools.product(range(int(G)), repeat=2 * g))) / float(G)
-        pts = frac[:, :g] @ pav.matrix.T + frac[:, g:] * pav.delta.as_diagonal()[None, :]
-    else:
-        pts = _as_points(pav, G)
-        if pts.shape[0] > point_cap:
-            raise SizeLimit(f"|G| = {pts.shape[0]} exceeds cap {point_cap}")
+    pts = None if isinstance(G, (int, np.integer)) else _as_points(pav, G)
+    npts = int(G) ** (2 * g) if pts is None else pts.shape[0]
+    if npts > point_cap:
+        raise SizeLimit(f"|G| = {npts} exceeds cap {point_cap}")
+    cells = pav.h0(n + 1) * npts
+    if cells > DEFAULT_CELL_CAP:
+        raise SizeLimit(f"spanning values need {cells} cells, cap is {DEFAULT_CELL_CAP}")
+    if pts is None:
+        frac = lex_vectors((int(G),) * (2 * g)) / float(G)
+        pts = pav.lattice_vector(frac[:, :g], frac[:, g:])
     basis = ThetaBasis(pav, n + 1)
     w = section_weights(pav, n + 1, pts)
     matrix = basis.eval_matrix(pts).T * w[:, None]

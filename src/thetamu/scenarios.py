@@ -27,6 +27,7 @@ from . import mult
 from .errors import ThetamuError, ValidationError
 from .mult import Verdict, spanning_check, surjectivity_verdict, wirtinger_matrix
 from .varieties import (
+    DEFAULT_EPS,
     BoundPrediction,
     PeriodMatrix,
     PolarizedAbelianVariety,
@@ -61,7 +62,7 @@ class ScenarioConfig:
     type: tuple[int, ...]
     omega: Any
     n: Any = "g-1"
-    eps: float = 1e-12
+    eps: float = DEFAULT_EPS
     seed: int = 0
     simple_asserted: bool = False
     caps: dict = field(default_factory=dict)
@@ -106,9 +107,13 @@ def random_period_matrix(g: int, seed: int) -> PeriodMatrix:
     [-1/2, 1/2] and A uniform in [-1, 1]; always passes validation.
 
     Draw order is fixed (A first, then S) so the result is reproducible.
+    Raises ValueError before any draw when g^2 exceeds DEFAULT_CELL_CAP.
     """
     if g < 1:
         raise ValueError(f"require g >= 1, got {g}")
+    if g * g > mult.DEFAULT_CELL_CAP:
+        raise ValueError(f"a random g = {g} period matrix needs {g * g} cells, "
+                         f"cap is {mult.DEFAULT_CELL_CAP}")
     rng = np.random.default_rng(int(seed))
     a = rng.uniform(-1.0, 1.0, (g, g))
     s0 = rng.uniform(-0.5, 0.5, (g, g))
@@ -148,7 +153,9 @@ def _complex_matrix_to_pairs(matrix: np.ndarray) -> list:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # the exact-type test first: a type list may hold a million entries
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def _is_finite(value) -> bool:
@@ -409,7 +416,7 @@ def _wirtinger_payload(pav: PolarizedAbelianVariety, n: int, config: ScenarioCon
     )
     svals = np.linalg.svd(wirt.reduced, compute_uv=False)
     rng = np.random.default_rng(config.seed + 17)
-    points = [rng.random(pav.g) @ pav.matrix.T + rng.random(pav.g) for _ in range(3)]
+    points = [pav.lattice_vector(rng.random(pav.g), rng.random(pav.g)) for _ in range(3)]
     return {
         "fit_residual": wirt.fit_residual,
         "reduced_sigma_min_ratio": float(svals[-1] / svals[0]),

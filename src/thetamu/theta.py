@@ -111,6 +111,12 @@ def lex_vectors(dims) -> np.ndarray:
     return np.indices(tuple(dims)).reshape(len(dims), -1).T
 
 
+def _ravel(vectors: np.ndarray, dims) -> np.ndarray:
+    """Lexicographic position in prod range(dims_i) of every integer vector
+    along the last axis of ``vectors``: the inverse of :func:`lex_vectors`."""
+    return np.ravel_multi_index(tuple(np.moveaxis(vectors, -1, 0)), tuple(dims))
+
+
 def section_indices(pav: PolarizedAbelianVariety, m: int) -> tuple[SectionIndex, ...]:
     """All m^g d_1...d_g level-m indices, lexicographic in k."""
     dims = [m * di for di in pav.delta.divisors]
@@ -210,20 +216,16 @@ class _LatticeSum:
         # (characteristic, point) block under _SCALE_MAX
         spread = math.pi * self.m * float(np.abs(self.Y).sum())
         self.nbins = max(1, math.ceil(offset * math.sqrt(spread / _SCALE_MAX)))
-        self._boxes: dict[int, np.ndarray] = {}
-        self._box(self.radius)
+        self._box = self._cube(self.radius)
 
-    def _box(self, R: int) -> np.ndarray:
-        box = self._boxes.get(R)
-        if box is None:
-            cells = (2 * R + 1) ** self.g
-            if cells > DEFAULT_CAPACITY:
-                raise TruncationOverflow(
-                    f"radius {R} needs {cells} lattice points, capacity is {DEFAULT_CAPACITY}"
-                )
-            box = (lex_vectors((2 * R + 1,) * self.g) - R).astype(float)
-            self._boxes[R] = box
-        return box
+    def _cube(self, R: int) -> np.ndarray:
+        """The (2R+1)^g integer points of [-R, R]^g, lexicographic."""
+        cells = (2 * R + 1) ** self.g
+        if cells > DEFAULT_CAPACITY:
+            raise TruncationOverflow(
+                f"radius {R} needs {cells} lattice points, capacity is {DEFAULT_CAPACITY}"
+            )
+        return (lex_vectors((2 * R + 1,) * self.g) - R).astype(float)
 
     def _reduce(self, zs: np.ndarray):
         """Translate into the fundamental cell of tau Z^g + Z^g.
@@ -256,7 +258,7 @@ class _LatticeSum:
                 "section value exceeds double-precision range "
                 f"(log envelope {float(env.max()):.1f})"
             )
-        box = self._box(int(radius) if radius is not None else self.radius)
+        box = self._box if radius is None else self._cube(int(radius))
         pim = math.pi * self.m
         cshift = chars - np.round(chars)
         btb = np.einsum("bi,ij,bj->b", box, self.tau, box)
@@ -308,19 +310,12 @@ def theta_constants(pav: PolarizedAbelianVariety, m: int) -> np.ndarray:
     dims = m * np.array(pav.delta.divisors)
     ks = lex_vectors(dims)
     # the first index of each pair {k, -k mod m d}
-    rep = np.minimum(np.arange(len(ks)), np.ravel_multi_index(tuple((-ks % dims).T), tuple(dims)))
+    rep = np.minimum(np.arange(len(ks)), _ravel(-ks % dims, dims))
     first = np.flatnonzero(rep == np.arange(len(ks)))
     chars = ks[first] / dims
     values = np.empty(len(ks), dtype=complex)
     values[first] = lattice.eval(chars, np.zeros((1, pav.g)))[:, 0]
     return values[rep]
-
-
-def _points_2d(zs) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(zs, dtype=complex)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    return arr, False
 
 
 class ThetaBasis:
@@ -367,15 +362,12 @@ class ThetaBasis:
 
     def eval_matrix(self, zs, radius: int | None = None) -> np.ndarray:
         """Values of all basis elements at all points, shape (dim, npoints)."""
-        pts, _ = _points_2d(zs)
-        return self._sum.eval(self._chars, pts, radius=radius)
+        return self._sum.eval(self._chars, zs, radius=radius)
 
     def eval(self, idx: SectionIndex, z, radius: int | None = None):
         """Value(s) of one basis element; scalar for a single point."""
-        pts, single = _points_2d(z)
-        chars = self._chars[self.position(idx)][None, :]
-        vals = self._sum.eval(chars, pts, radius=radius)[0]
-        return complex(vals[0]) if single else vals
+        vals = self._sum.eval(self._chars[self.position(idx)], z, radius=radius)[0]
+        return complex(vals[0]) if np.ndim(z) == 1 else vals
 
 
 class ThetaTilde:
@@ -404,11 +396,10 @@ class ThetaTilde:
         return self._sum.radius
 
     def eval_many(self, zs, radius: int | None = None) -> np.ndarray:
-        pts, _ = _points_2d(zs)
-        return self._sum.eval(self._zero, pts, radius=radius)[0]
+        return self._sum.eval(self._zero, zs, radius=radius)[0]
 
     def eval(self, z, radius: int | None = None) -> complex:
-        return complex(self.eval_many(np.asarray(z, dtype=complex)[None, :], radius=radius)[0])
+        return complex(self.eval_many(z, radius=radius)[0])
 
 
 def lattice_coordinates(pav: PolarizedAbelianVariety, lam):
@@ -430,13 +421,17 @@ def lattice_coordinates(pav: PolarizedAbelianVariety, lam):
     return aint.astype(int), bint.astype(int)
 
 
+def _cocycle(pav: PolarizedAbelianVariety, m: int, a: np.ndarray, z):
+    """exp(-pi i m a^T Omega a - 2 pi i m a^T z) for a real g-vector a."""
+    z = np.asarray(z, dtype=complex)
+    return np.exp(-1j * math.pi * m * (a @ pav.matrix @ a) - 2j * math.pi * m * (z @ a))
+
+
 def automorphy_factor(pav: PolarizedAbelianVariety, m: int, lam, z):
     """The level-m cocycle e_m(lambda, z) = exp(-pi i m a^T Omega a - 2 pi i m a^T z)
     for a period lambda = Omega a + b, b in Delta Z^g."""
     aint, _ = lattice_coordinates(pav, lam)
-    a = aint.astype(float)
-    z = np.asarray(z, dtype=complex)
-    return np.exp(-1j * math.pi * m * (a @ pav.matrix @ a) - 2j * math.pi * m * (z @ a))
+    return _cocycle(pav, m, aint.astype(float), z)
 
 
 def quasi_periodicity_residual(pav: PolarizedAbelianVariety, idx: SectionIndex, lam, z) -> float:
@@ -449,9 +444,7 @@ def quasi_periodicity_residual(pav: PolarizedAbelianVariety, idx: SectionIndex, 
     basis = ThetaBasis(pav, idx.m)
     lam = np.asarray(lam, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    a = pav.im_inv @ lam.imag
-    m = idx.m
-    e = np.exp(-1j * math.pi * m * (a @ pav.matrix @ a) - 2j * math.pi * m * (z @ a))
+    e = _cocycle(pav, idx.m, pav.im_inv @ lam.imag, z)
     t_shift = basis.eval(idx, z + lam)
     t_base = basis.eval(idx, z)
     return float(abs(t_shift - e * t_base) / (1.0 + abs(t_base)))
@@ -472,17 +465,9 @@ def translate_action(pav: PolarizedAbelianVariety, m: int, x: TorsionPoint,
             raise NotInK1(f"x is not in K(L^{m})_1: a_{i} = {ai}")
     new_idx = SectionIndex(m, [ci + ai for ci, ai in zip(idx.c, x.a)])
     a = np.array([float(v) for v in x.a])
-    omega = pav.matrix
-    quad = a @ omega @ a
-
-    def factor(z):
-        z = np.asarray(z, dtype=complex)
-        return np.exp(-1j * math.pi * m * quad - 2j * math.pi * m * (z @ a))
-
-    return new_idx, factor
+    return new_idx, lambda z: _cocycle(pav, m, a, z)
 
 
 def section_weights(pav: PolarizedAbelianVariety, m: int, zs) -> np.ndarray:
     """exp(-pi m y^T Y^{-1} y): equilibration weights for sampled sections."""
-    pts, _ = _points_2d(zs)
-    return np.exp(-_log_envelope(pav.im_inv, m, pts))
+    return np.exp(-_log_envelope(pav.im_inv, m, np.atleast_2d(zs)))

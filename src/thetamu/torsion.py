@@ -197,7 +197,12 @@ class CharacterTable:
 
 
 def characters(pav: PolarizedAbelianVariety, m: int) -> CharacterTable:
-    """Character table of K(L^m)_1 with rows indexed by K(L^m)_2."""
+    """Character table of K(L^m)_1 with rows indexed by K(L^m)_2; raises
+    :class:`SizeLimit` before any enumeration when its h0(m)^2 exact
+    pairings exceed DEFAULT_GROUP_CAP."""
+    pairings = pav.h0(m) ** 2
+    if pairings > DEFAULT_GROUP_CAP:
+        raise SizeLimit(f"{pairings} pairings of K(L^{m}) exceed cap {DEFAULT_GROUP_CAP}")
     group = k_group(pav, m)
     phases = tuple(
         tuple(weil_pairing_phase(pav, m, x, y) for x in group.k1) for y in group.k2

@@ -151,10 +151,9 @@ class PolarizedAbelianVariety:
         return int(m) ** self.g * self.delta.degree
 
     def lattice_vector(self, a, bhat) -> np.ndarray:
-        """The period Omega a + Delta bhat for integer vectors a, bhat."""
+        """The point Omega a + Delta bhat, row by row for arrays whose last axis is g."""
         a = np.asarray(a, dtype=float)
-        bhat = np.asarray(bhat, dtype=float)
-        return self.matrix @ a + self.delta.as_diagonal() * bhat
+        return a @ self.matrix.T + np.asarray(bhat, dtype=float) * self.delta.as_diagonal()
 
 
 def validate_polarized(

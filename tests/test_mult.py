@@ -57,6 +57,10 @@ def test_sample_points_deterministic(elliptic_d3):
     assert s1.shape == (12, 1)
     assert np.array_equal(s1, sample_points(elliptic_d3, 12, 5))
     assert not np.array_equal(s1, sample_points(elliptic_d3, 12, 6))
+    # Omega a + Delta b from two draws of default_rng(seed), a first
+    rng = np.random.default_rng(5)
+    a = rng.random((12, 1))
+    assert np.array_equal(s1, elliptic_d3.lattice_vector(a, rng.random((12, 1))))
 
 
 def test_expand_recovers_basis_vectors(elliptic_d3):
@@ -358,6 +362,21 @@ def test_monotonicity_elliptic():
         assert monotonicity_check(pav, 1)
 
 
+def test_spanning_grid_is_product_order(principal_g2, monkeypatch):
+    # the points of G = 3 on g = 2 follow itertools.product over (a, b) / 3
+    seen = []
+
+    def recording(pav, m, zs):
+        seen.append(zs)
+        return section_weights(pav, m, zs)
+
+    monkeypatch.setattr(mult, "section_weights", recording)
+    assert spanning_check(principal_g2, 1, 3).npoints == 81
+    frac = np.array(list(itertools.product(range(3), repeat=4))) / 3.0
+    expected = principal_g2.lattice_vector(frac[:, :2], frac[:, 2:])
+    assert np.abs(seen[0] - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
 def test_monotonicity_vacuous(principal_g2):
     assert monotonicity_check(principal_g2, 1)
 
@@ -378,6 +397,12 @@ def test_size_caps(principal_g1, principal_g2, monkeypatch):
         wirtinger_matrix(principal_g1, 2, 16, unknown_cap=4)
     with pytest.raises(SizeLimit):
         spanning_check(principal_g2, 1, 7, point_cap=100)
+    # the (h0(n+1), |G|) values, 10**6 + 1 sections at 100 points, exceed
+    # DEFAULT_CELL_CAP: refused before the points or the basis are built
+    monkeypatch.setattr(mult, "ThetaBasis", _never_called)
+    monkeypatch.setattr(mult, "lex_vectors", _never_called)
+    with pytest.raises(SizeLimit, match="100000100 cells"):
+        spanning_check(principal_g1, 10**6, 10)
 
 
 def test_weighted_sampling_keeps_design_bounded(elliptic_d3):
@@ -523,6 +548,8 @@ def test_block_transform_matches_kron(divisors, n, seed):
         expected = full[rows][:, col_gamma == gi]
         assert np.abs(block - expected).max() <= 1e-13 * scale
         assert rank == numerical_rank(expected).rank
+        # the block ranks and the verdict's rank come from one threshold rule
+        assert rank == mult._spectrum_rank(np.linalg.svd(block, compute_uv=False)).rank
         off[rows, col_gamma == gi] = 0.0
     # the reference is block diagonal, so the blocks miss nothing
     assert np.linalg.norm(off) <= 1e-13 * np.linalg.norm(full)

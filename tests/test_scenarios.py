@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,26 @@ def test_run_scenario_numeric_cap_exit_code():
     assert report.exit_code == 3
     assert any("mu_verdict" in e for e in report.payload["errors"])
     assert report.payload["surjectivity"] is None
+
+
+#: JSON-shaped scenarios whose work a constant guard refuses: (config, exit code, error)
+_HUGE = [
+    (ScenarioConfig(name="huge-n", g=1, type=(1,), omega={"random": {"seed": 1}}, n=10**12,
+                    checks={"spanning_modulus": 10}),
+     3, "spanning: spanning values need 100000000000100 cells"),
+    (ScenarioConfig(name="huge-g", g=10**6, type=(1,) * 10**6, omega={"random": {"seed": 1}}),
+     2, "a random g = 1000000 period matrix needs 1000000000000 cells"),
+]
+
+
+@pytest.mark.parametrize("config,code,message", _HUGE, ids=["huge-n", "huge-g"])
+def test_run_scenario_refuses_huge_work(config, code, message):
+    # each once asked numpy for terabytes and raised MemoryError
+    start = time.perf_counter()
+    report = run_scenario(config)
+    assert time.perf_counter() - start < 2.0
+    assert report.exit_code == code
+    assert any(e.startswith(message) for e in report.payload["errors"])
 
 
 def test_run_scenario_reports_a_radius_past_the_float_range():

@@ -75,6 +75,19 @@ def test_k_group_cap(monkeypatch):
         k_group(pav, 1001)
 
 
+def test_characters_pairing_cap(monkeypatch):
+    # h0(L)^2 = 1001^2 pairings exceed DEFAULT_GROUP_CAP: refused before
+    # K(L) is enumerated
+    pav = validate_polarized(random_period_matrix(1, 2), (1001,))
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("characters enumerated points past its cap")
+
+    monkeypatch.setattr(torsion, "TorsionPoint", never_called)
+    with pytest.raises(SizeLimit, match="1002001 pairings"):
+        characters(pav, 1)
+
+
 def test_weil_pairing_example(elliptic):
     grp = k_group(elliptic, 2)
     x = grp.k1[1]  # Omega/2

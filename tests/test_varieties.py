@@ -31,6 +31,21 @@ def test_validate_canonical_elliptic():
     assert pav.lambda_min == pytest.approx(1.0)
 
 
+def test_lattice_vector_rows_match_single_vectors():
+    pav = validate_polarized(random_period_matrix(2, 7), (1, 3))
+    rng = np.random.default_rng(0)
+    a = rng.random((5, 2))
+    bhat = rng.integers(-3, 4, (5, 2))
+    rows = pav.lattice_vector(a, bhat)
+    assert rows.shape == (5, 2)
+    # equal up to the rounding of the matrix product, which BLAS may order
+    # differently for one vector and for a stack
+    for p in range(5):
+        single = pav.lattice_vector(a[p], bhat[p])
+        assert np.abs(rows[p] - single).max() <= 1e-15 * np.abs(single).max()
+    assert np.allclose(pav.lattice_vector([1, 0], [0, 1]), pav.matrix[:, 0] + [0, 3])
+
+
 def test_validate_rejects_real_omega():
     with pytest.raises(NotPositiveDefinite):
         validate_polarized(np.array([[1.0]]), (1,))
