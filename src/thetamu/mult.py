@@ -72,6 +72,13 @@ def sample_points(pav: PolarizedAbelianVariety, count: int, seed: int) -> np.nda
     return pav.lattice_vector(a, rng.random((count, pav.g)))
 
 
+def _column_scale(x: np.ndarray) -> np.ndarray:
+    """The power of two at or above the largest modulus of every column of x
+    (1 for a zero or non-finite column).  Dividing by it is exact, so a
+    relative norm keeps every digit, and no sum of squares overflows."""
+    return np.ldexp(1.0, np.frexp(np.abs(x).max(axis=0))[1])
+
+
 class Expansion(NamedTuple):
     coefficients: np.ndarray
     residual: float
@@ -91,7 +98,10 @@ def expand_in_basis(
     Raises :class:`IllConditioned` when the condition exceeds
     DEFAULT_COND_CAP and :class:`NotInSpan` when the largest relative
     column residual exceeds DEFAULT_RESIDUAL_TOL (every admissible section
-    lies in the span, so that is a numerical fault).
+    lies in the span, so that is a numerical fault).  Both gates fail
+    closed: a NaN condition or residual raises too.  The residuals are taken
+    on columns scaled by :func:`_column_scale`, so finite values too large
+    to square still get one.
     """
     basis = ThetaBasis(pav, m)
     if len(zs) < 2 * basis.dim:
@@ -100,15 +110,16 @@ def expand_in_basis(
     design = (basis.eval_matrix(zs) * w[None, :]).T
     u, s, vh = np.linalg.svd(design, full_matrices=False)
     cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
-    if cond > DEFAULT_COND_CAP:
+    if not cond <= DEFAULT_COND_CAP:
         raise IllConditioned(f"sample matrix condition {cond:.3e} exceeded {DEFAULT_COND_CAP:.1e}")
     values = np.asarray(values, dtype=complex)
     rhs = values.reshape(len(zs), -1) * w[:, None]
     coef = vh.conj().T @ ((u.conj().T @ rhs) / s[:, None])
-    misfit = np.linalg.norm(design @ coef - rhs, axis=0)
-    norms = np.linalg.norm(rhs, axis=0)
-    residual = float(np.divide(misfit, norms, out=np.zeros_like(misfit), where=norms > 0).max())
-    if residual > DEFAULT_RESIDUAL_TOL:
+    scale = _column_scale(rhs)
+    misfit = np.linalg.norm((design @ coef - rhs) / scale, axis=0)
+    norms = np.linalg.norm(rhs / scale, axis=0)
+    residual = float(np.divide(misfit, norms, out=np.zeros_like(misfit), where=norms != 0).max())
+    if not residual <= DEFAULT_RESIDUAL_TOL:
         raise NotInSpan(f"expansion residual {residual:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}")
     return Expansion(coef.reshape(basis.dim, *values.shape[1:]), residual)
 
@@ -409,7 +420,7 @@ def wirtinger_matrix(
     j = lex_vectors((N,) * g)
     C = ((k[:, None, :] + j[None, :, :]) % (n + 1) == 0).all(axis=-1).astype(float)
     fit_residual = _wirtinger_residual(pav, n, C, seed)
-    if fit_residual > DEFAULT_RESIDUAL_TOL:
+    if not fit_residual <= DEFAULT_RESIDUAL_TOL:
         raise FitResidualTooLarge(
             f"Wirtinger residual {fit_residual:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}"
         )
@@ -457,9 +468,13 @@ def phi_map_coords(
 
 
 def projective_residual(x: np.ndarray, y: np.ndarray) -> float:
-    """||x - lambda y|| / ||x|| minimized over the scalar lambda."""
+    """||x - lambda y|| / ||x|| minimized over the scalar lambda.
+
+    Both vectors are first scaled by :func:`_column_scale`: the residual is
+    scale-free, and the norms of finite but huge coordinates stay finite."""
     x = np.asarray(x, dtype=complex).ravel()
     y = np.asarray(y, dtype=complex).ravel()
+    x, y = x / _column_scale(x), y / _column_scale(y)
     nx = float(np.linalg.norm(x))
     ny = float(np.linalg.norm(y))
     if nx == 0 and ny == 0:

@@ -30,7 +30,9 @@ factors overflow (|E| reaches exp(2 pi m |b^T y|)), so
 
 * half of the Gaussian, exp(-pi m b^T Y b / 2), moves from Q into E;
 * each row of Q and each column of E is divided by its largest modulus;
-* the values are recombined as exp(log(Q @ E) + log C + row + column scale).
+* the values are recombined as rel * (Q @ E) * exp(env), with
+  rel = exp(log C + row scale + column scale - env) and env the log
+  envelope of the point: a product, with no logarithm and no branch.
 
 The scales then exceed the envelope of a (characteristic, point) pair by at
 most pi m v^T Y v, where v is the difference of the characteristic and the
@@ -40,6 +42,20 @@ pair of bins gets a split centred between them, so no term that matters
 leaves the normal double range.  Within a bin, characteristics and points
 go through in chunks whose factors Q and E and block of values hold at most a
 fixed number of elements, so temporary memory grows with neither K nor P.
+
+No factor of the recombination overflows:
+
+* 0 <= env <= _LOG_MAX: env is the log envelope of the point as given, and
+  a larger one raises :class:`TruncationOverflow` before any sum;
+* the binning keeps row scale + column scale + Re log C at most _SCALE_MAX
+  above the envelope of the reduced point, which is env less the real part
+  of the reduction's log factor, so |rel| <= exp(_SCALE_MAX) = e^300;
+* |Q @ E| <= B, the number of box points, as every row of Q and column of E
+  has modulus at most 1.
+
+rel underflows only for terms below exp(-708) of their envelope, far under
+eps.  At z = 0, env = 0 and exp(env) = 1, so :func:`theta_constants` takes
+the exponents it would take in one exponential.
 
 Values are accurate to eps * exp(pi m y^T (Im Omega)^{-1} y), the natural
 growth envelope; sections whose envelope exceeds the double-precision range
@@ -247,7 +263,9 @@ class _LatticeSum:
         """Evaluate every characteristic at every point; returns (K, P).
 
         One scaled matrix product per (bin, bin) block and chunk of
-        characteristics and points; see the module docstring.
+        characteristics and points, recombined relative to each point's log
+        envelope ``env``, without a logarithm; see the module docstring for
+        why no factor overflows.
         """
         chars = np.atleast_2d(np.asarray(chars, dtype=float))
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
@@ -286,10 +304,11 @@ class _LatticeSum:
                         # log C, and the phase of the real translation in turns
                         turns = np.mod(self.m * (chars[rows] @ bint[p].T), 1.0)
                         outer = 2j * pim * (cshift[rows] @ z0[p].T) + 2j * math.pi * turns
-                        with np.errstate(divide="ignore"):
-                            out[np.ix_(rows, p)] = np.exp(
-                                np.log(q @ e) + outer + pref[p] + row_shift + col_shift
-                            )
+                        # every exponent is taken from the point's envelope,
+                        # so |rel| <= exp(_SCALE_MAX); exp before the product:
+                        # right after a complex matmul, exp runs ~10x slower
+                        rel = np.exp(outer + (pref[p] - env[p]) + row_shift + col_shift)
+                        out[np.ix_(rows, p)] = rel * (q @ e) * np.exp(env[p])
         return out
 
 

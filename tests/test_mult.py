@@ -98,6 +98,52 @@ def test_expand_flags_out_of_span(elliptic_d3):
         expand_in_basis(elliptic_d3, 2, np.conj(basis.eval_matrix(samples)[0]), samples)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)], ids=["nan", "inf", "nan-real"])
+def test_expand_rejects_non_finite_values(elliptic_d3, bad):
+    # a NaN residual fails the gate instead of passing it
+    basis = ThetaBasis(elliptic_d3, 2)
+    samples = sample_points(elliptic_d3, 2 * basis.dim, 3)
+    values = basis.eval_matrix(samples)[:2].T.copy()
+    values[5, 1] = bad
+    with pytest.raises(NotInSpan), np.errstate(invalid="ignore"):
+        expand_in_basis(elliptic_d3, 2, values, samples)
+
+
+def test_expand_huge_finite_values(elliptic_d3):
+    # columns too large to square keep their residual: scaling a column by a
+    # power of two changes no digit of the residual or the coefficients
+    basis = ThetaBasis(elliptic_d3, 2)
+    samples = sample_points(elliptic_d3, 2 * basis.dim, 3)
+    values = basis.eval_matrix(samples)[:2].T
+    plain = expand_in_basis(elliptic_d3, 2, values, samples)
+    with np.errstate(all="raise"):
+        huge = expand_in_basis(elliptic_d3, 2, values * 2.0**900, samples)
+    assert huge.residual == plain.residual < 1e-10
+    assert np.array_equal(huge.coefficients, plain.coefficients * 2.0**900)
+    x = np.array([1.0 + 1j, 2.0, 3.0]) * 2.0**1000
+    with np.errstate(all="raise"):
+        assert projective_residual(x, x * 2.0**-1000 * 2.0**-500) < 1e-15
+        assert projective_residual(x, x[::-1]) == projective_residual(x * 2.0**-1000, x[::-1])
+
+
+def test_gates_fail_closed_on_nan(elliptic_d3, principal_g1, monkeypatch):
+    basis = ThetaBasis(elliptic_d3, 2)
+    samples = sample_points(elliptic_d3, 2 * basis.dim, 3)
+    svd = np.linalg.svd
+
+    def nan_spectrum(a, **kwargs):
+        u, s, vh = svd(a, **kwargs)
+        return u, np.full_like(s, np.nan), vh
+
+    monkeypatch.setattr(mult.np.linalg, "svd", nan_spectrum)
+    with pytest.raises(IllConditioned):
+        expand_in_basis(elliptic_d3, 2, basis.eval_matrix(samples)[0], samples)
+    monkeypatch.undo()
+    monkeypatch.setattr(mult, "_wirtinger_residual", lambda *args: float("nan"))
+    with pytest.raises(mult.FitResidualTooLarge):
+        wirtinger_matrix(principal_g1, 1, 0)
+
+
 def test_expand_ill_conditioned_cap(elliptic_d3):
     # one point drawn 2 * dim times: the design has rank 1, so its condition
     # exceeds DEFAULT_COND_CAP

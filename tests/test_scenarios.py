@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -319,6 +320,19 @@ def test_run_scenario_wirtinger_block(monkeypatch):
     assert set(w) == {"fit_residual", "reduced_sigma_min_ratio", "diagram_residual_max"}
 
 
+def test_run_scenario_diagram_check_with_huge_divisor_values():
+    # at g = 1, n = 10 the divisor values reach ~1e212, and the squares of a
+    # plain norm overflow: the diagram residual must stay finite, without
+    # a warning, rather than report "nan" with exit 0
+    cfg = ScenarioConfig(name="huge-divisor", g=1, type=(1,), omega={"random": {"seed": 5}},
+                         n=10, seed=1, checks={"wirtinger": True})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_scenario(cfg)
+    assert report.exit_code == 0
+    assert report.payload["wirtinger"]["diagram_residual_max"] < 1e-12
+
+
 def test_run_scenario_spanning_block():
     report = run_scenario(_by_name("spanning-g1-n2"))
     s = report.payload["spanning"]
@@ -599,8 +613,11 @@ def _scenarios(draw):
 def test_run_scenario_never_raises_on_scenario_content(doc):
     # JSON-shaped scenarios with g <= 2, divisors <= 4 and n <= 2, well formed
     # or not: every one gets a report with a known exit code, byte for byte
-    # the same on a second run
+    # the same on a second run, and a clean report holds only finite numbers
     config = ScenarioConfig.from_dict(json.loads(json.dumps(doc)))
     first = run_scenario(config)
     assert first.exit_code in {0, 2, 3, 4}
-    assert emit_report(run_scenario(config), "json") == emit_report(first, "json")
+    text = emit_report(first, "json")
+    assert emit_report(run_scenario(config), "json") == text
+    if first.exit_code == 0:
+        assert not any(token in text for token in ('"nan"', '"inf"', '"-inf"'))

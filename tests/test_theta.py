@@ -196,6 +196,29 @@ def test_lattice_sum_cusp_probe():
                 assert abs(vals[i, p] - ref) <= pav.eps * envelope[p]
 
 
+@pytest.mark.parametrize("omega,m", [(0.1 + 80j, 10), (0.3 + 1.5j, 1), (0.3 + 1.5j, 3)],
+                         ids=["80i-level10", "1.5i-level1", "1.5i-level3"])
+def test_lattice_sum_at_the_edge_of_the_double_range(omega, m):
+    # the values are recombined relative to each point's envelope: up to a
+    # log envelope of 697.6, just under the 700 of the overflow guard,
+    # nothing overflows and every value keeps its eps * envelope accuracy
+    pav = validate_polarized(np.array([[omega]]), (1,))
+    basis = ThetaBasis(pav, m)
+    tmax = math.sqrt(699 * omega.imag / (math.pi * m))
+    zs = np.add.outer(np.linspace(-0.5, 0.5, 5), 1j * tmax * np.array([0.9, 0.97, 0.999]))
+    zs = zs.reshape(-1, 1)
+    with np.errstate(over="raise", invalid="raise"):
+        vals = basis.eval_matrix(zs)
+    envelope = 1.0 / section_weights(pav, m, zs)
+    assert math.log(envelope.max()) == pytest.approx(699 * 0.999**2)
+    for i, idx in enumerate(basis.indices):
+        for p, z in enumerate(zs):
+            ref = per_term_theta(pav.matrix, m, idx.as_floats(), z, basis.radius)
+            assert abs(vals[i, p] - ref) <= pav.eps * envelope[p]
+    with pytest.raises(TruncationOverflow):
+        basis.eval_matrix(np.array([[1.001j * tmax]]))
+
+
 def test_lattice_sum_chunks_match_single_points():
     pav = validate_polarized(random_period_matrix(3, 202), (1, 1, 1))
     basis = ThetaBasis(pav, 2)
