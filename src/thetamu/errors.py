@@ -65,7 +65,7 @@ class NotInK1(ThetamuError):
 
 class TruncationOverflow(ThetamuError):
     """A lattice sum needs more box points than ``theta.DEFAULT_CAPACITY``,
-    or a value beyond double-precision range."""
+    or a radius, binning or value beyond double-precision range."""
 
 
 class IllConditioned(ThetamuError):

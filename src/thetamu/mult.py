@@ -267,9 +267,10 @@ def surjectivity_verdict(
     blocks = gamma_blocks(pav, n)
     rank, s, clean = _spectrum_rank(blocks.singular_values)
     floor = DEFAULT_RANK_TOL * float(s[0])
-    sigma_next = float(s[rank]) if rank < len(s) else floor
-    denom = max(sigma_next, 0.0)
-    gap_ratio = float("inf") if denom == 0 else float(s[rank - 1]) / denom if rank else 0.0
+    # the next singular value, or the rank threshold where it is 0 or missing,
+    # so the ratio stays finite: rank >= 1 makes the threshold positive
+    sigma_next = float(s[rank]) if rank < len(s) and s[rank] > 0 else floor
+    gap_ratio = float(s[rank - 1]) / sigma_next if rank else 0.0
     if rank == required and gap_ratio > GAP_RATIO_MIN:
         verdict = Verdict.SURJECTIVE
     elif rank < required and clean:
@@ -407,7 +408,10 @@ def wirtinger_matrix(
     Substituting s = (l+k)/(n+1), t = (n l - k)/(n(n+1)) in the product of
     the two lattice sums (Mumford 1966, Koizumi 1976) gives c_{alpha beta} = 1
     when alpha + n beta = 0 mod Z^g and 0 otherwise; for alpha = k/(n+1) and
-    beta = j/(n(n+1)) that is k + j = 0 mod n+1 componentwise.
+    beta = j/(n(n+1)) that is k + j = 0 mod n+1 componentwise.  Raises
+    :class:`SizeLimit` before any sample when the unknowns exceed
+    ``unknown_cap`` or the h0(n(n+1)) x (2 * unknowns) level-n(n+1) values
+    of the check exceed DEFAULT_CELL_CAP.
     """
     if not pav.delta.is_principal:
         raise ValueError("the Wirtinger matrix requires a principal polarization")
@@ -416,6 +420,10 @@ def wirtinger_matrix(
     unknowns = (n + 1) ** g * N**g
     if unknowns > unknown_cap:
         raise SizeLimit(f"{unknowns} Wirtinger unknowns exceed cap {unknown_cap}")
+    # the level-N values at the OVERSAMPLE * unknowns samples of the check
+    cells = N**g * OVERSAMPLE * unknowns
+    if cells > DEFAULT_CELL_CAP:
+        raise SizeLimit(f"Wirtinger values need {cells} cells, cap is {DEFAULT_CELL_CAP}")
     k = lex_vectors((n + 1,) * g)
     j = lex_vectors((N,) * g)
     C = ((k[:, None, :] + j[None, :, :]) % (n + 1) == 0).all(axis=-1).astype(float)

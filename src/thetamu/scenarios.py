@@ -242,13 +242,19 @@ class Report:
 
 
 class _Timer:
+    """Runs and times the stages.  Floating-point overflow, division by zero
+    and invalid operations raise :class:`FloatingPointError` inside a stage,
+    whatever the warning filters, so the stage reports them as an error;
+    underflow stays ignored."""
+
     def __init__(self):
         self.timings: dict[str, float] = {}
 
     def run(self, name, fn):
         start = time.perf_counter()
         try:
-            return fn()
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return fn()
         finally:
             self.timings[name] = time.perf_counter() - start
 
@@ -288,7 +294,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
             "validate",
             lambda: validate_polarized(omega, config.type, config.simple_asserted, config.eps),
         )
-    except (ValidationError, ValueError) as err:
+    except (ValidationError, ValueError, FloatingPointError) as err:
         if isinstance(err, ValidationError):
             errors.extend(str(v) for v in err.violations)
         else:
@@ -329,7 +335,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
         payload["surjectivity"] = _verdict_payload(verdict_obj)
         if verdict_obj.verdict is Verdict.INCONCLUSIVE:
             exit_code = EXIT_INCONCLUSIVE
-    except ThetamuError as err:
+    except (ThetamuError, FloatingPointError) as err:
         errors.append(f"mu_verdict: {err}")
         payload["surjectivity"] = None
         exit_code = EXIT_INCONCLUSIVE
@@ -380,7 +386,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
             payload["wirtinger"] = timer.run(
                 "wirtinger", lambda: _wirtinger_payload(pav, n, config)
             )
-        except (ThetamuError, ValueError) as err:
+        except (ThetamuError, ValueError, FloatingPointError) as err:
             errors.append(f"wirtinger: {err}")
             exit_code = max(exit_code, EXIT_INCONCLUSIVE)
 
@@ -401,7 +407,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
                 "rank": span.rank,
                 "required_rank": span.required_rank,
             }
-        except (ThetamuError, ValueError) as err:
+        except (ThetamuError, ValueError, FloatingPointError) as err:
             errors.append(f"spanning: {err}")
             exit_code = max(exit_code, EXIT_INCONCLUSIVE)
 

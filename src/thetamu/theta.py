@@ -24,11 +24,25 @@ the validated variety.
 The box sum is one matrix product.  Writing l = c + b with b in the box,
 each term factors as Q[c, b] * E[b, z] * C[c, z], with
 Q = exp(pi i m l^T Omega l) independent of z, E = exp(2 pi i m b^T z) and
-C = exp(2 pi i m c^T z), so the K x P values are (Q @ E) * C: B P + K B
-exponentials instead of K B P, and the contraction runs in BLAS.  The bare
-factors overflow (|E| reaches exp(2 pi m |b^T y|)), so
+C = exp(2 pi i m c^T z), so the K x P values are (Q @ E) * C, and the
+contraction runs in BLAS.  Q and E are each a modulus times a phase:
 
-* half of the Gaussian, exp(-pi m b^T Y b / 2), moves from Q into E;
+* the modulus is a real exponential of the real part, which comes from real
+  products with Y = Im Omega and Im z;
+* the phase needs only X = Re Omega and Re z.  As the box is the cube
+  [-R, R]^g, exp(i b^T x) is a product over the axes of the unit phases
+  exp(i x_j)^b_j, which :func:`_box_phase` builds from one complex
+  exponential per characteristic or point and axis.  E takes the phase of
+  x = 2 pi m Re z; Q that of x = 2 pi m X c times exp(pi i m b^T X b), one
+  per box point, and its row phase exp(pi i m c^T X c) moves into C.
+
+So a block of K characteristics and P points takes K P + (K + P) g complex
+exponentials and B (K + P) real ones, against K P + B (K + P) complex ones
+when Q and E are exponentiated entry by entry, and K B P term by term.  The
+bare factors overflow (|E| reaches exp(2 pi m |b^T y|)), so
+
+* half of the Gaussian, exp(-pi m b^T Y b / 2), moves from the modulus of Q
+  into that of E;
 * each row of Q and each column of E is divided by its largest modulus;
 * the values are recombined as rel * (Q @ E) * exp(env), with
   rel = exp(log C + row scale + column scale - env) and env the log
@@ -50,8 +64,9 @@ No factor of the recombination overflows:
 * the binning keeps row scale + column scale + Re log C at most _SCALE_MAX
   above the envelope of the reduced point, which is env less the real part
   of the reduction's log factor, so |rel| <= exp(_SCALE_MAX) = e^300;
-* |Q @ E| <= B, the number of box points, as every row of Q and column of E
-  has modulus at most 1.
+* |Q @ E| <= B, the number of box points, up to rounding: every modulus is
+  at most 1 and every phase has modulus 1 to within the rounding bound of
+  :func:`_box_phase`.
 
 rel underflows only for terms below exp(-708) of their envelope, far under
 eps.  At z = 0, env = 0 and exp(env) = 1, so :func:`theta_constants` takes
@@ -189,16 +204,47 @@ def _log_envelope(Yinv: np.ndarray, m: int, zs) -> np.ndarray:
 
 
 def _scaled_exp(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """exp(x - shift) and shift, the largest real part of x along ``axis``.
+    """exp(x - shift) in place and shift, the largest entry of the real
+    array x along ``axis``.
 
     Entries below exp(-_FLUSH) become 0, so every product of two factors is
     a normal double or 0: subnormal operands slow BLAS by an order of
     magnitude, and a term cut this way is below exp(-50) of the envelope.
     """
-    shift = x.real.max(axis=axis, keepdims=True)
-    x = x - shift
-    x.real[x.real < -_FLUSH] = -np.inf
-    return np.exp(x), shift
+    shift = x.max(axis=axis, keepdims=True)
+    x -= shift
+    x[x < -_FLUSH] = -np.inf
+    np.exp(x, out=x)
+    return x, shift
+
+
+def _box_phase(lin: np.ndarray, R: int) -> np.ndarray:
+    """exp(i b . lin_n) for every point b of the cube [-R, R]^g, in
+    lexicographic order, and every row lin_n of the (N, g) real array
+    ``lin``; shape ((2R+1)^g, N).
+
+    The cube is a product of axes, so the phase is an outer product of
+    per-axis tables exp(i r lin_nj), r in [-R, R]: one complex exponential
+    w = exp(i lin_nj) per (row, axis), the powers w^r, r > 1, by repeated
+    multiplication and w^-r = conj(w^r), then g - 1 broadcast products with
+    the rows along the contiguous axis.  A direct table, one exponential per
+    (row, axis, r), would cost as much as the whole phase at g = 1.  Every
+    multiplication rounds by at most sqrt(5) u (u = 2^-53), so an entry is
+    within (|b|_1 + g) sqrt(5) u of exp(i b . lin_n), beyond the rounding
+    of lin itself: under 1e-14 for |b|_1 + g <= 40.
+    """
+    n, g = lin.shape
+    # table[R + r, j] = w_j^r
+    table = np.empty((2 * R + 1, g, n), dtype=complex)
+    table[R] = 1.0
+    table[R + 1:R + 2] = np.exp(1j * lin.T)
+    for r in range(R + 2, 2 * R + 1):
+        np.multiply(table[r - 1], table[R + 1], out=table[r])
+    np.conjugate(table[:R:-1], out=table[:R])
+    phase = table[:, 0]
+    for j in range(1, g):
+        phase = (phase[:, None, :] * table[None, :, j]).reshape(-1, n)
+    return phase
 
 
 def _bins(x: np.ndarray, nb: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -231,17 +277,22 @@ class _LatticeSum:
         # scale excess pi m v^T Y v, |v_i| <= offset / nb, of every
         # (characteristic, point) block under _SCALE_MAX
         spread = math.pi * self.m * float(np.abs(self.Y).sum())
+        if not math.isfinite(spread):
+            raise TruncationOverflow(f"Im Omega spread {spread:.4g} is past the float range")
         self.nbins = max(1, math.ceil(offset * math.sqrt(spread / _SCALE_MAX)))
         self._box = self._cube(self.radius)
 
-    def _cube(self, R: int) -> np.ndarray:
-        """The (2R+1)^g integer points of [-R, R]^g, lexicographic."""
+    def _cube(self, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (2R+1)^g integer points b of [-R, R]^g, lexicographic, with
+        the columns pi m b^T Y b / 2 and exp(pi i m b^T X b), X = Re tau."""
         cells = (2 * R + 1) ** self.g
         if cells > DEFAULT_CAPACITY:
             raise TruncationOverflow(
                 f"radius {R} needs {cells} lattice points, capacity is {DEFAULT_CAPACITY}"
             )
-        return (lex_vectors((2 * R + 1,) * self.g) - R).astype(float)
+        box = (lex_vectors((2 * R + 1,) * self.g) - R).astype(float)
+        btb = (math.pi * self.m) * np.einsum("bi,ij,bj->b", box, self.tau, box)[:, None]
+        return box, 0.5 * btb.imag, np.exp(1j * btb.real)
 
     def _reduce(self, zs: np.ndarray):
         """Translate into the fundamental cell of tau Z^g + Z^g.
@@ -250,13 +301,12 @@ class _LatticeSum:
         theta_c(z) = exp(2 pi i m c.bint) * exp(pref) * theta_c(z0).
         """
         aint = np.round(zs.imag @ self.Yinv.T)
-        z1 = zs - aint @ self.tau.T
+        shift = aint @ self.tau.T
+        z1 = zs - shift
         bint = np.round(z1.real)
         z0 = z1 - bint
-        quad = np.einsum("pi,ij,pj->p", aint, self.tau, aint)
-        pref = -1j * math.pi * self.m * quad - 2j * math.pi * self.m * np.einsum(
-            "pi,pi->p", aint, z0
-        )
+        # a^T tau a + 2 a^T z0, with tau a the shift taken off
+        pref = (-1j * math.pi * self.m) * (aint * (shift + 2.0 * z0)).sum(axis=1)
         return z0, bint, pref
 
     def eval(self, chars: np.ndarray, zs: np.ndarray, radius: int | None = None) -> np.ndarray:
@@ -274,41 +324,70 @@ class _LatticeSum:
         if env.size and float(env.max()) > _LOG_MAX:
             raise TruncationOverflow(
                 "section value exceeds double-precision range "
-                f"(log envelope {float(env.max()):.1f})"
+                f"(log envelope {float(env.max()):.4g})"
             )
-        box = self._box if radius is None else self._cube(int(radius))
+        R = self.radius if radius is None else int(radius)
+        box, half, bphase = self._box if radius is None else self._cube(R)
         pim = math.pi * self.m
+        X = self.tau.real
+        ybox = box @ (pim * self.Y)
         cshift = chars - np.round(chars)
-        btb = np.einsum("bi,ij,bj->b", box, self.tau, box)
-        half_gauss = 0.5 * pim * np.einsum("bi,ij,bj->b", box, self.Y, box)
         a = z0.imag @ self.Yinv.T
         out = np.empty((chars.shape[0], z0.shape[0]), dtype=complex)
         krows = max(1, _CHUNK_ELEMENTS // box.shape[0])
         for bin_rows, cbar in _bins(cshift, self.nbins):
             for lo in range(0, bin_rows.size, krows):
                 rows = bin_rows[lo:lo + krows]
-                # l^T tau l for l = c + b, expanded so that no (K, B, g) array is formed
-                ctau = cshift[rows] @ self.tau
-                qlog = 1j * pim * (np.einsum("ki,ki->k", ctau, cshift[rows])[:, None]
-                                   + 2.0 * ctau @ box.T + btb)
+                c, crows = cshift[rows], chars[rows]
+                cx, cy = c @ X, c @ self.Y
+                lin = (2.0 * pim) * cx
+                cxc = pim * (cx * c).sum(axis=1)[:, None]
+                cyc = pim * (cy * c).sum(axis=1)
                 step = max(1, _CHUNK_ELEMENTS // max(box.shape[0], rows.size))
                 for cols, abar in _bins(a, self.nbins):
-                    # the split of the Gaussian is centred between the two bins
-                    split = half_gauss + pim * (box @ (self.Y @ (cbar - abar)))
-                    q, row_shift = _scaled_exp(qlog + split, axis=1)
+                    # half of the Gaussian moves from Q into E, the split
+                    # centred between the two bins
+                    centre = cbar - abar
+                    split = ybox @ centre[:, None] + half
+                    # Q, transposed: box points along the rows; its row
+                    # phase exp(pi i m c^T X c) goes into rel
+                    qmod = ybox @ (centre - 2.0 * c).T
+                    qmod -= half
+                    qmod -= cyc
+                    qmod, row_shift = _scaled_exp(qmod, axis=0)
+                    q = _box_phase(lin, R)
+                    q *= bphase
+                    q *= qmod
                     for plo in range(0, cols.size, step):
                         p = cols[plo:plo + step]
-                        e, col_shift = _scaled_exp(
-                            2j * pim * (box @ z0[p].T) - split[:, None], axis=0
-                        )
-                        # log C, and the phase of the real translation in turns
-                        turns = np.mod(self.m * (chars[rows] @ bint[p].T), 1.0)
-                        outer = 2j * pim * (cshift[rows] @ z0[p].T) + 2j * math.pi * turns
-                        # every exponent is taken from the point's envelope,
-                        # so |rel| <= exp(_SCALE_MAX); exp before the product:
-                        # right after a complex matmul, exp runs ~10x slower
-                        rel = np.exp(outer + (pref[p] - env[p]) + row_shift + col_shift)
-                        out[np.ix_(rows, p)] = rel * (q @ e) * np.exp(env[p])
+                        zp = z0[p]
+                        zr, zi = (2.0 * pim) * zp.real, (-2.0 * pim) * zp.imag
+                        # E less the split, box points along the rows
+                        emod = box @ zi.T
+                        emod -= split
+                        emod, col_shift = _scaled_exp(emod, axis=0)
+                        e = _box_phase(zr, R)
+                        e *= emod
+                        # rel = C exp(row scale + column scale - env), with
+                        # the row phase and the phase of the real translation
+                        # in turns: |rel| <= exp(_SCALE_MAX)
+                        phase = crows @ (self.m * bint[p].T)
+                        phase -= np.floor(phase)
+                        phase *= 2.0 * math.pi
+                        phase += c @ zr.T
+                        phase += cxc
+                        phase += pref.imag[p]
+                        rel = np.empty(phase.shape, dtype=complex)
+                        rel.imag = phase
+                        rel.real = c @ zi.T
+                        rel.real += row_shift.T
+                        rel.real += (pref[p].real - env[p]) + col_shift
+                        # exp before the product: right after a complex
+                        # matmul, exp runs ~10x slower
+                        np.exp(rel, out=rel)
+                        rel *= q.T @ e
+                        rel *= np.exp(env[p])
+                        out[rows[:, None], p] = rel
         return out
 
 

@@ -133,6 +133,43 @@ def test_run_scenario_reports_a_radius_past_the_float_range():
     assert any(e.startswith("mu_verdict: ") for e in report.payload["errors"])
 
 
+#: scenario content that once escaped run_scenario (OverflowError, LinAlgError,
+#: or a RuntimeWarning under warnings-as-errors) or took 5 s to refuse:
+#: (type, omega, n, checks, exit code, start of the error)
+_EXTREME_CONTENT = [
+    ((1,), [[[0, 1e308]]], 1, {"spanning_modulus": 2}, 3,
+     "spanning: Im Omega spread inf is past the float range"),
+    ((1,), [[[0, 1e308]]], 1, {"wirtinger": True}, 3, "wirtinger: overflow encountered"),
+    ((1,), [[[1e308, 1]]], 1, {"spanning_modulus": 2}, 3, "spanning: overflow encountered"),
+    ((1,), [[[1e308, 1]]], 1, {"wirtinger": True}, 3, "wirtinger: overflow encountered"),
+    ((1,), [[[0, 0.01]]], 26, {"wirtinger": True}, 3,
+     "wirtinger: Wirtinger values need 26611416 cells, cap is 10000000"),
+    ((3,), [[[-1e308, 1]]], 1, {}, 3, "mu_verdict: overflow encountered"),
+    ((1, 1), [[[0, 1], [1e308, 0]], [[-1e308, 0], [0, 1]]], 1, {}, 2,
+     "overflow encountered in subtract"),
+]
+_EXTREME_IDS = ["huge-im-spanning", "huge-im-wirtinger", "huge-re-spanning",
+                "huge-re-wirtinger", "n26-wirtinger", "huge-re-mu", "huge-asymmetry"]
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+@pytest.mark.parametrize("divisors,omega,n,checks,code,message", _EXTREME_CONTENT,
+                         ids=_EXTREME_IDS)
+def test_run_scenario_reports_extreme_content(divisors, omega, n, checks, code, message,
+                                              action):
+    # a report with the stage's error, never an exception, whether numpy's
+    # floating-point warnings are shown or raised
+    config = ScenarioConfig(name="extreme", g=len(divisors), type=divisors, omega=omega, n=n,
+                            checks=checks)
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        report = run_scenario(config)
+    assert time.perf_counter() - start < 1.0
+    assert report.exit_code == code
+    assert [e for e in report.payload["errors"] if e.startswith(message)]
+
+
 #: subnormal period matrices: (type, omega, exit code, text of the error or None)
 _SUBNORMAL = [
     ((3,), [[[0, 1e-320]]], 3,
@@ -561,11 +598,16 @@ def _or_junk(strategy):
     return st.integers(0, 9).flatmap(lambda k: _JUNK if k == 9 else strategy)
 
 
+def _or_extreme(strategy, values=(1e308, -1e308, 1e-320)):
+    """``strategy``, or an extreme finite double of ``values`` one time in four."""
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(values) if k == 3 else strategy)
+
+
 @st.composite
-def _omegas(draw, g):
+def _omegas(draw, g, kinds=("random", "explicit", "malformed")):
     """A random-seed mapping, or a g x g matrix of [re, im] pairs (symmetric,
     with Im positive definite or not), or a matrix of another shape."""
-    kind = draw(st.sampled_from(["random", "explicit", "malformed"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "random":
         return {"random": {"seed": draw(_or_junk(st.integers(0, 2**64)))}}
     size = g if kind == "explicit" else draw(st.integers(0, 3))
@@ -574,8 +616,10 @@ def _omegas(draw, g):
     for i in range(size):
         for j in range(i, size):
             re, im = draw(entry) if kind == "malformed" else (
-                draw(st.floats(-1, 1)),
-                draw(st.floats(0.3, 3) if i == j else st.floats(-0.2, 0.2)),
+                draw(_or_extreme(st.floats(-1, 1))),
+                # a huge or subnormal diagonal keeps Im Omega positive definite
+                draw(_or_extreme(st.floats(0.3, 3), (1e308, 1e-320)) if i == j
+                     else _or_extreme(st.floats(-0.2, 0.2))),
             )
             rows[i][j] = rows[j][i] = [re, im]
     if kind == "explicit" and draw(st.integers(0, 4)) == 0:
@@ -584,36 +628,36 @@ def _omegas(draw, g):
 
 
 @st.composite
-def _scenarios(draw):
+def _scenarios(draw, clean=False):
+    """A scenario document; with ``clean``, every field but omega is well
+    formed and omega is an explicit matrix."""
+    junk = (lambda strategy: strategy) if clean else _or_junk
     g = draw(st.integers(1, 2))
-    checks = draw(_or_junk(st.one_of(
-        st.just({}), st.fixed_dictionaries({"wirtinger": _or_junk(st.booleans())}),
-        st.fixed_dictionaries({"spanning_modulus": _or_junk(st.integers(0, 3))}),
+    checks = draw(junk(st.one_of(
+        st.just({}), st.fixed_dictionaries({"wirtinger": junk(st.booleans())}),
+        st.fixed_dictionaries({"spanning_modulus": junk(st.integers(0, 3))}),
     )))
-    caps = draw(_or_junk(st.dictionaries(
+    caps = draw(junk(st.dictionaries(
         st.sampled_from(["mu_cells", "wirtinger_unknowns", "spanning_points"]),
-        _or_junk(st.integers(1, 10**7)), max_size=2,
+        junk(st.integers(1, 10**7)), max_size=2,
     )))
     return {
         "name": "property",
-        "g": draw(_or_junk(st.just(g))),
-        "type": draw(_or_junk(st.lists(st.integers(1, 4), min_size=g, max_size=g))),
-        "omega": draw(_omegas(g)),
-        "n": draw(_or_junk(st.one_of(st.integers(1, 2), st.just("g-1")))),
-        "eps": draw(_or_junk(st.sampled_from([1e-12, 1e-8, 1e-6]))),
-        "seed": draw(_or_junk(st.integers(0, 2**64))),
-        "simple_asserted": draw(_or_junk(st.booleans())),
+        "g": draw(junk(st.just(g))),
+        "type": draw(junk(st.lists(st.integers(1, 4), min_size=g, max_size=g))),
+        "omega": draw(_omegas(g, ("explicit",)) if clean else _omegas(g)),
+        "n": draw(junk(st.one_of(st.integers(1, 2), st.just("g-1")))),
+        "eps": draw(junk(st.sampled_from([1e-12, 1e-8, 1e-6]))),
+        "seed": draw(junk(st.integers(0, 2**64))),
+        "simple_asserted": draw(junk(st.booleans())),
         "caps": caps,
         "checks": checks,
     }
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=80)
-@given(_scenarios())
-def test_run_scenario_never_raises_on_scenario_content(doc):
-    # JSON-shaped scenarios with g <= 2, divisors <= 4 and n <= 2, well formed
-    # or not: every one gets a report with a known exit code, byte for byte
-    # the same on a second run, and a clean report holds only finite numbers
+def _assert_reported(doc):
+    """Every scenario gets a report with a known exit code, byte for byte the
+    same on a second run, and a clean report holds only finite numbers."""
     config = ScenarioConfig.from_dict(json.loads(json.dumps(doc)))
     first = run_scenario(config)
     assert first.exit_code in {0, 2, 3, 4}
@@ -621,3 +665,19 @@ def test_run_scenario_never_raises_on_scenario_content(doc):
     assert emit_report(run_scenario(config), "json") == text
     if first.exit_code == 0:
         assert not any(token in text for token in ('"nan"', '"inf"', '"-inf"'))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(_scenarios())
+def test_run_scenario_never_raises_on_scenario_content(doc):
+    # JSON-shaped scenarios with g <= 2, divisors <= 4 and n <= 2, well formed
+    # or not, with extreme finite omega entries among them
+    _assert_reported(doc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_scenarios(clean=True))
+def test_run_scenario_never_raises_on_extreme_period_matrices(doc):
+    # well-formed scenarios whose period matrix may hold 1e308 or 1e-320,
+    # so that the extremes reach the evaluation stages
+    _assert_reported(doc)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -256,6 +257,40 @@ def test_lattice_sum_chunk_rule_matches_one_chunk(omega, divisors, m, monkeypatc
     monkeypatch.setattr(theta, "_CHUNK_ELEMENTS", 2 * box)
     assert (np.abs(basis.eval_matrix(zs) - vals) <= 1e-14 * envelope).all()
     assert np.abs(theta_constants(pav, m) - consts).max() <= 1e-15
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_box_phase_matches_one_exponential_per_entry(g):
+    # the per-axis tables and their broadcast products give exp(i lin . b)
+    # over the lattice's own cube, a larger radius= override cube and R = 0
+    pav = validate_polarized(random_period_matrix(g, 70 + g), (1,) * g)
+    lattice = ThetaBasis(pav, 3)._sum
+    lin = 2 * math.pi * (np.random.default_rng(g).random((50, g)) - 0.5)
+    for R in (lattice.radius, lattice.radius + 2, 0):
+        box = lattice._cube(R)[0]
+        phase = theta._box_phase(lin, R)
+        assert phase.shape == (len(box), len(lin))
+        assert np.abs(phase.T - np.exp(1j * lin @ box.T)).max() <= 1e-14
+
+
+def test_lattice_sum_memory_does_not_grow_with_the_points():
+    # 20000 -> 80000 points raises the traced peak, less the output, only by
+    # the per-point arrays of the reduction (7.7 MB); an unchunked (B, P)
+    # temporary, B = 125, would add 150 MB or more
+    pav = validate_polarized(random_period_matrix(3, 202), (1, 1, 1))
+    basis = ThetaBasis(pav, 2)
+    assert (2 * basis.radius + 1) ** 3 == 125
+    peaks = []
+    for count in (20_000, 80_000):
+        zs = cell_points(pav, count, np.random.default_rng(count))
+        tracemalloc.start()
+        try:
+            vals = basis.eval_matrix(zs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - vals.nbytes)
+        finally:
+            tracemalloc.stop()
+    # two chunk budgets of complex values: 16 MB
+    assert peaks[1] - peaks[0] < 2 * 16 * theta._CHUNK_ELEMENTS
 
 
 @pytest.mark.parametrize(
