@@ -14,6 +14,7 @@ from thetamu import (
     surjectivity_verdict,
     validate_polarized,
 )
+from thetamu.theta import lex_vectors
 
 # --- an elliptic curve with a degree-3 polarization ---------------------------
 # h0(L) = 3 > 2 = the threshold, so the multiplication map
@@ -43,16 +44,26 @@ print(f"\nprincipal surface: {shortcut.verdict.value} "
 # --- character blocks -----------------------------------------------------------
 # K(L)_1 acts on every level by permuting characteristics, and multiplication
 # intertwines the actions, so mu_1 becomes block diagonal in the eigenbasis:
-# one block per character of K(L)_1, each with (n+1)^g rows.  The blocks are
-# a group DFT of the 6 x 3 columns of mu_1 at level-1 index 0, so together
-# their spectra are the spectrum of the dense 6 x 9 matrix.
+# one block per character gamma of K(L)_1, each with (n+1)^g rows.  Translations
+# by K(L)_2 and [-1] make the blocks of one orbit (gamma mod gcd(n+1, d) up to
+# sign) unitarily equivalent, so one block per orbit is built, straight from
+# the nonzeros of the 6 x 3 columns of mu_1 at level-1 index 0.  Each repeated
+# over its orbit, their spectra are the spectrum of the dense 6 x 9 matrix.
 blocks = gamma_blocks(pav, 1)
 dense = np.linalg.svd(mu.matrix, compute_uv=False)
 agreement = np.abs(blocks.singular_values - dense).max() / dense[0]
-print(f"\n{len(blocks.ranks)} blocks, block spectra vs dense spectrum {agreement:.1e}")
-for i, (block, rank) in enumerate(zip(blocks.matrices, blocks.ranks)):
-    print(f"  character #{i}: shape {block.shape}, rank {rank}")
+print(f"\n{len(blocks.ranks)} blocks in {len(blocks.matrices)} orbit(s), "
+      f"block spectra vs dense spectrum {agreement:.1e}")
+characters = lex_vectors(pav.delta.divisors)
+for i, (block, rep) in enumerate(zip(blocks.matrices, blocks.representatives)):
+    size = int((blocks.orbit == i).sum())
+    print(f"  orbit of character {characters[rep].tolist()}: {size} characters, "
+          f"block shape {block.shape}, rank {blocks.ranks[rep]}")
 print(f"rank sum {blocks.rank_sum} = full rank {blocks.total_rank}")
+# with d = 4, gcd(n+1, 4) = 2 splits the characters 0..3 into two orbits,
+# {0, 2} and {1, 3}: two blocks are built for four
+quartic = validate_polarized(random_period_matrix(1, 102), (4,), simple_asserted=True)
+print("type (4), orbit of each character:", gamma_blocks(quartic, 1).orbit.tolist())
 
 # --- a (3,3)-polarized surface: the section-count criterion in action ----------
 surface = validate_polarized(random_period_matrix(2, 104), (3, 3), simple_asserted=True)

@@ -18,10 +18,13 @@ fits the coordinates of all its points in that one solve, one column per
 point.  The Wirtinger matrix is checked by the weighted misfit of the theta
 relation at seeded points.
 
-The verdict never forms mu_n itself.  mu_n commutes with the K(L)_1
-translations, so its character blocks are the group DFT of its h0(n+1) x
-h0(n) slice at level-1 index 0; one batched SVD of the blocks gives every
-block rank, and the union of the block spectra is the spectrum of mu_n.
+The verdict forms neither mu_n nor its h0(n+1) x h0(n) slice at level-1
+index 0.  mu_n commutes with the K(L)_1 translations, so its character
+blocks are a group DFT of that slice, and the translations by K(L)_2 and
+[-1] make the blocks of one orbit of characters unitarily equivalent.  So
+one block per orbit is built, straight from the h0(n) (n+1)^g nonzeros of
+the slice; one batched SVD of them gives every block rank, and the union of
+the block spectra, each repeated over its orbit, is the spectrum of mu_n.
 """
 
 from __future__ import annotations
@@ -160,16 +163,30 @@ def mu_matrix(pav: PolarizedAbelianVariety, n: int) -> MuMatrix:
     return MuMatrix(n=n, matrix=_mu_columns(pav, n, lex_vectors(pav.delta.divisors)))
 
 
-def _mu_columns(pav: PolarizedAbelianVariety, n: int, k1: np.ndarray) -> np.ndarray:
-    """The columns (k1, kn) of mu_n, lexicographic, for the level-1 indices
-    ``k1`` (rows of integer vectors) and every level-n index kn."""
+def _mu_entries(pav: PolarizedAbelianVariety, n: int, k1: np.ndarray):
+    """Where the nonzeros of the columns (k1, kn) of mu_n sit, for the level-1
+    indices ``k1`` (rows of integer vectors) and every level-n index kn, in
+    lexicographic order.
+
+    Returns (row, tau) with axes (k1, kn, j): row holds the level-(n+1)
+    index k' of every entry, an integer vector along a last axis, and tau the
+    position of its value in theta_constants(n(n+1)).
+    """
     d = np.array(pav.delta.divisors)
     # axes (k1, kn, j, coordinate)
     k1 = k1[:, None, None, :]
     kn = lex_vectors(n * d)[None, :, None, :]
     dj = d * lex_vectors((n + 1,) * pav.g)[None, None, :, :]
-    row = _ravel((k1 + kn + dj) % ((n + 1) * d), (n + 1) * d)
+    row = (k1 + kn + dj) % ((n + 1) * d)
     tau = _ravel((n * k1 - kn + n * dj) % (n * (n + 1) * d), n * (n + 1) * d)
+    return row, tau
+
+
+def _mu_columns(pav: PolarizedAbelianVariety, n: int, k1: np.ndarray) -> np.ndarray:
+    """The columns (k1, kn) of mu_n, lexicographic, for the level-1 indices
+    ``k1`` (rows of integer vectors) and every level-n index kn."""
+    row, tau = _mu_entries(pav, n, k1)
+    row = _ravel(row, (n + 1) * np.array(pav.delta.divisors))
     col = np.arange(row.shape[0] * row.shape[1]).reshape(row.shape[:2] + (1,))
     matrix = np.zeros((pav.h0(n + 1), col.size), dtype=complex)
     matrix[row, col] = theta_constants(pav, n * (n + 1))[tau]
@@ -247,7 +264,8 @@ def surjectivity_verdict(
     any evaluation; otherwise the verdict comes from the numerical rank of
     mu_n, read off the union of its character-block spectra, with
     Inconclusive whenever the spectrum has no clear gap.  ``cell_cap`` bounds
-    the h0(n+1) h0(n) cells of the blocks.
+    h0(n+1) h0(n), the cells of all |K| character blocks, though only one
+    block per orbit is built.
     """
     required = pav.h0(n + 1)
     if pav.h0(1) * pav.h0(n) < required:
@@ -297,16 +315,23 @@ def surjectivity_verdict(
 class GammaBlocks:
     """Block decomposition of mu_n over the characters gamma of K(L)_1.
 
-    The characters are in the order of ``lex_vectors(d)``: block i belongs
-    to gamma = k_i, the i-th integer vector of prod range(d_j).
-    ``matrices`` stacks the blocks, shape (|K|, (n+1)^g, |K| n^g); ``ranks``
-    holds their numerical ranks by the rule of :func:`numerical_rank`.
-    ``singular_values`` is the union of the block spectra, descending; the
-    eigenbasis transform is unitary, so it is the spectrum of mu_n.
+    The characters are in the order of ``lex_vectors(d)``: character i is
+    gamma = k_i, the i-th integer vector of prod range(d_j).  The blocks of
+    one orbit under gamma -> gamma + (n+1) y and gamma -> -gamma share one
+    spectrum (see :func:`gamma_blocks`), so ``matrices`` stacks one block per
+    orbit, shape (orbits, (n+1)^g, |K| n^g): block i belongs to the
+    character ``representatives[i]``, the first of its orbit, and
+    ``orbit[j]`` is the block of character j's orbit.  ``ranks`` holds the
+    numerical rank of every character's block by the rule of
+    :func:`numerical_rank`.  ``singular_values`` is the union of the spectra
+    of all |K| blocks, descending; the eigenbasis transform is unitary, so it
+    is the spectrum of mu_n.
     """
 
     n: int
     matrices: np.ndarray
+    representatives: np.ndarray
+    orbit: np.ndarray
     ranks: np.ndarray
     singular_values: np.ndarray
 
@@ -320,7 +345,8 @@ class GammaBlocks:
 
 
 def gamma_blocks(pav: PolarizedAbelianVariety, n: int) -> GammaBlocks:
-    """The character blocks of mu_n, from its columns at level-1 index 0.
+    """The character blocks of mu_n, one per orbit, from the nonzeros of its
+    columns at level-1 index 0.
 
     Write a level-m index as k = r + m e with r in [0, m)^g and e in
     K = prod Z/d_i.  K(L)_1 acts by e -> e + x on every level, and the
@@ -332,25 +358,68 @@ def gamma_blocks(pav: PolarizedAbelianVariety, n: int) -> GammaBlocks:
     order (y1, rn), and its entry at (r', (y1, rn)) is sqrt|K| times the
     group DFT of F, inverse over e' at gamma and forward over en at
     gamma - y1.
+
+    The blocks of one orbit under gamma -> gamma + (n+1) b (b in K) and
+    gamma -> -gamma have one spectrum:
+
+    * translation by an integer vector b, a point of K(L)_2, multiplies the
+      level-m section k by exp(2 pi i sum_i k_i b_i / d_i): a phase of r
+      times the character chi_{m b} of e.  It commutes with the
+      multiplication, shifts the source characters y1 and yn by b and n b
+      and the target character by (n+1) b, so it maps block gamma unitarily
+      onto block gamma + (n+1) b;
+    * [-1] maps theta_c to theta_{-c} on every level, commutes with the
+      multiplication and maps the characters gamma to -gamma.
+
+    (n+1) K holds the gamma with every gamma_i divisible by gcd(n+1, d_i),
+    so the orbit of gamma is gamma mod gcd(n+1, d_i) up to sign, and that
+    residue or the residue of -gamma, whichever comes first, is the first
+    character of the orbit and represents it.  Only the representatives are
+    built.  F has h0(n) (n+1)^g nonzeros, theta_constants[tau] at row
+    k' = r' + (n+1) e' and column kn = rn + n en, so for every
+    representative the inverse DFT over e' is a sum over the nonzeros into
+    G[r', kn] (one bincount for all of them) and the forward DFT over en is
+    an FFT of G.  One batched SVD of the representatives gives every
+    block rank and spectrum, repeated over each orbit.
     """
     g = pav.g
-    d = pav.delta.divisors
+    d = np.array(pav.delta.divisors)
     deg = pav.delta.degree
     rows, cols = (n + 1) ** g, n**g
-    F = _mu_columns(pav, n, np.zeros((1, g), dtype=int))
-    # split k_i = e_i m + r_i on every axis, then order the axes (e', r', en, rn)
-    F = F.reshape(*(x for di in d for x in (di, n + 1)), *(x for di in d for x in (di, n)))
-    F = F.transpose(*range(0, 2 * g, 2), *range(1, 2 * g, 2),
-                    *range(2 * g, 4 * g, 2), *range(2 * g + 1, 4 * g, 2))
-    H = np.fft.fftn(np.fft.ifftn(F, axes=tuple(range(g))), axes=tuple(range(2 * g, 3 * g)))
-    H = H.reshape(deg, rows, deg, cols).transpose(0, 2, 1, 3) * math.sqrt(deg)
     chars = lex_vectors(d)
-    # H[gamma, gamma - y1] for every pair (gamma, y1)
-    partner = _ravel((chars[:, None, :] - chars[None, :, :]) % np.array(d), d)
-    stacked = H[np.arange(deg)[:, None], partner].transpose(0, 2, 1, 3).reshape(deg, rows, -1)
-    spectra = np.linalg.svd(stacked, compute_uv=False)
-    ranks = _ranks(spectra)
-    return GammaBlocks(n, stacked, ranks, np.sort(spectra, axis=None)[::-1])
+    # the first character of every orbit: gamma or -gamma mod gcd(n+1, d_i)
+    q = np.gcd(n + 1, d)
+    first = _ravel(np.stack([chars % q, -chars % q]), d).min(axis=0)
+    is_rep = first == np.arange(deg)
+    reps = np.flatnonzero(is_rep)
+    rep_chars = chars[reps]
+    orbit = (np.cumsum(is_rep) - 1)[first]
+    row, tau = _mu_entries(pav, n, np.zeros((1, g), dtype=int))
+    ep, rp = np.divmod(row[0], n + 1)
+    # the cell (r', kn) of every nonzero, kn lexicographic
+    cell = _ravel(rp, (n + 1,) * g) * (deg * cols) + np.arange(deg * cols)[:, None]
+    const = theta_constants(pav, n * (n + 1))[tau[0]] / math.sqrt(deg)
+    # exp(2 pi i gamma . e' / d), in turns of 1/d_g: every d_i divides d_g
+    turns = (ep * (d[-1] // d)) @ rep_chars.T % d[-1]
+    weights = np.exp((2j * math.pi / d[-1]) * np.arange(d[-1]))[turns] * const[..., None]
+    size = rows * deg * cols
+    index = (cell[..., None] + size * np.arange(len(reps))).ravel()
+    G = np.empty(len(reps) * size, dtype=complex)
+    G.real = np.bincount(index, weights.real.ravel(), len(G))
+    G.imag = np.bincount(index, weights.imag.ravel(), len(G))
+    # axes (rep, r', e_1, r_1, ..., e_g, r_g) with kn_i = e_i n + r_i: FFT over
+    # the e axes, then order the axes (rep, en, r', rn)
+    G = G.reshape(len(reps), rows, *(x for di in d for x in (di, n)))
+    G = np.fft.fftn(G, axes=tuple(range(2, 2 * g + 2, 2)))
+    G = G.transpose(0, *range(2, 2 * g + 2, 2), 1, *range(3, 2 * g + 2, 2))
+    # column (y1, rn) of block gamma takes the frequency gamma - y1
+    partner = _ravel((rep_chars[:, None, :] - chars[None, :, :]) % d, d)
+    blocks = G.reshape(len(reps), deg, rows, cols)[np.arange(len(reps))[:, None], partner]
+    blocks = blocks.transpose(0, 2, 1, 3).reshape(len(reps), rows, -1)
+    spectra = np.linalg.svd(blocks, compute_uv=False)
+    union = np.repeat(spectra, np.bincount(orbit), axis=0)
+    return GammaBlocks(n, blocks, reps, orbit, _ranks(spectra)[orbit],
+                       np.sort(union, axis=None)[::-1])
 
 
 @dataclass(frozen=True, eq=False)

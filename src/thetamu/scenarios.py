@@ -345,6 +345,8 @@ def run_scenario(config: ScenarioConfig) -> Report:
         blocks = verdict_obj.blocks
         payload["blocks"] = {
             "count": len(blocks.ranks),
+            # the representative blocks decomposed, one per orbit
+            "orbits": len(blocks.matrices),
             "row_dim": (n + 1) ** pav.g,
             # 0 by construction (the blocks are built directly); kept while
             # the benchmark pins this key

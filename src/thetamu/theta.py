@@ -87,12 +87,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NotInK1, NotLatticeVector, TruncationOverflow
+from .errors import NotInK1, NotLatticeVector, SizeLimit, TruncationOverflow
 from .torsion import TorsionPoint
 from .varieties import PolarizedAbelianVariety
 
 #: hard cap on the number of lattice points in one summation box
 DEFAULT_CAPACITY = 4_000_000
+#: cap on the K x (2R+1)^g x P terms of one evaluation, a few seconds of work
+DEFAULT_TERM_CAP = 10**9
 #: largest exponent exp() can take before double overflow, with margin
 _LOG_MAX = 700.0
 #: largest excess, in log scale, of a row scale times a column scale over the
@@ -315,10 +317,15 @@ class _LatticeSum:
         One scaled matrix product per (bin, bin) block and chunk of
         characteristics and points, recombined relative to each point's log
         envelope ``env``, without a logarithm; see the module docstring for
-        why no factor overflows.
+        why no factor overflows.  Raises :class:`SizeLimit` before any work
+        when the K (2R+1)^g P terms exceed DEFAULT_TERM_CAP.
         """
         chars = np.atleast_2d(np.asarray(chars, dtype=float))
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
+        R = self.radius if radius is None else int(radius)
+        terms = chars.shape[0] * (2 * R + 1) ** self.g * zs.shape[0]
+        if terms > DEFAULT_TERM_CAP:
+            raise SizeLimit(f"lattice sum needs {terms} terms, cap is {DEFAULT_TERM_CAP}")
         z0, bint, pref = self._reduce(zs)
         env = _log_envelope(self.Yinv, self.m, z0) + pref.real
         if env.size and float(env.max()) > _LOG_MAX:
@@ -326,7 +333,6 @@ class _LatticeSum:
                 "section value exceeds double-precision range "
                 f"(log envelope {float(env.max()):.4g})"
             )
-        R = self.radius if radius is None else int(radius)
         box, half, bphase = self._box if radius is None else self._cube(R)
         pim = math.pi * self.m
         X = self.tau.real

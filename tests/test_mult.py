@@ -220,9 +220,14 @@ def test_gamma_blocks_principal_single_block(principal_g1):
 
 def test_gamma_blocks_elliptic_d3(elliptic_d3):
     blocks = gamma_blocks(elliptic_d3, 1)
-    assert blocks.matrices.shape == (3, 2, 3)
+    # gcd(2, 3) = 1, so the three characters form one orbit, built once
+    assert blocks.matrices.shape == (1, 2, 3)
+    assert blocks.representatives.tolist() == [0]
+    assert blocks.orbit.tolist() == [0, 0, 0]
     assert blocks.ranks.tolist() == [2, 2, 2]
-    _assert_union_is_dense_spectrum(blocks, mu_matrix(elliptic_d3, 1))
+    mu, full, _, reference = _reference_blocks(elliptic_d3, 1)
+    assert np.abs(blocks.matrices[0] - reference[0]).max() <= 1e-13 * np.abs(full).max()
+    _assert_union_is_dense_spectrum(blocks, mu)
     assert blocks.rank_sum == blocks.total_rank == 6
 
 
@@ -566,6 +571,27 @@ def _table_eigenbasis(pav, m, table):
     return U / np.sqrt(deg)
 
 
+def _reference_blocks(pav, n):
+    """The dense mu_n, its transform Un1^H mu_n (U1 kron Un) with eigenbases
+    built entry by entry from the exact character table, the character of
+    every column of the transform, and the block of every character i of
+    K(L)_1, in the order of lex_vectors(d)."""
+    mu = mu_matrix(pav, n)
+    table = characters(pav, 1)
+    k2 = table.group.k2
+    # character i is lex_vectors(d)[i], the order of k2
+    chars = lex_vectors(pav.delta.divisors)
+    assert [tuple(int(b) for b in y.b) for y in k2] == [tuple(k) for k in chars]
+    U1, Un, Un1 = (_table_eigenbasis(pav, m, table) for m in (1, n, n + 1))
+    # the Kronecker product, applied one factor at a time
+    full = (Un1.conj().T @ mu.matrix).reshape(len(Un1), len(U1), len(Un))
+    full = (np.swapaxes(np.tensordot(full, U1, axes=(1, 0)), 1, 2) @ Un).reshape(len(Un1), -1)
+    col_gamma = np.repeat([table.character_of(ya + yb) for ya in k2 for yb in k2], n**pav.g)
+    rows = (n + 1) ** pav.g
+    reference = [full[i * rows:(i + 1) * rows][:, col_gamma == i] for i in range(len(k2))]
+    return mu, full, col_gamma, reference
+
+
 @pytest.mark.parametrize(
     "divisors,n,seed", [((3,), 1, 101), ((4,), 2, 102), ((2, 4), 1, 5), ((1, 2, 2), 2, 301)],
     ids=lambda v: str(v),
@@ -574,32 +600,62 @@ def test_block_transform_matches_kron(divisors, n, seed):
     # the reference transforms the dense mu_n with eigenbases built entry by
     # entry from the exact character table
     pav = validate_polarized(random_period_matrix(len(divisors), seed), divisors, True)
-    mu = mu_matrix(pav, n)
     blocks = gamma_blocks(pav, n)
-    table = characters(pav, 1)
-    U1, Un, Un1 = (_table_eigenbasis(pav, m, table) for m in (1, n, n + 1))
-    full = Un1.conj().T @ mu.matrix @ np.kron(U1, Un)
-    k2 = table.group.k2
-    # block i belongs to the character gamma = lex_vectors(d)[i], the order of k2
-    assert [tuple(int(b) for b in y.b) for y in k2] == [tuple(k) for k in lex_vectors(divisors)]
-    assert blocks.matrices.shape[0] == len(k2)
-    reps_n, reps_n1 = n**pav.g, (n + 1) ** pav.g
-    col_gamma = np.repeat(
-        [table.character_of(ya + yb) for ya in k2 for yb in k2], reps_n
-    )
+    mu, full, col_gamma, reference = _reference_blocks(pav, n)
+    assert len(blocks.ranks) == len(reference)
+    assert blocks.orbit[blocks.representatives].tolist() == list(range(len(blocks.matrices)))
     scale = np.abs(full).max()
-    off = full.copy()
-    for gi, (block, rank) in enumerate(zip(blocks.matrices, blocks.ranks)):
-        rows = slice(gi * reps_n1, (gi + 1) * reps_n1)
-        expected = full[rows][:, col_gamma == gi]
-        assert np.abs(block - expected).max() <= 1e-13 * scale
-        assert rank == numerical_rank(expected).rank
+    # every representative block is the reference block at its character
+    for block, gi in zip(blocks.matrices, blocks.representatives):
+        assert np.abs(block - reference[gi]).max() <= 1e-13 * scale
         # the block ranks and the verdict's rank come from one threshold rule
-        assert rank == mult._spectrum_rank(np.linalg.svd(block, compute_uv=False)).rank
-        off[rows, col_gamma == gi] = 0.0
+        assert blocks.ranks[gi] == mult._spectrum_rank(np.linalg.svd(block, compute_uv=False)).rank
+    off = full.copy()
+    rows = (n + 1) ** pav.g
+    for gi, expected in enumerate(reference):
+        assert blocks.ranks[gi] == numerical_rank(expected).rank
+        off[gi * rows:(gi + 1) * rows, col_gamma == gi] = 0.0
     # the reference is block diagonal, so the blocks miss nothing
     assert np.linalg.norm(off) <= 1e-13 * np.linalg.norm(full)
     _assert_union_is_dense_spectrum(blocks, mu)
+
+
+#: (divisors, n, omega seed, orbits): the characters gamma of K(L)_1 fall into
+#: orbits of gamma mod gcd(n+1, d_i) up to sign
+_ORBIT_CASES = [
+    ((3,), 1, 101, 1), ((4,), 1, 102, 2), ((60,), 1, 101, 2), ((1, 2), 1, 33, 2),
+    ((2, 4), 1, 5, 4), ((3, 3), 1, 104, 1), ((12,), 2, 7, 2), ((2, 6), 2, 8, 2),
+    ((1, 3, 9), 2, 301, 5), ((1, 1, 21), 2, 301, 2), ((1, 2, 2), 2, 301, 1),
+]
+
+
+@pytest.mark.parametrize("divisors,n,seed,orbits", _ORBIT_CASES, ids=lambda v: str(v))
+def test_orbit_blocks_have_the_spectrum_of_their_representative(divisors, n, seed, orbits):
+    pav = validate_polarized(random_period_matrix(len(divisors), seed), divisors, True)
+    blocks = gamma_blocks(pav, n)
+    assert len(blocks.matrices) == len(blocks.representatives) == orbits
+    spectra = np.linalg.svd(blocks.matrices, compute_uv=False)
+    mu, _, _, reference = _reference_blocks(pav, n)
+    # every character's reference block has its representative's spectrum
+    for gi, expected in enumerate(reference):
+        s = np.linalg.svd(expected, compute_uv=False)
+        assert np.abs(s - spectra[blocks.orbit[gi]]).max() <= 1e-13 * spectra.max()
+        assert blocks.ranks[gi] == numerical_rank(expected).rank
+    # so the representative spectra, each repeated by its orbit size, are the
+    # spectrum of mu_n
+    _assert_union_is_dense_spectrum(blocks, mu)
+
+
+def test_verdict_forms_no_dense_slice(elliptic_d3, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verdict formed dense columns of mu_n")
+
+    monkeypatch.setattr(mult, "_mu_columns", refuse)
+    monkeypatch.setattr(mult, "mu_matrix", refuse)
+    surface = validate_polarized(random_period_matrix(2, 104), (3, 3), True)
+    for pav, rank in ((elliptic_d3, 6), (surface, 36)):
+        verdict = surjectivity_verdict(pav, 1)
+        assert verdict.verdict is Verdict.SURJECTIVE and verdict.rank == rank
 
 
 def test_wirtinger_matrix_is_seed_and_period_independent():

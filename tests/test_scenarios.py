@@ -65,6 +65,8 @@ def test_run_scenario_elliptic_d3():
     assert p["consistency"]["theorem_violation"] is False
     assert p["itt"]["verdict"] == "Unknown"  # g = 1, implication not applicable
     assert p["blocks"]["rank_sum"] == p["blocks"]["total_rank"] == 6
+    # three character blocks, one orbit decomposed
+    assert (p["blocks"]["count"], p["blocks"]["orbits"]) == (3, 1)
 
 
 def test_run_scenario_surface_33_itt_holds():
@@ -147,9 +149,14 @@ _EXTREME_CONTENT = [
     ((3,), [[[-1e308, 1]]], 1, {}, 3, "mu_verdict: overflow encountered"),
     ((1, 1), [[[0, 1], [1e308, 0]], [[-1e308, 0], [0, 1]]], 1, {}, 2,
      "overflow encountered in subtract"),
+    # Im Omega = 0.003 I: radius 44, 89^3 box points at 729 points (53 s before
+    # the lattice sum's term cap)
+    ((1, 1, 1), [[[0, 0.003] if i == j else [0, 0] for j in range(3)] for i in range(3)], 1,
+     {"spanning_modulus": 3}, 3, "spanning: lattice sum needs 4394826072 terms"),
 ]
 _EXTREME_IDS = ["huge-im-spanning", "huge-im-wirtinger", "huge-re-spanning",
-                "huge-re-wirtinger", "n26-wirtinger", "huge-re-mu", "huge-asymmetry"]
+                "huge-re-wirtinger", "n26-wirtinger", "huge-re-mu", "huge-asymmetry",
+                "tiny-im-spanning"]
 
 
 @pytest.mark.parametrize("action", ["default", "error"])
@@ -302,8 +309,9 @@ def test_run_scenario_fits_mu_once(monkeypatch):
 
 @pytest.mark.parametrize("cap,code", [(18, 0), (17, 3)])
 def test_mu_cells_cap_bounds_the_blocks(cap, code):
-    # elliptic-d3 n=1: the blocks hold h0(2) h0(1) = 6 x 3 = 18 cells, the
-    # dense mu_1 6 x 9 = 54
+    # elliptic-d3 n=1: the gate counts h0(2) h0(1) = 6 x 3 = 18 cells, those
+    # of all three 2 x 3 character blocks, though only the one block of their
+    # single orbit is built; the dense mu_1 has 6 x 9 = 54
     report = run_scenario(replace(_by_name("elliptic-d3"), caps={"mu_cells": cap}))
     assert report.exit_code == code
     if code:
@@ -581,8 +589,9 @@ def test_run_scenario_takes_one_svd_of_mu(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     report = run_scenario(cfg)
     assert report.payload["blocks"]["rank_sum"] == 6
-    # mu_1 of type (3) has 3 character blocks of 2 x 3, one stacked SVD
-    assert shapes == [(3, 2, 3)]
+    # mu_1 of type (3) has 3 character blocks of 2 x 3 in one orbit, so one
+    # SVD of one stacked block
+    assert shapes == [(1, 2, 3)]
 
 
 #: JSON values of the wrong kind for any scenario field

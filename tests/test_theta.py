@@ -12,6 +12,7 @@ from thetamu import (
     NotInK1,
     NotLatticeVector,
     SectionIndex,
+    SizeLimit,
     ThetaBasis,
     ThetaTilde,
     TorsionPoint,
@@ -670,6 +671,24 @@ def test_truncation_capacity_guard():
     # a subnormal lambda_min puts even the first radius past the float range
     with pytest.raises(TruncationOverflow):
         ThetaBasis(validate_polarized(np.diag([1e-310j, 1j]), (1, 1)), 1)
+
+
+def test_lattice_sum_term_cap(pav_g2, monkeypatch):
+    # K (2R+1)^g P terms at the cap are summed; past it, with more points or
+    # a larger radius, the sum is refused before the points are reduced
+    basis = ThetaBasis(pav_g2, 2)
+    side = 2 * basis.radius + 1
+    monkeypatch.setattr(theta, "DEFAULT_TERM_CAP", basis.dim * side**2 * 3)
+    assert basis.eval_matrix(np.zeros((3, 2))).shape == (basis.dim, 3)
+
+    def refuse(*args):
+        raise AssertionError("the points were reduced")
+
+    monkeypatch.setattr(theta._LatticeSum, "_reduce", refuse)
+    with pytest.raises(SizeLimit, match=f"needs {basis.dim * side**2 * 4} terms"):
+        basis.eval_matrix(np.zeros((4, 2)))
+    with pytest.raises(SizeLimit, match=f"needs {basis.dim * (side + 2)**2 * 3} terms"):
+        basis.eval_matrix(np.zeros((3, 2)), radius=basis.radius + 1)
 
 
 def test_envelope_overflow_guard(elliptic):
