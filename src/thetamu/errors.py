@@ -44,7 +44,8 @@ class BadDivisorChain(ValidationError):
 
 
 class SizeLimit(ThetamuError):
-    """A requested enumeration or matrix exceeds the configured cap."""
+    """A requested enumeration, matrix or lattice sum exceeds its size guard,
+    a module constant such as ``mult.DEFAULT_CELL_CAP``."""
 
 
 class NotTorsion(ThetamuError):

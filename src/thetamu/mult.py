@@ -59,10 +59,8 @@ DEFAULT_RANK_TOL = 1e-8
 GAP_RATIO_MIN = 1e3
 #: sample count per basis dimension
 OVERSAMPLE = 2
-#: cap on mu-matrix cells
+#: cap on the cells of every value matrix: mu_n and its blocks, spanning, Wirtinger
 DEFAULT_CELL_CAP = 10**7
-#: cap on Wirtinger unknowns
-DEFAULT_UNKNOWN_CAP = 20_000
 #: cap on spanning evaluation points
 DEFAULT_POINT_CAP = 10**6
 
@@ -252,20 +250,16 @@ class SurjectivityVerdict:
     truncation: dict | None = None
 
 
-def surjectivity_verdict(
-    pav: PolarizedAbelianVariety,
-    n: int,
-    *,
-    cell_cap: int = DEFAULT_CELL_CAP,
-) -> SurjectivityVerdict:
+def surjectivity_verdict(pav: PolarizedAbelianVariety, n: int) -> SurjectivityVerdict:
     """Decide surjectivity of mu_n numerically.
 
     The source dimension h0(1) h0(n) < h0(n+1) forces NotSurjective without
     any evaluation; otherwise the verdict comes from the numerical rank of
     mu_n, read off the union of its character-block spectra, with
-    Inconclusive whenever the spectrum has no clear gap.  ``cell_cap`` bounds
-    h0(n+1) h0(n), the cells of all |K| character blocks, though only one
-    block per orbit is built.
+    Inconclusive whenever the spectrum has no clear gap.  Raises
+    :class:`SizeLimit` before any evaluation when h0(n+1) h0(n), the cells
+    of all |K| character blocks (though only one block per orbit is built),
+    exceed DEFAULT_CELL_CAP.
     """
     required = pav.h0(n + 1)
     if pav.h0(1) * pav.h0(n) < required:
@@ -280,8 +274,8 @@ def surjectivity_verdict(
             dimensional_shortcut=True,
         )
     cells = required * pav.h0(n)
-    if cells > cell_cap:
-        raise SizeLimit(f"mu_{n} blocks need {cells} cells, cap is {cell_cap}")
+    if cells > DEFAULT_CELL_CAP:
+        raise SizeLimit(f"mu_{n} blocks need {cells} cells, cap is {DEFAULT_CELL_CAP}")
     blocks = gamma_blocks(pav, n)
     rank, s, clean = _spectrum_rank(blocks.singular_values)
     floor = DEFAULT_RANK_TOL * float(s[0])
@@ -382,6 +376,8 @@ def gamma_blocks(pav: PolarizedAbelianVariety, n: int) -> GammaBlocks:
     an FFT of G.  One batched SVD of the representatives gives every
     block rank and spectrum, repeated over each orbit.
     """
+    if n < 1:
+        raise ValueError(f"require n >= 1, got {n}")
     g = pav.g
     d = np.array(pav.delta.divisors)
     deg = pav.delta.degree
@@ -464,13 +460,7 @@ def _wirtinger_residual(pav: PolarizedAbelianVariety, n: int, C: np.ndarray, see
     return float(np.linalg.norm(w * (lhs - rhs)) / np.linalg.norm(w * lhs))
 
 
-def wirtinger_matrix(
-    pav: PolarizedAbelianVariety,
-    n: int,
-    seed: int,
-    *,
-    unknown_cap: int = DEFAULT_UNKNOWN_CAP,
-) -> WirtingerMatrix:
+def wirtinger_matrix(pav: PolarizedAbelianVariety, n: int, seed: int) -> WirtingerMatrix:
     """The coefficient matrix of the bilinear theta relation at level
     (n+1, n(n+1)), checked at 2 * #coefficients sampled pairs (u, v).
 
@@ -478,17 +468,16 @@ def wirtinger_matrix(
     the two lattice sums (Mumford 1966, Koizumi 1976) gives c_{alpha beta} = 1
     when alpha + n beta = 0 mod Z^g and 0 otherwise; for alpha = k/(n+1) and
     beta = j/(n(n+1)) that is k + j = 0 mod n+1 componentwise.  Raises
-    :class:`SizeLimit` before any sample when the unknowns exceed
-    ``unknown_cap`` or the h0(n(n+1)) x (2 * unknowns) level-n(n+1) values
-    of the check exceed DEFAULT_CELL_CAP.
+    :class:`SizeLimit` before any sample when the h0(n(n+1)) x
+    (2 * unknowns) level-n(n+1) values of the check exceed DEFAULT_CELL_CAP.
+    That bounds the (n+1)^g (n(n+1))^g unknowns too: at most 16384, at
+    g = 7, n = 1.
     """
     if not pav.delta.is_principal:
         raise ValueError("the Wirtinger matrix requires a principal polarization")
     g = pav.g
     N = n * (n + 1)
     unknowns = (n + 1) ** g * N**g
-    if unknowns > unknown_cap:
-        raise SizeLimit(f"{unknowns} Wirtinger unknowns exceed cap {unknown_cap}")
     # the level-N values at the OVERSAMPLE * unknowns samples of the check
     cells = N**g * OVERSAMPLE * unknowns
     if cells > DEFAULT_CELL_CAP:
@@ -586,28 +575,23 @@ class SpanningReport(NamedTuple):
     singular_values: np.ndarray
 
 
-def spanning_check(
-    pav: PolarizedAbelianVariety,
-    n: int,
-    G,
-    *,
-    point_cap: int = DEFAULT_POINT_CAP,
-) -> SpanningReport:
+def spanning_check(pav: PolarizedAbelianVariety, n: int, G) -> SpanningReport:
     """Rank of the evaluation vectors (theta_alpha^{(n+1)}(b))_alpha over b in G.
 
     ``G`` is an integer N (the subgroup (1/N) Lambda / Lambda) or an iterable
     of points (TorsionPoint or complex vectors).  Full rank (n+1)^g means the
     image of G spans the dual projective space of H^0(M^{n+1}).  Raises
     :class:`SizeLimit` before building the grid or the basis when |G| exceeds
-    ``point_cap`` or the h0(n+1) x |G| values exceed DEFAULT_CELL_CAP.
+    DEFAULT_POINT_CAP (the bound on the |G| x 2g grid, which fires first
+    when (n+1)^g < 10) or the h0(n+1) x |G| values exceed DEFAULT_CELL_CAP.
     """
     if not pav.delta.is_principal:
         raise ValueError("the spanning check requires a principal polarization")
     g = pav.g
     pts = None if isinstance(G, (int, np.integer)) else _as_points(pav, G)
     npts = int(G) ** (2 * g) if pts is None else pts.shape[0]
-    if npts > point_cap:
-        raise SizeLimit(f"|G| = {npts} exceeds cap {point_cap}")
+    if npts > DEFAULT_POINT_CAP:
+        raise SizeLimit(f"|G| = {npts} exceeds cap {DEFAULT_POINT_CAP}")
     cells = pav.h0(n + 1) * npts
     if cells > DEFAULT_CELL_CAP:
         raise SizeLimit(f"spanning values need {cells} cells, cap is {DEFAULT_CELL_CAP}")

@@ -36,7 +36,6 @@ from .varieties import (
     validate_polarized,
 )
 
-_CAP_KEYS = {"mu_cells", "wirtinger_unknowns", "spanning_points"}
 _CHECK_KEYS = {"wirtinger", "spanning_modulus"}
 
 #: exit codes: CI-friendly
@@ -54,7 +53,8 @@ class ScenarioConfig:
     {"random": {"seed": <int>}}; ``n`` is an integer or the token "g-1",
     which resolves to max(g-1, 1) once g is known.  Every field but the name
     is kept as given; ``run_scenario`` rejects a wrong kind instead of
-    coercing it.
+    coercing it.  Size guards are module constants, not fields: a scenario
+    cannot raise or lower them.
     """
 
     name: str
@@ -65,7 +65,6 @@ class ScenarioConfig:
     eps: float = DEFAULT_EPS
     seed: int = 0
     simple_asserted: bool = False
-    caps: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -77,7 +76,8 @@ class ScenarioConfig:
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
         """The config of a JSON object keyed by the fields; the name defaults
-        to "scenario", a list type becomes a tuple and a null caps or checks {}."""
+        to "scenario", a list type becomes a tuple and a null checks {}.
+        Raises ValueError for a key that is not a field."""
         if not isinstance(data, dict):
             raise ValueError(f"a scenario must be a JSON object, got {type(data).__name__}")
         spec = fields(ScenarioConfig)
@@ -91,9 +91,8 @@ class ScenarioConfig:
         values = dict(data, name=str(data.get("name", "scenario")))
         if isinstance(values["type"], list):
             values["type"] = tuple(values["type"])
-        for key in ("caps", "checks"):
-            if key in values and values[key] is None:
-                values[key] = {}
+        if values.get("checks", {}) is None:
+            values["checks"] = {}
         return ScenarioConfig(**values)
 
 
@@ -167,11 +166,10 @@ def _is_finite(value) -> bool:
 def _check_counts(config: ScenarioConfig) -> None:
     """Raise ValueError unless g is a positive integer, the type a list of g
     integers, eps a real number in (0, 1), simple_asserted a boolean, the
-    seed a non-negative integer, caps a mapping from known keys to positive
-    integers, checks a mapping from known keys with a boolean ``wirtinger``
-    and a non-negative integer ``spanning_modulus`` (0 or absent skips the
-    check); ``resolve_n`` and ``resolve_omega`` check n and omega in the same
-    stage."""
+    seed a non-negative integer and checks a mapping from known keys with a
+    boolean ``wirtinger`` and a non-negative integer ``spanning_modulus``
+    (0 or absent skips the check); ``resolve_n`` and ``resolve_omega`` check
+    n and omega in the same stage."""
     if not _is_int(config.g) or config.g < 1:
         raise ValueError(f"g must be a positive integer, got {config.g!r}")
     if (not isinstance(config.type, (list, tuple)) or len(config.type) != config.g
@@ -184,14 +182,6 @@ def _check_counts(config: ScenarioConfig) -> None:
         raise ValueError(f"simple_asserted must be a boolean, got {config.simple_asserted!r}")
     if not _is_int(config.seed) or config.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
-    if not isinstance(config.caps, dict):
-        raise ValueError(f"caps must be a mapping, got {config.caps!r}")
-    for key in sorted(config.caps):
-        if key not in _CAP_KEYS:
-            raise ValueError(f"unknown cap '{key}', expected one of {sorted(_CAP_KEYS)}")
-        value = config.caps[key]
-        if not _is_int(value) or value < 1:
-            raise ValueError(f"cap '{key}' must be a positive integer, got {value!r}")
     if not isinstance(config.checks, dict):
         raise ValueError(f"checks must be a mapping, got {config.checks!r}")
     unknown = set(config.checks) - _CHECK_KEYS
@@ -241,22 +231,36 @@ class Report:
         return int(self.payload["exit_code"])
 
 
+#: what a stage reports as an error instead of raising
+_STAGE_ERRORS = (ThetamuError, ValueError, FloatingPointError)
+
+
 class _Timer:
     """Runs and times the stages.  Floating-point overflow, division by zero
     and invalid operations raise :class:`FloatingPointError` inside a stage,
     whatever the warning filters, so the stage reports them as an error;
     underflow stays ignored."""
 
-    def __init__(self):
+    def __init__(self, errors: list[str]):
         self.timings: dict[str, float] = {}
+        self.errors = errors
 
-    def run(self, name, fn):
+    def time(self, name, fn):
         start = time.perf_counter()
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 return fn()
         finally:
             self.timings[name] = time.perf_counter() - start
+
+    def run(self, name, fn):
+        """fn(), timed; None after recording "name: error" when it raises
+        one of _STAGE_ERRORS."""
+        try:
+            return self.time(name, fn)
+        except _STAGE_ERRORS as err:
+            self.errors.append(f"{name}: {err}")
+            return None
 
 
 def _verdict_payload(v: mult.SurjectivityVerdict) -> dict:
@@ -275,9 +279,9 @@ def _verdict_payload(v: mult.SurjectivityVerdict) -> dict:
 def run_scenario(config: ScenarioConfig) -> Report:
     """Execute the full pipeline for one scenario; never raises for scenario
     content problems, which are serialized into the report instead."""
-    timer = _Timer()
     notes: list[str] = []
     errors: list[str] = []
+    timer = _Timer(errors)
     payload: dict = {
         "scenario": config.to_dict(),
         "notes": notes,
@@ -290,7 +294,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
         n, note = resolve_n(config)
         if note:
             notes.append(note)
-        pav = timer.run(
+        pav = timer.time(
             "validate",
             lambda: validate_polarized(omega, config.type, config.simple_asserted, config.eps),
         )
@@ -321,23 +325,10 @@ def run_scenario(config: ScenarioConfig) -> Report:
     }
     payload["bound_prediction"] = prediction.value
 
-    caps = config.caps
     exit_code = EXIT_OK
-    verdict_obj = None
-    try:
-        verdict_obj = timer.run(
-            "mu_verdict",
-            lambda: surjectivity_verdict(
-                pav, n,
-                cell_cap=int(caps.get("mu_cells", mult.DEFAULT_CELL_CAP)),
-            ),
-        )
-        payload["surjectivity"] = _verdict_payload(verdict_obj)
-        if verdict_obj.verdict is Verdict.INCONCLUSIVE:
-            exit_code = EXIT_INCONCLUSIVE
-    except (ThetamuError, FloatingPointError) as err:
-        errors.append(f"mu_verdict: {err}")
-        payload["surjectivity"] = None
+    verdict_obj = timer.run("mu_verdict", lambda: surjectivity_verdict(pav, n))
+    payload["surjectivity"] = None if verdict_obj is None else _verdict_payload(verdict_obj)
+    if verdict_obj is not None and verdict_obj.verdict is Verdict.INCONCLUSIVE:
         exit_code = EXIT_INCONCLUSIVE
 
     payload["blocks"] = None
@@ -384,46 +375,33 @@ def run_scenario(config: ScenarioConfig) -> Report:
 
     payload["wirtinger"] = None
     if config.checks.get("wirtinger"):
-        try:
-            payload["wirtinger"] = timer.run(
-                "wirtinger", lambda: _wirtinger_payload(pav, n, config)
-            )
-        except (ThetamuError, ValueError, FloatingPointError) as err:
-            errors.append(f"wirtinger: {err}")
-            exit_code = max(exit_code, EXIT_INCONCLUSIVE)
+        payload["wirtinger"] = timer.run(
+            "wirtinger", lambda: _wirtinger_payload(pav, n, config.seed)
+        )
 
     payload["spanning"] = None
     modulus = config.checks.get("spanning_modulus")
     if modulus:
-        try:
-            span = timer.run(
-                "spanning",
-                lambda: spanning_check(
-                    pav, n, modulus,
-                    point_cap=int(caps.get("spanning_points", mult.DEFAULT_POINT_CAP)),
-                ),
-            )
+        span = timer.run("spanning", lambda: spanning_check(pav, n, modulus))
+        if span is not None:
             payload["spanning"] = {
                 "modulus": modulus,
                 "npoints": span.npoints,
                 "rank": span.rank,
                 "required_rank": span.required_rank,
             }
-        except (ThetamuError, ValueError, FloatingPointError) as err:
-            errors.append(f"spanning: {err}")
-            exit_code = max(exit_code, EXIT_INCONCLUSIVE)
 
+    # every error recorded past validation is a stage that did not finish
+    if errors:
+        exit_code = max(exit_code, EXIT_INCONCLUSIVE)
     payload["exit_code"] = exit_code
     return Report(payload, timer.timings)
 
 
-def _wirtinger_payload(pav: PolarizedAbelianVariety, n: int, config: ScenarioConfig) -> dict:
-    wirt = wirtinger_matrix(
-        pav, n, config.seed,
-        unknown_cap=int(config.caps.get("wirtinger_unknowns", mult.DEFAULT_UNKNOWN_CAP)),
-    )
+def _wirtinger_payload(pav: PolarizedAbelianVariety, n: int, seed: int) -> dict:
+    wirt = wirtinger_matrix(pav, n, seed)
     svals = np.linalg.svd(wirt.reduced, compute_uv=False)
-    rng = np.random.default_rng(config.seed + 17)
+    rng = np.random.default_rng(seed + 17)
     points = [pav.lattice_vector(rng.random(pav.g), rng.random(pav.g)) for _ in range(3)]
     return {
         "fit_residual": wirt.fit_residual,

@@ -173,8 +173,11 @@ def box_radius(lambda_min: float, m: int, eps: float, g: int, offset: float) -> 
     (cf. Deconinck et al., Math. Comp. 73 (2004), Thm 2).  The floor R >= 1
     keeps both nearest coset points of c_i = 1/2, so constants far below eps
     stay accurate relative to their own size.  A lambda_min so small that no
-    float radius bounds the tail raises :class:`TruncationOverflow`.
+    float radius bounds the tail raises :class:`TruncationOverflow`; a level
+    m < 1 raises ValueError.
     """
+    if m < 1:
+        raise ValueError(f"level must be >= 1, got {m}")
     if lambda_min <= 0:
         raise ValueError("lambda_min must be positive")
     a = math.pi * m * lambda_min

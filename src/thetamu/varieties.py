@@ -78,7 +78,8 @@ class PolarizationType:
 
 @dataclass(frozen=True, eq=False)
 class PeriodMatrix:
-    """A g x g complex matrix intended to satisfy the Riemann relations."""
+    """A g x g complex matrix of finite entries, intended to satisfy the
+    Riemann relations."""
 
     omega: np.ndarray
 
@@ -86,6 +87,8 @@ class PeriodMatrix:
         arr = np.array(omega, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"period matrix must be square, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("period matrix entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "omega", arr)
 

@@ -436,7 +436,7 @@ def _never_called(*args, **kwargs):
     raise AssertionError("a size guard let the work start")
 
 
-def test_size_caps(principal_g1, principal_g2, monkeypatch):
+def test_size_caps(principal_g1, monkeypatch):
     from thetamu import SizeLimit
 
     # 1600 x 90000 cells exceed DEFAULT_CELL_CAP: refused before any evaluation
@@ -444,16 +444,25 @@ def test_size_caps(principal_g1, principal_g2, monkeypatch):
     monkeypatch.setattr(mult, "theta_constants", _never_called)
     with pytest.raises(SizeLimit, match="1600x90000"):
         mu_matrix(pav, 3)
-    with pytest.raises(SizeLimit):
-        wirtinger_matrix(principal_g1, 2, 16, unknown_cap=4)
-    with pytest.raises(SizeLimit):
-        spanning_check(principal_g2, 1, 7, point_cap=100)
     # the (h0(n+1), |G|) values, 10**6 + 1 sections at 100 points, exceed
     # DEFAULT_CELL_CAP: refused before the points or the basis are built
     monkeypatch.setattr(mult, "ThetaBasis", _never_called)
     monkeypatch.setattr(mult, "lex_vectors", _never_called)
     with pytest.raises(SizeLimit, match="100000100 cells"):
         spanning_check(principal_g1, 10**6, 10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pav: ThetaBasis(pav, 0),
+    lambda pav: ThetaBasis(pav, -1),
+    lambda pav: theta_constants(pav, 0),
+    lambda pav: expand_in_basis(pav, 0, np.zeros(4), np.zeros((4, 1))),
+    lambda pav: gamma_blocks(pav, 0),
+    lambda pav: mu_matrix(pav, 0),
+], ids=["basis-0", "basis-negative", "constants-0", "expand-0", "blocks-0", "mu-0"])
+def test_level_below_one_is_a_value_error(elliptic_d3, call):
+    with pytest.raises(ValueError, match=">= 1, got"):
+        call(elliptic_d3)
 
 
 def test_weighted_sampling_keeps_design_bounded(elliptic_d3):

@@ -95,15 +95,30 @@ def test_run_scenario_malformed_type():
     assert report.payload["errors"]
 
 
-def test_run_scenario_numeric_cap_exit_code():
-    cfg = ScenarioConfig(
-        name="capped", g=1, type=(3,), omega={"random": {"seed": 101}}, n=1,
-        seed=11, simple_asserted=True, caps={"mu_cells": 1},
-    )
-    report = run_scenario(cfg)
-    assert report.exit_code == 3
-    assert any("mu_verdict" in e for e in report.payload["errors"])
-    assert report.payload["surjectivity"] is None
+def _never_called(*args, **kwargs):
+    raise AssertionError("a size guard let the work start")
+
+
+def test_run_scenario_numeric_cap_exit_code(monkeypatch):
+    # the check stages refuse at their constant guards before any work:
+    # 1001^2 points over DEFAULT_POINT_CAP, whose 2 x 1002001 values are
+    # within DEFAULT_CELL_CAP, and at g = 2, n = 5 the 900 level-30 values
+    # at 2 * 32400 samples over DEFAULT_CELL_CAP.  Both verdicts are the
+    # dimensional shortcut, so nothing else needs the patched helpers.
+    monkeypatch.setattr(mult, "lex_vectors", _never_called)
+    monkeypatch.setattr(mult, "sample_points", _never_called)
+    spanning = ScenarioConfig(name="spanning-1001", g=1, type=(1,),
+                              omega={"random": {"seed": 108}}, n=1,
+                              checks={"spanning_modulus": 1001})
+    wirtinger = ScenarioConfig(name="wirtinger-g2-n5", g=2, type=(1, 1),
+                               omega={"random": {"seed": 107}}, n=5, checks={"wirtinger": True})
+    for cfg, error in [(spanning, "spanning: |G| = 1002001 exceeds cap 1000000"),
+                       (wirtinger, "wirtinger: Wirtinger values need 58320000 cells, "
+                                   "cap is 10000000")]:
+        report = run_scenario(cfg)
+        assert report.exit_code == 3
+        assert report.payload["errors"] == [error]
+        assert report.payload["surjectivity"]["dimensional_shortcut"] is True
 
 
 #: JSON-shaped scenarios whose work a constant guard refuses: (config, exit code, error)
@@ -264,7 +279,6 @@ _BAD_VALUES = [
     ({"omega": [[[0, True]]]}, "omega must"),
     ({"omega": [[[0, 1]], [[0, 1]]]}, "omega must"),
     ({"omega": "i"}, "omega must"),
-    ({"caps": [1]}, "caps must"),
     ({"checks": [1]}, "checks must"),
     ({"checks": {"wirtinger": 1}}, "wirtinger"),
     ({"checks": {"bogus": True}}, "unknown check"),
@@ -273,14 +287,14 @@ _BAD_VALUE_IDS = ["g-float", "g-bool", "type-float", "type-string", "omega-seed-
                   "omega-seed-string", "omega-random-not-mapping", "omega-unknown-key",
                   "simple-asserted-string", "eps-bool", "eps-string", "eps-inf", "eps-above-one",
                   "type-length", "omega-scalar-entry", "omega-null", "omega-inf", "omega-huge-int",
-                  "omega-triple", "omega-bool", "omega-shape", "omega-string", "caps-list",
-                  "checks-list", "wirtinger-int", "unknown-check"]
+                  "omega-triple", "omega-bool", "omega-shape", "omega-string", "checks-list",
+                  "wirtinger-int", "unknown-check"]
 
 
 @pytest.mark.parametrize(
     "change,message",
-    [({"seed": -1}, "seed"), ({"caps": {"mu_cells": "x"}}, "mu_cells"), *_BAD_VALUES],
-    ids=["negative-seed", "non-integer-cap", *_BAD_VALUE_IDS],
+    [({"seed": -1}, "seed"), *_BAD_VALUES],
+    ids=["negative-seed", *_BAD_VALUE_IDS],
 )
 def test_run_scenario_rejects_bad_seed_and_caps(change, message):
     report = run_scenario(replace(_by_name("elliptic-d3"), **change))
@@ -307,31 +321,52 @@ def test_run_scenario_fits_mu_once(monkeypatch):
     assert calls == ["theta_constants"]
 
 
-@pytest.mark.parametrize("cap,code", [(18, 0), (17, 3)])
-def test_mu_cells_cap_bounds_the_blocks(cap, code):
-    # elliptic-d3 n=1: the gate counts h0(2) h0(1) = 6 x 3 = 18 cells, those
-    # of all three 2 x 3 character blocks, though only the one block of their
-    # single orbit is built; the dense mu_1 has 6 x 9 = 54
-    report = run_scenario(replace(_by_name("elliptic-d3"), caps={"mu_cells": cap}))
+@pytest.mark.parametrize("d,code", [(2236, 0), (2237, 3)])
+def test_mu_cells_cap_bounds_the_blocks(d, code, monkeypatch):
+    # type (d) n=1: the gate counts h0(2) h0(1) = 2d x d cells, those of all
+    # d character blocks, though only one block per orbit is built:
+    # 2 * 2236^2 = 9999392 <= DEFAULT_CELL_CAP < 2 * 2237^2 = 10008338
+    if code:
+        monkeypatch.setattr(mult, "theta_constants", _never_called)
+    report = run_scenario(ScenarioConfig(name=f"d{d}", g=1, type=(d,),
+                                         omega={"random": {"seed": 101}}, n=1))
     assert report.exit_code == code
     if code:
         assert report.payload["surjectivity"] is None
-        assert [e for e in report.payload["errors"] if e.startswith("mu_verdict: ")]
+        assert report.payload["errors"] == [
+            "mu_verdict: mu_1 blocks need 10008338 cells, cap is 10000000"]
     else:
         assert report.payload["surjectivity"]["verdict"] == "Surjective"
 
 
-def test_retired_group_order_cap_is_rejected(tmp_path, capsys):
-    # the block work is bounded by mu_cells; group_order is no longer a cap
-    report = run_scenario(replace(_by_name("elliptic-d3"), caps={"group_order": 2}))
-    assert report.exit_code == 2
-    assert any("group_order" in e for e in report.payload["errors"])
+@pytest.mark.parametrize("stage,function,scenario", [
+    ("mu_verdict", "surjectivity_verdict", "elliptic-d3"),
+    ("wirtinger", "wirtinger_matrix", "wirtinger-g1-n1"),
+    ("spanning", "spanning_check", "spanning-g1-n2"),
+])
+def test_every_stage_reports_a_linalg_error(stage, function, scenario, monkeypatch):
+    # LinAlgError is a ValueError; every stage reports it and goes on
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(scenarios, function, failing)
+    report = run_scenario(_by_name(scenario))
+    assert report.exit_code == 3
+    assert report.payload["errors"] == [f"{stage}: SVD did not converge"]
+    assert stage in report.timings
+    key = "surjectivity" if stage == "mu_verdict" else stage
+    assert report.payload[key] is None
+
+
+def test_retired_caps_are_rejected(tmp_path, capsys):
+    # size guards are constants: a file that still names caps is refused at
+    # load, as any unknown key is
     doc = {"name": "bad", "g": 1, "type": [3], "omega": {"random": {"seed": 101}}, "n": 1,
-           "caps": {"group_order": 2}}
+           "caps": {}}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert cli_main(["verify", "--scenario", str(path)]) == 2
-    assert any("group_order" in e for e in json.loads(capsys.readouterr().out)["errors"])
+    assert "unknown scenario keys: ['caps']" in capsys.readouterr().err
 
 
 def test_report_names_the_theta_constant_truncation():
@@ -511,9 +546,8 @@ def test_cli_verify_validation_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "change,message",
-    [({"seed": -1}, "seed"), ({"seed": 11.7}, "seed"), ({"caps": {"mu_cells": "x"}}, "mu_cells"),
-     *_BAD_VALUES],
-    ids=["negative-seed", "float-seed", "non-integer-cap", *_BAD_VALUE_IDS],
+    [({"seed": -1}, "seed"), ({"seed": 11.7}, "seed"), *_BAD_VALUES],
+    ids=["negative-seed", "float-seed", *_BAD_VALUE_IDS],
 )
 def test_cli_verify_rejects_bad_seed_and_caps(tmp_path, capsys, change, message):
     doc = {"name": "bad", "g": 1, "type": [3], "omega": {"random": {"seed": 101}}, "n": 1}
@@ -646,10 +680,6 @@ def _scenarios(draw, clean=False):
         st.just({}), st.fixed_dictionaries({"wirtinger": junk(st.booleans())}),
         st.fixed_dictionaries({"spanning_modulus": junk(st.integers(0, 3))}),
     )))
-    caps = draw(junk(st.dictionaries(
-        st.sampled_from(["mu_cells", "wirtinger_unknowns", "spanning_points"]),
-        junk(st.integers(1, 10**7)), max_size=2,
-    )))
     return {
         "name": "property",
         "g": draw(junk(st.just(g))),
@@ -659,7 +689,6 @@ def _scenarios(draw, clean=False):
         "eps": draw(junk(st.sampled_from([1e-12, 1e-8, 1e-6]))),
         "seed": draw(junk(st.integers(0, 2**64))),
         "simple_asserted": draw(junk(st.booleans())),
-        "caps": caps,
         "checks": checks,
     }
 

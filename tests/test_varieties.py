@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf, nan
 
 import numpy as np
 import pytest
@@ -135,6 +135,17 @@ def test_polarization_type_degree():
 def test_period_matrix_requires_square():
     with pytest.raises(ValueError):
         PeriodMatrix(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("entry", [complex(nan, 1), complex(inf, 1), complex(0, inf)],
+                         ids=["nan-real", "inf-real", "inf-imag"])
+def test_period_matrix_rejects_non_finite_entries(entry):
+    # Im Omega of the first two is positive definite and the third has
+    # lambda_min inf, so the positivity check alone lets all three through
+    with pytest.raises(ValueError, match="finite"):
+        PeriodMatrix([[entry]])
+    with pytest.raises(ValueError, match="finite"):
+        validate_polarized([[entry]], (1,))
 
 
 def test_embedded_surface_threshold():
