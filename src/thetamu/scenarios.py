@@ -27,7 +27,6 @@ from . import mult
 from .errors import ThetamuError, ValidationError
 from .mult import Verdict, spanning_check, surjectivity_verdict, wirtinger_matrix
 from .varieties import (
-    DEFAULT_EPS,
     BoundPrediction,
     PeriodMatrix,
     PolarizedAbelianVariety,
@@ -53,7 +52,8 @@ class ScenarioConfig:
     {"random": {"seed": <int>}}; ``n`` is an integer or the token "g-1",
     which resolves to max(g-1, 1) once g is known.  Every field but the name
     is kept as given; ``run_scenario`` rejects a wrong kind instead of
-    coercing it.  Size guards are module constants, not fields: a scenario
+    coercing it.  Size guards and the truncation accuracy
+    ``varieties.DEFAULT_EPS`` are module constants, not fields: a scenario
     cannot raise or lower them.
     """
 
@@ -62,7 +62,6 @@ class ScenarioConfig:
     type: tuple[int, ...]
     omega: Any
     n: Any = "g-1"
-    eps: float = DEFAULT_EPS
     seed: int = 0
     simple_asserted: bool = False
     checks: dict = field(default_factory=dict)
@@ -76,8 +75,8 @@ class ScenarioConfig:
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
         """The config of a JSON object keyed by the fields; the name defaults
-        to "scenario", a list type becomes a tuple and a null checks {}.
-        Raises ValueError for a key that is not a field."""
+        to "scenario" and a list type becomes a tuple; every other value is
+        kept as given.  Raises ValueError for a key that is not a field."""
         if not isinstance(data, dict):
             raise ValueError(f"a scenario must be a JSON object, got {type(data).__name__}")
         spec = fields(ScenarioConfig)
@@ -91,8 +90,6 @@ class ScenarioConfig:
         values = dict(data, name=str(data.get("name", "scenario")))
         if isinstance(values["type"], list):
             values["type"] = tuple(values["type"])
-        if values.get("checks", {}) is None:
-            values["checks"] = {}
         return ScenarioConfig(**values)
 
 
@@ -165,19 +162,15 @@ def _is_finite(value) -> bool:
 
 def _check_counts(config: ScenarioConfig) -> None:
     """Raise ValueError unless g is a positive integer, the type a list of g
-    integers, eps a real number in (0, 1), simple_asserted a boolean, the
-    seed a non-negative integer and checks a mapping from known keys with a
-    boolean ``wirtinger`` and a non-negative integer ``spanning_modulus``
-    (0 or absent skips the check); ``resolve_n`` and ``resolve_omega`` check
-    n and omega in the same stage."""
+    integers, simple_asserted a boolean, the seed a non-negative integer and
+    checks a mapping from known keys with a boolean ``wirtinger`` and a
+    non-negative integer ``spanning_modulus`` (0 or absent skips the check);
+    ``resolve_n`` and ``resolve_omega`` check n and omega in the same stage."""
     if not _is_int(config.g) or config.g < 1:
         raise ValueError(f"g must be a positive integer, got {config.g!r}")
     if (not isinstance(config.type, (list, tuple)) or len(config.type) != config.g
             or not all(_is_int(d) for d in config.type)):
         raise ValueError(f"type must be a list of g = {config.g} integers, got {config.type!r}")
-    eps = config.eps
-    if not isinstance(eps, numbers.Real) or isinstance(eps, bool) or not 0 < eps < 1:
-        raise ValueError(f"eps must be a real number in (0, 1), got {eps!r}")
     if not isinstance(config.simple_asserted, bool):
         raise ValueError(f"simple_asserted must be a boolean, got {config.simple_asserted!r}")
     if not _is_int(config.seed) or config.seed < 0:
@@ -192,7 +185,7 @@ def _check_counts(config: ScenarioConfig) -> None:
             f"check 'wirtinger' must be a boolean, got {config.checks['wirtinger']!r}"
         )
     modulus = config.checks.get("spanning_modulus", 0)
-    if modulus is not None and (not _is_int(modulus) or modulus < 0):
+    if not _is_int(modulus) or modulus < 0:
         raise ValueError(
             f"check 'spanning_modulus' must be a non-negative integer, got {modulus!r}"
         )
@@ -202,9 +195,9 @@ def resolve_omega(config: ScenarioConfig) -> PeriodMatrix:
     if isinstance(config.omega, dict):
         request = config.omega.get("random")
         if (not isinstance(request, dict) or set(config.omega) != {"random"}
-                or set(request) - {"seed"}):
+                or set(request) != {"seed"}):
             raise ValueError("omega mapping must be exactly {'random': {'seed': <int>}}")
-        seed = request.get("seed", config.seed)
+        seed = request["seed"]
         if not _is_int(seed) or seed < 0:
             raise ValueError(f"omega seed must be a non-negative integer, got {seed!r}")
         return random_period_matrix(config.g, seed)
@@ -296,7 +289,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
             notes.append(note)
         pav = timer.time(
             "validate",
-            lambda: validate_polarized(omega, config.type, config.simple_asserted, config.eps),
+            lambda: validate_polarized(omega, config.type, config.simple_asserted),
         )
     except (ValidationError, ValueError, FloatingPointError) as err:
         if isinstance(err, ValidationError):
@@ -362,12 +355,12 @@ def run_scenario(config: ScenarioConfig) -> Report:
             else f"scenario has n = {n}"
         )
         notes.append(f"ITT implication needs n = g-1 = {pav.g - 1}; {reason}")
-    # a violation needs a computed verdict that contradicts the prediction;
-    # an errored verdict stage is a numeric failure, not a counterexample
+    # a violation needs a decided verdict that contradicts the prediction;
+    # an undecided rank or an errored verdict stage is a numeric failure, not
+    # a counterexample
     violation = (
-        verdict_obj is not None
-        and prediction is BoundPrediction.THEOREM_PREDICTS_SURJECTIVE
-        and verdict_value is not Verdict.SURJECTIVE
+        prediction is BoundPrediction.THEOREM_PREDICTS_SURJECTIVE
+        and verdict_value is Verdict.NOT_SURJECTIVE
     )
     payload["consistency"] = {"theorem_violation": violation}
     if violation:

@@ -17,9 +17,9 @@ Evaluation strategy: every point is first translated into the fundamental
 cell of the summation lattice (the quasi-periodicity factor is restored
 exactly), then the centred integer cube [-R, R]^g is summed.  Every sum takes
 R from one rule, :func:`box_radius`: the smallest R >= 1 whose dropped terms
-provably sum to at most eps times the envelope.  So an evaluator needs only
-the variety and a level: the period matrix, eps and the radius all come from
-the validated variety.
+provably sum to at most eps = DEFAULT_EPS times the envelope.  So an
+evaluator needs only the variety and a level: the period matrix comes from the
+validated variety, and eps is a package constant, not an option.
 
 The box sum is one matrix product.  Writing l = c + b with b in the box,
 each term factors as Q[c, b] * E[b, z] * C[c, z], with
@@ -89,7 +89,7 @@ import numpy as np
 
 from .errors import NotInK1, NotLatticeVector, SizeLimit, TruncationOverflow
 from .torsion import TorsionPoint
-from .varieties import PolarizedAbelianVariety
+from .varieties import DEFAULT_EPS, PolarizedAbelianVariety
 
 #: hard cap on the number of lattice points in one summation box
 DEFAULT_CAPACITY = 4_000_000
@@ -156,9 +156,9 @@ def section_indices(pav: PolarizedAbelianVariety, m: int) -> tuple[SectionIndex,
     return tuple(section_index(pav, m, k) for k in lex_vectors(dims).tolist())
 
 
-def box_radius(lambda_min: float, m: int, eps: float, g: int, offset: float) -> int:
-    """Smallest cube radius R >= 1 whose dropped terms sum to at most eps
-    times the envelope.
+def box_radius(lambda_min: float, m: int, g: int, offset: float) -> int:
+    """Smallest cube radius R >= 1 whose dropped terms sum to at most
+    eps = DEFAULT_EPS times the envelope.
 
     Relative to the envelope, the term at b in Z^g is exp(-pi m v^T Y v) <=
     prod_i exp(-a v_i^2), with v = b - x, a = pi m lambda_min and x the
@@ -182,7 +182,8 @@ def box_radius(lambda_min: float, m: int, eps: float, g: int, offset: float) -> 
         raise ValueError("lambda_min must be positive")
     a = math.pi * m * lambda_min
     # log of the largest T(rho) allowed, eps / (g S^(g-1))
-    budget = math.log(eps / g) - (g - 1) * math.log(2 + 2 * math.exp(-a) / -math.expm1(-2 * a))
+    budget = (math.log(DEFAULT_EPS / g)
+              - (g - 1) * math.log(2 + 2 * math.exp(-a) / -math.expm1(-2 * a)))
 
     def fits(radius: int) -> bool:
         rho = radius + 1 - offset
@@ -269,7 +270,7 @@ class _LatticeSum:
     over the cube of radius :func:`box_radius`; ``offset`` bounds the
     Gaussian centre per axis (1/2 when every characteristic is 0 or z = 0)."""
 
-    def __init__(self, tau, m: int, eps: float, offset: float = 1.0):
+    def __init__(self, tau, m: int, offset: float = 1.0):
         tau = np.asarray(tau, dtype=complex)
         self.tau = tau
         self.g = tau.shape[0]
@@ -277,7 +278,7 @@ class _LatticeSum:
         self.Y = tau.imag
         self.Yinv = np.linalg.inv(self.Y)
         lambda_min = float(np.linalg.eigvalsh(self.Y).min())
-        self.radius = box_radius(lambda_min, self.m, float(eps), self.g, offset)
+        self.radius = box_radius(lambda_min, self.m, self.g, offset)
         # binning characteristics and points into nb^g cells each keeps the
         # scale excess pi m v^T Y v, |v_i| <= offset / nb, of every
         # (characteristic, point) block under _SCALE_MAX
@@ -403,7 +404,7 @@ class _LatticeSum:
 def constants_radius(pav: PolarizedAbelianVariety, m: int) -> int:
     """The box radius of :func:`theta_constants` at level m: at z = 0 the
     Gaussian centre is the characteristic, within 1/2 of a lattice point."""
-    return box_radius(pav.lambda_min, m, pav.eps, pav.g, 0.5)
+    return box_radius(pav.lambda_min, m, pav.g, 0.5)
 
 
 def theta_constants(pav: PolarizedAbelianVariety, m: int) -> np.ndarray:
@@ -413,7 +414,7 @@ def theta_constants(pav: PolarizedAbelianVariety, m: int) -> np.ndarray:
     The sum is even, theta_c(0) = theta_{-c}(0), so one characteristic of
     each pair {k, -k mod m d} is evaluated and its value written to both.
     """
-    lattice = _LatticeSum(pav.matrix, m, pav.eps, offset=0.5)
+    lattice = _LatticeSum(pav.matrix, m, offset=0.5)
     dims = m * np.array(pav.delta.divisors)
     ks = lex_vectors(dims)
     # the first index of each pair {k, -k mod m d}
@@ -428,9 +429,9 @@ def theta_constants(pav: PolarizedAbelianVariety, m: int) -> np.ndarray:
 class ThetaBasis:
     """The canonical basis of H^0(A, L^m) as a batch evaluator.
 
-    The variety fixes everything: the period matrix, the accuracy eps and,
-    through :func:`box_radius`, the radius.  Sections are ordered
-    lexicographically in k, c = k / (m d), as in :func:`section_indices`.
+    The variety and the level fix everything: the period matrix and, through
+    :func:`box_radius` at the accuracy DEFAULT_EPS, the radius.  Sections are
+    ordered lexicographically in k, c = k / (m d), as in :func:`section_indices`.
     Evaluations are pure; batches over point sets may run concurrently and
     results are assembled in input order.
     """
@@ -439,7 +440,7 @@ class ThetaBasis:
         self.pav = pav
         self.m = int(m)
         self._dims = tuple(self.m * di for di in pav.delta.divisors)
-        self._sum = _LatticeSum(pav.matrix, m, pav.eps)
+        self._sum = _LatticeSum(pav.matrix, m)
         self._chars = lex_vectors(self._dims) / np.array(self._dims)
 
     @functools.cached_property
@@ -495,7 +496,7 @@ class ThetaTilde:
             raise ValueError(f"require n >= 1, got {n}")
         self.pav = pav
         self.n = int(n)
-        self._sum = _LatticeSum(pav.matrix / n, 1, pav.eps, offset=0.5)
+        self._sum = _LatticeSum(pav.matrix / n, 1, offset=0.5)
         self._zero = np.zeros((1, pav.g))
 
     @property

@@ -26,7 +26,8 @@ from .errors import BadDivisorChain, NotPositiveDefinite, NotSymmetric, Validati
 
 #: relative tolerance for the symmetry check of a period matrix
 SYMMETRY_RTOL = 1e-12
-#: default target absolute accuracy of theta evaluations
+#: target accuracy of every theta evaluation, relative to its growth envelope;
+#: a constant, so no variety or scenario can loosen the truncation behind a verdict
 DEFAULT_EPS = 1e-12
 
 
@@ -127,17 +128,11 @@ class PolarizedAbelianVariety:
     delta: PolarizationType
     omega: PeriodMatrix
     simple_asserted: bool
-    eps: float
 
     @property
     def matrix(self) -> np.ndarray:
         """The period matrix Omega as an ndarray."""
         return self.omega.omega
-
-    @property
-    def im(self) -> np.ndarray:
-        """Y = Im(Omega)."""
-        return self.omega.omega.imag
 
     @property
     def im_inv(self) -> np.ndarray:
@@ -159,19 +154,15 @@ class PolarizedAbelianVariety:
         return a @ self.matrix.T + np.asarray(bhat, dtype=float) * self.delta.as_diagonal()
 
 
-def validate_polarized(
-    omega,
-    delta,
-    simple_asserted: bool = False,
-    eps: float = DEFAULT_EPS,
-) -> PolarizedAbelianVariety:
+def validate_polarized(omega, delta, simple_asserted: bool = False) -> PolarizedAbelianVariety:
     """Validate (omega, delta) and assemble a :class:`PolarizedAbelianVariety`.
 
     Raises a :class:`ValidationError` listing *every* violated invariant;
     single violations surface as their specific subclass
     (:class:`NotSymmetric`, :class:`NotPositiveDefinite`,
     :class:`BadDivisorChain`). Validation is idempotent: revalidating the
-    fields of a valid variety reproduces it.
+    fields of a valid variety reproduces it. The variety carries no
+    accuracy: every theta sum on it is truncated to :data:`DEFAULT_EPS`.
     """
     if not isinstance(omega, PeriodMatrix):
         omega = PeriodMatrix(omega)
@@ -179,8 +170,6 @@ def validate_polarized(
         delta = PolarizationType(delta)
     if omega.g != delta.g:
         raise ValueError(f"dimension mismatch: omega is {omega.g}x{omega.g}, type has g = {delta.g}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     violations = delta.check() + omega.check()
     if len(violations) == 1:
         raise violations[0]
@@ -191,7 +180,6 @@ def validate_polarized(
         delta=delta,
         omega=omega,
         simple_asserted=bool(simple_asserted),
-        eps=float(eps),
     )
 
 

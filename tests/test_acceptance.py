@@ -8,7 +8,6 @@ statements behind them are exercised as property suites in the other test
 modules.
 """
 
-import json
 import math
 import time
 
@@ -85,7 +84,7 @@ def test_c02_quasi_periodicity_suite():
                 bhat = rng.integers(-3, 4, g).astype(float)
                 zs = rng.random((5, g)) @ pav.matrix.T + rng.random((5, g)) * d
                 # keep the cocycle modulus inside the double-precision budget
-                if max(math.pi * m * (a @ pav.im @ a + 2 * (z.imag @ a)) for z in zs) > 7.0:
+                if max(math.pi * m * (a @ pav.matrix.imag @ a + 2 * (z.imag @ a)) for z in zs) > 7.0:
                     continue
                 drawn += 1
                 lam = pav.matrix @ a + d * bhat
@@ -201,7 +200,7 @@ def test_c08_theta_tilde_properties():
         rng = np.random.default_rng(70 + g)
         s = rng.uniform(-0.3, 0.3, (g, g))
         omega = (s + s.T) / 2 + 1j * (0.5 * np.eye(g) + 0.05 * np.ones((g, g)))
-        pav = validate_polarized(omega, (1,) * g, eps=1e-14)
+        pav = validate_polarized(omega, (1,) * g)
         for n in (2, 3):
             tilde = ThetaTilde(pav, n)
             basis = ThetaBasis(pav, n)

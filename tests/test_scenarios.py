@@ -265,11 +265,8 @@ _BAD_VALUES = [
     ({"omega": {"random": {"seed": "x"}}}, "omega seed"),
     ({"omega": {"random": 5}}, "omega mapping"),
     ({"omega": {"random": {"sed": 5}}}, "omega mapping"),
+    ({"omega": {"random": {}}}, "omega mapping"),
     ({"simple_asserted": "no"}, "simple_asserted"),
-    ({"eps": True}, "eps"),
-    ({"eps": "1e-3"}, "eps"),
-    ({"eps": float("inf")}, "eps"),
-    ({"eps": 2.0}, "eps"),
     ({"type": [3, 3]}, "type must"),
     ({"omega": [[5]]}, "omega must"),
     ({"omega": [[[0, None]]]}, "omega must"),
@@ -280,15 +277,16 @@ _BAD_VALUES = [
     ({"omega": [[[0, 1]], [[0, 1]]]}, "omega must"),
     ({"omega": "i"}, "omega must"),
     ({"checks": [1]}, "checks must"),
+    ({"checks": None}, "checks must"),
     ({"checks": {"wirtinger": 1}}, "wirtinger"),
     ({"checks": {"bogus": True}}, "unknown check"),
 ]
 _BAD_VALUE_IDS = ["g-float", "g-bool", "type-float", "type-string", "omega-seed-float",
                   "omega-seed-string", "omega-random-not-mapping", "omega-unknown-key",
-                  "simple-asserted-string", "eps-bool", "eps-string", "eps-inf", "eps-above-one",
-                  "type-length", "omega-scalar-entry", "omega-null", "omega-inf", "omega-huge-int",
+                  "omega-random-no-seed", "simple-asserted-string", "type-length",
+                  "omega-scalar-entry", "omega-null", "omega-inf", "omega-huge-int",
                   "omega-triple", "omega-bool", "omega-shape", "omega-string", "checks-list",
-                  "wirtinger-int", "unknown-check"]
+                  "checks-null", "wirtinger-int", "unknown-check"]
 
 
 @pytest.mark.parametrize(
@@ -367,6 +365,60 @@ def test_retired_caps_are_rejected(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli_main(["verify", "--scenario", str(path)]) == 2
     assert "unknown scenario keys: ['caps']" in capsys.readouterr().err
+
+
+def test_retired_eps_is_rejected(tmp_path, capsys):
+    # the truncation accuracy is the constant DEFAULT_EPS: a file that names
+    # eps, even at its value, is refused at load
+    doc = {"name": "bad", "g": 1, "type": [3], "omega": {"random": {"seed": 101}}, "n": 1,
+           "eps": 1e-12}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["verify", "--scenario", str(path)]) == 2
+    assert "unknown scenario keys: ['eps']" in capsys.readouterr().err
+
+
+def test_cli_seed_leaves_a_seeded_omega_alone(tmp_path, capsys):
+    # the omega mapping names its own seed, so --seed moves only the
+    # sampled checks, never the period matrix or the verdict
+    doc = {"name": "seeded", "g": 1, "type": [3], "omega": {"random": {"seed": 101}}, "n": 1}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    reports = []
+    for seed in ("1", "2"):
+        assert cli_main(["verify", "--scenario", str(path), "--seed", seed]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    for key in ("resolved", "surjectivity"):
+        assert reports[0][key] == reports[1][key]
+    assert reports[0]["scenario"]["seed"] == 1 and reports[1]["scenario"]["seed"] == 2
+
+
+@pytest.mark.parametrize("config,gap_ratio", [
+    (ScenarioConfig(name="g3-1-1-21", g=3, type=(1, 1, 21), omega={"random": {"seed": 321}},
+                    n=2, simple_asserted=True), 474.0),
+    (ScenarioConfig(name="elliptic-d3-cusp", g=1, type=(3,), omega=[[[0.1, 80.0]]], n=1,
+                    simple_asserted=True), 122.0),
+], ids=["g3-1-1-21", "elliptic-d3-cusp"])
+def test_inconclusive_above_the_bound_is_not_a_violation(config, gap_ratio):
+    # an undecided rank says nothing against the theorem: exit 3, not 4
+    p = run_scenario(config).payload
+    assert p["bound_prediction"] == "TheoremPredictsSurjective"
+    assert p["surjectivity"]["verdict"] == "Inconclusive"
+    assert p["surjectivity"]["gap_ratio"] == pytest.approx(gap_ratio, rel=1e-2)
+    assert p["consistency"]["theorem_violation"] is False
+    assert p["exit_code"] == 3
+
+
+def test_not_surjective_above_the_bound_is_a_violation(monkeypatch):
+    # a decided NotSurjective against the prediction is reported as a defect
+    def not_surjective(pav, n):
+        return replace(mult.surjectivity_verdict(pav, n), verdict=Verdict.NOT_SURJECTIVE)
+
+    monkeypatch.setattr(scenarios, "surjectivity_verdict", not_surjective)
+    p = run_scenario(_by_name("elliptic-d3")).payload
+    assert p["bound_prediction"] == "TheoremPredictsSurjective"
+    assert p["consistency"]["theorem_violation"] is True
+    assert p["exit_code"] == 4
 
 
 def test_report_names_the_theta_constant_truncation():
@@ -471,7 +523,6 @@ def test_scenario_file_round_trip(tmp_path):
         "type": [3],
         "omega": [[[0.25, 1.0]]],
         "n": 1,
-        "eps": 1e-12,
         "seed": 7,
         "simple_asserted": True,
     }
@@ -578,11 +629,12 @@ _BAD_CONTENT = [
     ({"checks": {"spanning_modulus": "a"}}, "spanning_modulus"),
     ({"checks": {"spanning_modulus": 2.5}}, "spanning_modulus"),
     ({"checks": {"spanning_modulus": True}}, "spanning_modulus"),
+    ({"checks": {"spanning_modulus": None}}, "spanning_modulus"),
     ({"n": 1.5}, "n must be"),
     ({"n": True}, "n must be"),
 ]
 _BAD_IDS = ["modulus-negative", "modulus-string", "modulus-float", "modulus-bool",
-            "n-float", "n-bool"]
+            "modulus-null", "n-float", "n-bool"]
 
 
 @pytest.mark.parametrize("change,message", _BAD_CONTENT, ids=_BAD_IDS)
@@ -686,7 +738,6 @@ def _scenarios(draw, clean=False):
         "type": draw(junk(st.lists(st.integers(1, 4), min_size=g, max_size=g))),
         "omega": draw(_omegas(g, ("explicit",)) if clean else _omegas(g)),
         "n": draw(junk(st.one_of(st.integers(1, 2), st.just("g-1")))),
-        "eps": draw(junk(st.sampled_from([1e-12, 1e-8, 1e-6]))),
         "seed": draw(junk(st.integers(0, 2**64))),
         "simple_asserted": draw(junk(st.booleans())),
         "checks": checks,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from thetamu import theta
+from thetamu.varieties import DEFAULT_EPS
 from thetamu import (
     NotInK1,
     NotLatticeVector,
@@ -127,7 +128,7 @@ def test_doubling_certificate(pav_g2):
             delta = abs(
                 basis.eval(idx, z, radius=radius) - basis.eval(idx, z, radius=2 * radius)
             )
-            assert delta < pav_g2.eps
+            assert delta < DEFAULT_EPS
     # at g = 3 the values reach 1e17, so the radius is certified against the
     # growth envelope that the accuracy claim is stated in
     pav = validate_polarized(random_period_matrix(3, 301), (1, 2, 2))
@@ -140,7 +141,7 @@ def test_doubling_certificate(pav_g2):
             delta = abs(
                 basis.eval(idx, z, radius=radius) - basis.eval(idx, z, radius=2 * radius)
             )
-            assert delta * weight < pav.eps
+            assert delta * weight < DEFAULT_EPS
 
 
 def per_term_theta(tau, m, c, z, radius):
@@ -195,7 +196,7 @@ def test_lattice_sum_cusp_probe():
         for i, idx in enumerate(basis.indices):
             for p, z in enumerate(zs):
                 ref = per_term_theta(pav.matrix, m, idx.as_floats(), z, basis.radius)
-                assert abs(vals[i, p] - ref) <= pav.eps * envelope[p]
+                assert abs(vals[i, p] - ref) <= DEFAULT_EPS * envelope[p]
 
 
 @pytest.mark.parametrize("omega,m", [(0.1 + 80j, 10), (0.3 + 1.5j, 1), (0.3 + 1.5j, 3)],
@@ -216,7 +217,7 @@ def test_lattice_sum_at_the_edge_of_the_double_range(omega, m):
     for i, idx in enumerate(basis.indices):
         for p, z in enumerate(zs):
             ref = per_term_theta(pav.matrix, m, idx.as_floats(), z, basis.radius)
-            assert abs(vals[i, p] - ref) <= pav.eps * envelope[p]
+            assert abs(vals[i, p] - ref) <= DEFAULT_EPS * envelope[p]
     with pytest.raises(TruncationOverflow):
         basis.eval_matrix(np.array([[1.001j * tmax]]))
 
@@ -310,8 +311,8 @@ def test_theta_constants_match_basis_and_doubled_radius(divisors, levels):
         # the radius theta_constants sums, certified by doubling it
         radius = theta.constants_radius(pav, m)
         chars = np.array([idx.as_floats() for idx in basis.indices])
-        doubled = theta._LatticeSum(pav.matrix, m, pav.eps).eval(chars, zero, radius=2 * radius)
-        assert np.abs(consts - doubled[:, 0]).max() <= pav.eps
+        doubled = theta._LatticeSum(pav.matrix, m).eval(chars, zero, radius=2 * radius)
+        assert np.abs(consts - doubled[:, 0]).max() <= DEFAULT_EPS
 
 
 def mp_theta(tau, m, c, z=None, digits=30):
@@ -346,7 +347,7 @@ def test_theta_constants_match_mpmath(divisors, m):
     consts = theta_constants(pav, m)
     indices = section_indices(pav, m)
     for i in sorted({0, 1, len(indices) // 2, len(indices) - 1}):
-        assert abs(consts[i] - mp_theta(pav.matrix, m, indices[i].c)) <= pav.eps
+        assert abs(consts[i] - mp_theta(pav.matrix, m, indices[i].c)) <= DEFAULT_EPS
 
 
 def test_tiny_theta_constants_keep_relative_accuracy():
@@ -397,7 +398,7 @@ def test_theta_basis_matches_mpmath_at_cell_points(divisors, levels):
         for i in sorted({0, basis.dim // 2, basis.dim - 1}):
             for p, z in enumerate(zs):
                 ref = mp_theta(pav.matrix, m, basis.indices[i].c, z)
-                assert abs(vals[i, p] - ref) * w[p] <= pav.eps
+                assert abs(vals[i, p] - ref) * w[p] <= DEFAULT_EPS
 
 
 @pytest.mark.parametrize(
@@ -421,7 +422,7 @@ def test_theta_basis_matches_mpmath_near_the_cusp(omega, divisors):
         for i in range(basis.dim):
             for p, z in enumerate(zs):
                 ref = mp_theta(pav.matrix, m, basis.indices[i].c, z)
-                assert abs(vals[i, p] - ref) * w[p] <= pav.eps
+                assert abs(vals[i, p] - ref) * w[p] <= DEFAULT_EPS
 
 
 @pytest.mark.parametrize("g,n", [(1, 2), (1, 3), (2, 2)])
@@ -434,7 +435,7 @@ def test_theta_tilde_matches_mpmath_at_cell_points(g, n):
     w = section_weights(pav, n, zs)
     for p, z in enumerate(zs):
         ref = mp_theta(pav.matrix / n, 1, (0,) * g, z)
-        assert abs(vals[p] - ref) * w[p] <= pav.eps
+        assert abs(vals[p] - ref) * w[p] <= DEFAULT_EPS
 
 
 def test_quasi_periodicity_suite(pav_g1, pav_g2):
@@ -449,7 +450,7 @@ def test_quasi_periodicity_suite(pav_g1, pav_g2):
                 a = rng.integers(-2, 3, g).astype(float)
                 bhat = rng.integers(-3, 4, g).astype(float)
                 z = rng.random(g) @ pav.matrix.T + rng.random(g) * d
-                budget = math.pi * m * (a @ pav.im @ a + 2 * (z.imag @ a))
+                budget = math.pi * m * (a @ pav.matrix.imag @ a + 2 * (z.imag @ a))
                 if budget > 7.0:
                     continue
                 drawn += 1
@@ -585,7 +586,7 @@ def test_theta_tilde_invariance_and_expansion(g, n):
     rng = np.random.default_rng(70 + g)
     s = rng.uniform(-0.3, 0.3, (g, g))
     omega = (s + s.T) / 2 + 1j * (0.5 * np.eye(g) + 0.05 * np.ones((g, g)))
-    pav = validate_polarized(omega, (1,) * g, eps=1e-14)
+    pav = validate_polarized(omega, (1,) * g)
     tilde = ThetaTilde(pav, n)
     basis = ThetaBasis(pav, n)
     group = k_group(pav, n)
@@ -612,7 +613,7 @@ def test_theta_tilde_radius_uses_its_zero_characteristic():
     # theta constants, not the offset 1 of a basis with c in [0, 1)^g
     pav = validate_polarized(random_period_matrix(2, 107), (1, 1))
     tilde = ThetaTilde(pav, 1)
-    assert tilde.radius == theta.box_radius(pav.lambda_min, 1, pav.eps, 2, 0.5) == 2
+    assert tilde.radius == theta.box_radius(pav.lambda_min, 1, 2, 0.5) == 2
     assert ThetaBasis(pav, 1).radius == 3
 
 
@@ -659,13 +660,13 @@ def test_truncation_capacity_guard():
     # Im Omega = 1e-6 I needs radius 3803 at level 1, (2 R + 1)^2 points
     # over theta.DEFAULT_CAPACITY, so the box is refused before it is built
     pav = validate_polarized(1e-6j * np.eye(2), (1, 2))
-    assert theta.box_radius(pav.lambda_min, 1, pav.eps, 2, 1.0) == 3803
+    assert theta.box_radius(pav.lambda_min, 1, 2, 1.0) == 3803
     assert 7607**2 > theta.DEFAULT_CAPACITY
     with pytest.raises(TruncationOverflow):
         ThetaBasis(pav, 1)
     # at 1e-300 the radius passes 1e150, where R + 1 and R round to the
     # same float: the radius search still ends, and the box is refused
-    assert theta.box_radius(1e-300, 1, pav.eps, 1, 1.0) > 10**150
+    assert theta.box_radius(1e-300, 1, 1, 1.0) > 10**150
     with pytest.raises(TruncationOverflow):
         ThetaBasis(validate_polarized(np.array([[1e-300j]]), (1,)), 1)
     # a subnormal lambda_min puts even the first radius past the float range

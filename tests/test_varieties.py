@@ -77,11 +77,11 @@ def test_symmetry_tolerance_is_relative():
 
 def test_validate_is_idempotent():
     om = random_period_matrix(2, 11)
-    first = validate_polarized(om, (1, 3), True, eps=1e-12)
-    second = validate_polarized(first.omega, first.delta, first.simple_asserted, first.eps)
+    first = validate_polarized(om, (1, 3), True)
+    second = validate_polarized(first.omega, first.delta, first.simple_asserted)
     assert np.array_equal(first.matrix, second.matrix)
     assert first.delta == second.delta
-    assert (first.simple_asserted, first.eps) == (second.simple_asserted, second.eps)
+    assert first.simple_asserted == second.simple_asserted
 
 
 @pytest.mark.parametrize(
