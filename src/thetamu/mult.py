@@ -16,7 +16,9 @@ weighted design that gives both the condition number checked against the
 cap and the solution; a residual gate guards the fit.  The diagram check
 fits the coordinates of all its points in that one solve, one column per
 point.  The Wirtinger matrix is checked by the weighted misfit of the theta
-relation at seeded points.
+relation at seeded points and by the diagram check, which together build
+and evaluate each of their four theta series once, at the relation pairs
+and the diagram's samples and points stacked.
 
 The verdict forms neither mu_n nor its h0(n+1) x h0(n) slice at level-1
 index 0.  mu_n commutes with the K(L)_1 translations, so its character
@@ -38,6 +40,7 @@ import numpy as np
 
 from .errors import FitResidualTooLarge, IllConditioned, NotInSpan, SizeLimit
 from .theta import (
+    DEFAULT_TERM_CAP,
     ThetaBasis,
     ThetaTilde,
     _ravel,
@@ -92,23 +95,36 @@ def expand_in_basis(
     ``values`` at the samples ``zs`` of shape (P, g) are given.
 
     ``values`` has shape (P,) or (P, k); the coefficients have shape
-    (h0(m),) or (h0(m), k), one column per column of values.  Every sample
-    row is scaled by the inverse growth envelope of level m, and one thin
-    SVD ``design = U diag(s) Vh`` of the weighted design gives both the
-    condition ``s_0 / s_min`` and the solution ``Vh^H ((U^H rhs) / s)``.
-    Raises :class:`IllConditioned` when the condition exceeds
-    DEFAULT_COND_CAP and :class:`NotInSpan` when the largest relative
-    column residual exceeds DEFAULT_RESIDUAL_TOL (every admissible section
-    lies in the span, so that is a numerical fault).  Both gates fail
-    closed: a NaN condition or residual raises too.  The residuals are taken
-    on columns scaled by :func:`_column_scale`, so finite values too large
-    to square still get one.
+    (h0(m),) or (h0(m), k), one column per column of values.  The basis is
+    evaluated at the samples and the fit is :func:`_weighted_fit`, with its
+    gates.
     """
-    basis = ThetaBasis(pav, m)
-    if len(zs) < 2 * basis.dim:
-        raise ValueError(f"need at least {2 * basis.dim} samples for level {m}, got {len(zs)}")
+    return _weighted_fit(pav, m, ThetaBasis(pav, m).eval_matrix(zs), zs, values)
+
+
+def _weighted_fit(
+    pav: PolarizedAbelianVariety, m: int, sections: np.ndarray, zs: np.ndarray, values
+) -> Expansion:
+    """Least-squares coefficients of ``values`` in the level-m sections whose
+    values at the samples ``zs`` are the rows of ``sections`` (h0(m), P).
+
+    Every sample row is scaled by the inverse growth envelope of level m, and
+    one thin SVD ``design = U diag(s) Vh`` of the weighted design gives both
+    the condition ``s_0 / s_min`` and the solution ``Vh^H ((U^H rhs) / s)``.
+    Raises ValueError for fewer than 2 h0(m) samples,
+    :class:`IllConditioned` when the condition exceeds DEFAULT_COND_CAP and
+    :class:`NotInSpan` when the largest relative column residual exceeds
+    DEFAULT_RESIDUAL_TOL (every admissible section lies in the span, so that
+    is a numerical fault).  Both gates fail closed: a NaN condition or
+    residual raises too.  The residuals are taken on columns scaled by
+    :func:`_column_scale`, so finite values too large to square still get
+    one.
+    """
+    dim = sections.shape[0]
+    if len(zs) < 2 * dim:
+        raise ValueError(f"need at least {2 * dim} samples for level {m}, got {len(zs)}")
     w = section_weights(pav, m, zs)
-    design = (basis.eval_matrix(zs) * w[None, :]).T
+    design = (sections * w[None, :]).T
     u, s, vh = np.linalg.svd(design, full_matrices=False)
     cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
     if not cond <= DEFAULT_COND_CAP:
@@ -119,10 +135,12 @@ def expand_in_basis(
     scale = _column_scale(rhs)
     misfit = np.linalg.norm((design @ coef - rhs) / scale, axis=0)
     norms = np.linalg.norm(rhs / scale, axis=0)
-    residual = float(np.divide(misfit, norms, out=np.zeros_like(misfit), where=norms != 0).max())
+    # initial=0 for no columns; a NaN still propagates through the max
+    residual = float(np.divide(misfit, norms, out=np.zeros_like(misfit),
+                               where=norms != 0).max(initial=0.0))
     if not residual <= DEFAULT_RESIDUAL_TOL:
         raise NotInSpan(f"expansion residual {residual:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}")
-    return Expansion(coef.reshape(basis.dim, *values.shape[1:]), residual)
+    return Expansion(coef.reshape(dim, *values.shape[1:]), residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,7 +446,8 @@ class WirtingerMatrix:
     canonical here; against other normalizations it is defined projectively.
     Rows (alpha) and columns (beta) are lexicographic in the characteristics
     (see ``theta.section_indices``).  ``fit_residual`` is the misfit of the
-    relation at the samples of ``seed``.
+    relation at the samples of ``seed``, and ``diagram_residuals`` holds the
+    :func:`diagram_check` residual of every point the matrix was built with.
     """
 
     n: int
@@ -436,42 +455,92 @@ class WirtingerMatrix:
     reduced: np.ndarray
     fit_residual: float
     seed: int
+    diagram_residuals: np.ndarray
 
 
-def _divisor_values(pav: PolarizedAbelianVariety, n: int, us, bs) -> np.ndarray:
-    """theta(u + n b) theta~(u - b) for every pair of rows u of us, b of bs."""
-    return ThetaBasis(pav, 1).eval_matrix(us + n * bs)[0] * ThetaTilde(pav, n).eval_many(us - bs)
+def _divisor_values(one: ThetaBasis, tilde: ThetaTilde, us, bs) -> np.ndarray:
+    """theta(u + n b) theta~(u - b) for every pair of rows u of us, b of bs,
+    from the level-1 basis ``one`` and theta~ of level n = ``tilde.n``."""
+    return one.eval_matrix(us + tilde.n * bs)[0] * tilde.eval_many(us - bs)
 
 
-def _wirtinger_residual(pav: PolarizedAbelianVariety, n: int, C: np.ndarray, seed: int) -> float:
-    """Weighted relative misfit ||w (lhs - rhs)|| / ||w lhs|| of
-    lhs = theta(u+nv) theta~(u-v) against
-    rhs = sum_{alpha beta} C[alpha, beta] theta_alpha(u) theta_beta(v)
-    at 2 * C.size pairs (u, v) drawn from ``seed``."""
-    count = OVERSAMPLE * C.size
-    z = sample_points(pav, 2 * count, seed)
-    us, vs = z[:count], z[count:]
+def _pairs(us: np.ndarray, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (u, b) of every pair of a row u of us and a row b of bs, u
+    along the rows: pair i * len(bs) + j is (us[i], bs[j])."""
+    u, b = np.broadcast_arrays(us[:, None], bs[None])
+    return u.reshape(-1, us.shape[1]), b.reshape(-1, us.shape[1])
+
+
+def _wirtinger_checks(
+    pav: PolarizedAbelianVariety, n: int, C: np.ndarray, seed: int, points, pairs: int
+) -> tuple[float, np.ndarray]:
+    """The relation misfit of C at ``pairs`` sampled pairs (u, v) and its
+    diagram residual at every point b of ``points``, from one evaluation of
+    each of the four theta series.
+
+    Two draws from ``seed``: the relation pairs, and OVERSAMPLE * h0(n+1)
+    fit samples u, each paired with every b.  theta(.) and theta~(.) are
+    evaluated at the relation and diagram pairs together, the level-(n+1)
+    basis at the relation u and the fit samples, and the level-n(n+1) basis
+    at the relation v and the points; the relation and the diagram read
+    their slices.
+
+    * The misfit is ||w (lhs - rhs)|| / ||w lhs|| of
+      lhs = theta(u+nv) theta~(u-v) against
+      rhs = sum_{alpha beta} C[alpha, beta] theta_alpha(u) theta_beta(v),
+      w the envelope weights of both levels; 0 at no pairs.
+    * The coordinates of the divisor of u -> theta(u+nb) theta~(u-b) are fit
+      in one :func:`_weighted_fit`, one column per point, and the residual of
+      b is their :func:`projective_residual` against
+      (sum_beta C[alpha, beta] theta_beta(b))_alpha.
+
+    Raises :class:`SizeLimit` before any evaluation when the four evaluations
+    together exceed DEFAULT_TERM_CAP lattice terms.
+    """
+    bs = _as_points(pav, points)
     N = n * (n + 1)
+    z = sample_points(pav, 2 * pairs, seed)
+    us, vs = z[:pairs], z[pairs:]
     w = section_weights(pav, n + 1, us) * section_weights(pav, N, vs)
-    lhs = _divisor_values(pav, n, us, vs)
-    ta = ThetaBasis(pav, n + 1).eval_matrix(us)
-    tb = ThetaBasis(pav, N).eval_matrix(vs)
-    rhs = (ta * (C @ tb)).sum(axis=0)
-    return float(np.linalg.norm(w * (lhs - rhs)) / np.linalg.norm(w * lhs))
+    fit = sample_points(pav, OVERSAMPLE * pav.h0(n + 1), seed)
+    fit_u, fit_b = _pairs(fit, bs)
+    one, tilde = ThetaBasis(pav, 1), ThetaTilde(pav, n)
+    basis_a, basis_b = ThetaBasis(pav, n + 1), ThetaBasis(pav, N)
+    terms = (one.terms(pairs + len(fit_u)) + tilde.terms(pairs + len(fit_u))
+             + basis_a.terms(pairs + len(fit)) + basis_b.terms(pairs + len(bs)))
+    if terms > DEFAULT_TERM_CAP:
+        raise SizeLimit(f"Wirtinger checks need {terms} lattice terms, cap is {DEFAULT_TERM_CAP}")
+    lhs = _divisor_values(one, tilde, np.concatenate([us, fit_u]), np.concatenate([vs, fit_b]))
+    ta = basis_a.eval_matrix(np.concatenate([us, fit]))
+    tb = basis_b.eval_matrix(np.concatenate([vs, bs]))
+    misfit = 0.0
+    if pairs:
+        rhs = (ta[:, :pairs] * (C @ tb[:, :pairs])).sum(axis=0)
+        misfit = float(np.linalg.norm(w * (lhs[:pairs] - rhs)) / np.linalg.norm(w * lhs[:pairs]))
+    values = lhs[pairs:].reshape(len(fit), len(bs))
+    phi = _weighted_fit(pav, n + 1, ta[:, pairs:], fit, values).coefficients
+    image = C @ tb[:, pairs:]
+    return misfit, np.array([projective_residual(x, y) for x, y in zip(phi.T, image.T)])
 
 
-def wirtinger_matrix(pav: PolarizedAbelianVariety, n: int, seed: int) -> WirtingerMatrix:
+def wirtinger_matrix(
+    pav: PolarizedAbelianVariety, n: int, seed: int, points=()
+) -> WirtingerMatrix:
     """The coefficient matrix of the bilinear theta relation at level
-    (n+1, n(n+1)), checked at 2 * #coefficients sampled pairs (u, v).
+    (n+1, n(n+1)), checked at 2 * #coefficients sampled pairs (u, v) and,
+    through the divisor map, at every point of ``points``.
 
     Substituting s = (l+k)/(n+1), t = (n l - k)/(n(n+1)) in the product of
     the two lattice sums (Mumford 1966, Koizumi 1976) gives c_{alpha beta} = 1
     when alpha + n beta = 0 mod Z^g and 0 otherwise; for alpha = k/(n+1) and
-    beta = j/(n(n+1)) that is k + j = 0 mod n+1 componentwise.  Raises
-    :class:`SizeLimit` before any sample when the h0(n(n+1)) x
-    (2 * unknowns) level-n(n+1) values of the check exceed DEFAULT_CELL_CAP.
-    That bounds the (n+1)^g (n(n+1))^g unknowns too: at most 16384, at
-    g = 7, n = 1.
+    beta = j/(n(n+1)) that is k + j = 0 mod n+1 componentwise.  The relation
+    and the diagram are checked by :func:`_wirtinger_checks`, which evaluates
+    each theta series once for both.  Raises :class:`SizeLimit` before any
+    sample when the h0(n(n+1)) x (2 * unknowns) level-n(n+1) values of the
+    relation exceed DEFAULT_CELL_CAP.  That bounds the (n+1)^g (n(n+1))^g
+    unknowns too: at most 16384, at g = 7, n = 1.  Raises
+    :class:`FitResidualTooLarge` when the relation misfit exceeds
+    DEFAULT_RESIDUAL_TOL.
     """
     if not pav.delta.is_principal:
         raise ValueError("the Wirtinger matrix requires a principal polarization")
@@ -485,7 +554,7 @@ def wirtinger_matrix(pav: PolarizedAbelianVariety, n: int, seed: int) -> Wirting
     k = lex_vectors((n + 1,) * g)
     j = lex_vectors((N,) * g)
     C = ((k[:, None, :] + j[None, :, :]) % (n + 1) == 0).all(axis=-1).astype(float)
-    fit_residual = _wirtinger_residual(pav, n, C, seed)
+    fit_residual, diagram = _wirtinger_checks(pav, n, C, seed, points, OVERSAMPLE * C.size)
     if not fit_residual <= DEFAULT_RESIDUAL_TOL:
         raise FitResidualTooLarge(
             f"Wirtinger residual {fit_residual:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}"
@@ -498,6 +567,7 @@ def wirtinger_matrix(pav: PolarizedAbelianVariety, n: int, seed: int) -> Wirting
         reduced=C[:, reduced_cols],
         fit_residual=fit_residual,
         seed=seed,
+        diagram_residuals=diagram,
     )
 
 
@@ -527,9 +597,7 @@ def phi_map_coords(
         raise ValueError("the divisor map requires a principal polarization")
     bs = _as_points(pav, points)
     us = sample_points(pav, OVERSAMPLE * pav.h0(n + 1), seed)
-    # every pair (u, b) at once, u along the rows
-    u, b = (x.reshape(-1, pav.g) for x in np.broadcast_arrays(us[:, None], bs[None]))
-    values = _divisor_values(pav, n, u, b)
+    values = _divisor_values(ThetaBasis(pav, 1), ThetaTilde(pav, n), *_pairs(us, bs))
     return expand_in_basis(pav, n + 1, values.reshape(len(us), len(bs)), us)
 
 
@@ -559,13 +627,12 @@ def diagram_check(pav: PolarizedAbelianVariety, wirt: WirtingerMatrix, points) -
     A small value is the pointwise commutativity of the triangle relating
     the (n+1)-theta embedding, the coefficient form, and the divisor map.
     All points share one fit of the coordinates, at the samples of
-    ``wirt.seed``.
+    ``wirt.seed``.  The residuals come from :func:`_wirtinger_checks` on
+    ``wirt.full`` at no relation pairs, as those of
+    ``wirtinger_matrix(..., points)`` do with the relation's: a wrong matrix
+    gets its residuals, not an error.
     """
-    n = wirt.n
-    bs = _as_points(pav, points)
-    phi = phi_map_coords(pav, n, bs, wirt.seed).coefficients
-    image = wirt.full @ ThetaBasis(pav, n * (n + 1)).eval_matrix(bs)
-    return np.array([projective_residual(x, y) for x, y in zip(phi.T, image.T)])
+    return _wirtinger_checks(pav, wirt.n, wirt.full, wirt.seed, points, 0)[1]
 
 
 class SpanningReport(NamedTuple):

@@ -392,43 +392,65 @@ def run_scenario(config: ScenarioConfig) -> Report:
 
 
 def _wirtinger_payload(pav: PolarizedAbelianVariety, n: int, seed: int) -> dict:
-    wirt = wirtinger_matrix(pav, n, seed)
-    svals = np.linalg.svd(wirt.reduced, compute_uv=False)
     rng = np.random.default_rng(seed + 17)
     points = [pav.lattice_vector(rng.random(pav.g), rng.random(pav.g)) for _ in range(3)]
+    # the relation and the diagram at these points share every theta evaluation
+    wirt = wirtinger_matrix(pav, n, seed, points)
+    svals = np.linalg.svd(wirt.reduced, compute_uv=False)
     return {
         "fit_residual": wirt.fit_residual,
         "reduced_sigma_min_ratio": float(svals[-1] / svals[0]),
-        "diagram_residual_max": float(mult.diagram_check(pav, wirt, points).max()),
+        "diagram_residual_max": float(wirt.diagram_residuals.max()),
     }
 
 
 def _format_float(value: float) -> str:
-    if value != value:
-        return '"nan"'
-    if value in (float("inf"), float("-inf")):
-        return '"inf"' if value > 0 else '"-inf"'
-    text = format(float(value), ".17g")
-    # keep the token a JSON number
-    return text if any(ch in text for ch in ".eE") else text + ".0"
+    """17 significant digits, as a JSON number with a "." or an exponent;
+    a non-finite value as the string "nan", "inf" or "-inf"."""
+    # .17g writes no "E", and writes every NaN as "nan"
+    text = format(value, ".17g")
+    if "." in text or "e" in text:
+        return text
+    return text + ".0" if text[-1].isdigit() else f'"{text}"'
 
 
-def _serialize(value, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+#: what json.dumps writes for a str
+_json_str = json.encoder.encode_basestring_ascii
+
+#: the JSON text of a scalar, by its exact type; other types, subclasses
+#: included, take the isinstance chain of _serialize
+_SCALARS = {
+    float: _format_float,
+    int: str,
+    str: _json_str,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+    np.float64: lambda value: _format_float(float(value)),
+    np.int64: lambda value: str(int(value)),
+    Fraction: lambda value: _json_str(str(value)),
+}
+
+
+def _serialize(value, pad: str) -> str:
+    """The JSON text of value at the line start ``pad``, a newline and two
+    spaces per level of nesting: keys sorted by str, every container item
+    on its own line."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(k))}: {_serialize(value[k], indent + 1)}"
-            for k in sorted(value, key=str)
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        inner = pad + "  "
+        parts = [f"{_json_str(str(k))}: {_serialize(value[k], inner)}"
+                 for k in sorted(value, key=str)]
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
     if isinstance(value, (list, tuple)):
         if not len(value):
             return "[]"
-        parts = [f"{inner}{_serialize(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        inner = pad + "  "
+        parts = [_serialize(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -438,17 +460,17 @@ def _serialize(value, indent: int) -> str:
     if isinstance(value, (float, np.floating)):
         return _format_float(float(value))
     if isinstance(value, complex):
-        return _serialize([value.real, value.imag], indent)
+        return _serialize([value.real, value.imag], pad)
     if isinstance(value, Fraction):
-        return json.dumps(str(value))
+        return _json_str(str(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return _json_str(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def report_json(report: Report) -> str:
     """Stable-key-ordered JSON; floats carry 17 significant digits."""
-    return _serialize(report.payload, 0) + "\n"
+    return _serialize(report.payload, "\n") + "\n"
 
 
 def _table_lines(value, prefix: str, out: list[str]) -> None:

@@ -315,6 +315,11 @@ class _LatticeSum:
         pref = (-1j * math.pi * self.m) * (aint * (shift + 2.0 * z0)).sum(axis=1)
         return z0, bint, pref
 
+    def terms(self, k: int, p: int, radius: int | None = None) -> int:
+        """The k (2R+1)^g p terms of k characteristics at p points."""
+        R = self.radius if radius is None else int(radius)
+        return k * (2 * R + 1) ** self.g * p
+
     def eval(self, chars: np.ndarray, zs: np.ndarray, radius: int | None = None) -> np.ndarray:
         """Evaluate every characteristic at every point; returns (K, P).
 
@@ -327,7 +332,7 @@ class _LatticeSum:
         chars = np.atleast_2d(np.asarray(chars, dtype=float))
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
         R = self.radius if radius is None else int(radius)
-        terms = chars.shape[0] * (2 * R + 1) ** self.g * zs.shape[0]
+        terms = self.terms(chars.shape[0], zs.shape[0], R)
         if terms > DEFAULT_TERM_CAP:
             raise SizeLimit(f"lattice sum needs {terms} terms, cap is {DEFAULT_TERM_CAP}")
         z0, bint, pref = self._reduce(zs)
@@ -468,6 +473,10 @@ class ThetaBasis:
                 return pos
         raise KeyError(f"{idx} is not a level-{self.m} index of this polarization")
 
+    def terms(self, npoints: int) -> int:
+        """The lattice terms of :meth:`eval_matrix` at npoints points."""
+        return self._sum.terms(self.dim, npoints)
+
     def eval_matrix(self, zs, radius: int | None = None) -> np.ndarray:
         """Values of all basis elements at all points, shape (dim, npoints)."""
         return self._sum.eval(self._chars, zs, radius=radius)
@@ -502,6 +511,10 @@ class ThetaTilde:
     @property
     def radius(self) -> int:
         return self._sum.radius
+
+    def terms(self, npoints: int) -> int:
+        """The lattice terms of :meth:`eval_many` at npoints points."""
+        return self._sum.terms(1, npoints)
 
     def eval_many(self, zs, radius: int | None = None) -> np.ndarray:
         return self._sum.eval(self._zero, zs, radius=radius)[0]

@@ -139,7 +139,7 @@ def test_gates_fail_closed_on_nan(elliptic_d3, principal_g1, monkeypatch):
     with pytest.raises(IllConditioned):
         expand_in_basis(elliptic_d3, 2, basis.eval_matrix(samples)[0], samples)
     monkeypatch.undo()
-    monkeypatch.setattr(mult, "_wirtinger_residual", lambda *args: float("nan"))
+    monkeypatch.setattr(mult, "_wirtinger_checks", lambda *args: (float("nan"), np.zeros(0)))
     with pytest.raises(mult.FitResidualTooLarge):
         wirtinger_matrix(principal_g1, 1, 0)
 
@@ -314,21 +314,30 @@ def test_wirtinger_matrix_is_exact_incidence(g, n):
 
 def test_wrong_wirtinger_incidence_is_rejected(principal_g1):
     n, seed = 2, 16
-    wirt = wirtinger_matrix(principal_g1, n, seed)
+    rng = np.random.default_rng(61)
+    points = [rng.random(1) @ principal_g1.matrix.T + rng.random(1) for _ in range(3)]
+    wirt = wirtinger_matrix(principal_g1, n, seed, points)
     k = np.arange(n + 1)[:, None]
     j = np.arange(n * (n + 1))[None, :]
     same_sign = ((k - j) % (n + 1) == 0).astype(float)  # alpha = n beta in place of -n beta
     flipped = wirt.full.copy()
     flipped[1, 0] = 1.0 - flipped[1, 0]
-    rng = np.random.default_rng(61)
-    points = [rng.random(1) @ principal_g1.matrix.T + rng.random(1) for _ in range(3)]
-    assert mult._wirtinger_residual(principal_g1, n, wirt.full, seed) == wirt.fit_residual
-    assert (diagram_check(principal_g1, wirt, points) < 1e-8).all()
+    pairs = mult.OVERSAMPLE * wirt.full.size
+    residual, diagram = mult._wirtinger_checks(principal_g1, n, wirt.full, seed, points, pairs)
+    assert residual == wirt.fit_residual < 1e-8
+    assert np.array_equal(diagram, wirt.diagram_residuals)
+    # diagram_check draws no relation pairs; the stacked products may round
+    # differently
+    assert np.abs(diagram_check(principal_g1, wirt, points) - diagram).max() <= 1e-13
+    assert (diagram < 1e-8).all()
     for wrong in (same_sign, flipped):
-        assert mult._wirtinger_residual(principal_g1, n, wrong, seed) > 1e-8
-        # every point of the batch flags the wrong matrix
-        residuals = diagram_check(principal_g1, dataclasses.replace(wirt, full=wrong), points)
-        assert residuals.shape == (3,) and (residuals > 1e-8).all()
+        residual, diagram = mult._wirtinger_checks(principal_g1, n, wrong, seed, points, pairs)
+        assert residual > 1e-8
+        # every point of the batch flags the wrong matrix, in the stage's
+        # check and in diagram_check alike
+        assert diagram.shape == (3,) and (diagram > 1e-8).all()
+        checked = diagram_check(principal_g1, dataclasses.replace(wirt, full=wrong), points)
+        assert np.abs(checked - diagram).max() <= 1e-13
 
 
 def test_phi_map_coords_properties(principal_g1):

@@ -2,6 +2,7 @@ import json
 import time
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,13 +12,17 @@ from hypothesis import strategies as st
 from thetamu import (
     ITTVerdict,
     ScenarioConfig,
+    ThetaBasis,
+    ThetaTilde,
     Verdict,
     catalog,
     emit_report,
     itt_verdict,
     load_scenario,
+    phi_map_coords,
     random_period_matrix,
     run_scenario,
+    section_weights,
     validate_polarized,
 )
 from thetamu import mult, scenarios, theta
@@ -222,12 +227,13 @@ def test_subnormal_symmetric_period_matrix_is_symmetric(tmp_path, capsys, diviso
 
 
 def test_wirtinger_stage_fits_once(monkeypatch):
-    # the diagram check fits all its points in one solve: per catalog
-    # scenario the relation check and the fit build the level-1, theta~,
-    # level-(n+1) and level-n(n+1) lattice sums once each, draw one sample
-    # set each, and the stage takes one SVD for the fit and one of the
-    # reduced matrix
-    counts = {"sums": 0, "draws": 0, "svds": 0}
+    # the relation and the diagram share every theta evaluation: per catalog
+    # scenario the stage builds the level-1, theta~, level-(n+1) and
+    # level-n(n+1) lattice sums once each and evaluates each once (three
+    # ThetaBasis.eval_matrix calls and one ThetaTilde.eval_many call), draws
+    # the relation pairs and the fit samples, and takes one SVD for the fit
+    # and one of the reduced matrix
+    counts = dict.fromkeys(("sums", "draws", "svds", "bases", "tildes"), 0)
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -239,20 +245,88 @@ def test_wirtinger_stage_fits_once(monkeypatch):
     payload = scenarios._wirtinger_payload
 
     def stage(*args, **kwargs):
-        counts.update(sums=0, draws=0, svds=0)
+        counts.update(dict.fromkeys(counts, 0))
         result = payload(*args, **kwargs)
         stage_counts.append(dict(counts))
         return result
 
     monkeypatch.setattr(theta._LatticeSum, "__init__",
                         counting("sums", theta._LatticeSum.__init__))
+    monkeypatch.setattr(theta.ThetaBasis, "eval_matrix",
+                        counting("bases", theta.ThetaBasis.eval_matrix))
+    monkeypatch.setattr(theta.ThetaTilde, "eval_many",
+                        counting("tildes", theta.ThetaTilde.eval_many))
     monkeypatch.setattr(mult, "sample_points", counting("draws", mult.sample_points))
     monkeypatch.setattr(np.linalg, "svd", counting("svds", np.linalg.svd))
     monkeypatch.setattr(scenarios, "_wirtinger_payload", stage)
     for cfg in catalog():
         if cfg.checks.get("wirtinger"):
             assert run_scenario(cfg).payload["wirtinger"]["diagram_residual_max"] < 1e-14
-    assert stage_counts == [{"sums": 8, "draws": 2, "svds": 2}] * 3
+    assert stage_counts == [{"sums": 4, "draws": 2, "svds": 2, "bases": 3, "tildes": 1}] * 3
+
+
+#: the catalog's Wirtinger scenarios and the principal g = 2, n = 2 one of
+#: the benchmark's checks
+_WIRTINGER_STAGES = [
+    *(cfg for cfg in catalog() if cfg.checks.get("wirtinger")),
+    ScenarioConfig(name="wirtinger-g2-n2", g=2, type=(1, 1), omega={"random": {"seed": 201}},
+                   n=2, seed=21, simple_asserted=True, checks={"wirtinger": True}),
+]
+
+
+@pytest.mark.parametrize("cfg", _WIRTINGER_STAGES, ids=lambda cfg: cfg.name)
+def test_wirtinger_stage_matches_separate_calls(cfg, monkeypatch):
+    # the stage evaluates each theta series once, on the relation pairs and
+    # the diagram pairs stacked; every residual it reports matches one built
+    # from separate evaluations at the same samples
+    calls = []
+
+    def recorded(pav, n, seed, points):
+        calls.append((pav, n, seed, points, mult.wirtinger_matrix(pav, n, seed, points)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(scenarios, "wirtinger_matrix", recorded)
+    payload = run_scenario(cfg).payload["wirtinger"]
+    [(pav, n, seed, points, wirt)] = calls
+    N = n * (n + 1)
+    C = wirt.full
+    # the diagram: divisor coordinates against the Wirtinger image, per point
+    phi = phi_map_coords(pav, n, points, seed).coefficients
+    image = C @ ThetaBasis(pav, N).eval_matrix(np.array(points))
+    separate = [mult.projective_residual(x, y) for x, y in zip(phi.T, image.T)]
+    assert wirt.diagram_residuals.shape == (len(points),) == (3,)
+    assert np.abs(wirt.diagram_residuals - separate).max() <= 1e-13
+    assert payload["diagram_residual_max"] == wirt.diagram_residuals.max()
+    # the relation at the same pairs (u, v)
+    count = mult.OVERSAMPLE * C.size
+    z = mult.sample_points(pav, 2 * count, seed)
+    us, vs = z[:count], z[count:]
+    lhs = ThetaBasis(pav, 1).eval_matrix(us + n * vs)[0] * ThetaTilde(pav, n).eval_many(us - vs)
+    rhs = ThetaBasis(pav, n + 1).eval_matrix(us) * (C @ ThetaBasis(pav, N).eval_matrix(vs))
+    w = section_weights(pav, n + 1, us) * section_weights(pav, N, vs)
+    residual = np.linalg.norm(w * (lhs - rhs.sum(axis=0))) / np.linalg.norm(w * lhs)
+    assert abs(payload["fit_residual"] - residual) <= 1e-13
+    assert payload["fit_residual"] == wirt.fit_residual
+
+
+def test_wirtinger_term_budget_spans_the_stage(monkeypatch):
+    # at Omega = 0.00025 i I each of the stage's four evaluations is under
+    # DEFAULT_TERM_CAP and the four together are over it: the stage is
+    # refused before any evaluation.  It draws 2 * 3^2 * 6^2 = 648 relation
+    # pairs, 2 * 3^2 = 18 fit samples and 3 points.
+    omega = [[[0, 2.5e-4], [0, 0]], [[0, 0], [0, 2.5e-4]]]
+    cfg = ScenarioConfig(name="wirtinger-budget", g=2, type=(1, 1), omega=omega, n=2,
+                         checks={"wirtinger": True})
+    pav = validate_polarized(scenarios.resolve_omega(cfg), (1, 1))
+    terms = [ThetaBasis(pav, 1).terms(648 + 18 * 3), ThetaTilde(pav, 2).terms(648 + 18 * 3),
+             ThetaBasis(pav, 3).terms(648 + 18), ThetaBasis(pav, 6).terms(648 + 3)]
+    assert max(terms) < theta.DEFAULT_TERM_CAP < sum(terms)
+    monkeypatch.setattr(theta._LatticeSum, "eval", _never_called)
+    report = run_scenario(cfg)
+    assert report.exit_code == 3
+    assert report.payload["errors"] == [
+        f"wirtinger: Wirtinger checks need {sum(terms)} lattice terms, "
+        f"cap is {theta.DEFAULT_TERM_CAP}"]
 
 
 #: scenario values to reject, not coerce or ignore: (change, text of the error)
@@ -499,6 +573,104 @@ def test_report_floats_have_17_significant_digits():
     text = emit_report(run_scenario(cfg), "json")
     value = json.loads(text)["surjectivity"]["singular_values"][0]
     assert format(value, ".17g") in text
+
+
+#: a payload with every kind of value a report may carry, and its report_json
+#: bytes as the serializer wrote them before it dispatched on exact types
+_PINNED_PAYLOAD = {
+    "floats": [float("nan"), float("inf"), float("-inf"), 1.0, 1e16, -0.0, 1e-320, 0.1],
+    "exact": [Fraction(81, 4), complex(1.5, -2.0)],
+    "numpy": (np.int64(-7), np.float64(0.1), np.float64(2.5e-300), np.float32(0.5),
+              np.int32(3), np.complex128(1 + 2j)),
+    "z": complex(-0.0, 3.0),
+    "flags": [True, False, None],
+    "empty": [{}, []],
+    "text": "th\u00e9ta \u00b5 \u2211",
+    10: {"b": 2, "a": [1, [0.5]]},
+    9: 1,
+}
+_PINNED_JSON = r"""{
+  "10": {
+    "a": [
+      1,
+      [
+        0.5
+      ]
+    ],
+    "b": 2
+  },
+  "9": 1,
+  "empty": [
+    {},
+    []
+  ],
+  "exact": [
+    "81/4",
+    [
+      1.5,
+      -2.0
+    ]
+  ],
+  "flags": [
+    true,
+    false,
+    null
+  ],
+  "floats": [
+    "nan",
+    "inf",
+    "-inf",
+    1.0,
+    10000000000000000.0,
+    -0.0,
+    9.9998886718268301e-321,
+    0.10000000000000001
+  ],
+  "numpy": [
+    -7,
+    0.10000000000000001,
+    2.5e-300,
+    0.5,
+    3,
+    [
+      1.0,
+      2.0
+    ]
+  ],
+  "text": "th\u00e9ta \u00b5 \u2211",
+  "z": [
+    -0.0,
+    3.0
+  ]
+}
+"""
+
+
+def test_report_json_bytes_are_pinned():
+    assert scenarios.report_json(scenarios.Report(_PINNED_PAYLOAD, {})) == _PINNED_JSON
+
+
+def _round_trips(value, parsed) -> bool:
+    """Whether ``parsed``, json.loads of value's report_json text, gives back
+    value: every float bit for bit, the sign of zero included."""
+    if isinstance(value, dict):
+        return (set(parsed) == {str(k) for k in value}
+                and all(_round_trips(v, parsed[str(k)]) for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return len(parsed) == len(value) and all(map(_round_trips, value, parsed))
+    if isinstance(value, complex):
+        return _round_trips([value.real, value.imag], parsed)
+    if isinstance(value, (float, np.floating)):
+        return type(parsed) is float and parsed.hex() == float(value).hex()
+    if isinstance(value, Fraction):
+        return parsed == str(value)
+    return type(parsed) is type(value) and parsed == value
+
+
+def test_catalog_reports_give_back_every_float():
+    for cfg in catalog():
+        report = run_scenario(cfg)
+        assert _round_trips(report.payload, json.loads(scenarios.report_json(report))), cfg.name
 
 
 def test_report_table_contains_exact_bound():
