@@ -6,8 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .scenarios import catalog, emit_report, load_scenario, run_scenario
-from .varieties import torelli_bound
+from .scenarios import catalog, emit_report, load_scenario, run_scenario, writable_bound
 
 EXIT_USAGE = 2
 
@@ -42,7 +41,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_bound(args) -> int:
     try:
-        bound = torelli_bound(args.g, args.n)
+        bound = writable_bound(args.g, args.n)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

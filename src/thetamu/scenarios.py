@@ -13,6 +13,7 @@ the table format only, never in the JSON form.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 import time
@@ -30,6 +31,7 @@ from .varieties import (
     BoundPrediction,
     PeriodMatrix,
     PolarizedAbelianVariety,
+    TorelliBound,
     bound_prediction,
     torelli_bound,
     validate_polarized,
@@ -191,6 +193,27 @@ def _check_counts(config: ScenarioConfig) -> None:
         )
 
 
+def writable_bound(g: int, n: int, degree: int = 1) -> TorelliBound:
+    """:func:`torelli_bound`, refused with ValueError when a report could not
+    write it or the count (n+1)^g degree: a bound past the double range, or
+    an integer with more digits than sys.get_int_max_str_digits() allows."""
+    past_double = f"the Torelli bound ((n+1)/n)^g g! at g = {g} is past the double range"
+    # the bound is at least g!, and 170! is the largest factorial a double
+    # holds: a larger g is refused before its factorial is built
+    if g > 170 and n >= 1:
+        raise ValueError(past_double)
+    bound = torelli_bound(g, n)
+    if bound.value > sys.float_info.max:
+        raise ValueError(past_double)
+    digits = sys.get_int_max_str_digits()
+    largest = max(bound.value.numerator, bound.least_sufficient, (n + 1) ** g * degree)
+    # 8^digits < 10^digits, so a number of at most 3 digits bits is written
+    # without building 10^digits
+    if digits and largest.bit_length() > 3 * digits and largest >= 10**digits:
+        raise ValueError(f"h0 or the Torelli bound needs more than {digits} digits")
+    return bound
+
+
 def resolve_omega(config: ScenarioConfig) -> PeriodMatrix:
     if isinstance(config.omega, dict):
         request = config.omega.get("random")
@@ -287,6 +310,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
         n, note = resolve_n(config)
         if note:
             notes.append(note)
+        bound = writable_bound(config.g, n, math.prod(config.type))
         pav = timer.time(
             "validate",
             lambda: validate_polarized(omega, config.type, config.simple_asserted),
@@ -309,7 +333,6 @@ def run_scenario(config: ScenarioConfig) -> Report:
         f"level_{n}": pav.h0(n),
         f"level_{n + 1}": pav.h0(n + 1),
     }
-    bound = torelli_bound(pav.g, n)
     prediction = bound_prediction(pav, n)
     payload["bound"] = {
         "exact": str(bound.value),
@@ -408,7 +431,7 @@ def _format_float(value: float) -> str:
     """17 significant digits, as a JSON number with a "." or an exponent;
     a non-finite value as the string "nan", "inf" or "-inf"."""
     # .17g writes no "E", and writes every NaN as "nan"
-    text = format(value, ".17g")
+    text = float.__format__(value, ".17g")
     if "." in text or "e" in text:
         return text
     return text + ".0" if text[-1].isdigit() else f'"{text}"'
@@ -417,16 +440,16 @@ def _format_float(value: float) -> str:
 #: what json.dumps writes for a str
 _json_str = json.encoder.encode_basestring_ascii
 
-#: the JSON text of a scalar, by its exact type; other types, subclasses
-#: included, take the isinstance chain of _serialize
+#: the JSON text of a scalar, by type; every writer also takes a subclass of
+#: its type, whatever the subclass's own str or format
 _SCALARS = {
     float: _format_float,
-    int: str,
+    int: int.__repr__,
     str: _json_str,
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
-    np.float64: lambda value: _format_float(float(value)),
-    np.int64: lambda value: str(int(value)),
+    np.floating: lambda value: _format_float(float(value)),
+    np.integer: lambda value: str(int(value)),
     Fraction: lambda value: _json_str(str(value)),
 }
 
@@ -434,7 +457,9 @@ _SCALARS = {
 def _serialize(value, pad: str) -> str:
     """The JSON text of value at the line start ``pad``, a newline and two
     spaces per level of nesting: keys sorted by str, every container item
-    on its own line."""
+    on its own line.  A scalar takes the writer of its type in _SCALARS, or
+    of the type's first base there, which is then recorded for the type; a
+    complex is written as [re, im], and any other value raises TypeError."""
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
@@ -451,21 +476,13 @@ def _serialize(value, pad: str) -> str:
         inner = pad + "  "
         parts = [_serialize(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
     if isinstance(value, complex):
         return _serialize([value.real, value.imag], pad)
-    if isinstance(value, Fraction):
-        return _json_str(str(value))
-    if isinstance(value, str):
-        return _json_str(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    base = next((base for base in type(value).__mro__ if base in _SCALARS), None)
+    if base is None:
+        raise TypeError(f"cannot serialize {type(value)!r}")
+    scalar = _SCALARS[type(value)] = _SCALARS[base]
+    return scalar(value)
 
 
 def report_json(report: Report) -> str:

@@ -19,7 +19,8 @@ exactly), then the centred integer cube [-R, R]^g is summed.  Every sum takes
 R from one rule, :func:`box_radius`: the smallest R >= 1 whose dropped terms
 provably sum to at most eps = DEFAULT_EPS times the envelope.  So an
 evaluator needs only the variety and a level: the period matrix comes from the
-validated variety, and eps is a package constant, not an option.
+validated variety, and eps is a package constant, not an option; no
+evaluation takes a radius of its own.
 
 The box sum is one matrix product.  Writing l = c + b with b in the box,
 each term factors as Q[c, b] * E[b, z] * C[c, z], with
@@ -266,9 +267,10 @@ def _bins(x: np.ndarray, nb: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 class _LatticeSum:
-    """Truncated sum over Z^g + c of exp(pi i m l^T tau l + 2 pi i m l^T z),
-    over the cube of radius :func:`box_radius`; ``offset`` bounds the
-    Gaussian centre per axis (1/2 when every characteristic is 0 or z = 0)."""
+    """Truncated sum over Z^g + c of exp(pi i m l^T tau l + 2 pi i m l^T z)
+    over ``box``, the cube of radius :func:`box_radius`, which every
+    evaluation sums; ``offset`` bounds the Gaussian centre per axis (1/2
+    when every characteristic is 0 or z = 0)."""
 
     def __init__(self, tau, m: int, offset: float = 1.0):
         tau = np.asarray(tau, dtype=complex)
@@ -278,7 +280,7 @@ class _LatticeSum:
         self.Y = tau.imag
         self.Yinv = np.linalg.inv(self.Y)
         lambda_min = float(np.linalg.eigvalsh(self.Y).min())
-        self.radius = box_radius(lambda_min, self.m, self.g, offset)
+        R = self.radius = box_radius(lambda_min, self.m, self.g, offset)
         # binning characteristics and points into nb^g cells each keeps the
         # scale excess pi m v^T Y v, |v_i| <= offset / nb, of every
         # (characteristic, point) block under _SCALE_MAX
@@ -286,19 +288,16 @@ class _LatticeSum:
         if not math.isfinite(spread):
             raise TruncationOverflow(f"Im Omega spread {spread:.4g} is past the float range")
         self.nbins = max(1, math.ceil(offset * math.sqrt(spread / _SCALE_MAX)))
-        self._box = self._cube(self.radius)
-
-    def _cube(self, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (2R+1)^g integer points b of [-R, R]^g, lexicographic, with
-        the columns pi m b^T Y b / 2 and exp(pi i m b^T X b), X = Re tau."""
+        # the (2R+1)^g integer points b of [-R, R]^g, lexicographic, with the
+        # columns pi m b^T Y b / 2 and exp(pi i m b^T X b), X = Re tau
         cells = (2 * R + 1) ** self.g
         if cells > DEFAULT_CAPACITY:
             raise TruncationOverflow(
                 f"radius {R} needs {cells} lattice points, capacity is {DEFAULT_CAPACITY}"
             )
-        box = (lex_vectors((2 * R + 1,) * self.g) - R).astype(float)
-        btb = (math.pi * self.m) * np.einsum("bi,ij,bj->b", box, self.tau, box)[:, None]
-        return box, 0.5 * btb.imag, np.exp(1j * btb.real)
+        self.box = (lex_vectors((2 * R + 1,) * self.g) - R).astype(float)
+        btb = (math.pi * self.m) * np.einsum("bi,ij,bj->b", self.box, tau, self.box)[:, None]
+        self.half, self.bphase = 0.5 * btb.imag, np.exp(1j * btb.real)
 
     def _reduce(self, zs: np.ndarray):
         """Translate into the fundamental cell of tau Z^g + Z^g.
@@ -315,12 +314,11 @@ class _LatticeSum:
         pref = (-1j * math.pi * self.m) * (aint * (shift + 2.0 * z0)).sum(axis=1)
         return z0, bint, pref
 
-    def terms(self, k: int, p: int, radius: int | None = None) -> int:
+    def terms(self, k: int, p: int) -> int:
         """The k (2R+1)^g p terms of k characteristics at p points."""
-        R = self.radius if radius is None else int(radius)
-        return k * (2 * R + 1) ** self.g * p
+        return k * len(self.box) * p
 
-    def eval(self, chars: np.ndarray, zs: np.ndarray, radius: int | None = None) -> np.ndarray:
+    def eval(self, chars: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Evaluate every characteristic at every point; returns (K, P).
 
         One scaled matrix product per (bin, bin) block and chunk of
@@ -331,8 +329,7 @@ class _LatticeSum:
         """
         chars = np.atleast_2d(np.asarray(chars, dtype=float))
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-        R = self.radius if radius is None else int(radius)
-        terms = self.terms(chars.shape[0], zs.shape[0], R)
+        terms = self.terms(chars.shape[0], zs.shape[0])
         if terms > DEFAULT_TERM_CAP:
             raise SizeLimit(f"lattice sum needs {terms} terms, cap is {DEFAULT_TERM_CAP}")
         z0, bint, pref = self._reduce(zs)
@@ -342,7 +339,7 @@ class _LatticeSum:
                 "section value exceeds double-precision range "
                 f"(log envelope {float(env.max()):.4g})"
             )
-        box, half, bphase = self._box if radius is None else self._cube(R)
+        R, box, half, bphase = self.radius, self.box, self.half, self.bphase
         pim = math.pi * self.m
         X = self.tau.real
         ybox = box @ (pim * self.Y)
@@ -477,13 +474,13 @@ class ThetaBasis:
         """The lattice terms of :meth:`eval_matrix` at npoints points."""
         return self._sum.terms(self.dim, npoints)
 
-    def eval_matrix(self, zs, radius: int | None = None) -> np.ndarray:
+    def eval_matrix(self, zs) -> np.ndarray:
         """Values of all basis elements at all points, shape (dim, npoints)."""
-        return self._sum.eval(self._chars, zs, radius=radius)
+        return self._sum.eval(self._chars, zs)
 
-    def eval(self, idx: SectionIndex, z, radius: int | None = None):
+    def eval(self, idx: SectionIndex, z):
         """Value(s) of one basis element; scalar for a single point."""
-        vals = self._sum.eval(self._chars[self.position(idx)], z, radius=radius)[0]
+        vals = self._sum.eval(self._chars[self.position(idx)], z)[0]
         return complex(vals[0]) if np.ndim(z) == 1 else vals
 
 
@@ -516,11 +513,11 @@ class ThetaTilde:
         """The lattice terms of :meth:`eval_many` at npoints points."""
         return self._sum.terms(1, npoints)
 
-    def eval_many(self, zs, radius: int | None = None) -> np.ndarray:
-        return self._sum.eval(self._zero, zs, radius=radius)[0]
+    def eval_many(self, zs) -> np.ndarray:
+        return self._sum.eval(self._zero, zs)[0]
 
-    def eval(self, z, radius: int | None = None) -> complex:
-        return complex(self.eval_many(z, radius=radius)[0])
+    def eval(self, z) -> complex:
+        return complex(self.eval_many(z)[0])
 
 
 def lattice_coordinates(pav: PolarizedAbelianVariety, lam):

@@ -1,3 +1,4 @@
+import enum
 import json
 import time
 import warnings
@@ -23,6 +24,7 @@ from thetamu import (
     random_period_matrix,
     run_scenario,
     section_weights,
+    torelli_bound,
     validate_polarized,
 )
 from thetamu import mult, scenarios, theta
@@ -126,24 +128,49 @@ def test_run_scenario_numeric_cap_exit_code(monkeypatch):
         assert report.payload["surjectivity"]["dimensional_shortcut"] is True
 
 
-#: JSON-shaped scenarios whose work a constant guard refuses: (config, exit code, error)
+def _random(name, g, n, type_=None):
+    return ScenarioConfig(name=name, g=g, type=type_ or (1,) * g,
+                          omega={"random": {"seed": 1}}, n=n)
+
+
+_PAST_DOUBLE = "the Torelli bound ((n+1)/n)^g g! at g = {} is past the double range"
+
+#: JSON-shaped scenarios whose work a constant guard refuses, or whose report
+#: could not write its bound or counts: (config, exit code, error)
 _HUGE = [
-    (ScenarioConfig(name="huge-n", g=1, type=(1,), omega={"random": {"seed": 1}}, n=10**12,
-                    checks={"spanning_modulus": 10}),
+    (replace(_random("huge-n", 1, 10**12), checks={"spanning_modulus": 10}),
      3, "spanning: spanning values need 100000000000100 cells"),
-    (ScenarioConfig(name="huge-g", g=10**6, type=(1,) * 10**6, omega={"random": {"seed": 1}}),
+    (_random("huge-g", 10**6, "g-1"),
      2, "a random g = 1000000 period matrix needs 1000000000000 cells"),
+    # the bound 2^151 151! and about e 171! pass the double range (2^150 150!
+    # does not); 2^1800 1800! and (10^1500 + 1)^3 also pass 4300 digits
+    (_random("bound-g151", 151, 1), 2, _PAST_DOUBLE.format(151)),
+    (_random("bound-g171", 171, "g-1"), 2, _PAST_DOUBLE.format(171)),
+    (_random("bound-g1800", 1800, 1), 2, _PAST_DOUBLE.format(1800)),
+    (_random("digits-n", 3, 10**1500), 2, "h0 or the Torelli bound needs more than 4300 digits"),
 ]
 
 
-@pytest.mark.parametrize("config,code,message", _HUGE, ids=["huge-n", "huge-g"])
+@pytest.mark.parametrize("config,code,message", _HUGE, ids=[c.name for c, _, _ in _HUGE])
 def test_run_scenario_refuses_huge_work(config, code, message):
-    # each once asked numpy for terabytes and raised MemoryError
+    # each once asked numpy for terabytes and raised MemoryError, or wrote a
+    # report that report_json could not (OverflowError, ValueError)
     start = time.perf_counter()
     report = run_scenario(config)
     assert time.perf_counter() - start < 2.0
     assert report.exit_code == code
     assert any(e.startswith(message) for e in report.payload["errors"])
+    scenarios.report_json(report)
+
+
+@pytest.mark.parametrize("g,n", [(150, 1), (1, 10**400)], ids=["g150", "n-401-digits"])
+def test_run_scenario_writes_bounds_near_the_limits(g, n):
+    # 2^150 150! is within the double range, and (10^400 + 1) / 10^400 is
+    # written with 401 digits
+    report = run_scenario(_random("near", g, n))
+    assert (report.exit_code, report.payload["surjectivity"]["verdict"]) == (0, "NotSurjective")
+    bound = json.loads(scenarios.report_json(report))["bound"]
+    assert bound["exact"] == str(torelli_bound(g, n).value)
 
 
 def test_run_scenario_reports_a_radius_past_the_float_range():
@@ -650,6 +677,51 @@ def test_report_json_bytes_are_pinned():
     assert scenarios.report_json(scenarios.Report(_PINNED_PAYLOAD, {})) == _PINNED_JSON
 
 
+class _Three(enum.IntEnum):
+    THREE = 3
+
+
+class _Str(str):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+#: subclasses and numpy scalars that no exact type covers, and their bytes as
+#: the serializer wrote them before it resolved subclasses through the MRO
+_PINNED_SUBCLASSES = [
+    (_Three.THREE, "3"),
+    (_Str("x"), '"x"'),
+    (_Fraction(1, 3), '"1/3"'),
+    (_Float(0.5), "0.5"),
+    (np.uint8(7), "7"),
+    (np.float16(0.5), "0.5"),
+    (np.longdouble(0.1), "0.10000000000000001"),
+]
+
+
+@pytest.mark.parametrize("value,text", _PINNED_SUBCLASSES,
+                         ids=[type(v).__name__ for v, _ in _PINNED_SUBCLASSES])
+def test_report_json_subclass_bytes_are_pinned(value, text):
+    # twice: the second call takes the writer the first one recorded
+    for _ in range(2):
+        assert scenarios.report_json(scenarios.Report({"v": [value]}, {})) == (
+            '{\n  "v": [\n    ' + text + "\n  ]\n}\n")
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), object()], ids=["np.bool_", "object"])
+def test_report_json_refuses_other_types(value):
+    for _ in range(2):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            scenarios.report_json(scenarios.Report({"v": value}, {}))
+
+
 def _round_trips(value, parsed) -> bool:
     """Whether ``parsed``, json.loads of value's report_json text, gives back
     value: every float bit for bit, the sign of zero included."""
@@ -718,7 +790,7 @@ def test_cli_bound(capsys):
     assert "81/4" in out and "21" in out
 
 
-@pytest.mark.parametrize("g,n", [(0, 1), (2, -1)])
+@pytest.mark.parametrize("g,n", [(0, 1), (2, -1), (171, 1), (1800, 1), (10**7, 1)])
 def test_cli_bound_rejects_out_of_range_input(capsys, g, n):
     assert cli_main(["bound", "--g", str(g), "--n", str(n)]) == 2
     captured = capsys.readouterr()

@@ -118,30 +118,33 @@ def test_evenness_of_zero_characteristic(pav_g1):
         assert abs(left - right) < 1e-12 * (1 + abs(right))
 
 
-def test_doubling_certificate(pav_g2):
+def _doubled(monkeypatch, build):
+    """build() with every lattice sum over twice the radius of the rule."""
+    rule = theta.box_radius
+    with monkeypatch.context() as patch:
+        patch.setattr(theta, "box_radius", lambda *args: 2 * rule(*args))
+        return build()
+
+
+def test_doubling_certificate(pav_g2, monkeypatch):
     rng = np.random.default_rng(2)
     for m in (1, 2, 3):
         basis = ThetaBasis(pav_g2, m)
+        doubled = _doubled(monkeypatch, lambda: ThetaBasis(pav_g2, m))
+        assert doubled.radius == 2 * basis.radius
         z = rng.random(2) @ pav_g2.matrix.T + rng.random(2)
-        radius = basis.radius
         for idx in basis.indices[:3]:
-            delta = abs(
-                basis.eval(idx, z, radius=radius) - basis.eval(idx, z, radius=2 * radius)
-            )
-            assert delta < DEFAULT_EPS
+            assert abs(basis.eval(idx, z) - doubled.eval(idx, z)) < DEFAULT_EPS
     # at g = 3 the values reach 1e17, so the radius is certified against the
     # growth envelope that the accuracy claim is stated in
     pav = validate_polarized(random_period_matrix(3, 301), (1, 2, 2))
     basis = ThetaBasis(pav, 3)
-    radius = basis.radius
+    doubled = _doubled(monkeypatch, lambda: ThetaBasis(pav, 3))
     for _ in range(3):
         z = rng.random(3) @ pav.matrix.T + rng.random(3)
         weight = section_weights(pav, 3, z)[0]
         for idx in basis.indices[:3]:
-            delta = abs(
-                basis.eval(idx, z, radius=radius) - basis.eval(idx, z, radius=2 * radius)
-            )
-            assert delta * weight < DEFAULT_EPS
+            assert abs(basis.eval(idx, z) - doubled.eval(idx, z)) * weight < DEFAULT_EPS
 
 
 def per_term_theta(tau, m, c, z, radius):
@@ -264,12 +267,12 @@ def test_lattice_sum_chunk_rule_matches_one_chunk(omega, divisors, m, monkeypatc
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_box_phase_matches_one_exponential_per_entry(g):
     # the per-axis tables and their broadcast products give exp(i lin . b)
-    # over the lattice's own cube, a larger radius= override cube and R = 0
+    # over the cube of the lattice's radius, a larger cube and R = 0
     pav = validate_polarized(random_period_matrix(g, 70 + g), (1,) * g)
     lattice = ThetaBasis(pav, 3)._sum
     lin = 2 * math.pi * (np.random.default_rng(g).random((50, g)) - 0.5)
     for R in (lattice.radius, lattice.radius + 2, 0):
-        box = lattice._cube(R)[0]
+        box = theta.lex_vectors((2 * R + 1,) * g) - R
         phase = theta._box_phase(lin, R)
         assert phase.shape == (len(box), len(lin))
         assert np.abs(phase.T - np.exp(1j * lin @ box.T)).max() <= 1e-14
@@ -299,7 +302,7 @@ def test_lattice_sum_memory_does_not_grow_with_the_points():
     "divisors,levels", [((3,), (1, 2, 6)), ((1, 2), (2, 6)), ((1, 2, 2), (2, 6))],
     ids=["g1", "g2", "g3"],
 )
-def test_theta_constants_match_basis_and_doubled_radius(divisors, levels):
+def test_theta_constants_match_basis_and_doubled_radius(divisors, levels, monkeypatch):
     g = len(divisors)
     pav = validate_polarized(random_period_matrix(g, 80 + g), divisors)
     zero = np.zeros((1, g))
@@ -309,10 +312,10 @@ def test_theta_constants_match_basis_and_doubled_radius(divisors, levels):
         ref = basis.eval_matrix(zero)[:, 0]
         assert np.abs(consts - ref).max() <= 1e-14 * np.abs(ref).max()
         # the radius theta_constants sums, certified by doubling it
-        radius = theta.constants_radius(pav, m)
+        doubled = _doubled(monkeypatch, lambda: theta._LatticeSum(pav.matrix, m, offset=0.5))
+        assert doubled.radius == 2 * theta.constants_radius(pav, m)
         chars = np.array([idx.as_floats() for idx in basis.indices])
-        doubled = theta._LatticeSum(pav.matrix, m).eval(chars, zero, radius=2 * radius)
-        assert np.abs(consts - doubled[:, 0]).max() <= DEFAULT_EPS
+        assert np.abs(consts - doubled.eval(chars, zero)[:, 0]).max() <= DEFAULT_EPS
 
 
 def mp_theta(tau, m, c, z=None, digits=30):
@@ -675,8 +678,8 @@ def test_truncation_capacity_guard():
 
 
 def test_lattice_sum_term_cap(pav_g2, monkeypatch):
-    # K (2R+1)^g P terms at the cap are summed; past it, with more points or
-    # a larger radius, the sum is refused before the points are reduced
+    # K (2R+1)^g P terms at the cap are summed; past it, with more points,
+    # the sum is refused before the points are reduced
     basis = ThetaBasis(pav_g2, 2)
     side = 2 * basis.radius + 1
     monkeypatch.setattr(theta, "DEFAULT_TERM_CAP", basis.dim * side**2 * 3)
@@ -688,8 +691,6 @@ def test_lattice_sum_term_cap(pav_g2, monkeypatch):
     monkeypatch.setattr(theta._LatticeSum, "_reduce", refuse)
     with pytest.raises(SizeLimit, match=f"needs {basis.dim * side**2 * 4} terms"):
         basis.eval_matrix(np.zeros((4, 2)))
-    with pytest.raises(SizeLimit, match=f"needs {basis.dim * (side + 2)**2 * 3} terms"):
-        basis.eval_matrix(np.zeros((3, 2)), radius=basis.radius + 1)
 
 
 def test_envelope_overflow_guard(elliptic):
