@@ -9,7 +9,6 @@ import numpy as np
 from thetamu import (
     catalog,
     crt_split,
-    diagram_check,
     emit_report,
     k_group,
     random_period_matrix,
@@ -23,8 +22,11 @@ from thetamu import (
 pav = validate_polarized(random_period_matrix(1, 106), (1,), simple_asserted=True)
 n = 2
 # The matrix is exact: c_{alpha beta} = 1 iff alpha + n beta = 0 mod Z^g.
-# Sampling at seeded pairs (u, v) only checks the relation.
-wirt = wirtinger_matrix(pav, n, seed=16)
+# Sampling at seeded pairs (u, v) only checks the relation; the 5 points are
+# where the divisor-map diagram below is checked, on the same theta evaluations.
+rng = np.random.default_rng(2)
+points = [rng.random(1) @ pav.matrix.T + rng.random(1) for _ in range(5)]
+wirt = wirtinger_matrix(pav, n, seed=16, points=points)
 print(f"full coefficient matrix: {wirt.full.shape}, entries {np.unique(wirt.full).tolist()}, "
       f"{int(wirt.full.sum(axis=1)[0])} ones per row")
 print(f"sampled check of the relation: residual {wirt.fit_residual:.1e}")
@@ -45,11 +47,9 @@ print(f"CRT split of beta = {beta.a}: n-part {gamma.a}, (n+1)-part {beta_prime.a
 
 # --- the diagram: divisor map vs coefficient form -------------------------------
 # Coordinates of the divisor of u -> theta(u+nb) theta~(u-b) agree projectively
-# with the Wirtinger image of the evaluation vector at b.  One call fits the
-# coordinates of every point in one solve, at the samples of wirt.seed.
-rng = np.random.default_rng(2)
-points = [rng.random(1) @ pav.matrix.T + rng.random(1) for _ in range(5)]
-residuals = diagram_check(pav, wirt, points)
+# with the Wirtinger image of the evaluation vector at b.  The build above fit
+# the coordinates of every point in one solve.
+residuals = wirt.diagram_residuals
 print("diagram projective residuals at 5 random points: "
       + ", ".join(f"{r:.1e}" for r in residuals))
 

@@ -62,7 +62,6 @@ from .mult import (
     SurjectivityVerdict,
     Verdict,
     WirtingerMatrix,
-    diagram_check,
     expand_in_basis,
     gamma_blocks,
     monotonicity_check,

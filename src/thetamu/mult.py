@@ -13,12 +13,10 @@ check.  The coordinates are fit by least squares at seeded random points,
 each sample row equilibrated by the inverse growth envelope of its level
 (the natural hermitian scale of the bundle), from one thin SVD of the
 weighted design that gives both the condition number checked against the
-cap and the solution; a residual gate guards the fit.  The diagram check
-fits the coordinates of all its points in that one solve, one column per
-point.  The Wirtinger matrix is checked by the weighted misfit of the theta
-relation at seeded points and by the diagram check, which together build
-and evaluate each of their four theta series once, at the relation pairs
-and the diagram's samples and points stacked.
+cap and the solution; a residual gate guards the fit.  The Wirtinger matrix
+is checked by the weighted misfit of the theta relation at seeded points and
+by the divisor-map diagram at the points it is built with, their coordinates
+fit in one solve; both checks evaluate each of their four theta series once.
 
 The verdict forms neither mu_n nor its h0(n+1) x h0(n) slice at level-1
 index 0.  mu_n commutes with the K(L)_1 translations, so its character
@@ -32,6 +30,7 @@ the block spectra, each repeated over its orbit, is the spectrum of mu_n.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -446,15 +445,14 @@ class WirtingerMatrix:
     canonical here; against other normalizations it is defined projectively.
     Rows (alpha) and columns (beta) are lexicographic in the characteristics
     (see ``theta.section_indices``).  ``fit_residual`` is the misfit of the
-    relation at the samples of ``seed``, and ``diagram_residuals`` holds the
-    :func:`diagram_check` residual of every point the matrix was built with.
+    relation at the sampled pairs, and ``diagram_residuals`` holds the
+    diagram residual of every point the matrix was built with.
     """
 
     n: int
     full: np.ndarray
     reduced: np.ndarray
     fit_residual: float
-    seed: int
     diagram_residuals: np.ndarray
 
 
@@ -472,11 +470,11 @@ def _pairs(us: np.ndarray, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _wirtinger_checks(
-    pav: PolarizedAbelianVariety, n: int, C: np.ndarray, seed: int, points, pairs: int
+    pav: PolarizedAbelianVariety, n: int, C: np.ndarray, seed: int, points
 ) -> tuple[float, np.ndarray]:
-    """The relation misfit of C at ``pairs`` sampled pairs (u, v) and its
-    diagram residual at every point b of ``points``, from one evaluation of
-    each of the four theta series.
+    """The relation misfit of C at OVERSAMPLE * C.size sampled pairs (u, v)
+    and its diagram residual at every point b of ``points`` (a wrong C gets
+    both, not an error), from one evaluation of each of the four theta series.
 
     Two draws from ``seed``: the relation pairs, and OVERSAMPLE * h0(n+1)
     fit samples u, each paired with every b.  theta(.) and theta~(.) are
@@ -488,17 +486,20 @@ def _wirtinger_checks(
     * The misfit is ||w (lhs - rhs)|| / ||w lhs|| of
       lhs = theta(u+nv) theta~(u-v) against
       rhs = sum_{alpha beta} C[alpha, beta] theta_alpha(u) theta_beta(v),
-      w the envelope weights of both levels; 0 at no pairs.
+      w the envelope weights of both levels.
     * The coordinates of the divisor of u -> theta(u+nb) theta~(u-b) are fit
       in one :func:`_weighted_fit`, one column per point, and the residual of
       b is their :func:`projective_residual` against
-      (sum_beta C[alpha, beta] theta_beta(b))_alpha.
+      (sum_beta C[alpha, beta] theta_beta(b))_alpha: near 0 when the
+      triangle of the (n+1)-theta embedding, the coefficient form and the
+      divisor map commutes at b.
 
     Raises :class:`SizeLimit` before any evaluation when the four evaluations
     together exceed DEFAULT_TERM_CAP lattice terms.
     """
     bs = _as_points(pav, points)
     N = n * (n + 1)
+    pairs = OVERSAMPLE * C.size
     z = sample_points(pav, 2 * pairs, seed)
     us, vs = z[:pairs], z[pairs:]
     w = section_weights(pav, n + 1, us) * section_weights(pav, N, vs)
@@ -513,10 +514,8 @@ def _wirtinger_checks(
     lhs = _divisor_values(one, tilde, np.concatenate([us, fit_u]), np.concatenate([vs, fit_b]))
     ta = basis_a.eval_matrix(np.concatenate([us, fit]))
     tb = basis_b.eval_matrix(np.concatenate([vs, bs]))
-    misfit = 0.0
-    if pairs:
-        rhs = (ta[:, :pairs] * (C @ tb[:, :pairs])).sum(axis=0)
-        misfit = float(np.linalg.norm(w * (lhs[:pairs] - rhs)) / np.linalg.norm(w * lhs[:pairs]))
+    rhs = (ta[:, :pairs] * (C @ tb[:, :pairs])).sum(axis=0)
+    misfit = float(np.linalg.norm(w * (lhs[:pairs] - rhs)) / np.linalg.norm(w * lhs[:pairs]))
     values = lhs[pairs:].reshape(len(fit), len(bs))
     phi = _weighted_fit(pav, n + 1, ta[:, pairs:], fit, values).coefficients
     image = C @ tb[:, pairs:]
@@ -554,7 +553,7 @@ def wirtinger_matrix(
     k = lex_vectors((n + 1,) * g)
     j = lex_vectors((N,) * g)
     C = ((k[:, None, :] + j[None, :, :]) % (n + 1) == 0).all(axis=-1).astype(float)
-    fit_residual, diagram = _wirtinger_checks(pav, n, C, seed, points, OVERSAMPLE * C.size)
+    fit_residual, diagram = _wirtinger_checks(pav, n, C, seed, points)
     if not fit_residual <= DEFAULT_RESIDUAL_TOL:
         raise FitResidualTooLarge(
             f"Wirtinger residual {fit_residual:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}"
@@ -566,7 +565,6 @@ def wirtinger_matrix(
         full=C,
         reduced=C[:, reduced_cols],
         fit_residual=fit_residual,
-        seed=seed,
         diagram_residuals=diagram,
     )
 
@@ -619,22 +617,6 @@ def projective_residual(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(x - lam * y) / nx)
 
 
-def diagram_check(pav: PolarizedAbelianVariety, wirt: WirtingerMatrix, points) -> np.ndarray:
-    """Projective distance, for every point b of ``points``, between the
-    divisor coordinates of b and the Wirtinger image
-    (sum_beta c_{alpha beta} theta_beta(b))_alpha; one residual per point.
-
-    A small value is the pointwise commutativity of the triangle relating
-    the (n+1)-theta embedding, the coefficient form, and the divisor map.
-    All points share one fit of the coordinates, at the samples of
-    ``wirt.seed``.  The residuals come from :func:`_wirtinger_checks` on
-    ``wirt.full`` at no relation pairs, as those of
-    ``wirtinger_matrix(..., points)`` do with the relation's: a wrong matrix
-    gets its residuals, not an error.
-    """
-    return _wirtinger_checks(pav, wirt.n, wirt.full, wirt.seed, points, 0)[1]
-
-
 class SpanningReport(NamedTuple):
     rank: int
     required_rank: int
@@ -642,34 +624,36 @@ class SpanningReport(NamedTuple):
     singular_values: np.ndarray
 
 
-def spanning_check(pav: PolarizedAbelianVariety, n: int, G) -> SpanningReport:
-    """Rank of the evaluation vectors (theta_alpha^{(n+1)}(b))_alpha over b in G.
+def spanning_check(pav: PolarizedAbelianVariety, n: int, N: int) -> SpanningReport:
+    """Rank of the evaluation vectors (theta_alpha^{(n+1)}(b))_alpha over the
+    N^{2g} points b of G = (1/N) Lambda / Lambda, for an integer N >= 1.
 
-    ``G`` is an integer N (the subgroup (1/N) Lambda / Lambda) or an iterable
-    of points (TorsionPoint or complex vectors).  Full rank (n+1)^g means the
-    image of G spans the dual projective space of H^0(M^{n+1}).  Raises
-    :class:`SizeLimit` before building the grid or the basis when |G| exceeds
-    DEFAULT_POINT_CAP (the bound on the |G| x 2g grid, which fires first
-    when (n+1)^g < 10) or the h0(n+1) x |G| values exceed DEFAULT_CELL_CAP.
+    Full rank (n+1)^g means the image of G spans the dual projective space
+    of H^0(M^{n+1}).  Raises :class:`SizeLimit` before building the grid or
+    the basis when N or |G| exceeds DEFAULT_POINT_CAP (the bound on the
+    |G| x 2g grid, which fires first when (n+1)^g < 10) or the h0(n+1) x |G|
+    values exceed DEFAULT_CELL_CAP.
     """
     if not pav.delta.is_principal:
         raise ValueError("the spanning check requires a principal polarization")
     g = pav.g
-    pts = None if isinstance(G, (int, np.integer)) else _as_points(pav, G)
-    npts = int(G) ** (2 * g) if pts is None else pts.shape[0]
+    # a Python int: a numpy integer power wraps silently
+    N = operator.index(N)
+    if N > DEFAULT_POINT_CAP:
+        raise SizeLimit(f"modulus N = {N} exceeds cap {DEFAULT_POINT_CAP}")
+    npts = N ** (2 * g)
     if npts > DEFAULT_POINT_CAP:
         raise SizeLimit(f"|G| = {npts} exceeds cap {DEFAULT_POINT_CAP}")
     cells = pav.h0(n + 1) * npts
     if cells > DEFAULT_CELL_CAP:
         raise SizeLimit(f"spanning values need {cells} cells, cap is {DEFAULT_CELL_CAP}")
-    if pts is None:
-        frac = lex_vectors((int(G),) * (2 * g)) / float(G)
-        pts = pav.lattice_vector(frac[:, :g], frac[:, g:])
+    frac = lex_vectors((N,) * (2 * g)) / float(N)
+    pts = pav.lattice_vector(frac[:, :g], frac[:, g:])
     basis = ThetaBasis(pav, n + 1)
     w = section_weights(pav, n + 1, pts)
     matrix = basis.eval_matrix(pts).T * w[:, None]
     rank, svals, _ = numerical_rank(matrix)
-    return SpanningReport(rank, (n + 1) ** g, pts.shape[0], svals)
+    return SpanningReport(rank, (n + 1) ** g, npts, svals)
 
 
 def monotonicity_check(pav: PolarizedAbelianVariety, n: int) -> bool:

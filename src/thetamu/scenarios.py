@@ -38,6 +38,8 @@ from .varieties import (
 )
 
 _CHECK_KEYS = {"wirtinger", "spanning_modulus"}
+#: deepest nesting of arrays and objects in a scenario file; a valid one nests 4
+SCENARIO_DEPTH_CAP = 32
 
 #: exit codes: CI-friendly
 EXIT_OK = 0
@@ -96,8 +98,21 @@ class ScenarioConfig:
 
 
 def load_scenario(path) -> ScenarioConfig:
+    """The config of the JSON scenario file at ``path``.  Raises ValueError
+    for a document nested more than SCENARIO_DEPTH_CAP arrays and objects
+    deep, and for what :meth:`ScenarioConfig.from_dict` refuses."""
+    too_deep = ValueError(f"scenario nests deeper than {SCENARIO_DEPTH_CAP} arrays and objects")
     with open(path, "r", encoding="utf-8") as handle:
-        return ScenarioConfig.from_dict(json.load(handle))
+        try:
+            level = [data := json.load(handle)]
+        except RecursionError:
+            raise too_deep from None
+    for _ in range(SCENARIO_DEPTH_CAP):
+        level = [v for x in level if isinstance(x, (dict, list))
+                 for v in (x.values() if isinstance(x, dict) else x)]
+    if any(isinstance(x, (dict, list)) for x in level):
+        raise too_deep
+    return ScenarioConfig.from_dict(data)
 
 
 def random_period_matrix(g: int, seed: int) -> PeriodMatrix:

@@ -2,9 +2,11 @@
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 from thetamu import ITTVerdict, ScenarioConfig, Verdict, run_scenario
+from thetamu.cli import main as cli_main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -31,3 +33,12 @@ def test_scenario_example_runs_as_written():
     assert report.payload["surjectivity"]["verdict"] == "Surjective"
     assert report.payload["surjectivity"]["rank"] == 36
     assert report.payload["itt"]["verdict"] == "Holds"
+
+
+def test_cli_lines_run_as_written():
+    # every command of the CLI block but the usage line with [options]
+    lines = [line.split("#")[0] for line in _block("sh", "## CLI").splitlines()
+             if line.startswith("thetamu ") and "[" not in line]
+    assert len(lines) == 3
+    for line in lines:
+        assert cli_main(shlex.split(line)[1:]) == 0, line

@@ -109,17 +109,22 @@ def _never_called(*args, **kwargs):
 def test_run_scenario_numeric_cap_exit_code(monkeypatch):
     # the check stages refuse at their constant guards before any work:
     # 1001^2 points over DEFAULT_POINT_CAP, whose 2 x 1002001 values are
-    # within DEFAULT_CELL_CAP, and at g = 2, n = 5 the 900 level-30 values
-    # at 2 * 32400 samples over DEFAULT_CELL_CAP.  Both verdicts are the
-    # dimensional shortcut, so nothing else needs the patched helpers.
+    # within DEFAULT_CELL_CAP, a modulus of 2200 nines over DEFAULT_POINT_CAP
+    # before its square (4400 digits, past the int-to-text limit) is formed,
+    # and at g = 2, n = 5 the 900 level-30 values at 2 * 32400 samples over
+    # DEFAULT_CELL_CAP.  Every verdict is the dimensional shortcut, so
+    # nothing else needs the patched helpers.
     monkeypatch.setattr(mult, "lex_vectors", _never_called)
     monkeypatch.setattr(mult, "sample_points", _never_called)
     spanning = ScenarioConfig(name="spanning-1001", g=1, type=(1,),
                               omega={"random": {"seed": 108}}, n=1,
                               checks={"spanning_modulus": 1001})
+    nines = int("9" * 2200)
+    huge = replace(spanning, name="spanning-nines", checks={"spanning_modulus": nines})
     wirtinger = ScenarioConfig(name="wirtinger-g2-n5", g=2, type=(1, 1),
                                omega={"random": {"seed": 107}}, n=5, checks={"wirtinger": True})
     for cfg, error in [(spanning, "spanning: |G| = 1002001 exceeds cap 1000000"),
+                       (huge, f"spanning: modulus N = {nines} exceeds cap 1000000"),
                        (wirtinger, "wirtinger: Wirtinger values need 58320000 cells, "
                                    "cap is 10000000")]:
         report = run_scenario(cfg)
@@ -477,6 +482,29 @@ def test_retired_eps_is_rejected(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli_main(["verify", "--scenario", str(path)]) == 2
     assert "unknown scenario keys: ['eps']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", [32, 300, 600, 1000, 100000])
+def test_cli_verify_refuses_deep_nesting(tmp_path, capsys, depth):
+    # omega nested depth lists deep makes a document depth + 1 deep, past
+    # SCENARIO_DEPTH_CAP, so each is refused at load with one error line:
+    # 1000 and more are past the JSON parser's recursion limit, and 600
+    # would load but be too deep to echo in a report
+    path = tmp_path / "deep.json"
+    path.write_text('{"g": 1, "type": [1], "omega": ' + "[" * depth + "]" * depth + "}")
+    assert cli_main(["verify", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot load scenario: scenario nests deeper than 32 " \
+                           "arrays and objects\n"
+
+
+def test_load_scenario_depth_cap(tmp_path):
+    # a document exactly SCENARIO_DEPTH_CAP deep loads
+    depth = scenarios.SCENARIO_DEPTH_CAP - 1
+    path = tmp_path / "deep.json"
+    path.write_text('{"g": 1, "type": [1], "omega": ' + "[" * depth + "]" * depth + "}")
+    assert load_scenario(path).omega == json.loads("[" * depth + "]" * depth)
 
 
 def test_cli_seed_leaves_a_seeded_omega_alone(tmp_path, capsys):
