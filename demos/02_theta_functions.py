@@ -16,7 +16,6 @@ from thetamu import (
     k_group,
     quasi_periodicity_residual,
     random_period_matrix,
-    section_index,
     theta_constants,
     translate_action,
     validate_polarized,
@@ -24,9 +23,11 @@ from thetamu import (
 from thetamu.theta import constants_radius
 
 # --- evaluation and a closed-form cross-check --------------------------------
+# A level-m section is labelled by its integer vector k, 0 <= k_i < m d_i,
+# with characteristic c = k/(m d); sections are in lexicographic order of k.
 pav = validate_polarized(np.array([[1j]]), (1,), simple_asserted=True)
 basis = ThetaBasis(pav, 1)
-value = basis.eval(section_index(pav, 1, [0]), np.zeros(1))
+value = basis.eval([0], np.zeros(1))
 closed = math.pi ** 0.25 / math.gamma(0.75)
 print(f"theta(0; i) = {value.real:.15f}")
 print(f"pi^(1/4)/Gamma(3/4) = {closed:.15f}   (diff {abs(value - closed):.1e})")
@@ -49,24 +50,24 @@ for m in (1, 2, 3, 6):
 # --- quasi-periodicity --------------------------------------------------------
 # Sections of L^m transform under the period lattice by the level-m cocycle.
 pav3 = validate_polarized(np.array([[0.25 + 1.0j]]), (3,))
-basis2 = ThetaBasis(pav3, 2)
-idx = basis2.indices[1]
+k = [1]  # c = 1/6 at level 2 on type (3)
 z = np.array([0.31 + 0.22j])
 lam = pav3.lattice_vector([1], [-2])
-print(f"\nlattice residual: {quasi_periodicity_residual(pav3, idx, lam, z):.2e}")
+print(f"\nlattice residual: {quasi_periodicity_residual(pav3, 2, k, lam, z):.2e}")
 off = pav3.matrix @ np.array([0.5])  # not a period
-print(f"off-lattice residual: {quasi_periodicity_residual(pav3, idx, off, z):.2f}")
+print(f"off-lattice residual: {quasi_periodicity_residual(pav3, 2, k, off, z):.2f}")
 print(f"factor for a real period is trivial: {automorphy_factor(pav3, 2, np.array([3.0 + 0j]), z):.1f}")
 
 # --- the normalized theta-group action ----------------------------------------
-# Points Omega a in K(L^m)_1 permute the characteristics once the cocycle
-# factor is stripped; here m = 2 on the square elliptic curve swaps the two.
+# Points Omega a in K(L^m)_1 permute the labels, k -> k + m d a mod m d, once
+# the cocycle factor is stripped; here m = 2 on the square elliptic curve
+# swaps the two.
 pav1 = validate_polarized(np.array([[1j]]), (1,))
 x = TorsionPoint([0.5], [0], (1,))
-source = section_index(pav1, 2, [0])
+source = (0,)
 target, factor = translate_action(pav1, 2, x, source)
-print(f"\ntranslate by Omega/2 at level 2: c = {[str(q) for q in source.c]} -> "
-      f"{[str(q) for q in target.c]}")
+print(f"\ntranslate by Omega/2 at level 2: k = {source} -> {target}, "
+      f"c = k/2: {[k / 2 for k in source]} -> {[k / 2 for k in target]}")
 b2 = ThetaBasis(pav1, 2)
 lhs = b2.eval(source, z + x.to_complex(pav1))
 rhs = factor(z) * b2.eval(target, z)

@@ -43,14 +43,11 @@ from .torsion import (
     zero_point,
 )
 from .theta import (
-    SectionIndex,
     ThetaBasis,
     ThetaTilde,
     automorphy_factor,
     lattice_coordinates,
     quasi_periodicity_residual,
-    section_index,
-    section_indices,
     section_weights,
     theta_constants,
     translate_action,

@@ -48,7 +48,6 @@ from .theta import (
     section_weights,
     theta_constants,
 )
-from .torsion import TorsionPoint
 from .varieties import PolarizedAbelianVariety
 
 #: least-squares residual above which an expansion is rejected
@@ -148,7 +147,7 @@ class MuMatrix:
 
     Column (c, c') holds the level-(n+1) coefficients of the product
     theta_c^{(1)} theta_{c'}^{(n)}; rows are lexicographic in the level-(n+1)
-    characteristics, columns in (c, c') (see ``theta.section_indices``).
+    labels k, columns in the pairs (k, k') of labels (see ``theta.lex_vectors``).
     """
 
     n: int
@@ -443,8 +442,8 @@ class WirtingerMatrix:
 
     Both theta and theta~ carry the package normalization, so the matrix is
     canonical here; against other normalizations it is defined projectively.
-    Rows (alpha) and columns (beta) are lexicographic in the characteristics
-    (see ``theta.section_indices``).  ``fit_residual`` is the misfit of the
+    Rows (alpha) and columns (beta) are lexicographic in the labels k of the
+    characteristics (see ``theta.lex_vectors``).  ``fit_residual`` is the misfit of the
     relation at the sampled pairs, and ``diagram_residuals`` holds the
     diagram residual of every point the matrix was built with.
     """
@@ -497,7 +496,7 @@ def _wirtinger_checks(
     Raises :class:`SizeLimit` before any evaluation when the four evaluations
     together exceed DEFAULT_TERM_CAP lattice terms.
     """
-    bs = _as_points(pav, points)
+    bs = np.asarray(points, dtype=complex).reshape(-1, pav.g)
     N = n * (n + 1)
     pairs = OVERSAMPLE * C.size
     z = sample_points(pav, 2 * pairs, seed)
@@ -527,7 +526,9 @@ def wirtinger_matrix(
 ) -> WirtingerMatrix:
     """The coefficient matrix of the bilinear theta relation at level
     (n+1, n(n+1)), checked at 2 * #coefficients sampled pairs (u, v) and,
-    through the divisor map, at every point of ``points``.
+    through the divisor map, at every point of ``points``: a (P, g) complex
+    array, a list of g-vectors or one g-vector (a torsion point x is passed
+    as ``x.to_complex(pav)``).
 
     Substituting s = (l+k)/(n+1), t = (n l - k)/(n(n+1)) in the product of
     the two lattice sums (Mumford 1966, Koizumi 1976) gives c_{alpha beta} = 1
@@ -569,16 +570,6 @@ def wirtinger_matrix(
     )
 
 
-def _as_points(pav: PolarizedAbelianVariety, points) -> np.ndarray:
-    """The (P, g) complex array of one point or a sequence of points, each a
-    TorsionPoint or a complex g-vector."""
-    if isinstance(points, TorsionPoint):
-        points = [points]
-    if not isinstance(points, np.ndarray):
-        points = [p.to_complex(pav) if isinstance(p, TorsionPoint) else p for p in points]
-    return np.asarray(points, dtype=complex).reshape(-1, pav.g)
-
-
 def phi_map_coords(
     pav: PolarizedAbelianVariety,
     n: int,
@@ -586,14 +577,15 @@ def phi_map_coords(
     seed: int,
 ) -> Expansion:
     """Coordinates in |(n+1) theta| of the divisor of u -> theta(u+nb) theta~(u-b)
-    for every point b of ``points``: coefficients of shape (h0(n+1), P), one
-    column per point, fit at one draw of samples u from ``seed``.
+    for every point b of ``points``, in the forms :func:`wirtinger_matrix`
+    takes: coefficients of shape (h0(n+1), P), one column per point, fit at
+    one draw of samples u from ``seed``.
 
     The underlying point of projective space depends only on b mod Lambda.
     """
     if not pav.delta.is_principal:
         raise ValueError("the divisor map requires a principal polarization")
-    bs = _as_points(pav, points)
+    bs = np.asarray(points, dtype=complex).reshape(-1, pav.g)
     us = sample_points(pav, OVERSAMPLE * pav.h0(n + 1), seed)
     values = _divisor_values(ThetaBasis(pav, 1), ThetaTilde(pav, n), *_pairs(us, bs))
     return expand_in_basis(pav, n + 1, values.reshape(len(us), len(bs)), us)
@@ -629,16 +621,18 @@ def spanning_check(pav: PolarizedAbelianVariety, n: int, N: int) -> SpanningRepo
     N^{2g} points b of G = (1/N) Lambda / Lambda, for an integer N >= 1.
 
     Full rank (n+1)^g means the image of G spans the dual projective space
-    of H^0(M^{n+1}).  Raises :class:`SizeLimit` before building the grid or
-    the basis when N or |G| exceeds DEFAULT_POINT_CAP (the bound on the
-    |G| x 2g grid, which fires first when (n+1)^g < 10) or the h0(n+1) x |G|
-    values exceed DEFAULT_CELL_CAP.
+    of H^0(M^{n+1}).  Raises ValueError for N < 1, and :class:`SizeLimit`
+    before building the grid or the basis when N or |G| exceeds
+    DEFAULT_POINT_CAP (the bound on the |G| x 2g grid, which fires first when
+    (n+1)^g < 10) or the h0(n+1) x |G| values exceed DEFAULT_CELL_CAP.
     """
     if not pav.delta.is_principal:
         raise ValueError("the spanning check requires a principal polarization")
     g = pav.g
     # a Python int: a numpy integer power wraps silently
     N = operator.index(N)
+    if N < 1:
+        raise ValueError(f"require N >= 1, got {N}")
     if N > DEFAULT_POINT_CAP:
         raise SizeLimit(f"modulus N = {N} exceeds cap {DEFAULT_POINT_CAP}")
     npts = N ** (2 * g)

@@ -58,7 +58,10 @@ class ScenarioConfig:
     is kept as given; ``run_scenario`` rejects a wrong kind instead of
     coercing it.  Size guards and the truncation accuracy
     ``varieties.DEFAULT_EPS`` are module constants, not fields: a scenario
-    cannot raise or lower them.
+    cannot raise or lower them.  However it is built, a config nested more
+    than SCENARIO_DEPTH_CAP lists, tuples and dicts deep (the config counting
+    as one, like the JSON object of its file) is refused with ValueError, so
+    its report can always be written.
     """
 
     name: str
@@ -69,6 +72,14 @@ class ScenarioConfig:
     seed: int = 0
     simple_asserted: bool = False
     checks: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        level = [getattr(self, f.name) for f in fields(self)]
+        for _ in range(SCENARIO_DEPTH_CAP - 1):
+            level = [v for x in level if isinstance(x, (dict, list, tuple))
+                     for v in (x.values() if isinstance(x, dict) else x)]
+        if any(isinstance(x, (dict, list, tuple)) for x in level):
+            raise _too_deep()
 
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -97,21 +108,20 @@ class ScenarioConfig:
         return ScenarioConfig(**values)
 
 
+def _too_deep() -> ValueError:
+    return ValueError(f"scenario nests deeper than {SCENARIO_DEPTH_CAP} arrays and objects")
+
+
 def load_scenario(path) -> ScenarioConfig:
     """The config of the JSON scenario file at ``path``.  Raises ValueError
-    for a document nested more than SCENARIO_DEPTH_CAP arrays and objects
-    deep, and for what :meth:`ScenarioConfig.from_dict` refuses."""
-    too_deep = ValueError(f"scenario nests deeper than {SCENARIO_DEPTH_CAP} arrays and objects")
+    for a document too deep for the JSON parser, and for what
+    :meth:`ScenarioConfig.from_dict` refuses, a document nested more than
+    SCENARIO_DEPTH_CAP arrays and objects deep among them."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            level = [data := json.load(handle)]
+            data = json.load(handle)
         except RecursionError:
-            raise too_deep from None
-    for _ in range(SCENARIO_DEPTH_CAP):
-        level = [v for x in level if isinstance(x, (dict, list))
-                 for v in (x.values() if isinstance(x, dict) else x)]
-    if any(isinstance(x, (dict, list)) for x in level):
-        raise too_deep
+            raise _too_deep() from None
     return ScenarioConfig.from_dict(data)
 
 

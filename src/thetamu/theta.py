@@ -4,14 +4,16 @@ The basis attached to level m is
 
     theta_c(z) = sum_{l in Z^g + c} exp(pi i m l^T Omega l + 2 pi i m l^T z),
 
-with characteristics c running over (m Delta)^{-1} Z^g / Z^g.  Under this
-choice the factor of automorphy of L^m for a period Omega a + b
-(a in Z^g, b in Delta Z^g) is
+with characteristics c running over (m Delta)^{-1} Z^g / Z^g.  A section
+has one label, the integer vector k with 0 <= k_i < m d_i and c = k/(m d);
+every evaluator orders its sections lexicographically in k, as
+:func:`lex_vectors` does.  Under this choice the factor of automorphy of L^m
+for a period Omega a + b (a in Z^g, b in Delta Z^g) is
 
     e_m(lambda, z) = exp(-pi i m a^T Omega a - 2 pi i m a^T z),
 
 independent of c, and the normalized theta-group action of
-K(L^m)_1 = {Omega a} permutes characteristics: theta_c -> theta_{c+a}.
+K(L^m)_1 = {Omega a} permutes the labels: k -> k + m d a mod m d.
 
 Evaluation strategy: every point is first translated into the fundamental
 cell of the summation lattice (the quasi-periodicity factor is restored
@@ -80,11 +82,8 @@ raise :class:`TruncationOverflow` (arbitrary precision is out of scope).
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -108,37 +107,6 @@ _FLUSH = _SCALE_MAX + 50.0
 _CHUNK_ELEMENTS = 1 << 19
 
 
-@dataclass(frozen=True)
-class SectionIndex:
-    """Label (level m, characteristic c) of a canonical basis element.
-
-    c is reduced mod Z^g into [0,1) componentwise; for a valid index
-    (m Delta) c must be integral, which :func:`section_index` guarantees.
-    """
-
-    m: int
-    c: tuple[Fraction, ...]
-
-    def __init__(self, m: int, c: Sequence):
-        if m < 1:
-            raise ValueError(f"level must be >= 1, got {m}")
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "c", tuple(Fraction(x) % 1 for x in c))
-
-    @property
-    def g(self) -> int:
-        return len(self.c)
-
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(x) for x in self.c])
-
-
-def section_index(pav: PolarizedAbelianVariety, m: int, k: Sequence[int]) -> SectionIndex:
-    """The index with characteristic c_i = k_i / (m d_i)."""
-    d = pav.delta.divisors
-    return SectionIndex(m, [Fraction(int(ki), m * di) for ki, di in zip(k, d, strict=True)])
-
-
 def lex_vectors(dims) -> np.ndarray:
     """All integer vectors of prod range(dims_i) in lexicographic order,
     shape (prod dims, len(dims))."""
@@ -149,12 +117,6 @@ def _ravel(vectors: np.ndarray, dims) -> np.ndarray:
     """Lexicographic position in prod range(dims_i) of every integer vector
     along the last axis of ``vectors``: the inverse of :func:`lex_vectors`."""
     return np.ravel_multi_index(tuple(np.moveaxis(vectors, -1, 0)), tuple(dims))
-
-
-def section_indices(pav: PolarizedAbelianVariety, m: int) -> tuple[SectionIndex, ...]:
-    """All m^g d_1...d_g level-m indices, lexicographic in k."""
-    dims = [m * di for di in pav.delta.divisors]
-    return tuple(section_index(pav, m, k) for k in lex_vectors(dims).tolist())
 
 
 def box_radius(lambda_min: float, m: int, g: int, offset: float) -> int:
@@ -411,7 +373,7 @@ def constants_radius(pav: PolarizedAbelianVariety, m: int) -> int:
 
 def theta_constants(pav: PolarizedAbelianVariety, m: int) -> np.ndarray:
     """theta_c^{(m)}(0) for every level-m characteristic c = k/(m d), in the
-    lexicographic order of :func:`section_indices`.
+    lexicographic order of k.
 
     The sum is even, theta_c(0) = theta_{-c}(0), so one characteristic of
     each pair {k, -k mod m d} is evaluated and its value written to both.
@@ -433,7 +395,8 @@ class ThetaBasis:
 
     The variety and the level fix everything: the period matrix and, through
     :func:`box_radius` at the accuracy DEFAULT_EPS, the radius.  Sections are
-    ordered lexicographically in k, c = k / (m d), as in :func:`section_indices`.
+    ordered lexicographically in their labels k, c = k / (m d), as in
+    :func:`lex_vectors`.
     Evaluations are pure; batches over point sets may run concurrently and
     results are assembled in input order.
     """
@@ -445,10 +408,6 @@ class ThetaBasis:
         self._sum = _LatticeSum(pav.matrix, m)
         self._chars = lex_vectors(self._dims) / np.array(self._dims)
 
-    @functools.cached_property
-    def indices(self) -> tuple[SectionIndex, ...]:
-        return section_indices(self.pav, self.m)
-
     @property
     def dim(self) -> int:
         return len(self._chars)
@@ -456,19 +415,6 @@ class ThetaBasis:
     @property
     def radius(self) -> int:
         return self._sum.radius
-
-    def position(self, idx: SectionIndex) -> int:
-        """Lexicographic position of idx, from k_i = c_i m d_i."""
-        if idx.m == self.m and idx.g == len(self._dims):
-            pos = 0
-            for ci, dim in zip(idx.c, self._dims):
-                k = ci * dim
-                if k.denominator != 1:
-                    break
-                pos = pos * dim + k.numerator
-            else:
-                return pos
-        raise KeyError(f"{idx} is not a level-{self.m} index of this polarization")
 
     def terms(self, npoints: int) -> int:
         """The lattice terms of :meth:`eval_matrix` at npoints points."""
@@ -478,10 +424,13 @@ class ThetaBasis:
         """Values of all basis elements at all points, shape (dim, npoints)."""
         return self._sum.eval(self._chars, zs)
 
-    def eval(self, idx: SectionIndex, z):
-        """Value(s) of one basis element; scalar for a single point."""
-        vals = self._sum.eval(self._chars[self.position(idx)], z)[0]
-        return complex(vals[0]) if np.ndim(z) == 1 else vals
+    def eval(self, k, z) -> complex:
+        """Value of the section labelled k at the one point z; raises
+        ValueError unless 0 <= k_i < m d_i for each of the g entries of k."""
+        k = np.asarray(k)
+        if k.shape != (len(self._dims),) or not ((0 <= k) & (k < self._dims)).all():
+            raise ValueError(f"{k.tolist()} is not a level-{self.m} label, 0 <= k < {self._dims}")
+        return complex(self._sum.eval(self._chars[_ravel(k, self._dims)], z).item())
 
 
 class ThetaTilde:
@@ -552,38 +501,44 @@ def automorphy_factor(pav: PolarizedAbelianVariety, m: int, lam, z):
     return _cocycle(pav, m, aint.astype(float), z)
 
 
-def quasi_periodicity_residual(pav: PolarizedAbelianVariety, idx: SectionIndex, lam, z) -> float:
-    """|theta_c(z + lam) - e(lam, z) theta_c(z)| / (1 + |theta_c(z)|).
+def quasi_periodicity_residual(pav: PolarizedAbelianVariety, m: int, k, lam, z) -> float:
+    """|theta_c(z + lam) - e(lam, z) theta_c(z)| / (1 + |theta_c(z)|) for the
+    level-m section labelled k, c = k/(m d).
 
     Vanishes (to evaluation accuracy) when lam is a period; for non-periods
     the same formula is applied with the real solution a of Im lam = Y a,
     and the residual is O(1) generically.
     """
-    basis = ThetaBasis(pav, idx.m)
+    basis = ThetaBasis(pav, m)
     lam = np.asarray(lam, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    e = _cocycle(pav, idx.m, pav.im_inv @ lam.imag, z)
-    t_shift = basis.eval(idx, z + lam)
-    t_base = basis.eval(idx, z)
+    e = _cocycle(pav, m, pav.im_inv @ lam.imag, z)
+    t_shift = basis.eval(k, z + lam)
+    t_base = basis.eval(k, z)
     return float(abs(t_shift - e * t_base) / (1.0 + abs(t_base)))
 
 
 def translate_action(pav: PolarizedAbelianVariety, m: int, x: TorsionPoint,
-                     idx: SectionIndex) -> tuple[SectionIndex, Callable]:
+                     k) -> tuple[tuple[int, ...], Callable]:
     """Normalized theta-group action of x = Omega a in K(L^m)_1 on the basis.
 
-    Returns (shifted index, stripping factor): the translate satisfies
-    theta_c(z + x) = factor(z) * theta_{c+a}(z) exactly, so after stripping
-    the factor the action is the pure permutation c -> c + a.
+    Returns (shifted label k', stripping factor), k'_i = k_i + m d_i a_i
+    mod m d_i with d the divisors of ``pav``: the translate satisfies
+    theta_k(z + x) = factor(z) * theta_k'(z) exactly, so after stripping the
+    factor the action is the pure permutation c -> c + a.  Raises ValueError
+    for a point of another polarization and :class:`NotInK1` for one
+    outside K(L^m)_1.
     """
-    for i, (ai, bi, di) in enumerate(zip(x.a, x.b, x.divisors, strict=True)):
+    x._compatible(pav.delta.divisors)
+    dims = [m * di for di in pav.delta.divisors]
+    for i, (ai, bi, dim) in enumerate(zip(x.a, x.b, dims)):
         if bi != 0:
             raise NotInK1(f"x has a nonzero real component b_{i} = {bi}")
-        if (m * di * ai).denominator != 1:
+        if (dim * ai).denominator != 1:
             raise NotInK1(f"x is not in K(L^{m})_1: a_{i} = {ai}")
-    new_idx = SectionIndex(m, [ci + ai for ci, ai in zip(idx.c, x.a)])
+    shifted = tuple(int((ki + dim * ai) % dim) for ki, ai, dim in zip(k, x.a, dims, strict=True))
     a = np.array([float(v) for v in x.a])
-    return new_idx, lambda z: _cocycle(pav, m, a, z)
+    return shifted, lambda z: _cocycle(pav, m, a, z)
 
 
 def section_weights(pav: PolarizedAbelianVariety, m: int, zs) -> np.ndarray:

@@ -58,7 +58,7 @@ class TorsionPoint:
         return all(x == 0 for x in self.a) and all(x == 0 for x in self.b)
 
     def __add__(self, other: "TorsionPoint") -> "TorsionPoint":
-        self._compatible(other)
+        self._compatible(other.divisors)
         return TorsionPoint(
             [x + y for x, y in zip(self.a, other.a)],
             [x + y for x, y in zip(self.b, other.b)],
@@ -66,7 +66,7 @@ class TorsionPoint:
         )
 
     def __sub__(self, other: "TorsionPoint") -> "TorsionPoint":
-        self._compatible(other)
+        self._compatible(other.divisors)
         return TorsionPoint(
             [x - y for x, y in zip(self.a, other.a)],
             [x - y for x, y in zip(self.b, other.b)],
@@ -79,9 +79,12 @@ class TorsionPoint:
     def scale(self, k: int) -> "TorsionPoint":
         return TorsionPoint([k * x for x in self.a], [k * x for x in self.b], self.divisors)
 
-    def _compatible(self, other: "TorsionPoint") -> None:
-        if self.divisors != other.divisors:
-            raise ValueError("points belong to different polarizations")
+    def _compatible(self, divisors: tuple[int, ...]) -> None:
+        """Raise ValueError unless the point is of the polarization type
+        ``divisors``, that of another point or of a variety."""
+        if self.divisors != divisors:
+            raise ValueError(
+                f"points belong to different polarizations, {self.divisors} and {divisors}")
 
     def to_complex(self, pav: PolarizedAbelianVariety) -> np.ndarray:
         """Embed the representative into V = C^g."""
@@ -97,7 +100,7 @@ def zero_point(pav: PolarizedAbelianVariety) -> TorsionPoint:
 
 def alternating_form(x: TorsionPoint, y: TorsionPoint) -> Fraction:
     """E(x, y) = a . b' - b . a' on canonical representatives (exact)."""
-    x._compatible(y)
+    x._compatible(y.divisors)
     return sum(
         (ax * by - bx * ay for ax, bx, ay, by in zip(x.a, x.b, y.a, y.b)),
         Fraction(0),
@@ -107,7 +110,8 @@ def alternating_form(x: TorsionPoint, y: TorsionPoint) -> Fraction:
 def _check_torsion(pav: PolarizedAbelianVariety, m: int, x: TorsionPoint, label: str) -> None:
     # x in K(L^m)  <=>  m E(x, .) is integral on Lambda
     # <=>  m b_i in Z and m d_i a_i in Z for every i
-    for i, (ai, bi, di) in enumerate(zip(x.a, x.b, x.divisors)):
+    x._compatible(pav.delta.divisors)
+    for i, (ai, bi, di) in enumerate(zip(x.a, x.b, pav.delta.divisors)):
         if (m * bi).denominator != 1 or (m * di * ai).denominator != 1:
             raise NotTorsion(
                 f"{label} is not in K(L^{m}): coordinate {i} fails integrality "
@@ -216,12 +220,14 @@ def crt_split(
     """Split beta in K(M^{n(n+1)})_1 as gamma + beta' with n gamma = 0 and
     (n+1) beta' = 0 (unique since gcd(n, n+1) = 1).
 
-    Requires a principal polarization; gamma is the n-torsion part of beta.
+    Requires a principal polarization and a point of it; gamma is the
+    n-torsion part of beta.
     """
     if not pav.delta.is_principal:
         raise ValueError("crt_split requires a principal polarization")
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")
+    beta._compatible(pav.delta.divisors)
     N = n * (n + 1)
     g = pav.g
     ks = []

@@ -7,7 +7,6 @@ import pytest
 from thetamu import (
     IllConditioned,
     NotInSpan,
-    SectionIndex,
     ThetaBasis,
     ThetaTilde,
     Verdict,
@@ -23,7 +22,6 @@ from thetamu import (
     random_period_matrix,
     run_scenario,
     sample_points,
-    section_indices,
     section_weights,
     spanning_check,
     surjectivity_verdict,
@@ -34,6 +32,8 @@ from thetamu import (
 )
 from thetamu import mult
 from thetamu.theta import lex_vectors
+
+from test_theta import characteristics
 
 
 @pytest.fixture(scope="module")
@@ -335,7 +335,7 @@ def test_wrong_wirtinger_incidence_is_rejected(principal_g1):
 def test_phi_map_coords_properties(principal_g1):
     n = 2
     rng = np.random.default_rng(31)
-    zero = phi_map_coords(principal_g1, n, zero_point(principal_g1), 41)
+    zero = phi_map_coords(principal_g1, n, zero_point(principal_g1).to_complex(principal_g1), 41)
     assert zero.coefficients.shape == (n + 1, 1)
     tilde = ThetaTilde(principal_g1, n)
     basis1 = ThetaBasis(principal_g1, 1)
@@ -412,6 +412,12 @@ def test_monotonicity_elliptic():
         v1 = surjectivity_verdict(pav, 1)
         assert v1.verdict is Verdict.SURJECTIVE
         assert monotonicity_check(pav, 1)
+
+
+def test_spanning_modulus_below_one_is_refused(principal_g1):
+    for N in (0, -3):
+        with pytest.raises(ValueError, match=f"require N >= 1, got {N}"):
+            spanning_check(principal_g1, 1, N)
 
 
 def test_spanning_grid_is_product_order(principal_g2, monkeypatch):
@@ -514,20 +520,21 @@ def test_mu_fit_matches_lstsq(divisors, n, seed):
 def test_mu_matrix_is_exact_incidence(divisors, n):
     # column (a, b) holds theta_tau^(n(n+1))(0) at row b + tau for each of the
     # (n+1)^g solutions tau = (a - b + j)/(n+1) of (n+1) tau = a - b mod Z^g,
-    # and nothing else; rows and tau are found here from the characteristics
+    # and nothing else; rows and tau are found here from the exact
+    # characteristics, reduced mod Z^g
     g = len(divisors)
     pav = validate_polarized(random_period_matrix(g, 40 + n), divisors, True)
     mu = mu_matrix(pav, n)
-    rows = ThetaBasis(pav, n + 1)
-    taus = ThetaBasis(pav, n * (n + 1))
+    rows = {c: i for i, c in enumerate(characteristics(pav, n + 1))}
+    taus = {c: i for i, c in enumerate(characteristics(pav, n * (n + 1)))}
     consts = theta_constants(pav, n * (n + 1))
     expected = np.zeros_like(mu.matrix)
-    pairs = itertools.product(section_indices(pav, 1), section_indices(pav, n))
+    pairs = itertools.product(characteristics(pav, 1), characteristics(pav, n))
     for col, (a, b) in enumerate(pairs):
         for j in itertools.product(range(n + 1), repeat=g):
-            tau = [(ai - bi + ji) / (n + 1) for ai, bi, ji in zip(a.c, b.c, j)]
-            row = SectionIndex(n + 1, [bi + ti for bi, ti in zip(b.c, tau)])
-            expected[rows.position(row), col] = consts[taus.position(SectionIndex(n * (n + 1), tau))]
+            tau = tuple((ai - bi + ji) / (n + 1) % 1 for ai, bi, ji in zip(a, b, j))
+            row = tuple((bi + ti) % 1 for bi, ti in zip(b, tau))
+            expected[rows[row], col] = consts[taus[tau]]
     assert np.array_equal(mu.matrix, expected)
     assert np.array_equal((mu.matrix != 0).sum(axis=0), np.full(mu.matrix.shape[1], (n + 1) ** g))
     assert mu_matrix(pav, n).matrix.tobytes() == mu.matrix.tobytes()

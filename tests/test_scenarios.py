@@ -507,6 +507,37 @@ def test_load_scenario_depth_cap(tmp_path):
     assert load_scenario(path).omega == json.loads("[" * depth + "]" * depth)
 
 
+def _nested(depth):
+    """An empty list nested ``depth`` lists deep."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+def test_deep_config_is_refused_however_built():
+    # the config counts as one level, as the JSON object of a file does: a
+    # field nested SCENARIO_DEPTH_CAP - 1 deep is kept and its report written,
+    # and one level more is refused, built directly, from a mapping or by
+    # replace, in a list, tuple or dict
+    cap = scenarios.SCENARIO_DEPTH_CAP
+    kept = ScenarioConfig(name="d", g=1, type=(1,), omega=_nested(cap - 1))
+    report = run_scenario(kept)
+    assert report.exit_code == 2
+    assert json.loads(scenarios.report_json(report))["scenario"]["omega"] == _nested(cap - 1)
+    builds = [
+        lambda: ScenarioConfig(name="d", g=1, type=(1,), omega=_nested(900)),
+        lambda: ScenarioConfig.from_dict({"g": 1, "type": [1], "omega": _nested(cap)}),
+        lambda: replace(kept, omega=_nested(cap)),
+        lambda: replace(kept, type=(tuple(_nested(cap - 1)),)),
+        lambda: replace(kept, checks={"wirtinger": _nested(cap - 1)}),
+    ]
+    message = f"^scenario nests deeper than {cap} arrays and objects$"
+    for build in builds:
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 def test_cli_seed_leaves_a_seeded_omega_alone(tmp_path, capsys):
     # the omega mapping names its own seed, so --seed moves only the
     # sampled checks, never the period matrix or the verdict

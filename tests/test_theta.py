@@ -12,7 +12,6 @@ from thetamu.varieties import DEFAULT_EPS
 from thetamu import (
     NotInK1,
     NotLatticeVector,
-    SectionIndex,
     SizeLimit,
     ThetaBasis,
     ThetaTilde,
@@ -23,8 +22,6 @@ from thetamu import (
     lattice_coordinates,
     quasi_periodicity_residual,
     random_period_matrix,
-    section_index,
-    section_indices,
     section_weights,
     theta_constants,
     translate_action,
@@ -54,6 +51,14 @@ def pav_g2():
     return validate_polarized(OMEGA_G2, (1, 2))
 
 
+def characteristics(pav, m):
+    """The exact characteristic c = k/(m d), as Fractions, of every level-m
+    label k, in the lex_vectors order of the sections."""
+    dims = [m * d for d in pav.delta.divisors]
+    return [tuple(Fraction(k, dim) for k, dim in zip(ks, dims))
+            for ks in theta.lex_vectors(dims).tolist()]
+
+
 def brute_theta(tau, m, c, z, radius):
     """Independent oracle: plain Python double loop over the lattice box."""
     g = tau.shape[0]
@@ -76,24 +81,29 @@ def brute_theta(tau, m, c, z, radius):
 
 def test_theta_oracle_value(elliptic):
     # closed form at the lemniscatic point: pi^(1/4) / Gamma(3/4)
-    idx = section_index(elliptic, 1, [0])
-    value = ThetaBasis(elliptic, 1).eval(idx, np.zeros(1))
+    value = ThetaBasis(elliptic, 1).eval([0], np.zeros(1))
     reference = math.pi ** 0.25 / math.gamma(0.75)
     assert abs(value - reference) < 1e-12
     assert abs(brute_theta(elliptic.matrix, 1, np.zeros(1), np.zeros(1), 12) - reference) < 1e-12
 
 
-def test_section_indices_count(pav_g2):
+def test_eval_reads_the_row_of_its_label(pav_g2):
+    # eval(k, z) is row _ravel(k) of eval_matrix, up to the rounding of a
+    # one-row product, for every label k, and a label out of range or of the
+    # wrong length is refused
+    z = np.array([0.2 + 0.3j, -0.1 + 0.4j])
     for m in (1, 2, 3):
-        idxs = section_indices(pav_g2, m)
-        assert len(idxs) == pav_g2.h0(m)
-        assert len(set(idxs)) == len(idxs)
         basis = ThetaBasis(pav_g2, m)
-        assert basis.indices == idxs
-        assert [basis.position(idx) for idx in idxs] == list(range(len(idxs)))
-        for other in (SectionIndex(m + 1, idxs[1].c), SectionIndex(m, [Fraction(1, 5)] * 2)):
-            with pytest.raises(KeyError):
-                basis.position(other)
+        dims = (m, 2 * m)
+        labels = theta.lex_vectors(dims)
+        assert basis.dim == len(labels) == pav_g2.h0(m)
+        values = basis.eval_matrix(z)[:, 0]
+        tol = 1e-14 * abs(values).max()
+        for k in labels:
+            assert abs(basis.eval(k, z) - values[theta._ravel(k, dims)]) <= tol
+        for bad in ([m, 0], [0, 2 * m], [-1, 0], [0], [0, 0, 0]):
+            with pytest.raises(ValueError, match="is not a level"):
+                basis.eval(bad, z)
 
 
 def test_matches_brute_force_at_generic_points(pav_g1):
@@ -101,20 +111,19 @@ def test_matches_brute_force_at_generic_points(pav_g1):
     rng = np.random.default_rng(0)
     zs = rng.random((4, 1)) @ pav_g1.matrix.T + rng.random((4, 1)) * 3.0
     vals = basis.eval_matrix(zs)
-    for i, idx in enumerate(basis.indices):
+    for i, c in enumerate(characteristics(pav_g1, 2)):
         for p in range(4):
-            expected = brute_theta(pav_g1.matrix, 2, idx.as_floats(), zs[p], 12)
+            expected = brute_theta(pav_g1.matrix, 2, np.array(c, dtype=float), zs[p], 12)
             assert abs(vals[i, p] - expected) < 1e-10 * (1 + abs(expected))
 
 
 def test_evenness_of_zero_characteristic(pav_g1):
     basis = ThetaBasis(pav_g1, 1)
-    idx = section_index(pav_g1, 1, [0])
     rng = np.random.default_rng(1)
     for _ in range(20):
         z = rng.random(1) @ pav_g1.matrix.T + rng.random(1) * 3.0
-        left = basis.eval(idx, -z)
-        right = basis.eval(idx, z)
+        left = basis.eval([0], -z)
+        right = basis.eval([0], z)
         assert abs(left - right) < 1e-12 * (1 + abs(right))
 
 
@@ -133,8 +142,8 @@ def test_doubling_certificate(pav_g2, monkeypatch):
         doubled = _doubled(monkeypatch, lambda: ThetaBasis(pav_g2, m))
         assert doubled.radius == 2 * basis.radius
         z = rng.random(2) @ pav_g2.matrix.T + rng.random(2)
-        for idx in basis.indices[:3]:
-            assert abs(basis.eval(idx, z) - doubled.eval(idx, z)) < DEFAULT_EPS
+        for k in theta.lex_vectors((m, 2 * m))[:3]:
+            assert abs(basis.eval(k, z) - doubled.eval(k, z)) < DEFAULT_EPS
     # at g = 3 the values reach 1e17, so the radius is certified against the
     # growth envelope that the accuracy claim is stated in
     pav = validate_polarized(random_period_matrix(3, 301), (1, 2, 2))
@@ -143,8 +152,8 @@ def test_doubling_certificate(pav_g2, monkeypatch):
     for _ in range(3):
         z = rng.random(3) @ pav.matrix.T + rng.random(3)
         weight = section_weights(pav, 3, z)[0]
-        for idx in basis.indices[:3]:
-            assert abs(basis.eval(idx, z) - doubled.eval(idx, z)) * weight < DEFAULT_EPS
+        for k in theta.lex_vectors((3, 6, 6))[:3]:
+            assert abs(basis.eval(k, z) - doubled.eval(k, z)) * weight < DEFAULT_EPS
 
 
 def per_term_theta(tau, m, c, z, radius):
@@ -179,9 +188,9 @@ def test_lattice_sum_matches_per_term_reference(g, divisors, levels):
         basis = ThetaBasis(pav, m)
         vals = basis.eval_matrix(zs)
         w = section_weights(pav, m, zs)
-        for i, idx in enumerate(basis.indices):
+        for i, c in enumerate(characteristics(pav, m)):
             for p, z in enumerate(zs):
-                ref = per_term_theta(pav.matrix, m, idx.as_floats(), z, basis.radius)
+                ref = per_term_theta(pav.matrix, m, np.array(c, dtype=float), z, basis.radius)
                 assert abs(vals[i, p] - ref) * w[p] <= 1e-13
 
 
@@ -196,9 +205,9 @@ def test_lattice_sum_cusp_probe():
         vals = basis.eval_matrix(zs)
         assert np.isfinite(vals).all()
         envelope = 1.0 / section_weights(pav, m, zs)
-        for i, idx in enumerate(basis.indices):
+        for i, c in enumerate(characteristics(pav, m)):
             for p, z in enumerate(zs):
-                ref = per_term_theta(pav.matrix, m, idx.as_floats(), z, basis.radius)
+                ref = per_term_theta(pav.matrix, m, np.array(c, dtype=float), z, basis.radius)
                 assert abs(vals[i, p] - ref) <= DEFAULT_EPS * envelope[p]
 
 
@@ -217,9 +226,9 @@ def test_lattice_sum_at_the_edge_of_the_double_range(omega, m):
         vals = basis.eval_matrix(zs)
     envelope = 1.0 / section_weights(pav, m, zs)
     assert math.log(envelope.max()) == pytest.approx(699 * 0.999**2)
-    for i, idx in enumerate(basis.indices):
+    for i, c in enumerate(characteristics(pav, m)):
         for p, z in enumerate(zs):
-            ref = per_term_theta(pav.matrix, m, idx.as_floats(), z, basis.radius)
+            ref = per_term_theta(pav.matrix, m, np.array(c, dtype=float), z, basis.radius)
             assert abs(vals[i, p] - ref) <= DEFAULT_EPS * envelope[p]
     with pytest.raises(TruncationOverflow):
         basis.eval_matrix(np.array([[1.001j * tmax]]))
@@ -314,7 +323,7 @@ def test_theta_constants_match_basis_and_doubled_radius(divisors, levels, monkey
         # the radius theta_constants sums, certified by doubling it
         doubled = _doubled(monkeypatch, lambda: theta._LatticeSum(pav.matrix, m, offset=0.5))
         assert doubled.radius == 2 * theta.constants_radius(pav, m)
-        chars = np.array([idx.as_floats() for idx in basis.indices])
+        chars = np.array(characteristics(pav, m), dtype=float)
         assert np.abs(consts - doubled.eval(chars, zero)[:, 0]).max() <= DEFAULT_EPS
 
 
@@ -348,9 +357,9 @@ def test_theta_constants_match_mpmath(divisors, m):
     g = len(divisors)
     pav = validate_polarized(random_period_matrix(g, 90 + g), divisors)
     consts = theta_constants(pav, m)
-    indices = section_indices(pav, m)
-    for i in sorted({0, 1, len(indices) // 2, len(indices) - 1}):
-        assert abs(consts[i] - mp_theta(pav.matrix, m, indices[i].c)) <= DEFAULT_EPS
+    chars = characteristics(pav, m)
+    for i in sorted({0, 1, len(chars) // 2, len(chars) - 1}):
+        assert abs(consts[i] - mp_theta(pav.matrix, m, chars[i])) <= DEFAULT_EPS
 
 
 def test_tiny_theta_constants_keep_relative_accuracy():
@@ -358,17 +367,17 @@ def test_tiny_theta_constants_keep_relative_accuracy():
     # far below eps, yet accurate relative to their own size
     pav = validate_polarized(random_period_matrix(3, 301), (1, 2, 2))
     consts = theta_constants(pav, 6)
-    indices = section_indices(pav, 6)
+    chars = characteristics(pav, 6)
     for i in np.argsort(np.abs(consts))[:4]:
-        ref = mp_theta(pav.matrix, 6, indices[i].c)
+        ref = mp_theta(pav.matrix, 6, chars[i])
         assert abs(consts[i] - ref) <= 1e-12 * abs(ref)
     # g = 1 at level 12 with Im Omega = 3.5: the tail bound alone allows
     # radius 0, which would drop one of the two nearest coset points of
     # c = 1/2 and the second-nearest point of every other characteristic
     pav = validate_polarized(np.array([[0.3 + 3.5j]]), (1,))
     consts = theta_constants(pav, 12)
-    for i, idx in enumerate(section_indices(pav, 12)):
-        ref = mp_theta(pav.matrix, 12, idx.c)
+    for i, c in enumerate(characteristics(pav, 12)):
+        ref = mp_theta(pav.matrix, 12, c)
         assert abs(consts[i] - ref) <= 1e-12 * abs(ref)
 
 
@@ -398,9 +407,10 @@ def test_theta_basis_matches_mpmath_at_cell_points(divisors, levels):
         basis = ThetaBasis(pav, m)
         vals = basis.eval_matrix(zs)
         w = section_weights(pav, m, zs)
+        chars = characteristics(pav, m)
         for i in sorted({0, basis.dim // 2, basis.dim - 1}):
             for p, z in enumerate(zs):
-                ref = mp_theta(pav.matrix, m, basis.indices[i].c, z)
+                ref = mp_theta(pav.matrix, m, chars[i], z)
                 assert abs(vals[i, p] - ref) * w[p] <= DEFAULT_EPS
 
 
@@ -422,9 +432,9 @@ def test_theta_basis_matches_mpmath_near_the_cusp(omega, divisors):
         assert basis._sum.nbins > 1
         vals = basis.eval_matrix(zs)
         w = section_weights(pav, m, zs)
-        for i in range(basis.dim):
+        for i, c in enumerate(characteristics(pav, m)):
             for p, z in enumerate(zs):
-                ref = mp_theta(pav.matrix, m, basis.indices[i].c, z)
+                ref = mp_theta(pav.matrix, m, c, z)
                 assert abs(vals[i, p] - ref) * w[p] <= DEFAULT_EPS
 
 
@@ -448,6 +458,7 @@ def test_quasi_periodicity_suite(pav_g1, pav_g2):
         rng = np.random.default_rng(10 + g)
         for m in (1, 2, 3):
             basis = ThetaBasis(pav, m)
+            labels = theta.lex_vectors(m * np.array(pav.delta.divisors))
             drawn = 0
             while drawn < 8:
                 a = rng.integers(-2, 3, g).astype(float)
@@ -458,27 +469,22 @@ def test_quasi_periodicity_suite(pav_g1, pav_g2):
                     continue
                 drawn += 1
                 lam = pav.matrix @ a + d * bhat
-                idx = basis.indices[int(rng.integers(0, basis.dim))]
-                assert quasi_periodicity_residual(pav, idx, lam, z) < 1e-9
+                k = labels[int(rng.integers(0, basis.dim))]
+                assert quasi_periodicity_residual(pav, m, k, lam, z) < 1e-9
 
 
 def test_quasi_periodicity_zero_and_real_lattice(pav_g1):
-    basis = ThetaBasis(pav_g1, 2)
-    idx = basis.indices[2]
     z = np.array([0.3 + 0.2j])
-    assert quasi_periodicity_residual(pav_g1, idx, np.zeros(1), z) < 1e-14
+    assert quasi_periodicity_residual(pav_g1, 2, [2], np.zeros(1), z) < 1e-14
     lam = np.array([6.0 + 0j])  # 2 * Delta
-    assert quasi_periodicity_residual(pav_g1, idx, lam, z) < 1e-12
+    assert quasi_periodicity_residual(pav_g1, 2, [2], lam, z) < 1e-12
 
 
 def test_quasi_periodicity_fails_off_lattice(elliptic):
-    idx = section_index(elliptic, 1, [0])
     lam = elliptic.matrix @ np.array([0.5])
     rng = np.random.default_rng(3)
-    residuals = [
-        quasi_periodicity_residual(elliptic, idx, lam, rng.random(1) @ elliptic.matrix.T + rng.random(1))
-        for _ in range(5)
-    ]
+    zs = [rng.random(1) @ elliptic.matrix.T + rng.random(1) for _ in range(5)]
+    residuals = [quasi_periodicity_residual(elliptic, 1, [0], lam, z) for z in zs]
     assert max(residuals) > 1e-3
 
 
@@ -517,10 +523,9 @@ def test_lattice_coordinates_roundtrip(pav_g2):
 
 
 def test_translate_action_identity(pav_g1):
-    idx = section_index(pav_g1, 2, [1])
     zero = TorsionPoint([0], [0], (3,))
-    new_idx, factor = translate_action(pav_g1, 2, zero, idx)
-    assert new_idx == idx
+    new_k, factor = translate_action(pav_g1, 2, zero, [1])
+    assert new_k == (1,)
     assert factor(np.array([0.4 + 0.1j])) == pytest.approx(1.0)
 
 
@@ -528,17 +533,15 @@ def test_translate_action_swaps_characteristics(elliptic):
     # m = 2, a = 1/2 exchanges theta_0 and theta_{1/2}
     basis = ThetaBasis(elliptic, 2)
     x = TorsionPoint([Fraction(1, 2)], [0], (1,))
-    idx0 = section_index(elliptic, 2, [0])
-    idx1 = section_index(elliptic, 2, [1])
-    new0, factor = translate_action(elliptic, 2, x, idx0)
-    assert new0 == idx1
-    new1, _ = translate_action(elliptic, 2, x, idx1)
-    assert new1 == idx0
+    new0, factor = translate_action(elliptic, 2, x, [0])
+    assert new0 == (1,)
+    new1, _ = translate_action(elliptic, 2, x, [1])
+    assert new1 == (0,)
     lam = x.to_complex(elliptic)
     rng = np.random.default_rng(6)
     for _ in range(10):
         z = rng.random(1) @ elliptic.matrix.T * 0.5 + rng.random(1)
-        lhs = basis.eval(idx0, z + lam)
+        lhs = basis.eval([0], z + lam)
         rhs = factor(z) * basis.eval(new0, z)
         assert abs(lhs - rhs) / (1 + abs(lhs) + abs(rhs)) < 1e-9
 
@@ -548,22 +551,22 @@ def test_translate_action_group_law(elliptic):
     # no projective defect, even when the sum wraps around the lattice
     basis = ThetaBasis(elliptic, 2)
     group = k_group(elliptic, 2)
-    idx = section_index(elliptic, 2, [0])
+    k = [0]
     rng = np.random.default_rng(7)
     zs = [rng.random(1) @ elliptic.matrix.T * 0.5 + rng.random(1) for _ in range(3)]
     for x in group.k1:
         for y in group.k1:
-            idx_xy, factor_xy = translate_action(elliptic, 2, x + y, idx)
-            idx_y, factor_y = translate_action(elliptic, 2, y, idx)
-            idx_x, factor_x = translate_action(elliptic, 2, x, idx_y)
-            assert idx_xy == idx_x
+            k_xy, factor_xy = translate_action(elliptic, 2, x + y, k)
+            k_y, factor_y = translate_action(elliptic, 2, y, k)
+            k_x, factor_x = translate_action(elliptic, 2, x, k_y)
+            assert k_xy == k_x
             xlam = x.to_complex(elliptic)
             ylam = y.to_complex(elliptic)
             slam = (x + y).to_complex(elliptic)
             for z in zs:
-                target = basis.eval(idx_xy, z)
-                pair = basis.eval(idx, z + xlam + ylam) / (factor_x(z) * factor_y(z + xlam))
-                single = basis.eval(idx, z + slam) / factor_xy(z)
+                target = basis.eval(k_xy, z)
+                pair = basis.eval(k, z + xlam + ylam) / (factor_x(z) * factor_y(z + xlam))
+                single = basis.eval(k, z + slam) / factor_xy(z)
                 assert abs(pair - target) < 1e-10 * (1 + abs(target))
                 assert abs(single - target) < 1e-10 * (1 + abs(target))
 
@@ -571,17 +574,46 @@ def test_translate_action_group_law(elliptic):
 def test_translate_action_rejects_k2(pav_g1):
     x = TorsionPoint([0], [Fraction(1, 2)], (3,))
     with pytest.raises(NotInK1):
-        translate_action(pav_g1, 2, x, section_index(pav_g1, 2, [0]))
+        translate_action(pav_g1, 2, x, [0])
+
+
+def test_translate_action_permutes_labels_at_g2():
+    # type (1,2) at m = 2: every x in K(L^2)_1 maps every label k to k' with
+    # theta_k(z + x) = factor(z) theta_k'(z), and the shifts are the labels
+    pav = validate_polarized(OMEGA_G2, (1, 2))
+    basis = ThetaBasis(pav, 2)
+    labels = theta.lex_vectors((2, 4))
+    z = np.array([0.21 + 0.13j, -0.17 + 0.29j])
+    for x in k_group(pav, 2).k1:
+        xlam = x.to_complex(pav)
+        shifted = []
+        for k in labels:
+            new_k, factor = translate_action(pav, 2, x, k)
+            shifted.append(new_k)
+            lhs = basis.eval(k, z + xlam)
+            rhs = factor(z) * basis.eval(new_k, z)
+            assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+        assert sorted(shifted) == [tuple(k) for k in labels.tolist()]
+
+
+def test_torsion_point_of_another_polarization_is_refused():
+    # on type (1,2), a point labelled (2,2) is refused with one ValueError,
+    # though its coordinates alone pass the membership test of (2,2)
+    pav = validate_polarized(OMEGA_G2, (1, 2))
+    x = TorsionPoint([Fraction(1, 4), 0], [0, 0], (2, 2))
+    with pytest.raises(ValueError, match=r"different polarizations, \(2, 2\) and \(1, 2\)"):
+        translate_action(pav, 2, x, [0, 0])
+    with pytest.raises(NotInK1):
+        translate_action(pav, 2, TorsionPoint([Fraction(1, 4), 0], [0, 0], (1, 2)), [0, 0])
 
 
 def test_theta_tilde_level_one_is_theta(elliptic):
     tilde = ThetaTilde(elliptic, 1)
     basis = ThetaBasis(elliptic, 1)
-    idx = section_index(elliptic, 1, [0])
     rng = np.random.default_rng(8)
     for _ in range(5):
         z = rng.random(1) @ elliptic.matrix.T + rng.random(1)
-        assert tilde.eval(z) == pytest.approx(basis.eval(idx, z), rel=1e-12)
+        assert tilde.eval(z) == pytest.approx(basis.eval([0], z), rel=1e-12)
 
 
 @pytest.mark.parametrize("g,n", [(1, 2), (1, 3), (2, 2), (2, 3)])
@@ -696,9 +728,4 @@ def test_lattice_sum_term_cap(pav_g2, monkeypatch):
 def test_envelope_overflow_guard(elliptic):
     basis = ThetaBasis(elliptic, 1)
     with pytest.raises(TruncationOverflow):
-        basis.eval(section_index(elliptic, 1, [0]), np.array([300j]))
-
-
-def test_section_index_reduction():
-    idx = SectionIndex(2, [Fraction(5, 4)])
-    assert idx.c == (Fraction(1, 4),)
+        basis.eval([0], np.array([300j]))

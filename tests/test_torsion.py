@@ -194,3 +194,22 @@ def test_characters_orthogonal_d3(elliptic_d3):
     values = table.values
     gram = values @ values.conj().T / values.shape[1]
     assert np.allclose(gram, np.eye(3), atol=1e-12)
+
+
+def test_points_of_another_polarization_are_refused():
+    # on type (1,2), a point built for (2,2) or for g = 1 is refused with one
+    # ValueError, though its coordinates alone pass the test of its own type
+    pav = validate_polarized(random_period_matrix(2, 4), (1, 2))
+    x = TorsionPoint([Fraction(1, 2), 0], [0, 0], (2, 2))
+    y = TorsionPoint([0, 0], [1, 0], (2, 2))
+    other = r"different polarizations, \(2, 2\) and \(1, 2\)"
+    with pytest.raises(ValueError, match=other):
+        weil_pairing_phase(pav, 1, x, y)
+    with pytest.raises(NotTorsion):
+        weil_pairing_phase(pav, 1, TorsionPoint(x.a, x.b, (1, 2)), TorsionPoint(y.a, y.b, (1, 2)))
+    with pytest.raises(ValueError, match=r"different polarizations, \(1,\) and \(1, 2\)"):
+        weil_pairing_phase(pav, 1, TorsionPoint([0], [0], (1,)), zero_point(pav))
+    # crt_split on a principal curve refuses a point of type (2)
+    elliptic = validate_polarized(np.array([[1j]]), (1,))
+    with pytest.raises(ValueError, match=r"different polarizations, \(2,\) and \(1,\)"):
+        crt_split(elliptic, 2, TorsionPoint([Fraction(1, 6)], [0], (2,)))
