@@ -12,14 +12,12 @@ from thetamu import (
     ThetaBasis,
     ThetaTilde,
     TorsionPoint,
-    automorphy_factor,
     k_group,
-    quasi_periodicity_residual,
     random_period_matrix,
     theta_constants,
-    translate_action,
     validate_polarized,
 )
+from thetamu.reference import automorphy_factor, quasi_periodicity_residual, translate_action
 from thetamu.theta import constants_radius
 
 # --- evaluation and a closed-form cross-check --------------------------------

@@ -8,12 +8,11 @@ import numpy as np
 
 from thetamu import (
     gamma_blocks,
-    monotonicity_check,
-    mu_matrix,
     random_period_matrix,
     surjectivity_verdict,
     validate_polarized,
 )
+from thetamu.reference import mu_matrix
 from thetamu.theta import lex_vectors
 
 # --- an elliptic curve with a degree-3 polarization ---------------------------
@@ -22,9 +21,10 @@ from thetamu.theta import lex_vectors
 pav = validate_polarized(random_period_matrix(1, 101), (3,), simple_asserted=True)
 # mu_1 is exact: each product of two level-1 sections expands in the level-2
 # basis with level-2 theta constants as coefficients, (n+1)^g = 2 per column.
+# The dense matrix is the reference layer's; the verdict never forms it.
 mu = mu_matrix(pav, 1)
-nonzeros = sorted(set(np.count_nonzero(mu.matrix, axis=0).tolist()))
-print(f"mu_1 matrix: {mu.matrix.shape[0]} x {mu.matrix.shape[1]}, "
+nonzeros = sorted(set(np.count_nonzero(mu, axis=0).tolist()))
+print(f"mu_1 matrix: {mu.shape[0]} x {mu.shape[1]}, "
       f"nonzeros per column: {nonzeros}")
 
 verdict = surjectivity_verdict(pav, 1)
@@ -32,8 +32,10 @@ print(f"verdict: {verdict.verdict.value}, rank {verdict.rank}/{verdict.required_
       f"gap ratio {verdict.gap_ratio:.1e}")
 print("singular values:", np.array2string(np.asarray(verdict.singular_values), precision=3))
 
-# surjectivity propagates upward in the level, instance-checked by rank:
-print("mu_1 onto implies mu_2 onto here:", monotonicity_check(pav, 1))
+# surjectivity propagates upward in the level; here both verdicts say so:
+up = surjectivity_verdict(pav, 2)
+print(f"mu_1: {verdict.verdict.value}, mu_2: {up.verdict.value} "
+      f"(rank {up.rank}/{up.required_rank})")
 
 # --- the principal surface fails for dimension reasons ------------------------
 principal = validate_polarized(random_period_matrix(2, 103), (1, 1), simple_asserted=True)
@@ -50,7 +52,7 @@ print(f"\nprincipal surface: {shortcut.verdict.value} "
 # the nonzeros of the 6 x 3 columns of mu_1 at level-1 index 0.  Each repeated
 # over its orbit, their spectra are the spectrum of the dense 6 x 9 matrix.
 blocks = gamma_blocks(pav, 1)
-dense = np.linalg.svd(mu.matrix, compute_uv=False)
+dense = np.linalg.svd(mu, compute_uv=False)
 agreement = np.abs(blocks.singular_values - dense).max() / dense[0]
 print(f"\n{len(blocks.ranks)} blocks in {len(blocks.matrices)} orbit(s), "
       f"block spectra vs dense spectrum {agreement:.1e}")

@@ -1,16 +1,16 @@
-"""Multiplication maps mu_n as explicit matrices, rank verdicts, character
+"""Rank verdicts for the multiplication maps mu_n from their character
 blocks, the Wirtinger coefficient matrix, and the spanning instance checks.
 
 mu_n is exact: every product theta_a^{(1)} theta_b^{(n)} expands in the
 level-(n+1) basis with the level-n(n+1) theta constants as coefficients
-(Mumford 1966, Koizumi 1976), so the matrix is assembled by index arithmetic
-from one evaluation at z = 0.  The Wirtinger matrix is exact too: under the
-package normalization it is the 0/1 incidence matrix of
-alpha + n beta = 0 mod Z^g.
+(Mumford 1966, Koizumi 1976), so its entries are placed by index arithmetic
+(:func:`_mu_entries`) from one evaluation at z = 0.  The Wirtinger matrix is
+exact too: under the package normalization it is the 0/1 incidence matrix
+of alpha + n beta = 0 mod Z^g.
 
-Sampling remains only for the divisor-map coordinates and the Wirtinger
-check.  The coordinates are fit by least squares at seeded random points,
-each sample row equilibrated by the inverse growth envelope of its level
+Sampling remains only for the Wirtinger check.  The divisor-map coordinates
+of its diagram are fit by least squares at seeded random points, each
+sample row equilibrated by the inverse growth envelope of its level
 (the natural hermitian scale of the bundle), from one thin SVD of the
 weighted design that gives both the condition number checked against the
 cap and the solution; a residual gate guards the fit.  The Wirtinger matrix
@@ -25,6 +25,10 @@ blocks are a group DFT of that slice, and the translations by K(L)_2 and
 one block per orbit is built, straight from the h0(n) (n+1)^g nonzeros of
 the slice; one batched SVD of them gives every block rank, and the union of
 the block spectra, each repeated over its orbit, is the spectrum of mu_n.
+
+The dense mu_n (``reference.mu_matrix``) and the stand-alone fits that the
+test suite checks this module against are in the reference layer, which no
+module of the verdict path imports.
 """
 
 from __future__ import annotations
@@ -86,20 +90,6 @@ class Expansion(NamedTuple):
     residual: float
 
 
-def expand_in_basis(
-    pav: PolarizedAbelianVariety, m: int, values: np.ndarray, zs: np.ndarray
-) -> Expansion:
-    """Least-squares coefficients in the level-m basis of the function whose
-    ``values`` at the samples ``zs`` of shape (P, g) are given.
-
-    ``values`` has shape (P,) or (P, k); the coefficients have shape
-    (h0(m),) or (h0(m), k), one column per column of values.  The basis is
-    evaluated at the samples and the fit is :func:`_weighted_fit`, with its
-    gates.
-    """
-    return _weighted_fit(pav, m, ThetaBasis(pav, m).eval_matrix(zs), zs, values)
-
-
 def _weighted_fit(
     pav: PolarizedAbelianVariety, m: int, sections: np.ndarray, zs: np.ndarray, values
 ) -> Expansion:
@@ -141,42 +131,6 @@ def _weighted_fit(
     return Expansion(coef.reshape(dim, *values.shape[1:]), residual)
 
 
-@dataclass(frozen=True, eq=False)
-class MuMatrix:
-    """mu_n in the canonical bases: h0(n+1) rows, h0(1) * h0(n) columns.
-
-    Column (c, c') holds the level-(n+1) coefficients of the product
-    theta_c^{(1)} theta_{c'}^{(n)}; rows are lexicographic in the level-(n+1)
-    labels k, columns in the pairs (k, k') of labels (see ``theta.lex_vectors``).
-    """
-
-    n: int
-    matrix: np.ndarray
-
-
-def mu_matrix(pav: PolarizedAbelianVariety, n: int) -> MuMatrix:
-    """Assemble mu_n from the level-n(n+1) theta constants.
-
-    Substituting s = (l + n k)/(n+1), t = (l - k)/(n+1) in the product of the
-    level-1 and level-n lattice sums (Mumford 1966, Koizumi 1976) gives
-
-        theta_a^{(1)} theta_b^{(n)} = sum_{tau : (n+1) tau = a - b mod Z^g}
-                                      theta_tau^{(n(n+1))}(0) theta_{b+tau}^{(n+1)}.
-
-    For a = k1/d, b = kn/(n d) and j in [0, n+1)^g, tau is
-    (n k1 - kn + n d j)/(n(n+1) d) and b + tau is (k1 + kn + d j)/((n+1) d),
-    so every column has exactly (n+1)^g entries.  Raises :class:`SizeLimit`
-    before any evaluation when the matrix exceeds DEFAULT_CELL_CAP cells.
-    """
-    if n < 1:
-        raise ValueError(f"require n >= 1, got {n}")
-    rows = pav.h0(n + 1)
-    cols = pav.h0(1) * pav.h0(n)
-    if rows * cols > DEFAULT_CELL_CAP:
-        raise SizeLimit(f"mu_{n} needs {rows}x{cols} cells, cap is {DEFAULT_CELL_CAP}")
-    return MuMatrix(n=n, matrix=_mu_columns(pav, n, lex_vectors(pav.delta.divisors)))
-
-
 def _mu_entries(pav: PolarizedAbelianVariety, n: int, k1: np.ndarray):
     """Where the nonzeros of the columns (k1, kn) of mu_n sit, for the level-1
     indices ``k1`` (rows of integer vectors) and every level-n index kn, in
@@ -194,17 +148,6 @@ def _mu_entries(pav: PolarizedAbelianVariety, n: int, k1: np.ndarray):
     row = (k1 + kn + dj) % ((n + 1) * d)
     tau = _ravel((n * k1 - kn + n * dj) % (n * (n + 1) * d), n * (n + 1) * d)
     return row, tau
-
-
-def _mu_columns(pav: PolarizedAbelianVariety, n: int, k1: np.ndarray) -> np.ndarray:
-    """The columns (k1, kn) of mu_n, lexicographic, for the level-1 indices
-    ``k1`` (rows of integer vectors) and every level-n index kn."""
-    row, tau = _mu_entries(pav, n, k1)
-    row = _ravel(row, (n + 1) * np.array(pav.delta.divisors))
-    col = np.arange(row.shape[0] * row.shape[1]).reshape(row.shape[:2] + (1,))
-    matrix = np.zeros((pav.h0(n + 1), col.size), dtype=complex)
-    matrix[row, col] = theta_constants(pav, n * (n + 1))[tau]
-    return matrix
 
 
 class RankResult(NamedTuple):
@@ -570,27 +513,6 @@ def wirtinger_matrix(
     )
 
 
-def phi_map_coords(
-    pav: PolarizedAbelianVariety,
-    n: int,
-    points,
-    seed: int,
-) -> Expansion:
-    """Coordinates in |(n+1) theta| of the divisor of u -> theta(u+nb) theta~(u-b)
-    for every point b of ``points``, in the forms :func:`wirtinger_matrix`
-    takes: coefficients of shape (h0(n+1), P), one column per point, fit at
-    one draw of samples u from ``seed``.
-
-    The underlying point of projective space depends only on b mod Lambda.
-    """
-    if not pav.delta.is_principal:
-        raise ValueError("the divisor map requires a principal polarization")
-    bs = np.asarray(points, dtype=complex).reshape(-1, pav.g)
-    us = sample_points(pav, OVERSAMPLE * pav.h0(n + 1), seed)
-    values = _divisor_values(ThetaBasis(pav, 1), ThetaTilde(pav, n), *_pairs(us, bs))
-    return expand_in_basis(pav, n + 1, values.reshape(len(us), len(bs)), us)
-
-
 def projective_residual(x: np.ndarray, y: np.ndarray) -> float:
     """||x - lambda y|| / ||x|| minimized over the scalar lambda.
 
@@ -648,11 +570,3 @@ def spanning_check(pav: PolarizedAbelianVariety, n: int, N: int) -> SpanningRepo
     matrix = basis.eval_matrix(pts).T * w[:, None]
     rank, svals, _ = numerical_rank(matrix)
     return SpanningReport(rank, (n + 1) ** g, npts, svals)
-
-
-def monotonicity_check(pav: PolarizedAbelianVariety, n: int) -> bool:
-    """Check that surjectivity of mu_n propagates to mu_{n+1} on this instance
-    (vacuously true when mu_n is not verified surjective)."""
-    if surjectivity_verdict(pav, n).verdict is not Verdict.SURJECTIVE:
-        return True
-    return surjectivity_verdict(pav, n + 1).verdict is Verdict.SURJECTIVE

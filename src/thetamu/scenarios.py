@@ -403,16 +403,18 @@ def run_scenario(config: ScenarioConfig) -> Report:
             else f"scenario has n = {n}"
         )
         notes.append(f"ITT implication needs n = g-1 = {pav.g - 1}; {reason}")
-    # a violation needs a decided verdict that contradicts the prediction;
-    # an undecided rank or an errored verdict stage is a numeric failure, not
-    # a counterexample
-    violation = (
+    # only a NotSurjective that holds for every Omega, the dimensional
+    # shortcut, contradicts the theorem.  A rank decided at one Omega does
+    # not: the rank carries no error bound, and no float64 period matrix of
+    # g >= 2 is simple.  So it exits 3, like an undecided rank
+    against = (
         prediction is BoundPrediction.THEOREM_PREDICTS_SURJECTIVE
         and verdict_value is Verdict.NOT_SURJECTIVE
     )
+    violation = against and verdict_obj.dimensional_shortcut
     payload["consistency"] = {"theorem_violation": violation}
-    if violation:
-        exit_code = EXIT_CONSISTENCY
+    if against:
+        exit_code = EXIT_CONSISTENCY if violation else EXIT_INCONCLUSIVE
 
     payload["wirtinger"] = None
     if config.checks.get("wirtinger"):

@@ -13,7 +13,9 @@ for a period Omega a + b (a in Z^g, b in Delta Z^g) is
     e_m(lambda, z) = exp(-pi i m a^T Omega a - 2 pi i m a^T z),
 
 independent of c, and the normalized theta-group action of
-K(L^m)_1 = {Omega a} permutes the labels: k -> k + m d a mod m d.
+K(L^m)_1 = {Omega a} permutes the labels: k -> k + m d a mod m d.  Both
+are test oracles, ``reference.automorphy_factor`` and
+``reference.translate_action``, outside this module.
 
 Evaluation strategy: every point is first translated into the fundamental
 cell of the summation lattice (the quasi-periodicity factor is restored
@@ -83,12 +85,10 @@ raise :class:`TruncationOverflow` (arbitrary precision is out of scope).
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .errors import NotInK1, NotLatticeVector, SizeLimit, TruncationOverflow
-from .torsion import TorsionPoint
+from .errors import SizeLimit, TruncationOverflow
 from .varieties import DEFAULT_EPS, PolarizedAbelianVariety
 
 #: hard cap on the number of lattice points in one summation box
@@ -117,6 +117,15 @@ def _ravel(vectors: np.ndarray, dims) -> np.ndarray:
     """Lexicographic position in prod range(dims_i) of every integer vector
     along the last axis of ``vectors``: the inverse of :func:`lex_vectors`."""
     return np.ravel_multi_index(tuple(np.moveaxis(vectors, -1, 0)), tuple(dims))
+
+
+def _check_label(k, m: int, dims) -> np.ndarray:
+    """The level-m label k as an array; raises ValueError unless
+    0 <= k_i < dims_i = m d_i for each of the g entries of k."""
+    k = np.asarray(k)
+    if k.shape != (len(dims),) or not ((0 <= k) & (k < dims)).all():
+        raise ValueError(f"{k.tolist()} is not a level-{m} label, 0 <= k < {dims}")
+    return k
 
 
 def box_radius(lambda_min: float, m: int, g: int, offset: float) -> int:
@@ -427,9 +436,7 @@ class ThetaBasis:
     def eval(self, k, z) -> complex:
         """Value of the section labelled k at the one point z; raises
         ValueError unless 0 <= k_i < m d_i for each of the g entries of k."""
-        k = np.asarray(k)
-        if k.shape != (len(self._dims),) or not ((0 <= k) & (k < self._dims)).all():
-            raise ValueError(f"{k.tolist()} is not a level-{self.m} label, 0 <= k < {self._dims}")
+        k = _check_label(k, self.m, self._dims)
         return complex(self._sum.eval(self._chars[_ravel(k, self._dims)], z).item())
 
 
@@ -467,78 +474,6 @@ class ThetaTilde:
 
     def eval(self, z) -> complex:
         return complex(self.eval_many(z)[0])
-
-
-def lattice_coordinates(pav: PolarizedAbelianVariety, lam):
-    """Integer coordinates (a, bhat) with lam = Omega a + Delta bhat.
-
-    Raises :class:`NotLatticeVector` when lam is not a period within 1e-9.
-    """
-    tol = 1e-9
-    lam = np.asarray(lam, dtype=complex)
-    a = pav.im_inv @ lam.imag
-    aint = np.round(a)
-    if np.abs(a - aint).max() > tol * (1.0 + np.abs(aint).max()):
-        raise NotLatticeVector(f"imaginary part off-lattice by {np.abs(a - aint).max():.3e}")
-    rest = lam.real - pav.matrix.real @ aint
-    bhat = rest / pav.delta.as_diagonal()
-    bint = np.round(bhat)
-    if np.abs(bhat - bint).max() > tol * (1.0 + np.abs(bint).max()):
-        raise NotLatticeVector(f"real part off Delta Z^g by {np.abs(bhat - bint).max():.3e}")
-    return aint.astype(int), bint.astype(int)
-
-
-def _cocycle(pav: PolarizedAbelianVariety, m: int, a: np.ndarray, z):
-    """exp(-pi i m a^T Omega a - 2 pi i m a^T z) for a real g-vector a."""
-    z = np.asarray(z, dtype=complex)
-    return np.exp(-1j * math.pi * m * (a @ pav.matrix @ a) - 2j * math.pi * m * (z @ a))
-
-
-def automorphy_factor(pav: PolarizedAbelianVariety, m: int, lam, z):
-    """The level-m cocycle e_m(lambda, z) = exp(-pi i m a^T Omega a - 2 pi i m a^T z)
-    for a period lambda = Omega a + b, b in Delta Z^g."""
-    aint, _ = lattice_coordinates(pav, lam)
-    return _cocycle(pav, m, aint.astype(float), z)
-
-
-def quasi_periodicity_residual(pav: PolarizedAbelianVariety, m: int, k, lam, z) -> float:
-    """|theta_c(z + lam) - e(lam, z) theta_c(z)| / (1 + |theta_c(z)|) for the
-    level-m section labelled k, c = k/(m d).
-
-    Vanishes (to evaluation accuracy) when lam is a period; for non-periods
-    the same formula is applied with the real solution a of Im lam = Y a,
-    and the residual is O(1) generically.
-    """
-    basis = ThetaBasis(pav, m)
-    lam = np.asarray(lam, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    e = _cocycle(pav, m, pav.im_inv @ lam.imag, z)
-    t_shift = basis.eval(k, z + lam)
-    t_base = basis.eval(k, z)
-    return float(abs(t_shift - e * t_base) / (1.0 + abs(t_base)))
-
-
-def translate_action(pav: PolarizedAbelianVariety, m: int, x: TorsionPoint,
-                     k) -> tuple[tuple[int, ...], Callable]:
-    """Normalized theta-group action of x = Omega a in K(L^m)_1 on the basis.
-
-    Returns (shifted label k', stripping factor), k'_i = k_i + m d_i a_i
-    mod m d_i with d the divisors of ``pav``: the translate satisfies
-    theta_k(z + x) = factor(z) * theta_k'(z) exactly, so after stripping the
-    factor the action is the pure permutation c -> c + a.  Raises ValueError
-    for a point of another polarization and :class:`NotInK1` for one
-    outside K(L^m)_1.
-    """
-    x._compatible(pav.delta.divisors)
-    dims = [m * di for di in pav.delta.divisors]
-    for i, (ai, bi, dim) in enumerate(zip(x.a, x.b, dims)):
-        if bi != 0:
-            raise NotInK1(f"x has a nonzero real component b_{i} = {bi}")
-        if (dim * ai).denominator != 1:
-            raise NotInK1(f"x is not in K(L^{m})_1: a_{i} = {ai}")
-    shifted = tuple(int((ki + dim * ai) % dim) for ki, ai, dim in zip(k, x.a, dims, strict=True))
-    a = np.array([float(v) for v in x.a])
-    return shifted, lambda z: _cocycle(pav, m, a, z)
 
 
 def section_weights(pav: PolarizedAbelianVariety, m: int, zs) -> np.ndarray:

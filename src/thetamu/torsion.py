@@ -11,7 +11,6 @@ is ``E(x, y) = a . b' - b . a'``.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,14 +162,6 @@ def weil_pairing_phase(
     _check_torsion(pav, m, x, "x")
     _check_torsion(pav, m, y, "y")
     return (m * alternating_form(x, y)) % 1
-
-
-def weil_pairing(
-    pav: PolarizedAbelianVariety, m: int, x: TorsionPoint, y: TorsionPoint
-) -> complex:
-    """The level-m Weil pairing exp(2 pi i m E(x, y)), a root of unity."""
-    t = weil_pairing_phase(pav, m, x, y)
-    return cmath.exp(2j * pi * float(t))
 
 
 @dataclass(frozen=True)

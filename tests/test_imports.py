@@ -1,20 +1,32 @@
-"""Every module under src/, tests/ and demos/ uses each name it imports.
+"""Import rules, checked with ``ast`` and one subprocess.
 
-A standard-library stand-in for a linter's unused-import rule: a module is
-parsed with ``ast`` and each name an import binds must appear as a name
-somewhere else in it.  ``from __future__`` imports and the re-exports of the
-package ``__init__`` are exempt.
+* Every module under src/, tests/ and demos/ uses each name it imports: a
+  standard-library stand-in for a linter's unused-import rule.  Each name
+  an import binds must appear as a name somewhere else in the module;
+  ``from __future__`` imports and the re-exports of the package
+  ``__init__`` are exempt.
+* The verdict path is a small core: no package module but ``reference``
+  and ``torsion`` imports either of them, and ``import thetamu`` does not
+  load the reference layer.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "thetamu"
 MODULES = sorted(p for top in ("src", "tests", "demos") for p in (ROOT / top).rglob("*.py"))
 #: modules whose imports are the public interface, not uses
-REEXPORTS = {ROOT / "src" / "thetamu" / "__init__.py"}
+REEXPORTS = {PACKAGE / "__init__.py"}
+#: the package modules outside the verdict path, which it must not import
+OUTSIDE_CORE = {"reference", "torsion"}
+CORE = sorted(p for p in PACKAGE.glob("*.py") if p.stem not in OUTSIDE_CORE | {"__init__"})
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,3 +56,37 @@ def test_the_checker_finds_an_unused_import():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The thetamu modules a module imports, by name: relative imports and
+    imports from ``thetamu`` alike."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("thetamu.")}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").split(".")[0] == "thetamu"):
+            module = (node.module or "").removeprefix("thetamu").lstrip(".")
+            found |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    return found
+
+
+def test_the_checker_finds_a_package_import():
+    source = ("from . import mult\nfrom .theta import lex_vectors\nimport thetamu.torsion\n"
+              "from thetamu.reference import mu_matrix\nfrom thetamu import cli\nimport numpy\n")
+    assert package_imports(source) == {"mult", "theta", "torsion", "reference", "cli"}
+
+
+@pytest.mark.parametrize("path", CORE, ids=lambda p: p.stem)
+def test_core_module_imports_no_reference_or_torsion(path):
+    assert package_imports(path.read_text(encoding="utf-8")) & OUTSIDE_CORE == set()
+
+
+def test_import_thetamu_leaves_the_reference_layer_unloaded():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import json, sys, thetamu; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    loaded = json.loads(out)
+    assert "thetamu.mult" in loaded and "thetamu.reference" not in loaded

@@ -12,12 +12,8 @@ from thetamu import (
     Verdict,
     catalog,
     characters,
-    expand_in_basis,
     gamma_blocks,
-    monotonicity_check,
-    mu_matrix,
     numerical_rank,
-    phi_map_coords,
     projective_residual,
     random_period_matrix,
     run_scenario,
@@ -31,6 +27,7 @@ from thetamu import (
     zero_point,
 )
 from thetamu import mult
+from thetamu.reference import expand_in_basis, mu_matrix, phi_map_coords
 from thetamu.theta import lex_vectors
 
 from test_theta import characteristics
@@ -154,15 +151,15 @@ def test_expand_ill_conditioned_cap(elliptic_d3):
 
 def test_mu_matrix_shapes(elliptic_d3, principal_g2):
     mu = mu_matrix(elliptic_d3, 1)
-    assert mu.matrix.shape == (6, 9)
+    assert mu.shape == (6, 9)
     mu_p = mu_matrix(principal_g2, 1)
-    assert mu_p.matrix.shape == (4, 1)
+    assert mu_p.shape == (4, 1)
 
 
 def test_mu_matrix_surface_shape():
     pav = validate_polarized(random_period_matrix(2, 104), (3, 3), simple_asserted=True)
     mu = mu_matrix(pav, 1)
-    assert mu.matrix.shape == (36, 81)
+    assert mu.shape == (36, 81)
 
 
 def test_numerical_rank_basics():
@@ -190,7 +187,7 @@ def test_surjectivity_dimensional_obstruction(principal_g2):
     assert verdict.dimensional_shortcut
     # the numeric rank agrees with the obstruction: rank <= 1 < 4
     mu = mu_matrix(principal_g2, 1)
-    assert numerical_rank(mu.matrix).rank < principal_g2.h0(2)
+    assert numerical_rank(mu).rank < principal_g2.h0(2)
 
 
 def test_verdict_invariant_under_reseeding():
@@ -204,7 +201,7 @@ def test_verdict_invariant_under_reseeding():
 
 def _assert_union_is_dense_spectrum(blocks, mu):
     """The block spectra together are the spectrum of the dense mu_n."""
-    dense = np.linalg.svd(mu.matrix, compute_uv=False)
+    dense = np.linalg.svd(mu, compute_uv=False)
     assert blocks.singular_values.shape == dense.shape
     assert np.abs(blocks.singular_values - dense).max() <= 1e-13 * dense[0]
 
@@ -212,8 +209,8 @@ def _assert_union_is_dense_spectrum(blocks, mu):
 def test_gamma_blocks_principal_single_block(principal_g1):
     mu = mu_matrix(principal_g1, 2)
     blocks = gamma_blocks(principal_g1, 2)
-    assert blocks.matrices.shape == (1, *mu.matrix.shape)
-    assert np.allclose(blocks.matrices[0], mu.matrix)
+    assert blocks.matrices.shape == (1, *mu.shape)
+    assert np.allclose(blocks.matrices[0], mu)
     _assert_union_is_dense_spectrum(blocks, mu)
 
 
@@ -406,14 +403,6 @@ def test_spanning_surface_seventh_torsion(principal_g2):
     assert report.rank == report.required_rank == 4
 
 
-def test_monotonicity_elliptic():
-    for divisors, omega_seed in (((3,), 101), ((4,), 102)):
-        pav = validate_polarized(random_period_matrix(1, omega_seed), divisors, True)
-        v1 = surjectivity_verdict(pav, 1)
-        assert v1.verdict is Verdict.SURJECTIVE
-        assert monotonicity_check(pav, 1)
-
-
 def test_spanning_modulus_below_one_is_refused(principal_g1):
     for N in (0, -3):
         with pytest.raises(ValueError, match=f"require N >= 1, got {N}"):
@@ -435,10 +424,6 @@ def test_spanning_grid_is_product_order(principal_g2, monkeypatch):
     assert np.abs(seen[0] - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
-def test_monotonicity_vacuous(principal_g2):
-    assert monotonicity_check(principal_g2, 1)
-
-
 def _never_called(*args, **kwargs):
     raise AssertionError("a size guard let the work start")
 
@@ -448,7 +433,7 @@ def test_size_caps(principal_g1, monkeypatch):
 
     # 1600 x 90000 cells exceed DEFAULT_CELL_CAP: refused before any evaluation
     pav = validate_polarized(random_period_matrix(2, 5), (1, 100))
-    monkeypatch.setattr(mult, "theta_constants", _never_called)
+    monkeypatch.setattr("thetamu.reference.theta_constants", _never_called)
     with pytest.raises(SizeLimit, match="1600x90000"):
         mu_matrix(pav, 3)
     # the (h0(n+1), |G|) values, 10**6 + 1 sections at 100 points, exceed
@@ -506,10 +491,10 @@ def test_mu_fit_matches_lstsq(divisors, n, seed):
     rhs = (b1[:, None, :] * bn[None, :, :]).reshape(-1, len(samples)).T * w[:, None]
     coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     assert rank == design.shape[1]
-    assert np.abs(mu.matrix - coef).max() <= 1e-12 * np.abs(coef).max()
-    assert numerical_rank(mu.matrix).rank == numerical_rank(coef).rank
+    assert np.abs(mu - coef).max() <= 1e-12 * np.abs(coef).max()
+    assert numerical_rank(mu).rank == numerical_rank(coef).rank
     # the exact matrix reproduces the sampled products themselves
-    misfit = np.linalg.norm(design @ mu.matrix - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
+    misfit = np.linalg.norm(design @ mu - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
     assert misfit.max() <= 1e-10
 
 
@@ -528,16 +513,16 @@ def test_mu_matrix_is_exact_incidence(divisors, n):
     rows = {c: i for i, c in enumerate(characteristics(pav, n + 1))}
     taus = {c: i for i, c in enumerate(characteristics(pav, n * (n + 1)))}
     consts = theta_constants(pav, n * (n + 1))
-    expected = np.zeros_like(mu.matrix)
+    expected = np.zeros_like(mu)
     pairs = itertools.product(characteristics(pav, 1), characteristics(pav, n))
     for col, (a, b) in enumerate(pairs):
         for j in itertools.product(range(n + 1), repeat=g):
             tau = tuple((ai - bi + ji) / (n + 1) % 1 for ai, bi, ji in zip(a, b, j))
             row = tuple((bi + ti) % 1 for bi, ti in zip(b, tau))
             expected[rows[row], col] = consts[taus[tau]]
-    assert np.array_equal(mu.matrix, expected)
-    assert np.array_equal((mu.matrix != 0).sum(axis=0), np.full(mu.matrix.shape[1], (n + 1) ** g))
-    assert mu_matrix(pav, n).matrix.tobytes() == mu.matrix.tobytes()
+    assert np.array_equal(mu, expected)
+    assert np.array_equal((mu != 0).sum(axis=0), np.full(mu.shape[1], (n + 1) ** g))
+    assert mu_matrix(pav, n).tobytes() == mu.tobytes()
 
 
 def test_expand_in_basis_matches_lstsq():
@@ -605,7 +590,7 @@ def _reference_blocks(pav, n):
     assert [tuple(int(b) for b in y.b) for y in k2] == [tuple(k) for k in chars]
     U1, Un, Un1 = (_table_eigenbasis(pav, m, table) for m in (1, n, n + 1))
     # the Kronecker product, applied one factor at a time
-    full = (Un1.conj().T @ mu.matrix).reshape(len(Un1), len(U1), len(Un))
+    full = (Un1.conj().T @ mu).reshape(len(Un1), len(U1), len(Un))
     full = (np.swapaxes(np.tensordot(full, U1, axes=(1, 0)), 1, 2) @ Un).reshape(len(Un1), -1)
     col_gamma = np.repeat([table.character_of(ya + yb) for ya in k2 for yb in k2], n**pav.g)
     rows = (n + 1) ** pav.g
@@ -671,8 +656,7 @@ def test_verdict_forms_no_dense_slice(elliptic_d3, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the verdict formed dense columns of mu_n")
 
-    monkeypatch.setattr(mult, "_mu_columns", refuse)
-    monkeypatch.setattr(mult, "mu_matrix", refuse)
+    monkeypatch.setattr("thetamu.reference.mu_matrix", refuse)
     surface = validate_polarized(random_period_matrix(2, 104), (3, 3), True)
     for pav, rank in ((elliptic_d3, 6), (surface, 36)):
         verdict = surjectivity_verdict(pav, 1)

@@ -24,6 +24,8 @@ def test_library_tour_runs_as_written():
     assert scope["itt"] is ITTVerdict.HOLDS
     assert scope["basis"].dim == 36
     assert scope["basis"].eval_matrix(scope["np"].zeros((1, 2))).shape == (36, 1)
+    assert scope["mu"].shape == (36, 81)
+    assert scope["np"].linalg.matrix_rank(scope["mu"]) == 36
 
 
 def test_scenario_example_runs_as_written():

@@ -20,7 +20,6 @@ from thetamu import (
     emit_report,
     itt_verdict,
     load_scenario,
-    phi_map_coords,
     random_period_matrix,
     run_scenario,
     section_weights,
@@ -29,6 +28,7 @@ from thetamu import (
 )
 from thetamu import mult, scenarios, theta
 from thetamu.cli import main as cli_main
+from thetamu.reference import mu_matrix, phi_map_coords
 from thetamu.scenarios import resolve_n
 
 
@@ -418,8 +418,8 @@ def test_run_scenario_fits_mu_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("mu_matrix", "theta_constants"):
-        monkeypatch.setattr(mult, name, counting(name, getattr(mult, name)))
+    monkeypatch.setattr(mult, "theta_constants", counting("theta_constants", mult.theta_constants))
+    monkeypatch.setattr("thetamu.reference.mu_matrix", counting("mu_matrix", mu_matrix))
     report = run_scenario(_by_name("elliptic-d3"))
     assert report.payload["blocks"]["rank_sum"] == 6
     assert calls == ["theta_constants"]
@@ -569,10 +569,36 @@ def test_inconclusive_above_the_bound_is_not_a_violation(config, gap_ratio):
     assert p["exit_code"] == 3
 
 
+_PRODUCT_OMEGA = [[[0.1, 1.1], [0, 0], [0, 0]], [[0, 0], [0.2, 1.3], [0, 0]],
+                  [[0, 0], [0, 0], [0.3, 1.7]]]
+
+
+@pytest.mark.parametrize("config,rank", [
+    (ScenarioConfig(name="product-1-1-21", g=3, type=(1, 1, 21), omega=_PRODUCT_OMEGA, n=2,
+                    simple_asserted=True), 252),
+    (ScenarioConfig(name="product-1-3-9", g=3, type=(1, 3, 9), omega=_PRODUCT_OMEGA, n=2,
+                    simple_asserted=True), 486),
+    (ScenarioConfig(name="elliptic-d3-far-cusp", g=1, type=(3,), omega=[[[0.1, 200.0]]], n=1,
+                    simple_asserted=True), 3),
+], ids=["product-1-1-21", "product-1-3-9", "elliptic-d3-far-cusp"])
+def test_not_surjective_at_one_omega_is_not_a_violation(config, rank):
+    # a rank decided at one period matrix says nothing against the theorem:
+    # a product E1 x E2 x E3 asserted simple has the rank of its factors, and
+    # near the cusp the rank carries no error bound.  Exit 3, not 4
+    p = run_scenario(config).payload
+    assert p["bound_prediction"] == "TheoremPredictsSurjective"
+    assert p["surjectivity"]["verdict"] == "NotSurjective"
+    assert p["surjectivity"]["rank"] == rank
+    assert p["consistency"]["theorem_violation"] is False
+    assert p["exit_code"] == 3
+
+
 def test_not_surjective_above_the_bound_is_a_violation(monkeypatch):
-    # a decided NotSurjective against the prediction is reported as a defect
+    # a NotSurjective that holds for every Omega against the prediction is
+    # reported as a defect
     def not_surjective(pav, n):
-        return replace(mult.surjectivity_verdict(pav, n), verdict=Verdict.NOT_SURJECTIVE)
+        return replace(mult.surjectivity_verdict(pav, n), verdict=Verdict.NOT_SURJECTIVE,
+                       dimensional_shortcut=True)
 
     monkeypatch.setattr(scenarios, "surjectivity_verdict", not_surjective)
     p = run_scenario(_by_name("elliptic-d3")).payload

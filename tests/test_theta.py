@@ -8,6 +8,12 @@ import numpy as np
 import pytest
 
 from thetamu import theta
+from thetamu.reference import (
+    automorphy_factor,
+    lattice_coordinates,
+    quasi_periodicity_residual,
+    translate_action,
+)
 from thetamu.varieties import DEFAULT_EPS
 from thetamu import (
     NotInK1,
@@ -17,15 +23,12 @@ from thetamu import (
     ThetaTilde,
     TorsionPoint,
     TruncationOverflow,
-    automorphy_factor,
     k_group,
-    lattice_coordinates,
-    quasi_periodicity_residual,
     random_period_matrix,
     section_weights,
     theta_constants,
-    translate_action,
     validate_polarized,
+    zero_point,
 )
 
 # small-imaginary-part instances keep automorphy factors within the
@@ -575,6 +578,14 @@ def test_translate_action_rejects_k2(pav_g1):
     x = TorsionPoint([0], [Fraction(1, 2)], (3,))
     with pytest.raises(NotInK1):
         translate_action(pav_g1, 2, x, [0])
+
+
+@pytest.mark.parametrize("k", [[7], [-1], [0, 0], []], ids=["7", "-1", "two-entries", "none"])
+def test_translate_action_rejects_a_label_out_of_range(k):
+    # the labels of level 2 on type (1) are [0] and [1], as in ThetaBasis.eval
+    pav = validate_polarized(OMEGA_G1, (1,))
+    with pytest.raises(ValueError, match=r"is not a level-2 label, 0 <= k < \(2,\)"):
+        translate_action(pav, 2, zero_point(pav), k)
 
 
 def test_translate_action_permutes_labels_at_g2():

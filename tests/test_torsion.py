@@ -16,7 +16,6 @@ from thetamu import (
     k_group,
     random_period_matrix,
     validate_polarized,
-    weil_pairing,
     weil_pairing_phase,
     zero_point,
 )
@@ -93,7 +92,8 @@ def test_weil_pairing_example(elliptic):
     x = grp.k1[1]  # Omega/2
     y = grp.k2[1]  # 1/2
     assert alternating_form(x, y) == Fraction(1, 4)
-    assert weil_pairing(elliptic, 2, x, y) == pytest.approx(-1.0)
+    # e_2(x, y) = exp(2 pi i / 2) = -1
+    assert weil_pairing_phase(elliptic, 2, x, y) == Fraction(1, 2)
 
 
 def test_weil_pairing_isotropy_and_zero(elliptic_d3):
@@ -103,7 +103,7 @@ def test_weil_pairing_isotropy_and_zero(elliptic_d3):
             for y in half[:4]:
                 assert weil_pairing_phase(elliptic_d3, 2, x, y) == 0
     z = zero_point(elliptic_d3)
-    assert weil_pairing(elliptic_d3, 2, z, grp.k2[3]) == pytest.approx(1.0)
+    assert weil_pairing_phase(elliptic_d3, 2, z, grp.k2[3]) == 0
 
 
 def test_weil_pairing_nondegenerate():
@@ -124,7 +124,7 @@ def test_weil_pairing_rejects_non_torsion(elliptic):
     x = TorsionPoint([Fraction(1, 3)], [0], (1,))
     y = zero_point(elliptic)
     with pytest.raises(NotTorsion):
-        weil_pairing(elliptic, 2, x, y)
+        weil_pairing_phase(elliptic, 2, x, y)
 
 
 def test_crt_split_example(elliptic):
