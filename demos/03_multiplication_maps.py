@@ -56,7 +56,7 @@ dense = np.linalg.svd(mu, compute_uv=False)
 agreement = np.abs(blocks.singular_values - dense).max() / dense[0]
 print(f"\n{len(blocks.ranks)} blocks in {len(blocks.matrices)} orbit(s), "
       f"block spectra vs dense spectrum {agreement:.1e}")
-characters = lex_vectors(pav.delta.divisors)
+characters = lex_vectors(pav.divisors)
 for i, (block, rep) in enumerate(zip(blocks.matrices, blocks.representatives)):
     size = int((blocks.orbit == i).sum())
     print(f"  orbit of character {characters[rep].tolist()}: {size} characters, "

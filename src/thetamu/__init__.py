@@ -24,12 +24,8 @@ from .errors import (
 )
 from .varieties import (
     BoundPrediction,
-    PeriodMatrix,
-    PolarizationType,
     PolarizedAbelianVariety,
     bound_prediction,
-    embedded_surface_h0,
-    h0,
     torelli_bound,
     validate_polarized,
 )

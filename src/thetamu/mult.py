@@ -140,7 +140,7 @@ def _mu_entries(pav: PolarizedAbelianVariety, n: int, k1: np.ndarray):
     index k' of every entry, an integer vector along a last axis, and tau the
     position of its value in theta_constants(n(n+1)).
     """
-    d = np.array(pav.delta.divisors)
+    d = np.array(pav.divisors)
     # axes (k1, kn, j, coordinate)
     k1 = k1[:, None, None, :]
     kn = lex_vectors(n * d)[None, :, None, :]
@@ -338,8 +338,8 @@ def gamma_blocks(pav: PolarizedAbelianVariety, n: int) -> GammaBlocks:
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")
     g = pav.g
-    d = np.array(pav.delta.divisors)
-    deg = pav.delta.degree
+    d = np.array(pav.divisors)
+    deg = pav.degree
     rows, cols = (n + 1) ** g, n**g
     chars = lex_vectors(d)
     # the first character of every orbit: gamma or -gamma mod gcd(n+1, d_i)
@@ -485,7 +485,7 @@ def wirtinger_matrix(
     :class:`FitResidualTooLarge` when the relation misfit exceeds
     DEFAULT_RESIDUAL_TOL.
     """
-    if not pav.delta.is_principal:
+    if not pav.is_principal:
         raise ValueError("the Wirtinger matrix requires a principal polarization")
     g = pav.g
     N = n * (n + 1)
@@ -548,7 +548,7 @@ def spanning_check(pav: PolarizedAbelianVariety, n: int, N: int) -> SpanningRepo
     DEFAULT_POINT_CAP (the bound on the |G| x 2g grid, which fires first when
     (n+1)^g < 10) or the h0(n+1) x |G| values exceed DEFAULT_CELL_CAP.
     """
-    if not pav.delta.is_principal:
+    if not pav.is_principal:
         raise ValueError("the spanning check requires a principal polarization")
     g = pav.g
     # a Python int: a numpy integer power wraps silently

@@ -32,7 +32,7 @@ def lattice_coordinates(pav: PolarizedAbelianVariety, lam):
     if np.abs(a - aint).max() > tol * (1.0 + np.abs(aint).max()):
         raise NotLatticeVector(f"imaginary part off-lattice by {np.abs(a - aint).max():.3e}")
     rest = lam.real - pav.matrix.real @ aint
-    bhat = rest / pav.delta.as_diagonal()
+    bhat = rest / pav.divisors
     bint = np.round(bhat)
     if np.abs(bhat - bint).max() > tol * (1.0 + np.abs(bint).max()):
         raise NotLatticeVector(f"real part off Delta Z^g by {np.abs(bhat - bint).max():.3e}")
@@ -81,8 +81,8 @@ def translate_action(pav: PolarizedAbelianVariety, m: int, x: TorsionPoint,
     :meth:`ThetaBasis.eval` does, and :class:`NotInK1` for a point outside
     K(L^m)_1.
     """
-    x._compatible(pav.delta.divisors)
-    dims = tuple(m * di for di in pav.delta.divisors)
+    x._compatible(pav.divisors)
+    dims = tuple(m * di for di in pav.divisors)
     k = _check_label(k, m, dims)
     for i, (ai, bi, dim) in enumerate(zip(x.a, x.b, dims)):
         if bi != 0:
@@ -119,8 +119,8 @@ def mu_matrix(pav: PolarizedAbelianVariety, n: int) -> np.ndarray:
     cols = pav.h0(1) * pav.h0(n)
     if rows * cols > mult.DEFAULT_CELL_CAP:
         raise SizeLimit(f"mu_{n} needs {rows}x{cols} cells, cap is {mult.DEFAULT_CELL_CAP}")
-    row, tau = mult._mu_entries(pav, n, lex_vectors(pav.delta.divisors))
-    row = _ravel(row, (n + 1) * np.array(pav.delta.divisors))
+    row, tau = mult._mu_entries(pav, n, lex_vectors(pav.divisors))
+    row = _ravel(row, (n + 1) * np.array(pav.divisors))
     col = np.arange(cols).reshape(row.shape[:2] + (1,))
     matrix = np.zeros((rows, cols), dtype=complex)
     matrix[row, col] = theta_constants(pav, n * (n + 1))[tau]
@@ -141,7 +141,7 @@ def expand_in_basis(
     return mult._weighted_fit(pav, m, ThetaBasis(pav, m).eval_matrix(zs), zs, values)
 
 
-def phi_map_coords(pav: PolarizedAbelianVariety, n: int, points, seed: int) -> mult.Expansion:
+def phi_map_coords(pav: PolarizedAbelianVariety, n: int, seed: int, points) -> mult.Expansion:
     """Coordinates in |(n+1) theta| of the divisor of u -> theta(u+nb) theta~(u-b)
     for every point b of ``points``, in the forms :func:`wirtinger_matrix`
     takes: coefficients of shape (h0(n+1), P), one column per point, fit at
@@ -149,7 +149,7 @@ def phi_map_coords(pav: PolarizedAbelianVariety, n: int, points, seed: int) -> m
 
     The underlying point of projective space depends only on b mod Lambda.
     """
-    if not pav.delta.is_principal:
+    if not pav.is_principal:
         raise ValueError("the divisor map requires a principal polarization")
     bs = np.asarray(points, dtype=complex).reshape(-1, pav.g)
     us = mult.sample_points(pav, mult.OVERSAMPLE * pav.h0(n + 1), seed)

@@ -29,9 +29,9 @@ from .errors import ThetamuError, ValidationError
 from .mult import Verdict, spanning_check, surjectivity_verdict, wirtinger_matrix
 from .varieties import (
     BoundPrediction,
-    PeriodMatrix,
     PolarizedAbelianVariety,
     TorelliBound,
+    _is_int,
     bound_prediction,
     torelli_bound,
     validate_polarized,
@@ -125,7 +125,7 @@ def load_scenario(path) -> ScenarioConfig:
     return ScenarioConfig.from_dict(data)
 
 
-def random_period_matrix(g: int, seed: int) -> PeriodMatrix:
+def random_period_matrix(g: int, seed: int) -> np.ndarray:
     """Seeded matrix Omega = S + i (A^T A + g I) with S symmetric uniform in
     [-1/2, 1/2] and A uniform in [-1, 1]; always passes validation.
 
@@ -141,7 +141,7 @@ def random_period_matrix(g: int, seed: int) -> PeriodMatrix:
     a = rng.uniform(-1.0, 1.0, (g, g))
     s0 = rng.uniform(-0.5, 0.5, (g, g))
     s = (s0 + s0.T) / 2.0
-    return PeriodMatrix(s + 1j * (a.T @ a + g * np.eye(g)))
+    return s + 1j * (a.T @ a + g * np.eye(g))
 
 
 class ITTVerdict(Enum):
@@ -173,12 +173,6 @@ def resolve_n(config: ScenarioConfig) -> tuple[int, str | None]:
 
 def _complex_matrix_to_pairs(matrix: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
-
-
-def _is_int(value) -> bool:
-    # the exact-type test first: a type list may hold a million entries
-    return type(value) is int or (isinstance(value, numbers.Integral)
-                                  and not isinstance(value, bool))
 
 
 def _is_finite(value) -> bool:
@@ -239,7 +233,7 @@ def writable_bound(g: int, n: int, degree: int = 1) -> TorelliBound:
     return bound
 
 
-def resolve_omega(config: ScenarioConfig) -> PeriodMatrix:
+def resolve_omega(config: ScenarioConfig) -> np.ndarray:
     if isinstance(config.omega, dict):
         request = config.omega.get("random")
         if (not isinstance(request, dict) or set(config.omega) != {"random"}
@@ -257,7 +251,7 @@ def resolve_omega(config: ScenarioConfig) -> PeriodMatrix:
         raise ValueError(
             f"omega must be a {g} x {g} list of [re, im] pairs of finite numbers, got {rows!r}"
         )
-    return PeriodMatrix([[complex(float(re), float(im)) for re, im in row] for row in rows])
+    return np.array([[complex(float(re), float(im)) for re, im in row] for row in rows])
 
 
 @dataclass(eq=False)

@@ -120,10 +120,12 @@ def _ravel(vectors: np.ndarray, dims) -> np.ndarray:
 
 
 def _check_label(k, m: int, dims) -> np.ndarray:
-    """The level-m label k as an array; raises ValueError unless
-    0 <= k_i < dims_i = m d_i for each of the g entries of k."""
+    """The level-m label k as an array; raises ValueError unless k holds
+    integers, bool excluded, with 0 <= k_i < dims_i = m d_i for each of its
+    g entries."""
     k = np.asarray(k)
-    if k.shape != (len(dims),) or not ((0 <= k) & (k < dims)).all():
+    if (k.dtype.kind not in "iu" or k.shape != (len(dims),)
+            or not ((0 <= k) & (k < dims)).all()):
         raise ValueError(f"{k.tolist()} is not a level-{m} label, 0 <= k < {dims}")
     return k
 
@@ -388,7 +390,7 @@ def theta_constants(pav: PolarizedAbelianVariety, m: int) -> np.ndarray:
     each pair {k, -k mod m d} is evaluated and its value written to both.
     """
     lattice = _LatticeSum(pav.matrix, m, offset=0.5)
-    dims = m * np.array(pav.delta.divisors)
+    dims = m * np.array(pav.divisors)
     ks = lex_vectors(dims)
     # the first index of each pair {k, -k mod m d}
     rep = np.minimum(np.arange(len(ks)), _ravel(-ks % dims, dims))
@@ -413,7 +415,7 @@ class ThetaBasis:
     def __init__(self, pav: PolarizedAbelianVariety, m: int):
         self.pav = pav
         self.m = int(m)
-        self._dims = tuple(self.m * di for di in pav.delta.divisors)
+        self._dims = tuple(self.m * di for di in pav.divisors)
         self._sum = _LatticeSum(pav.matrix, m)
         self._chars = lex_vectors(self._dims) / np.array(self._dims)
 
@@ -435,7 +437,8 @@ class ThetaBasis:
 
     def eval(self, k, z) -> complex:
         """Value of the section labelled k at the one point z; raises
-        ValueError unless 0 <= k_i < m d_i for each of the g entries of k."""
+        ValueError unless k holds g integers, bool excluded, with
+        0 <= k_i < m d_i."""
         k = _check_label(k, self.m, self._dims)
         return complex(self._sum.eval(self._chars[_ravel(k, self._dims)], z).item())
 
@@ -452,7 +455,7 @@ class ThetaTilde:
     """
 
     def __init__(self, pav: PolarizedAbelianVariety, n: int):
-        if not pav.delta.is_principal:
+        if not pav.is_principal:
             raise ValueError("theta~ is defined for principal polarizations only")
         if n < 1:
             raise ValueError(f"require n >= 1, got {n}")

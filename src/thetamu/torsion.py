@@ -94,7 +94,7 @@ class TorsionPoint:
 
 def zero_point(pav: PolarizedAbelianVariety) -> TorsionPoint:
     g = pav.g
-    return TorsionPoint([0] * g, [0] * g, pav.delta.divisors)
+    return TorsionPoint([0] * g, [0] * g, pav.divisors)
 
 
 def alternating_form(x: TorsionPoint, y: TorsionPoint) -> Fraction:
@@ -109,8 +109,8 @@ def alternating_form(x: TorsionPoint, y: TorsionPoint) -> Fraction:
 def _check_torsion(pav: PolarizedAbelianVariety, m: int, x: TorsionPoint, label: str) -> None:
     # x in K(L^m)  <=>  m E(x, .) is integral on Lambda
     # <=>  m b_i in Z and m d_i a_i in Z for every i
-    x._compatible(pav.delta.divisors)
-    for i, (ai, bi, di) in enumerate(zip(x.a, x.b, pav.delta.divisors)):
+    x._compatible(pav.divisors)
+    for i, (ai, bi, di) in enumerate(zip(x.a, x.b, pav.divisors)):
         if (m * bi).denominator != 1 or (m * di * ai).denominator != 1:
             raise NotTorsion(
                 f"{label} is not in K(L^{m}): coordinate {i} fails integrality "
@@ -138,7 +138,7 @@ def k_group(pav: PolarizedAbelianVariety, m: int) -> TorsionSubgroup:
     points per half."""
     if m < 1:
         raise ValueError(f"level must be >= 1, got {m}")
-    d = pav.delta.divisors
+    d = pav.divisors
     g = pav.g
     order = pav.h0(m)
     if order > DEFAULT_GROUP_CAP:
@@ -214,11 +214,11 @@ def crt_split(
     Requires a principal polarization and a point of it; gamma is the
     n-torsion part of beta.
     """
-    if not pav.delta.is_principal:
+    if not pav.is_principal:
         raise ValueError("crt_split requires a principal polarization")
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")
-    beta._compatible(pav.delta.divisors)
+    beta._compatible(pav.divisors)
     N = n * (n + 1)
     g = pav.g
     ks = []

@@ -73,11 +73,11 @@ def test_c02_quasi_periodicity_suite():
     worst = 0.0
     checked = 0
     for g, pav in instances.items():
-        d = pav.delta.as_diagonal()
+        d = np.array(pav.divisors)
         rng = np.random.default_rng(2025 + g)
         for m in (1, 2, 3):
             basis = ThetaBasis(pav, m)
-            labels = lex_vectors(m * np.array(pav.delta.divisors))
+            labels = lex_vectors(m * np.array(pav.divisors))
             drawn = 0
             while drawn < 20:
                 a = rng.integers(-2, 3, g).astype(float)

@@ -332,7 +332,7 @@ def test_wrong_wirtinger_incidence_is_rejected(principal_g1):
 def test_phi_map_coords_properties(principal_g1):
     n = 2
     rng = np.random.default_rng(31)
-    zero = phi_map_coords(principal_g1, n, zero_point(principal_g1).to_complex(principal_g1), 41)
+    zero = phi_map_coords(principal_g1, n, 41, zero_point(principal_g1).to_complex(principal_g1))
     assert zero.coefficients.shape == (n + 1, 1)
     tilde = ThetaTilde(principal_g1, n)
     basis1 = ThetaBasis(principal_g1, 1)
@@ -341,13 +341,13 @@ def test_phi_map_coords_properties(principal_g1):
     direct = expand_in_basis(principal_g1, n + 1, values, samples)
     assert np.allclose(zero.coefficients[:, 0], direct.coefficients, atol=1e-9)
     bs = rng.random((20, 1)) @ principal_g1.matrix.T + rng.random((20, 1))
-    coords = phi_map_coords(principal_g1, n, bs, 41).coefficients
+    coords = phi_map_coords(principal_g1, n, 41, bs).coefficients
     assert coords.shape == (n + 1, 20)
     assert np.linalg.norm(coords, axis=0).min() > 1e-6
     # coordinates depend on b only mod Lambda (projectively)
     b = np.array([0.31 + 0.17j])
     lam = principal_g1.lattice_vector([1], [2])
-    c1, c2 = phi_map_coords(principal_g1, n, [b, b + lam], 41).coefficients.T
+    c1, c2 = phi_map_coords(principal_g1, n, 41, [b, b + lam]).coefficients.T
     assert projective_residual(c1, c2) < 1e-8
 
 
@@ -370,9 +370,9 @@ def test_batched_diagram_check_matches_single_points(g, n):
     batched = wirtinger_matrix(pav, n, 16, points).diagram_residuals
     single = [wirtinger_matrix(pav, n, 16, [b]).diagram_residuals[0] for b in points]
     assert np.abs(batched - single).max() <= 1e-13
-    coords = phi_map_coords(pav, n, points, 16).coefficients
+    coords = phi_map_coords(pav, n, 16, points).coefficients
     for p, b in enumerate(points):
-        alone = phi_map_coords(pav, n, b, 16).coefficients[:, 0]
+        alone = phi_map_coords(pav, n, 16, b).coefficients[:, 0]
         assert np.abs(coords[:, p] - alone).max() <= 1e-13 * np.abs(alone).max()
 
 
@@ -560,7 +560,7 @@ def test_expand_in_basis_matches_lstsq():
 
 def _table_eigenbasis(pav, m, table):
     """The eigenbasis built entry by entry from the exact character table."""
-    d = pav.delta.divisors
+    d = pav.divisors
     g = pav.g
     group = table.group
     deg = len(group.k1)
@@ -586,7 +586,7 @@ def _reference_blocks(pav, n):
     table = characters(pav, 1)
     k2 = table.group.k2
     # character i is lex_vectors(d)[i], the order of k2
-    chars = lex_vectors(pav.delta.divisors)
+    chars = lex_vectors(pav.divisors)
     assert [tuple(int(b) for b in y.b) for y in k2] == [tuple(k) for k in chars]
     U1, Un, Un1 = (_table_eigenbasis(pav, m, table) for m in (1, n, n + 1))
     # the Kronecker product, applied one factor at a time

@@ -20,6 +20,8 @@ def _block(language, after):
 def test_library_tour_runs_as_written():
     scope = {}
     exec(compile(_block("python", "## Library tour"), "README.md", "exec"), scope)
+    pav = scope["pav"]
+    assert (pav.divisors, pav.degree, pav.h0(2), pav.matrix.shape) == ((3, 3), 9, 36, (2, 2))
     assert scope["v"].verdict is Verdict.SURJECTIVE and scope["v"].rank == 36
     assert scope["itt"] is ITTVerdict.HOLDS
     assert scope["basis"].dim == 36

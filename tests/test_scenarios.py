@@ -38,12 +38,13 @@ def _by_name(name):
 
 def test_random_period_matrix_contract():
     for g in (1, 2, 3):
-        pm = random_period_matrix(g, 42)
-        assert np.abs(pm.omega - pm.omega.T).max() < 1e-15
-        assert pm.lambda_min() >= g - 1e-12
-        validate_polarized(pm, (1,) * g)
-    assert np.array_equal(random_period_matrix(2, 9).omega, random_period_matrix(2, 9).omega)
-    assert not np.array_equal(random_period_matrix(2, 9).omega, random_period_matrix(2, 10).omega)
+        omega = random_period_matrix(g, 42)
+        assert isinstance(omega, np.ndarray) and omega.shape == (g, g)
+        assert np.abs(omega - omega.T).max() < 1e-15
+        assert np.linalg.eigvalsh(omega.imag).min() >= g - 1e-12
+        validate_polarized(omega, (1,) * g)
+    assert np.array_equal(random_period_matrix(2, 9), random_period_matrix(2, 9))
+    assert not np.array_equal(random_period_matrix(2, 9), random_period_matrix(2, 10))
 
 
 def test_n_token_resolution():
@@ -323,7 +324,7 @@ def test_wirtinger_stage_matches_separate_calls(cfg, monkeypatch):
     N = n * (n + 1)
     C = wirt.full
     # the diagram: divisor coordinates against the Wirtinger image, per point
-    phi = phi_map_coords(pav, n, points, seed).coefficients
+    phi = phi_map_coords(pav, n, seed, points).coefficients
     image = C @ ThetaBasis(pav, N).eval_matrix(np.array(points))
     separate = [mult.projective_residual(x, y) for x, y in zip(phi.T, image.T)]
     assert wirt.diagram_residuals.shape == (len(points),) == (3,)

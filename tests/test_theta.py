@@ -57,7 +57,7 @@ def pav_g2():
 def characteristics(pav, m):
     """The exact characteristic c = k/(m d), as Fractions, of every level-m
     label k, in the lex_vectors order of the sections."""
-    dims = [m * d for d in pav.delta.divisors]
+    dims = [m * d for d in pav.divisors]
     return [tuple(Fraction(k, dim) for k, dim in zip(ks, dims))
             for ks in theta.lex_vectors(dims).tolist()]
 
@@ -92,8 +92,8 @@ def test_theta_oracle_value(elliptic):
 
 def test_eval_reads_the_row_of_its_label(pav_g2):
     # eval(k, z) is row _ravel(k) of eval_matrix, up to the rounding of a
-    # one-row product, for every label k, and a label out of range or of the
-    # wrong length is refused
+    # one-row product, for every label k, and a label out of range, of the
+    # wrong length or not of integers is refused
     z = np.array([0.2 + 0.3j, -0.1 + 0.4j])
     for m in (1, 2, 3):
         basis = ThetaBasis(pav_g2, m)
@@ -104,7 +104,8 @@ def test_eval_reads_the_row_of_its_label(pav_g2):
         tol = 1e-14 * abs(values).max()
         for k in labels:
             assert abs(basis.eval(k, z) - values[theta._ravel(k, dims)]) <= tol
-        for bad in ([m, 0], [0, 2 * m], [-1, 0], [0], [0, 0, 0]):
+        for bad in ([m, 0], [0, 2 * m], [-1, 0], [0], [0, 0, 0], [0.5, 0], [1.0, 0],
+                    [True, False]):
             with pytest.raises(ValueError, match="is not a level"):
                 basis.eval(bad, z)
 
@@ -175,7 +176,7 @@ def cell_points(pav, count, rng):
     g = pav.g
     a = rng.random((count, g)) - 0.5
     b = rng.random((count, g)) - 0.5
-    return a @ pav.matrix.T + b * pav.delta.as_diagonal()[None, :]
+    return pav.lattice_vector(a, b)
 
 
 @pytest.mark.parametrize(
@@ -252,7 +253,7 @@ def test_lattice_sum_chunks_match_single_points():
 
 @pytest.mark.parametrize(
     "omega,divisors,m",
-    [(random_period_matrix(2, 33).omega, (1, 2), 3), ([[0.1 + 80j]], (3,), 6)],
+    [(random_period_matrix(2, 33), (1, 2), 3), ([[0.1 + 80j]], (3,), 6)],
     ids=["g2", "cusp"],
 )
 def test_lattice_sum_chunk_rule_matches_one_chunk(omega, divisors, m, monkeypatch):
@@ -457,11 +458,11 @@ def test_theta_tilde_matches_mpmath_at_cell_points(g, n):
 def test_quasi_periodicity_suite(pav_g1, pav_g2):
     for pav in (pav_g1, pav_g2):
         g = pav.g
-        d = pav.delta.as_diagonal()
+        d = np.array(pav.divisors)
         rng = np.random.default_rng(10 + g)
         for m in (1, 2, 3):
             basis = ThetaBasis(pav, m)
-            labels = theta.lex_vectors(m * np.array(pav.delta.divisors))
+            labels = theta.lex_vectors(m * np.array(pav.divisors))
             drawn = 0
             while drawn < 8:
                 a = rng.integers(-2, 3, g).astype(float)
@@ -501,7 +502,7 @@ def test_automorphy_factor_trivial_cases(pav_g1):
 
 def test_automorphy_cocycle_identity(pav_g2):
     rng = np.random.default_rng(5)
-    d = pav_g2.delta.as_diagonal()
+    d = np.array(pav_g2.divisors)
     m = 2
     for _ in range(12):
         a1 = rng.integers(-1, 2, 2).astype(float)
@@ -580,9 +581,11 @@ def test_translate_action_rejects_k2(pav_g1):
         translate_action(pav_g1, 2, x, [0])
 
 
-@pytest.mark.parametrize("k", [[7], [-1], [0, 0], []], ids=["7", "-1", "two-entries", "none"])
+@pytest.mark.parametrize("k", [[7], [-1], [0, 0], [], [0.5], [1.0], [True]],
+                         ids=["7", "-1", "two-entries", "none", "half", "float-one", "bool"])
 def test_translate_action_rejects_a_label_out_of_range(k):
-    # the labels of level 2 on type (1) are [0] and [1], as in ThetaBasis.eval
+    # the labels of level 2 on type (1) are [0] and [1], as in ThetaBasis.eval;
+    # a float label is not rounded and a bool is not read as 1
     pav = validate_polarized(OMEGA_G1, (1,))
     with pytest.raises(ValueError, match=r"is not a level-2 label, 0 <= k < \(2,\)"):
         translate_action(pav, 2, zero_point(pav), k)
@@ -696,7 +699,7 @@ def test_linear_independence_gram_rank():
         for m in range(1, 5):
             basis = ThetaBasis(pav, m)
             count = 2 * basis.dim
-            zs = rng.random((count, g)) @ pav.matrix.T + rng.random((count, g)) * pav.delta.as_diagonal()
+            zs = pav.lattice_vector(rng.random((count, g)), rng.random((count, g)))
             mat = basis.eval_matrix(zs).T * section_weights(pav, m, zs)[:, None]
             s = np.linalg.svd(mat, compute_uv=False)
             assert int((s > 1e-8 * s[0]).sum()) == basis.dim

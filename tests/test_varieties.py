@@ -9,12 +9,8 @@ from thetamu import (
     BoundPrediction,
     NotPositiveDefinite,
     NotSymmetric,
-    PeriodMatrix,
-    PolarizationType,
     ValidationError,
     bound_prediction,
-    embedded_surface_h0,
-    h0,
     random_period_matrix,
     torelli_bound,
     validate_polarized,
@@ -26,7 +22,7 @@ I2 = np.array([[1j]])
 def test_validate_canonical_elliptic():
     pav = validate_polarized(I2, (1,), simple_asserted=True)
     assert pav.g == 1
-    assert pav.delta.divisors == (1,)
+    assert pav.divisors == (1,)
     assert pav.simple_asserted
     assert pav.lambda_min == pytest.approx(1.0)
 
@@ -78,10 +74,51 @@ def test_symmetry_tolerance_is_relative():
 def test_validate_is_idempotent():
     om = random_period_matrix(2, 11)
     first = validate_polarized(om, (1, 3), True)
-    second = validate_polarized(first.omega, first.delta, first.simple_asserted)
+    second = validate_polarized(first.matrix, first.divisors, first.simple_asserted)
     assert np.array_equal(first.matrix, second.matrix)
-    assert first.delta == second.delta
+    assert first.divisors == second.divisors
     assert first.simple_asserted == second.simple_asserted
+    assert np.array_equal(first.im_inv, second.im_inv)
+    assert first.lambda_min == second.lambda_min
+
+
+def test_validate_copies_omega_into_a_read_only_matrix():
+    om = random_period_matrix(2, 12)
+    pav = validate_polarized(om, (1, 2))
+    kept = pav.matrix.copy()
+    om[0, 0] = 5j
+    assert np.array_equal(pav.matrix, kept)
+    with pytest.raises(ValueError, match="read-only"):
+        pav.matrix[0, 0] = 5j
+    with pytest.raises(ValueError, match="read-only"):
+        pav.im_inv[0, 0] = 1.0
+
+
+def test_im_inv_and_lambda_min_match_a_fresh_computation():
+    pav = validate_polarized(random_period_matrix(3, 13), (1, 2, 4))
+    y = pav.matrix.imag
+    assert np.array_equal(pav.im_inv, np.linalg.inv(y))
+    assert pav.lambda_min == float(np.linalg.eigvalsh(y).min())
+    assert type(pav.lambda_min) is float
+
+
+def test_validate_rejects_a_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch: omega is 2x2, type has g = 1"):
+        validate_polarized(random_period_matrix(2, 3), (1,))
+
+
+@pytest.mark.parametrize("divisors", [(2.0,), (True,), (1.5,), ("2",)],
+                         ids=["float", "bool", "fraction", "string"])
+def test_validate_rejects_non_integer_divisors(divisors):
+    # the rule of a scenario's type: an integral value, not a bool
+    with pytest.raises(ValueError, match="divisors must be integers"):
+        validate_polarized(I2, divisors)
+
+
+def test_validate_takes_numpy_integer_divisors():
+    pav = validate_polarized(random_period_matrix(2, 3), np.array([2, 4]))
+    assert pav.divisors == (2, 4)
+    assert all(type(d) is int for d in pav.divisors)
 
 
 @pytest.mark.parametrize(
@@ -91,14 +128,14 @@ def test_validate_is_idempotent():
 def test_h0_examples(divisors, m, expected):
     g = len(divisors)
     pav = validate_polarized(random_period_matrix(g, 5), divisors)
-    assert h0(pav, m) == expected
+    assert pav.h0(m) == expected
 
 
 def test_h0_homogeneity_as_rationals():
     pav = validate_polarized(random_period_matrix(2, 7), (2, 4))
     for m in range(1, 5):
         for mp in range(1, 5):
-            assert h0(pav, m) * Fraction(mp, m) ** pav.g == h0(pav, mp)
+            assert pav.h0(m) * Fraction(mp, m) ** pav.g == pav.h0(mp)
 
 
 def test_torelli_bound_examples():
@@ -128,13 +165,15 @@ def test_bound_prediction_cases():
 
 
 def test_polarization_type_degree():
-    assert PolarizationType((2, 4)).degree == 8
-    assert PolarizationType((1, 1)).is_principal
+    pav = validate_polarized(random_period_matrix(2, 7), (2, 4))
+    assert pav.degree == 8
+    assert not pav.is_principal
+    assert validate_polarized(random_period_matrix(2, 7), (1, 1)).is_principal
 
 
 def test_period_matrix_requires_square():
-    with pytest.raises(ValueError):
-        PeriodMatrix(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
+        validate_polarized(np.zeros((2, 3)), (1, 1))
 
 
 @pytest.mark.parametrize("entry", [complex(nan, 1), complex(inf, 1), complex(0, inf)],
@@ -143,13 +182,5 @@ def test_period_matrix_rejects_non_finite_entries(entry):
     # Im Omega of the first two is positive definite and the third has
     # lambda_min inf, so the positivity check alone lets all three through
     with pytest.raises(ValueError, match="finite"):
-        PeriodMatrix([[entry]])
-    with pytest.raises(ValueError, match="finite"):
         validate_polarized([[entry]], (1,))
 
-
-def test_embedded_surface_threshold():
-    # h0 = p_g + 1 - 3, and h0 > 20 exactly when p_g > 22
-    for p_g in range(3, 60):
-        assert (embedded_surface_h0(p_g) > 20) == (p_g > 22)
-    assert embedded_surface_h0(23) == 21
