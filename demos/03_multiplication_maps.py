@@ -61,7 +61,7 @@ for i, (block, rep) in enumerate(zip(blocks.matrices, blocks.representatives)):
     size = int((blocks.orbit == i).sum())
     print(f"  orbit of character {characters[rep].tolist()}: {size} characters, "
           f"block shape {block.shape}, rank {blocks.ranks[rep]}")
-print(f"rank sum {blocks.rank_sum} = full rank {blocks.total_rank}")
+print(f"rank sum {blocks.ranks.sum()} = full rank {verdict.rank}")
 # with d = 4, gcd(n+1, 4) = 2 splits the characters 0..3 into two orbits,
 # {0, 2} and {1, 3}: two blocks are built for four
 quartic = validate_polarized(random_period_matrix(1, 102), (4,), simple_asserted=True)

@@ -53,7 +53,6 @@ from .mult import (
     Verdict,
     WirtingerMatrix,
     gamma_blocks,
-    numerical_rank,
     projective_residual,
     sample_points,
     spanning_check,

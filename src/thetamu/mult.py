@@ -34,7 +34,6 @@ module of the verdict path imports.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -52,7 +51,7 @@ from .theta import (
     section_weights,
     theta_constants,
 )
-from .varieties import PolarizedAbelianVariety
+from .varieties import PolarizedAbelianVariety, _as_int
 
 #: least-squares residual above which an expansion is rejected
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -150,34 +149,9 @@ def _mu_entries(pav: PolarizedAbelianVariety, n: int, k1: np.ndarray):
     return row, tau
 
 
-class RankResult(NamedTuple):
-    rank: int
-    singular_values: np.ndarray
-    clean_gap: bool
-
-
-def numerical_rank(matrix: np.ndarray) -> RankResult:
-    """Rank = #{sigma_i > DEFAULT_RANK_TOL * sigma_max}; the gap flag is set
-    when no singular value falls within a decade of the threshold."""
-    matrix = np.asarray(matrix)
-    if matrix.size == 0:
-        return RankResult(0, np.zeros(0), True)
-    return _spectrum_rank(np.linalg.svd(matrix, compute_uv=False))
-
-
 def _ranks(s: np.ndarray) -> np.ndarray:
-    """#{sigma_i > DEFAULT_RANK_TOL * sigma_max} along the last axis of spectra."""
+    """The one rank rule: #{sigma_i > DEFAULT_RANK_TOL * sigma_max} along the last axis."""
     return (s > DEFAULT_RANK_TOL * s[..., :1]).sum(axis=-1)
-
-
-def _spectrum_rank(s: np.ndarray) -> RankResult:
-    """The rank rule of :func:`numerical_rank` on given singular values."""
-    if s[0] == 0:
-        return RankResult(0, s, True)
-    thr = DEFAULT_RANK_TOL * float(s[0])
-    rank = int(_ranks(s))
-    near = (s >= thr / 10.0) & (s <= thr * 10.0)
-    return RankResult(rank, s, not bool(near.any()))
 
 
 class Verdict(Enum):
@@ -198,7 +172,6 @@ class SurjectivityVerdict:
     """
 
     verdict: Verdict
-    n: int
     rank: int | None
     required_rank: int
     singular_values: tuple[float, ...]
@@ -215,16 +188,14 @@ def surjectivity_verdict(pav: PolarizedAbelianVariety, n: int) -> SurjectivityVe
     The source dimension h0(1) h0(n) < h0(n+1) forces NotSurjective without
     any evaluation; otherwise the verdict comes from the numerical rank of
     mu_n, read off the union of its character-block spectra, with
-    Inconclusive whenever the spectrum has no clear gap.  Raises
-    :class:`SizeLimit` before any evaluation when h0(n+1) h0(n), the cells
-    of all |K| character blocks (though only one block per orbit is built),
-    exceed DEFAULT_CELL_CAP.
+    Inconclusive whenever the spectrum has no clear gap.  Past the shortcut,
+    :func:`gamma_blocks` raises :class:`SizeLimit` before any evaluation when
+    the blocks exceed DEFAULT_CELL_CAP.
     """
     required = pav.h0(n + 1)
     if pav.h0(1) * pav.h0(n) < required:
         return SurjectivityVerdict(
             verdict=Verdict.NOT_SURJECTIVE,
-            n=n,
             rank=None,
             required_rank=required,
             singular_values=(),
@@ -232,12 +203,12 @@ def surjectivity_verdict(pav: PolarizedAbelianVariety, n: int) -> SurjectivityVe
             clean_gap=True,
             dimensional_shortcut=True,
         )
-    cells = required * pav.h0(n)
-    if cells > DEFAULT_CELL_CAP:
-        raise SizeLimit(f"mu_{n} blocks need {cells} cells, cap is {DEFAULT_CELL_CAP}")
     blocks = gamma_blocks(pav, n)
-    rank, s, clean = _spectrum_rank(blocks.singular_values)
+    s = blocks.singular_values
+    rank = int(_ranks(s))
     floor = DEFAULT_RANK_TOL * float(s[0])
+    # clean: no singular value within a decade of the threshold, or all zero
+    clean = bool(s[0] == 0 or not ((s >= floor / 10.0) & (s <= floor * 10.0)).any())
     # the next singular value, or the rank threshold where it is 0 or missing,
     # so the ratio stays finite: rank >= 1 makes the threshold positive
     sigma_next = float(s[rank]) if rank < len(s) and s[rank] > 0 else floor
@@ -252,7 +223,6 @@ def surjectivity_verdict(pav: PolarizedAbelianVariety, n: int) -> SurjectivityVe
     radius = constants_radius(pav, level)
     return SurjectivityVerdict(
         verdict=verdict,
-        n=n,
         rank=rank,
         required_rank=required,
         singular_values=tuple(float(x) for x in s),
@@ -276,25 +246,16 @@ class GammaBlocks:
     character ``representatives[i]``, the first of its orbit, and
     ``orbit[j]`` is the block of character j's orbit.  ``ranks`` holds the
     numerical rank of every character's block by the rule of
-    :func:`numerical_rank`.  ``singular_values`` is the union of the spectra
-    of all |K| blocks, descending; the eigenbasis transform is unitary, so it
-    is the spectrum of mu_n.
+    :func:`_ranks`.  ``singular_values`` is the union of the spectra of all
+    |K| blocks, descending; the eigenbasis transform is unitary, so it is
+    the spectrum of mu_n.
     """
 
-    n: int
     matrices: np.ndarray
     representatives: np.ndarray
     orbit: np.ndarray
     ranks: np.ndarray
     singular_values: np.ndarray
-
-    @property
-    def rank_sum(self) -> int:
-        return int(self.ranks.sum())
-
-    @property
-    def total_rank(self) -> int:
-        return _spectrum_rank(self.singular_values).rank
 
 
 def gamma_blocks(pav: PolarizedAbelianVariety, n: int) -> GammaBlocks:
@@ -333,10 +294,15 @@ def gamma_blocks(pav: PolarizedAbelianVariety, n: int) -> GammaBlocks:
     representative the inverse DFT over e' is a sum over the nonzeros into
     G[r', kn] (one bincount for all of them) and the forward DFT over en is
     an FFT of G.  One batched SVD of the representatives gives every
-    block rank and spectrum, repeated over each orbit.
+    block rank and spectrum, repeated over each orbit.  Raises
+    :class:`SizeLimit` before any evaluation when h0(n+1) h0(n), the cells
+    of all |K| blocks (one per orbit is built), exceed DEFAULT_CELL_CAP.
     """
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")
+    cells = pav.h0(n + 1) * pav.h0(n)
+    if cells > DEFAULT_CELL_CAP:
+        raise SizeLimit(f"mu_{n} blocks need {cells} cells, cap is {DEFAULT_CELL_CAP}")
     g = pav.g
     d = np.array(pav.divisors)
     deg = pav.degree
@@ -373,7 +339,7 @@ def gamma_blocks(pav: PolarizedAbelianVariety, n: int) -> GammaBlocks:
     blocks = blocks.transpose(0, 2, 1, 3).reshape(len(reps), rows, -1)
     spectra = np.linalg.svd(blocks, compute_uv=False)
     union = np.repeat(spectra, np.bincount(orbit), axis=0)
-    return GammaBlocks(n, blocks, reps, orbit, _ranks(spectra)[orbit],
+    return GammaBlocks(blocks, reps, orbit, _ranks(spectra)[orbit],
                        np.sort(union, axis=None)[::-1])
 
 
@@ -391,7 +357,6 @@ class WirtingerMatrix:
     diagram residual of every point the matrix was built with.
     """
 
-    n: int
     full: np.ndarray
     reduced: np.ndarray
     fit_residual: float
@@ -505,7 +470,6 @@ def wirtinger_matrix(
     # columns repeat along the n-torsion shifts of beta; keep beta' = n t / (n(n+1))
     reduced_cols = _ravel(n * k, (N,) * g)
     return WirtingerMatrix(
-        n=n,
         full=C,
         reduced=C[:, reduced_cols],
         fit_residual=fit_residual,
@@ -535,7 +499,6 @@ class SpanningReport(NamedTuple):
     rank: int
     required_rank: int
     npoints: int
-    singular_values: np.ndarray
 
 
 def spanning_check(pav: PolarizedAbelianVariety, n: int, N: int) -> SpanningReport:
@@ -543,7 +506,8 @@ def spanning_check(pav: PolarizedAbelianVariety, n: int, N: int) -> SpanningRepo
     N^{2g} points b of G = (1/N) Lambda / Lambda, for an integer N >= 1.
 
     Full rank (n+1)^g means the image of G spans the dual projective space
-    of H^0(M^{n+1}).  Raises ValueError for N < 1, and :class:`SizeLimit`
+    of H^0(M^{n+1}).  Raises ValueError unless N is an integer >= 1 (bool
+    and float refused), and :class:`SizeLimit`
     before building the grid or the basis when N or |G| exceeds
     DEFAULT_POINT_CAP (the bound on the |G| x 2g grid, which fires first when
     (n+1)^g < 10) or the h0(n+1) x |G| values exceed DEFAULT_CELL_CAP.
@@ -551,8 +515,7 @@ def spanning_check(pav: PolarizedAbelianVariety, n: int, N: int) -> SpanningRepo
     if not pav.is_principal:
         raise ValueError("the spanning check requires a principal polarization")
     g = pav.g
-    # a Python int: a numpy integer power wraps silently
-    N = operator.index(N)
+    N = _as_int(N, "modulus N")
     if N < 1:
         raise ValueError(f"require N >= 1, got {N}")
     if N > DEFAULT_POINT_CAP:
@@ -568,5 +531,5 @@ def spanning_check(pav: PolarizedAbelianVariety, n: int, N: int) -> SpanningRepo
     basis = ThetaBasis(pav, n + 1)
     w = section_weights(pav, n + 1, pts)
     matrix = basis.eval_matrix(pts).T * w[:, None]
-    rank, svals, _ = numerical_rank(matrix)
-    return SpanningReport(rank, (n + 1) ** g, npts, svals)
+    rank = int(_ranks(np.linalg.svd(matrix, compute_uv=False)))
+    return SpanningReport(rank, (n + 1) ** g, npts)

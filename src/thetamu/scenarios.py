@@ -378,8 +378,8 @@ def run_scenario(config: ScenarioConfig) -> Report:
             # the benchmark pins this key
             "off_block_mass": 0.0,
             "ranks": blocks.ranks.tolist(),
-            "rank_sum": blocks.rank_sum,
-            "total_rank": blocks.total_rank,
+            "rank_sum": int(blocks.ranks.sum()),
+            "total_rank": verdict_obj.rank,
         }
     elif verdict_obj is not None and verdict_obj.dimensional_shortcut:
         notes.append("block decomposition skipped: dimensional obstruction shortcut")

@@ -89,7 +89,7 @@ import math
 import numpy as np
 
 from .errors import SizeLimit, TruncationOverflow
-from .varieties import DEFAULT_EPS, PolarizedAbelianVariety
+from .varieties import DEFAULT_EPS, PolarizedAbelianVariety, _as_int
 
 #: hard cap on the number of lattice points in one summation box
 DEFAULT_CAPACITY = 4_000_000
@@ -249,7 +249,7 @@ class _LatticeSum:
         tau = np.asarray(tau, dtype=complex)
         self.tau = tau
         self.g = tau.shape[0]
-        self.m = int(m)
+        self.m = _as_int(m, "level")
         self.Y = tau.imag
         self.Yinv = np.linalg.inv(self.Y)
         lambda_min = float(np.linalg.eigvalsh(self.Y).min())
@@ -414,9 +414,9 @@ class ThetaBasis:
 
     def __init__(self, pav: PolarizedAbelianVariety, m: int):
         self.pav = pav
-        self.m = int(m)
-        self._dims = tuple(self.m * di for di in pav.divisors)
         self._sum = _LatticeSum(pav.matrix, m)
+        self.m = self._sum.m
+        self._dims = tuple(self.m * di for di in pav.divisors)
         self._chars = lex_vectors(self._dims) / np.array(self._dims)
 
     @property
@@ -457,10 +457,11 @@ class ThetaTilde:
     def __init__(self, pav: PolarizedAbelianVariety, n: int):
         if not pav.is_principal:
             raise ValueError("theta~ is defined for principal polarizations only")
+        n = _as_int(n, "n")
         if n < 1:
             raise ValueError(f"require n >= 1, got {n}")
         self.pav = pav
-        self.n = int(n)
+        self.n = n
         self._sum = _LatticeSum(pav.matrix / n, 1, offset=0.5)
         self._zero = np.zeros((1, pav.g))
 

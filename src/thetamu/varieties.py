@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -41,6 +42,14 @@ def _is_int(value) -> bool:
     # the exact-type test first: a type list may hold a million entries
     return type(value) is int or (isinstance(value, numbers.Integral)
                                   and not isinstance(value, bool))
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as a Python int, so no numpy power wraps; raises ValueError
+    for a float or bool rather than truncate it or read it as 1."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +83,11 @@ class PolarizedAbelianVariety:
         return all(d == 1 for d in self.divisors)
 
     def h0(self, m: int = 1) -> int:
-        """Dimension of H^0(A, L^m) = m^g d_1...d_g."""
+        """Dimension of H^0(A, L^m) = m^g d_1...d_g, for an integer m >= 1."""
+        m = _as_int(m, "level")
         if m < 1:
             raise ValueError(f"level must be >= 1, got {m}")
-        return int(m) ** self.g * self.degree
+        return m ** self.g * self.degree
 
     def lattice_vector(self, a, bhat) -> np.ndarray:
         """The point Omega a + Delta bhat, row by row for arrays whose last axis is g."""

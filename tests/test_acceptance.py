@@ -233,6 +233,7 @@ def test_c09_block_decomposition():
         g = len(divisors)
         pav = validate_polarized(random_period_matrix(g, omega_seed), divisors, True)
         blocks = gamma_blocks(pav, 1)
+        rank = surjectivity_verdict(pav, 1).rank
         row_ok = blocks.matrices.shape[1] == 2**g
         # the block spectra together are the spectrum of the dense mu_1
         dense = np.linalg.svd(mu_matrix(pav, 1), compute_uv=False)
@@ -240,13 +241,13 @@ def test_c09_block_decomposition():
         case_ok = (
             spectrum_gap <= 1e-13
             and row_ok
-            and blocks.rank_sum == blocks.total_rank
+            and blocks.ranks.sum() == rank
         )
         ok = ok and case_ok
         details.append(
             f"{divisors}: spectrum vs dense {spectrum_gap:.1e}, "
             f"{len(blocks.ranks)} blocks x {2**g} rows, "
-            f"rank sum {blocks.rank_sum} = {blocks.total_rank}"
+            f"rank sum {blocks.ranks.sum()} = {rank}"
         )
     _report(9, "block-decomposition", ok, "; ".join(details))
 

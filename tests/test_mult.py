@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from thetamu import (
     catalog,
     characters,
     gamma_blocks,
-    numerical_rank,
     projective_residual,
     random_period_matrix,
     run_scenario,
@@ -162,16 +162,34 @@ def test_mu_matrix_surface_shape():
     assert mu.shape == (36, 81)
 
 
-def test_numerical_rank_basics():
-    rank, s, clean = numerical_rank(np.eye(3))
-    assert (rank, clean) == (3, True)
-    rank, _, clean = numerical_rank(np.zeros((4, 2)))
-    assert (rank, clean) == (0, True)
-    rank, _, clean = numerical_rank(np.diag([1.0, 1e-15]))
-    assert (rank, clean) == (1, True)
-    # a singular value sitting right at the threshold is flagged
-    _, _, clean = numerical_rank(np.diag([1.0, 1e-8]))
-    assert not clean
+def _rank(matrix) -> int:
+    """The package's numerical rank of a matrix: the rank rule on its SVD."""
+    return int(mult._ranks(np.linalg.svd(matrix, compute_uv=False)))
+
+
+def test_rank_rule_basics():
+    assert _rank(np.eye(3)) == 3
+    assert _rank(np.zeros((4, 2))) == 0
+    assert _rank(np.diag([1.0, 1e-15])) == 1
+    # a batch of descending spectra, each against its own sigma_max; a value
+    # at the threshold itself is not counted
+    spectra = np.array([[2.0, 1.0, 1e-9], [1.0, 1e-8, 0.0], [0.0, 0.0, 0.0], [4e-9, 3e-9, 2e-17]])
+    assert mult._ranks(spectra).tolist() == [2, 1, 0, 2]
+
+
+@pytest.mark.parametrize("spectrum,verdict,rank,clean", [
+    # a deficit with a singular value at 1e-8 sigma_max sits on the threshold
+    ([1.0] * 5 + [1e-8], Verdict.INCONCLUSIVE, 5, False),
+    ([1.0] * 5 + [1e-15], Verdict.NOT_SURJECTIVE, 5, True),
+    ([1.0] * 6, Verdict.SURJECTIVE, 6, True),
+    ([0.0] * 6, Verdict.NOT_SURJECTIVE, 0, True),
+], ids=["decade", "clean-deficit", "full", "all-zero"])
+def test_verdict_reads_the_decade_flag(elliptic_d3, monkeypatch, spectrum, verdict, rank, clean):
+    # mu_1 of type (3) needs rank 6; the blocks carry the chosen spectrum
+    chosen = SimpleNamespace(singular_values=np.array(spectrum))
+    monkeypatch.setattr(mult, "gamma_blocks", lambda pav, n: chosen)
+    result = surjectivity_verdict(elliptic_d3, 1)
+    assert (result.verdict, result.rank, result.clean_gap) == (verdict, rank, clean)
 
 
 def test_surjectivity_elliptic_d3(elliptic_d3):
@@ -187,7 +205,7 @@ def test_surjectivity_dimensional_obstruction(principal_g2):
     assert verdict.dimensional_shortcut
     # the numeric rank agrees with the obstruction: rank <= 1 < 4
     mu = mu_matrix(principal_g2, 1)
-    assert numerical_rank(mu).rank < principal_g2.h0(2)
+    assert _rank(mu) < principal_g2.h0(2)
 
 
 def test_verdict_invariant_under_reseeding():
@@ -224,7 +242,7 @@ def test_gamma_blocks_elliptic_d3(elliptic_d3):
     mu, full, _, reference = _reference_blocks(elliptic_d3, 1)
     assert np.abs(blocks.matrices[0] - reference[0]).max() <= 1e-13 * np.abs(full).max()
     _assert_union_is_dense_spectrum(blocks, mu)
-    assert blocks.rank_sum == blocks.total_rank == 6
+    assert blocks.ranks.sum() == mult._ranks(blocks.singular_values) == 6
 
 
 def test_gamma_blocks_rank_additivity_catalog():
@@ -234,7 +252,7 @@ def test_gamma_blocks_rank_additivity_catalog():
         pav = validate_polarized(random_period_matrix(g, seed), divisors, True)
         blocks = gamma_blocks(pav, n)
         _assert_union_is_dense_spectrum(blocks, mu_matrix(pav, n))
-        assert blocks.rank_sum == blocks.total_rank
+        assert blocks.ranks.sum() == mult._ranks(blocks.singular_values)
 
 
 def test_wirtinger_g1_n1_lemniscatic():
@@ -448,6 +466,17 @@ def test_size_caps(principal_g1, monkeypatch):
         spanning_check(principal_g3, 1, np.int64(2048))
 
 
+def test_gamma_blocks_gate_their_own_cells(elliptic_d3, monkeypatch):
+    # a direct call is refused before any theta constant, as the verdict is
+    from thetamu import SizeLimit
+
+    monkeypatch.setattr(mult, "DEFAULT_CELL_CAP", 1)
+    monkeypatch.setattr(mult, "theta_constants", _never_called)
+    for call in (gamma_blocks, surjectivity_verdict):
+        with pytest.raises(SizeLimit, match="^mu_1 blocks need 18 cells, cap is 1$"):
+            call(elliptic_d3, 1)
+
+
 @pytest.mark.parametrize("call", [
     lambda pav: ThetaBasis(pav, 0),
     lambda pav: ThetaBasis(pav, -1),
@@ -459,6 +488,25 @@ def test_size_caps(principal_g1, monkeypatch):
 def test_level_below_one_is_a_value_error(elliptic_d3, call):
     with pytest.raises(ValueError, match=">= 1, got"):
         call(elliptic_d3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pav: pav.h0(1.5),
+    lambda pav: pav.h0(True),
+    lambda pav: ThetaBasis(pav, 2.5),
+    lambda pav: ThetaTilde(pav, 2.5),
+    lambda pav: ThetaTilde(pav, True),
+    lambda pav: theta_constants(pav, 2.5),
+    lambda pav: surjectivity_verdict(pav, 1.5),
+    lambda pav: spanning_check(pav, 1, True),
+    lambda pav: spanning_check(pav, 1, 3.0),
+], ids=["h0-float", "h0-bool", "basis-float", "tilde-float", "tilde-bool", "constants-float",
+        "verdict-float", "spanning-bool", "spanning-float"])
+def test_level_or_modulus_not_an_integer_is_a_value_error(call):
+    # a float is refused, not truncated, and a bool is not an integer here
+    pav = validate_polarized(np.array([[1j]]), (1,))
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        call(pav)
 
 
 def test_weighted_sampling_keeps_design_bounded(elliptic_d3):
@@ -492,7 +540,7 @@ def test_mu_fit_matches_lstsq(divisors, n, seed):
     coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     assert rank == design.shape[1]
     assert np.abs(mu - coef).max() <= 1e-12 * np.abs(coef).max()
-    assert numerical_rank(mu).rank == numerical_rank(coef).rank
+    assert _rank(mu) == _rank(coef)
     # the exact matrix reproduces the sampled products themselves
     misfit = np.linalg.norm(design @ mu - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
     assert misfit.max() <= 1e-10
@@ -615,11 +663,11 @@ def test_block_transform_matches_kron(divisors, n, seed):
     for block, gi in zip(blocks.matrices, blocks.representatives):
         assert np.abs(block - reference[gi]).max() <= 1e-13 * scale
         # the block ranks and the verdict's rank come from one threshold rule
-        assert blocks.ranks[gi] == mult._spectrum_rank(np.linalg.svd(block, compute_uv=False)).rank
+        assert blocks.ranks[gi] == _rank(block)
     off = full.copy()
     rows = (n + 1) ** pav.g
     for gi, expected in enumerate(reference):
-        assert blocks.ranks[gi] == numerical_rank(expected).rank
+        assert blocks.ranks[gi] == _rank(expected)
         off[gi * rows:(gi + 1) * rows, col_gamma == gi] = 0.0
     # the reference is block diagonal, so the blocks miss nothing
     assert np.linalg.norm(off) <= 1e-13 * np.linalg.norm(full)
@@ -646,7 +694,7 @@ def test_orbit_blocks_have_the_spectrum_of_their_representative(divisors, n, see
     for gi, expected in enumerate(reference):
         s = np.linalg.svd(expected, compute_uv=False)
         assert np.abs(s - spectra[blocks.orbit[gi]]).max() <= 1e-13 * spectra.max()
-        assert blocks.ranks[gi] == numerical_rank(expected).rank
+        assert blocks.ranks[gi] == _rank(expected)
     # so the representative spectra, each repeated by its orbit size, are the
     # spectrum of mu_n
     _assert_union_is_dense_spectrum(blocks, mu)
