@@ -14,9 +14,13 @@ sample row equilibrated by the inverse growth envelope of its level
 (the natural hermitian scale of the bundle), from one thin SVD of the
 weighted design that gives both the condition number checked against the
 cap and the solution; a residual gate guards the fit.  The Wirtinger matrix
-is checked by the weighted misfit of the theta relation at seeded points and
-by the divisor-map diagram at the points it is built with, their coordinates
-fit in one solve; both checks evaluate each of their four theta series once.
+is checked by the weighted misfit of the theta relation on a product grid
+U x V of seeded samples and by the divisor-map diagram at the points it is
+built with, their coordinates fit at U in one solve; both checks evaluate
+each of their four theta series once.  The spanning check reads its
+matrix off one lattice sum of shifted characteristics at real torsion
+points (the translation formula moves the Omega part of every point into
+the characteristic).
 
 The verdict forms neither mu_n nor its h0(n+1) x h0(n) slice at level-1
 index 0.  mu_n commutes with the K(L)_1 translations, so its character
@@ -45,6 +49,7 @@ from .theta import (
     DEFAULT_TERM_CAP,
     ThetaBasis,
     ThetaTilde,
+    _LatticeSum,
     _ravel,
     constants_radius,
     lex_vectors,
@@ -353,7 +358,7 @@ class WirtingerMatrix:
     canonical here; against other normalizations it is defined projectively.
     Rows (alpha) and columns (beta) are lexicographic in the labels k of the
     characteristics (see ``theta.lex_vectors``).  ``fit_residual`` is the misfit of the
-    relation at the sampled pairs, and ``diagram_residuals`` holds the
+    relation on the sampled grid, and ``diagram_residuals`` holds the
     diagram residual of every point the matrix was built with.
     """
 
@@ -379,24 +384,26 @@ def _pairs(us: np.ndarray, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _wirtinger_checks(
     pav: PolarizedAbelianVariety, n: int, C: np.ndarray, seed: int, points
 ) -> tuple[float, np.ndarray]:
-    """The relation misfit of C at OVERSAMPLE * C.size sampled pairs (u, v)
-    and its diagram residual at every point b of ``points`` (a wrong C gets
-    both, not an error), from one evaluation of each of the four theta series.
+    """The relation misfit of C on a product grid of OVERSAMPLE * C.size
+    pairs (u, v) and its diagram residual at every point b of ``points`` (a
+    wrong C gets both, not an error), from one evaluation of each of the four
+    theta series.
 
-    Two draws from ``seed``: the relation pairs, and OVERSAMPLE * h0(n+1)
-    fit samples u, each paired with every b.  theta(.) and theta~(.) are
-    evaluated at the relation and diagram pairs together, the level-(n+1)
-    basis at the relation u and the fit samples, and the level-n(n+1) basis
-    at the relation v and the points; the relation and the diagram read
-    their slices.
+    One draw from ``seed`` of OVERSAMPLE * h0(n+1) samples U, then h0(N)
+    samples V, N = n(n+1).  theta(.) and theta~(.) are evaluated on the grid
+    U x (V + points), the level-(n+1) basis at U only and the level-N basis
+    at V and the points; the relation reads the V columns of the grid, the
+    diagram the points columns.
 
-    * The misfit is ||w (lhs - rhs)|| / ||w lhs|| of
-      lhs = theta(u+nv) theta~(u-v) against
-      rhs = sum_{alpha beta} C[alpha, beta] theta_alpha(u) theta_beta(v),
-      w the envelope weights of both levels.
+    * The misfit is ||W o (L - ta^T C tb)||_F / ||W o L||_F of the grid
+      L[u, v] = theta(u+nv) theta~(u-v) against the values ta = theta_alpha(U)
+      and tb = theta_beta(V), W = w_U w_V^T the envelope weights of both
+      levels.  ta (h0(n+1) x |U|) and the square tb have full row rank for
+      generic samples, so ta^T (C - C') tb vanishes only for C' = C: every
+      other C leaves a residual.
     * The coordinates of the divisor of u -> theta(u+nb) theta~(u-b) are fit
-      in one :func:`_weighted_fit`, one column per point, and the residual of
-      b is their :func:`projective_residual` against
+      at U in one :func:`_weighted_fit`, one column per point, and the
+      residual of b is their :func:`projective_residual` against
       (sum_beta C[alpha, beta] theta_beta(b))_alpha: near 0 when the
       triangle of the (n+1)-theta embedding, the coefficient form and the
       divisor map commutes at b.
@@ -406,26 +413,24 @@ def _wirtinger_checks(
     """
     bs = np.asarray(points, dtype=complex).reshape(-1, pav.g)
     N = n * (n + 1)
-    pairs = OVERSAMPLE * C.size
-    z = sample_points(pav, 2 * pairs, seed)
-    us, vs = z[:pairs], z[pairs:]
-    w = section_weights(pav, n + 1, us) * section_weights(pav, N, vs)
-    fit = sample_points(pav, OVERSAMPLE * pav.h0(n + 1), seed)
-    fit_u, fit_b = _pairs(fit, bs)
+    nu, nv = OVERSAMPLE * pav.h0(n + 1), pav.h0(N)
+    z = sample_points(pav, nu + nv, seed)
+    us, vs = z[:nu], z[nu:]
+    w = section_weights(pav, n + 1, us)[:, None] * section_weights(pav, N, vs)
+    cols = np.concatenate([vs, bs])
     one, tilde = ThetaBasis(pav, 1), ThetaTilde(pav, n)
     basis_a, basis_b = ThetaBasis(pav, n + 1), ThetaBasis(pav, N)
-    terms = (one.terms(pairs + len(fit_u)) + tilde.terms(pairs + len(fit_u))
-             + basis_a.terms(pairs + len(fit)) + basis_b.terms(pairs + len(bs)))
+    grid = nu * len(cols)
+    terms = one.terms(grid) + tilde.terms(grid) + basis_a.terms(nu) + basis_b.terms(len(cols))
     if terms > DEFAULT_TERM_CAP:
         raise SizeLimit(f"Wirtinger checks need {terms} lattice terms, cap is {DEFAULT_TERM_CAP}")
-    lhs = _divisor_values(one, tilde, np.concatenate([us, fit_u]), np.concatenate([vs, fit_b]))
-    ta = basis_a.eval_matrix(np.concatenate([us, fit]))
-    tb = basis_b.eval_matrix(np.concatenate([vs, bs]))
-    rhs = (ta[:, :pairs] * (C @ tb[:, :pairs])).sum(axis=0)
-    misfit = float(np.linalg.norm(w * (lhs[:pairs] - rhs)) / np.linalg.norm(w * lhs[:pairs]))
-    values = lhs[pairs:].reshape(len(fit), len(bs))
-    phi = _weighted_fit(pav, n + 1, ta[:, pairs:], fit, values).coefficients
-    image = C @ tb[:, pairs:]
+    lhs = _divisor_values(one, tilde, *_pairs(us, cols)).reshape(nu, len(cols))
+    ta = basis_a.eval_matrix(us)
+    tb = basis_b.eval_matrix(cols)
+    rhs = ta.T @ (C @ tb[:, :nv])
+    misfit = float(np.linalg.norm(w * (lhs[:, :nv] - rhs)) / np.linalg.norm(w * lhs[:, :nv]))
+    phi = _weighted_fit(pav, n + 1, ta, us, lhs[:, nv:]).coefficients
+    image = C @ tb[:, nv:]
     return misfit, np.array([projective_residual(x, y) for x, y in zip(phi.T, image.T)])
 
 
@@ -433,8 +438,9 @@ def wirtinger_matrix(
     pav: PolarizedAbelianVariety, n: int, seed: int, points=()
 ) -> WirtingerMatrix:
     """The coefficient matrix of the bilinear theta relation at level
-    (n+1, n(n+1)), checked at 2 * #coefficients sampled pairs (u, v) and,
-    through the divisor map, at every point of ``points``: a (P, g) complex
+    (n+1, n(n+1)), checked on a product grid of 2 * #coefficients sampled
+    pairs (u, v) and, through the divisor map, at every point of
+    ``points``: a (P, g) complex
     array, a list of g-vectors or one g-vector (a torsion point x is passed
     as ``x.to_complex(pav)``).
 
@@ -444,9 +450,9 @@ def wirtinger_matrix(
     beta = j/(n(n+1)) that is k + j = 0 mod n+1 componentwise.  The relation
     and the diagram are checked by :func:`_wirtinger_checks`, which evaluates
     each theta series once for both.  Raises :class:`SizeLimit` before any
-    sample when the h0(n(n+1)) x (2 * unknowns) level-n(n+1) values of the
-    relation exceed DEFAULT_CELL_CAP.  That bounds the (n+1)^g (n(n+1))^g
-    unknowns too: at most 16384, at g = 7, n = 1.  Raises
+    sample when h0(n(n+1)) times the 2 * unknowns relation pairs exceeds
+    DEFAULT_CELL_CAP.  That bounds the (n+1)^g (n(n+1))^g unknowns: at
+    most 16384, at g = 7, n = 1.  Raises
     :class:`FitResidualTooLarge` when the relation misfit exceeds
     DEFAULT_RESIDUAL_TOL.
     """
@@ -455,7 +461,7 @@ def wirtinger_matrix(
     g = pav.g
     N = n * (n + 1)
     unknowns = (n + 1) ** g * N**g
-    # the level-N values at the OVERSAMPLE * unknowns samples of the check
+    # h0(N) times the OVERSAMPLE * unknowns pairs of the relation
     cells = N**g * OVERSAMPLE * unknowns
     if cells > DEFAULT_CELL_CAP:
         raise SizeLimit(f"Wirtinger values need {cells} cells, cap is {DEFAULT_CELL_CAP}")
@@ -506,11 +512,23 @@ def spanning_check(pav: PolarizedAbelianVariety, n: int, N: int) -> SpanningRepo
     N^{2g} points b of G = (1/N) Lambda / Lambda, for an integer N >= 1.
 
     Full rank (n+1)^g means the image of G spans the dual projective space
-    of H^0(M^{n+1}).  Raises ValueError unless N is an integer >= 1 (bool
-    and float refused), and :class:`SizeLimit`
-    before building the grid or the basis when N or |G| exceeds
-    DEFAULT_POINT_CAP (the bound on the |G| x 2g grid, which fires first when
-    (n+1)^g < 10) or the h0(n+1) x |G| values exceed DEFAULT_CELL_CAP.
+    of H^0(M^{n+1}).  The rows are the points b = Omega s/N + t/N in the
+    lexicographic order of (s, t), each scaled by its envelope weight
+    w(b) = exp(-pi (n+1) y^T Y^{-1} y), y = Im b.  By the translation formula
+    theta_c(Omega a + t) = exp(-pi i m a^T Omega a - 2 pi i m a^T t)
+    theta_{c+a}(t) (Mumford, Tata Lectures on Theta I, II.1), with m = n+1
+    and a = s/N, the weighted row of b is a unit phase times
+    (theta_{c+s/N}(t/N))_c, so the matrix is read off one lattice sum of the
+    h0(n+1) N^g characteristics c + s/N at the N^g real points t/N.  At a
+    real point the Gaussian centre is the characteristic, so the sum takes
+    offset 1/2.  The phases scale whole rows, so the singular values, and
+    the rank, are those of the weighted rows.
+
+    Raises ValueError unless N is an integer >= 1 (bool and float refused),
+    and :class:`SizeLimit` before building the characteristics or the sum
+    when N or |G| exceeds DEFAULT_POINT_CAP (the bound on the N^g x N^g
+    grid, which fires first when (n+1)^g < 10) or the h0(n+1) x |G| values
+    exceed DEFAULT_CELL_CAP.
     """
     if not pav.is_principal:
         raise ValueError("the spanning check requires a principal polarization")
@@ -523,13 +541,16 @@ def spanning_check(pav: PolarizedAbelianVariety, n: int, N: int) -> SpanningRepo
     npts = N ** (2 * g)
     if npts > DEFAULT_POINT_CAP:
         raise SizeLimit(f"|G| = {npts} exceeds cap {DEFAULT_POINT_CAP}")
-    cells = pav.h0(n + 1) * npts
+    dim = pav.h0(n + 1)
+    cells = dim * npts
     if cells > DEFAULT_CELL_CAP:
         raise SizeLimit(f"spanning values need {cells} cells, cap is {DEFAULT_CELL_CAP}")
-    frac = lex_vectors((N,) * (2 * g)) / float(N)
-    pts = pav.lattice_vector(frac[:, :g], frac[:, g:])
-    basis = ThetaBasis(pav, n + 1)
-    w = section_weights(pav, n + 1, pts)
-    matrix = basis.eval_matrix(pts).T * w[:, None]
+    lattice = _LatticeSum(pav.matrix, n + 1, offset=0.5)
+    steps = lex_vectors((N,) * g) / N
+    # axes (s, c): the characteristics c + s/N, c = k/(n+1) lexicographic
+    chars = steps[:, None, :] + lex_vectors((n + 1,) * g) / (n + 1)
+    values = lattice.eval(chars.reshape(-1, g), steps)
+    # axes (s, c, t) to rows (s, t), columns c
+    matrix = values.reshape(N**g, dim, N**g).transpose(0, 2, 1).reshape(npts, dim)
     rank = int(_ranks(np.linalg.svd(matrix, compute_uv=False)))
     return SpanningReport(rank, (n + 1) ** g, npts)

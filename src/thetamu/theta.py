@@ -115,8 +115,10 @@ def lex_vectors(dims) -> np.ndarray:
 
 def _ravel(vectors: np.ndarray, dims) -> np.ndarray:
     """Lexicographic position in prod range(dims_i) of every integer vector
-    along the last axis of ``vectors``: the inverse of :func:`lex_vectors`."""
-    return np.ravel_multi_index(tuple(np.moveaxis(vectors, -1, 0)), tuple(dims))
+    along the last axis of ``vectors``: the inverse of :func:`lex_vectors`.
+    The vectors must lie in range; none is checked."""
+    # place values, the last axis fastest
+    return vectors @ np.array([math.prod(dims[i + 1:]) for i in range(len(dims))])
 
 
 def _check_label(k, m: int, dims) -> np.ndarray:
@@ -136,8 +138,9 @@ def box_radius(lambda_min: float, m: int, g: int, offset: float) -> int:
 
     Relative to the envelope, the term at b in Z^g is exp(-pi m v^T Y v) <=
     prod_i exp(-a v_i^2), with v = b - x, a = pi m lambda_min and x the
-    Gaussian centre, |x_i| <= offset (1/2 at z = 0, where x is the
-    characteristic; 1 at a reduced point, where x adds Y^{-1} Im z0).  A
+    Gaussian centre, |x_i| <= offset (1/2 at z = 0 or a real point, where x
+    is the characteristic; up to 1 at a reduced point, where x adds
+    Y^{-1} Im z0; see :class:`_LatticeSum`).  A
     point off the cube has some |v_i| >= rho = R + 1 - offset; as
     (rho + k)^2 >= rho^2 + 2 rho k, that axis sums to at most
     T(rho) = 2 exp(-a rho^2) / (1 - exp(-2 a rho)) over both sides.  On any
@@ -148,8 +151,9 @@ def box_radius(lambda_min: float, m: int, g: int, offset: float) -> int:
     keeps both nearest coset points of c_i = 1/2, so constants far below eps
     stay accurate relative to their own size.  A lambda_min so small that no
     float radius bounds the tail raises :class:`TruncationOverflow`; a level
-    m < 1 raises ValueError.
+    m that is no integer >= 1 (bool and float refused) raises ValueError.
     """
+    m = _as_int(m, "level")
     if m < 1:
         raise ValueError(f"level must be >= 1, got {m}")
     if lambda_min <= 0:
@@ -228,12 +232,14 @@ def _box_phase(lin: np.ndarray, R: int) -> np.ndarray:
 
 
 def _bins(x: np.ndarray, nb: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the rows of x, which lie in [-1/2, 1/2]^g, into nb equal bins per
-    axis; returns (row indices, centre of their range) for every occupied bin,
-    so each row lies within 1/(2 nb) of its centre on every axis."""
+    """Split the rows of x, which lie in [-h, h]^g, into nb equal bins per
+    axis of their range; returns (row indices, centre of their range) for
+    every occupied bin, so each row lies within h / nb of its centre on every
+    axis (within h of 0 for nb = 1)."""
     if nb == 1:  # the usual case, without the cost of np.unique
         return [(np.arange(x.shape[0]), np.zeros(x.shape[1]))]
-    idx = np.clip(np.floor((x + 0.5) * nb), 0, nb - 1)
+    lo, width = x.min(axis=0), np.ptp(x, axis=0)
+    idx = np.clip(np.floor((x - lo) / np.where(width > 0, width, 1.0) * nb), 0, nb - 1)
     inverse = np.unique(idx, axis=0, return_inverse=True)[1].ravel()
     groups = [np.flatnonzero(inverse == j) for j in range(inverse.max() + 1)]
     return [(rows, (x[rows].min(axis=0) + x[rows].max(axis=0)) / 2) for rows in groups]
@@ -242,10 +248,18 @@ def _bins(x: np.ndarray, nb: int) -> list[tuple[np.ndarray, np.ndarray]]:
 class _LatticeSum:
     """Truncated sum over Z^g + c of exp(pi i m l^T tau l + 2 pi i m l^T z)
     over ``box``, the cube of radius :func:`box_radius`, which every
-    evaluation sums; ``offset`` bounds the Gaussian centre per axis (1/2
-    when every characteristic is 0 or z = 0)."""
+    evaluation sums.
 
-    def __init__(self, tau, m: int, offset: float = 1.0):
+    ``offset`` bounds the Gaussian centre per axis: the characteristic,
+    reduced mod Z^g, less the lattice coordinate Y^{-1} Im z0 of the reduced
+    point, which is within 1/2 of 0, and 0 at a real point.  So a caller
+    passes 1/2 + max |c_i - round(c_i)| over the characteristics it
+    evaluates, or 1/2 when every characteristic is 0 or every point is
+    real; 1 always holds.  Characteristics or points past the offset taken
+    void the eps bound of the radius and of the binning.
+    """
+
+    def __init__(self, tau, m: int, offset: float):
         tau = np.asarray(tau, dtype=complex)
         self.tau = tau
         self.g = tau.shape[0]
@@ -405,7 +419,10 @@ class ThetaBasis:
     """The canonical basis of H^0(A, L^m) as a batch evaluator.
 
     The variety and the level fix everything: the period matrix and, through
-    :func:`box_radius` at the accuracy DEFAULT_EPS, the radius.  Sections are
+    :func:`box_radius` at the accuracy DEFAULT_EPS, the radius, taken with
+    the offset 1/2 + max_i |c_i - round(c_i)| of the level's characteristics
+    (1/2 for the principal level-1 basis, whose one characteristic is 0, and
+    1 when some m d_i is even).  Sections are
     ordered lexicographically in their labels k, c = k / (m d), as in
     :func:`lex_vectors`.
     Evaluations are pure; batches over point sets may run concurrently and
@@ -414,9 +431,13 @@ class ThetaBasis:
 
     def __init__(self, pav: PolarizedAbelianVariety, m: int):
         self.pav = pav
-        self._sum = _LatticeSum(pav.matrix, m)
-        self.m = self._sum.m
-        self._dims = tuple(self.m * di for di in pav.divisors)
+        self.m = m = _as_int(m, "level")
+        if m < 1:
+            raise ValueError(f"level must be >= 1, got {m}")
+        self._dims = tuple(m * di for di in pav.divisors)
+        # the characteristic k_i / D_i, D_i = m d_i, farthest from an integer
+        # has k_i = floor(D_i / 2)
+        self._sum = _LatticeSum(pav.matrix, m, offset=0.5 + max(D // 2 / D for D in self._dims))
         self._chars = lex_vectors(self._dims) / np.array(self._dims)
 
     @property
@@ -481,5 +502,6 @@ class ThetaTilde:
 
 
 def section_weights(pav: PolarizedAbelianVariety, m: int, zs) -> np.ndarray:
-    """exp(-pi m y^T Y^{-1} y): equilibration weights for sampled sections."""
-    return np.exp(-_log_envelope(pav.im_inv, m, np.atleast_2d(zs)))
+    """exp(-pi m y^T Y^{-1} y): equilibration weights for sampled sections;
+    raises ValueError unless the level m is an integer, bool excluded."""
+    return np.exp(-_log_envelope(pav.im_inv, _as_int(m, "level"), np.atleast_2d(zs)))

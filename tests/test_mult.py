@@ -28,7 +28,7 @@ from thetamu import (
 )
 from thetamu import mult
 from thetamu.reference import expand_in_basis, mu_matrix, phi_map_coords
-from thetamu.theta import lex_vectors
+from thetamu.theta import box_radius, constants_radius, lex_vectors
 
 from test_theta import characteristics
 
@@ -347,6 +347,24 @@ def test_wrong_wirtinger_incidence_is_rejected(principal_g1):
         assert diagram.shape == (3,) and (diagram > 1e-8).all()
 
 
+@pytest.mark.parametrize("g,n,omega_seed,seed", [
+    (1, 1, 105, 15), (1, 2, 106, 16), (2, 1, 107, 17), (2, 2, 201, 21),
+], ids=["g1-n1", "g1-n2", "g2-n1", "g2-n2"])
+def test_every_single_flip_of_the_wirtinger_matrix_is_rejected(g, n, omega_seed, seed):
+    # the relation on the grid U x V determines C: every matrix that differs
+    # from it in one entry, and the alpha = n beta incidence (a different
+    # matrix for n >= 2), leaves a misfit far above DEFAULT_RESIDUAL_TOL
+    pav = validate_polarized(random_period_matrix(g, omega_seed), (1,) * g, True)
+    C = wirtinger_matrix(pav, n, seed).full
+    k = lex_vectors((n + 1,) * g)[:, None]
+    j = lex_vectors((n * (n + 1),) * g)[None]
+    wrongs = [((k - j) % (n + 1) == 0).all(axis=-1).astype(float)] if n > 1 else []
+    for index in np.ndindex(C.shape):
+        wrongs.append(C.copy())
+        wrongs[-1][index] = 1.0 - C[index]
+    assert min(mult._wirtinger_checks(pav, n, wrong, seed, ())[0] for wrong in wrongs) >= 1e-3
+
+
 def test_phi_map_coords_properties(principal_g1):
     n = 2
     rng = np.random.default_rng(31)
@@ -427,19 +445,39 @@ def test_spanning_modulus_below_one_is_refused(principal_g1):
             spanning_check(principal_g1, 1, N)
 
 
-def test_spanning_grid_is_product_order(principal_g2, monkeypatch):
-    # the points of G = 3 on g = 2 follow itertools.product over (a, b) / 3
+def _weighted_rows(pav, n, N):
+    """The spanning rows built point by point: the level-(n+1) basis at every
+    point Omega s/N + t/N, (s, t) lexicographic, times its envelope weight."""
+    frac = np.array(list(itertools.product(range(N), repeat=2 * pav.g))) / N
+    pts = pav.lattice_vector(frac[:, :pav.g], frac[:, pav.g:])
+    return ThetaBasis(pav, n + 1).eval_matrix(pts).T * section_weights(pav, n + 1, pts)[:, None]
+
+
+@pytest.mark.parametrize("g,n,N,seed", [
+    (1, 2, 10, 106), (2, 1, 7, 109), (3, 1, 3, 202), (2, 1, 3, 109), (2, 2, 4, 109),
+], ids=lambda v: str(v))
+def test_spanning_matrix_matches_weighted_rows(g, n, N, seed, monkeypatch):
+    # the shifted characteristics at real points give the weighted rows up to
+    # a unit phase per row: same moduli entry by entry, so the same row
+    # order, and the same singular values and rank
+    pav = validate_polarized(random_period_matrix(g, seed), (1,) * g, True)
     seen = []
+    svd = np.linalg.svd
 
-    def recording(pav, m, zs):
-        seen.append(zs)
-        return section_weights(pav, m, zs)
+    def recording(matrix, **kwargs):
+        seen.append(matrix)
+        return svd(matrix, **kwargs)
 
-    monkeypatch.setattr(mult, "section_weights", recording)
-    assert spanning_check(principal_g2, 1, 3).npoints == 81
-    frac = np.array(list(itertools.product(range(3), repeat=4))) / 3.0
-    expected = principal_g2.lattice_vector(frac[:, :2], frac[:, 2:])
-    assert np.abs(seen[0] - expected).max() <= 1e-15 * np.abs(expected).max()
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    report = spanning_check(pav, n, N)
+    monkeypatch.undo()
+    [matrix] = seen
+    rows = _weighted_rows(pav, n, N)
+    assert matrix.shape == rows.shape == (N ** (2 * g), (n + 1) ** g)
+    assert np.abs(np.abs(matrix) - np.abs(rows)).max() <= 1e-12 * np.abs(rows).max()
+    fast, slow = svd(matrix, compute_uv=False), svd(rows, compute_uv=False)
+    assert np.abs(fast - slow).max() <= 1e-12 * slow[0]
+    assert report.rank == mult._ranks(slow)
 
 
 def _never_called(*args, **kwargs):
@@ -455,8 +493,8 @@ def test_size_caps(principal_g1, monkeypatch):
     with pytest.raises(SizeLimit, match="1600x90000"):
         mu_matrix(pav, 3)
     # the (h0(n+1), |G|) values, 10**6 + 1 sections at 100 points, exceed
-    # DEFAULT_CELL_CAP: refused before the points or the basis are built
-    monkeypatch.setattr(mult, "ThetaBasis", _never_called)
+    # DEFAULT_CELL_CAP: refused before the characteristics or the sum are built
+    monkeypatch.setattr(mult, "_LatticeSum", _never_called)
     monkeypatch.setattr(mult, "lex_vectors", _never_called)
     with pytest.raises(SizeLimit, match="100000100 cells"):
         spanning_check(principal_g1, 10**6, 10)
@@ -500,8 +538,13 @@ def test_level_below_one_is_a_value_error(elliptic_d3, call):
     lambda pav: surjectivity_verdict(pav, 1.5),
     lambda pav: spanning_check(pav, 1, True),
     lambda pav: spanning_check(pav, 1, 3.0),
+    lambda pav: section_weights(pav, 2.5, np.array([0.5j])),
+    lambda pav: section_weights(pav, True, np.array([0.5j])),
+    lambda pav: constants_radius(pav, 2.5),
+    lambda pav: box_radius(1.0, 2.5, 1, 0.5),
 ], ids=["h0-float", "h0-bool", "basis-float", "tilde-float", "tilde-bool", "constants-float",
-        "verdict-float", "spanning-bool", "spanning-float"])
+        "verdict-float", "spanning-bool", "spanning-float", "weights-float", "weights-bool",
+        "radius-float", "box-radius-float"])
 def test_level_or_modulus_not_an_integer_is_a_value_error(call):
     # a float is refused, not truncated, and a bool is not an integer here
     pav = validate_polarized(np.array([[1j]]), (1,))

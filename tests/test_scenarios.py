@@ -28,7 +28,7 @@ from thetamu import (
 )
 from thetamu import mult, scenarios, theta
 from thetamu.cli import main as cli_main
-from thetamu.reference import mu_matrix, phi_map_coords
+from thetamu.reference import expand_in_basis, mu_matrix
 from thetamu.scenarios import resolve_n
 
 
@@ -264,8 +264,8 @@ def test_wirtinger_stage_fits_once(monkeypatch):
     # scenario the stage builds the level-1, theta~, level-(n+1) and
     # level-n(n+1) lattice sums once each and evaluates each once (three
     # ThetaBasis.eval_matrix calls and one ThetaTilde.eval_many call), draws
-    # the relation pairs and the fit samples, and takes one SVD for the fit
-    # and one of the reduced matrix
+    # the samples U and V once, and takes one SVD for the fit and one of the
+    # reduced matrix
     counts = dict.fromkeys(("sums", "draws", "svds", "bases", "tildes"), 0)
 
     def counting(key, fn):
@@ -295,7 +295,7 @@ def test_wirtinger_stage_fits_once(monkeypatch):
     for cfg in catalog():
         if cfg.checks.get("wirtinger"):
             assert run_scenario(cfg).payload["wirtinger"]["diagram_residual_max"] < 1e-14
-    assert stage_counts == [{"sums": 4, "draws": 2, "svds": 2, "bases": 3, "tildes": 1}] * 3
+    assert stage_counts == [{"sums": 4, "draws": 1, "svds": 2, "bases": 3, "tildes": 1}] * 3
 
 
 #: the catalog's Wirtinger scenarios and the principal g = 2, n = 2 one of
@@ -309,9 +309,9 @@ _WIRTINGER_STAGES = [
 
 @pytest.mark.parametrize("cfg", _WIRTINGER_STAGES, ids=lambda cfg: cfg.name)
 def test_wirtinger_stage_matches_separate_calls(cfg, monkeypatch):
-    # the stage evaluates each theta series once, on the relation pairs and
-    # the diagram pairs stacked; every residual it reports matches one built
-    # from separate evaluations at the same samples
+    # the stage evaluates each theta series once, on the grid U x (V + points);
+    # every residual it reports matches one rebuilt from separate evaluations
+    # at the same samples
     calls = []
 
     def recorded(pav, n, seed, points):
@@ -323,36 +323,56 @@ def test_wirtinger_stage_matches_separate_calls(cfg, monkeypatch):
     [(pav, n, seed, points, wirt)] = calls
     N = n * (n + 1)
     C = wirt.full
-    # the diagram: divisor coordinates against the Wirtinger image, per point
-    phi = phi_map_coords(pav, n, seed, points).coefficients
-    image = C @ ThetaBasis(pav, N).eval_matrix(np.array(points))
+    bs = np.array(points)
+    nu = mult.OVERSAMPLE * pav.h0(n + 1)
+    z = mult.sample_points(pav, nu + pav.h0(N), seed)
+    us, vs = z[:nu], z[nu:]
+    assert len(us) * len(vs) == mult.OVERSAMPLE * C.size
+
+    def divisor(b):
+        return ThetaBasis(pav, 1).eval_matrix(us + n * b)[0] * ThetaTilde(pav, n).eval_many(us - b)
+
+    # the diagram: divisor coordinates fit at U against the Wirtinger image, per point
+    values = np.stack([divisor(b) for b in bs], axis=1)
+    phi = expand_in_basis(pav, n + 1, values, us).coefficients
+    image = C @ ThetaBasis(pav, N).eval_matrix(bs)
     separate = [mult.projective_residual(x, y) for x, y in zip(phi.T, image.T)]
     assert wirt.diagram_residuals.shape == (len(points),) == (3,)
     assert np.abs(wirt.diagram_residuals - separate).max() <= 1e-13
     assert payload["diagram_residual_max"] == wirt.diagram_residuals.max()
-    # the relation at the same pairs (u, v)
-    count = mult.OVERSAMPLE * C.size
-    z = mult.sample_points(pav, 2 * count, seed)
-    us, vs = z[:count], z[count:]
-    lhs = ThetaBasis(pav, 1).eval_matrix(us + n * vs)[0] * ThetaTilde(pav, n).eval_many(us - vs)
-    rhs = ThetaBasis(pav, n + 1).eval_matrix(us) * (C @ ThetaBasis(pav, N).eval_matrix(vs))
-    w = section_weights(pav, n + 1, us) * section_weights(pav, N, vs)
-    residual = np.linalg.norm(w * (lhs - rhs.sum(axis=0))) / np.linalg.norm(w * lhs)
-    assert abs(payload["fit_residual"] - residual) <= 1e-13
+    # the relation on the grid U x V, one column v at a time
+    ta = ThetaBasis(pav, n + 1).eval_matrix(us)
+    w_u = section_weights(pav, n + 1, us)
+    columns = [(divisor(v), ThetaBasis(pav, N).eval_matrix(v)[:, 0], w_u * w_v)
+               for v, w_v in zip(vs, section_weights(pav, N, vs))]
+
+    def misfit(coefficients):
+        wrong = sum(np.linalg.norm(w * (lhs - ta.T @ (coefficients @ tb))) ** 2
+                    for lhs, tb, w in columns)
+        return np.sqrt(wrong / sum(np.linalg.norm(w * lhs) ** 2 for lhs, _, w in columns))
+
+    assert abs(payload["fit_residual"] - misfit(C)) <= 1e-13
     assert payload["fit_residual"] == wirt.fit_residual
+    # a wrong matrix, its entry at alpha = beta = 0 cleared, gets the same
+    # misfit from the grid and from the columns
+    wrong = C.copy()
+    wrong[0, 0] = 0.0
+    grid = mult._wirtinger_checks(pav, n, wrong, seed, points)[0]
+    assert grid > 1e-3
+    assert abs(grid - misfit(wrong)) <= 1e-13 * grid
 
 
 def test_wirtinger_term_budget_spans_the_stage(monkeypatch):
-    # at Omega = 0.00025 i I each of the stage's four evaluations is under
+    # at Omega = 0.0001 i I each of the stage's four evaluations is under
     # DEFAULT_TERM_CAP and the four together are over it: the stage is
-    # refused before any evaluation.  It draws 2 * 3^2 * 6^2 = 648 relation
-    # pairs, 2 * 3^2 = 18 fit samples and 3 points.
-    omega = [[[0, 2.5e-4], [0, 0]], [[0, 0], [0, 2.5e-4]]]
+    # refused before any evaluation.  Its grid pairs 2 * 3^2 = 18 samples U
+    # with 6^2 = 36 samples V and 3 points.
+    omega = [[[0, 1e-4], [0, 0]], [[0, 0], [0, 1e-4]]]
     cfg = ScenarioConfig(name="wirtinger-budget", g=2, type=(1, 1), omega=omega, n=2,
                          checks={"wirtinger": True})
     pav = validate_polarized(scenarios.resolve_omega(cfg), (1, 1))
-    terms = [ThetaBasis(pav, 1).terms(648 + 18 * 3), ThetaTilde(pav, 2).terms(648 + 18 * 3),
-             ThetaBasis(pav, 3).terms(648 + 18), ThetaBasis(pav, 6).terms(648 + 3)]
+    terms = [ThetaBasis(pav, 1).terms(18 * 39), ThetaTilde(pav, 2).terms(18 * 39),
+             ThetaBasis(pav, 3).terms(18), ThetaBasis(pav, 6).terms(36 + 3)]
     assert max(terms) < theta.DEFAULT_TERM_CAP < sum(terms)
     monkeypatch.setattr(theta._LatticeSum, "eval", _never_called)
     report = run_scenario(cfg)

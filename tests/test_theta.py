@@ -90,6 +90,19 @@ def test_theta_oracle_value(elliptic):
     assert abs(brute_theta(elliptic.matrix, 1, np.zeros(1), np.zeros(1), 12) - reference) < 1e-12
 
 
+@pytest.mark.parametrize("dims", [(1,), (7,), (2, 3), (3, 1, 4), (2, 5, 2, 3)],
+                         ids=lambda v: str(v))
+def test_ravel_inverts_lex_vectors(dims):
+    # place values, last axis fastest, for a tuple or an array of dims, one
+    # vector or a stack of them
+    vectors = theta.lex_vectors(dims)
+    count = np.arange(len(vectors))
+    assert np.array_equal(theta._ravel(vectors, dims), count)
+    stacked = np.stack([vectors, vectors[::-1]])
+    assert np.array_equal(theta._ravel(stacked, np.array(dims)), [count, count[::-1]])
+    assert theta._ravel(vectors[-1], dims) == len(vectors) - 1
+
+
 def test_eval_reads_the_row_of_its_label(pav_g2):
     # eval(k, z) is row _ravel(k) of eval_matrix, up to the rounding of a
     # one-row product, for every label k, and a label out of range, of the
@@ -657,13 +670,32 @@ def test_theta_tilde_invariance_and_expansion(g, n):
 
 
 def test_theta_tilde_radius_uses_its_zero_characteristic():
-    # theta~ sums Z^g with characteristic 0, so at a reduced point the
-    # Gaussian centre is within 1/2 of a lattice point: offset 1/2, as for
-    # theta constants, not the offset 1 of a basis with c in [0, 1)^g
+    # theta~ and the principal level-1 basis sum Z^g with characteristic 0,
+    # so at a reduced point the Gaussian centre is within 1/2 of a lattice
+    # point: offset 1/2, as for theta constants.  A basis takes 1/2 plus the
+    # largest distance of its characteristics from Z^g: 5/6 at level 3 and 1
+    # at level 2
     pav = validate_polarized(random_period_matrix(2, 107), (1, 1))
     tilde = ThetaTilde(pav, 1)
     assert tilde.radius == theta.box_radius(pav.lambda_min, 1, 2, 0.5) == 2
-    assert ThetaBasis(pav, 1).radius == 3
+    assert ThetaBasis(pav, 1).radius == 2
+    for m, offset in ((2, 1.0), (3, 5 / 6)):
+        assert ThetaBasis(pav, m).radius == theta.box_radius(pav.lambda_min, m, 2, offset)
+
+
+@pytest.mark.parametrize("divisors,m", [((1, 1), 1), ((1, 1), 3), ((1, 3), 1)],
+                         ids=lambda v: str(v))
+def test_basis_offset_holds_at_the_cell_corners(divisors, m, monkeypatch):
+    # the Gaussian centre is farthest from the box centre at a corner of the
+    # cell, Y^{-1} Im z0 = +-1/2, with the characteristic farthest from Z^g;
+    # there the radius of the offset rule still agrees with twice it
+    pav = validate_polarized(random_period_matrix(2, 107), divisors)
+    corners = np.array([[0.5, 0.5], [-0.5, 0.5], [0.5, -0.49], [-0.49, -0.49]])
+    zs = corners @ pav.matrix.T + 0.3
+    basis = ThetaBasis(pav, m)
+    doubled = _doubled(monkeypatch, lambda: ThetaBasis(pav, m))
+    weight = section_weights(pav, m, zs)
+    assert (np.abs(basis.eval_matrix(zs) - doubled.eval_matrix(zs)) * weight <= DEFAULT_EPS).all()
 
 
 def test_theta_tilde_satisfies_level_n_cocycle():
