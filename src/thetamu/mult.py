@@ -56,7 +56,7 @@ from .theta import (
     section_weights,
     theta_constants,
 )
-from .varieties import PolarizedAbelianVariety, _as_int
+from .varieties import PolarizedAbelianVariety, _as_int, seeded_uniform
 
 #: least-squares residual above which an expansion is rejected
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -76,10 +76,11 @@ DEFAULT_POINT_CAP = 10**6
 
 def sample_points(pav: PolarizedAbelianVariety, count: int, seed: int) -> np.ndarray:
     """The (count, g) seeded points z_p = Omega a_p + Delta b_p with a_p, b_p
-    uniform in [0,1)^g, drawn from default_rng(seed), a first, then b."""
-    rng = np.random.default_rng(seed)
-    a = rng.random((count, pav.g))
-    return pav.lattice_vector(a, rng.random((count, pav.g)))
+    uniform in [0,1)^g: the first 2 count g values of ``seeded_uniform(seed)``,
+    every a_p first (row by row), then every b_p.  Raises ValueError for a
+    seed that is not a non-negative integer."""
+    a, b = seeded_uniform(seed, (2, count, pav.g))
+    return pav.lattice_vector(a, b)
 
 
 def _column_scale(x: np.ndarray) -> np.ndarray:

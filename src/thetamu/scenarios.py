@@ -20,7 +20,7 @@ import time
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -31,8 +31,10 @@ from .varieties import (
     BoundPrediction,
     PolarizedAbelianVariety,
     TorelliBound,
+    _as_int,
     _is_int,
     bound_prediction,
+    seeded_uniform,
     torelli_bound,
     validate_polarized,
 )
@@ -125,23 +127,35 @@ def load_scenario(path) -> ScenarioConfig:
     return ScenarioConfig.from_dict(data)
 
 
-def random_period_matrix(g: int, seed: int) -> np.ndarray:
-    """Seeded matrix Omega = S + i (A^T A + g I) with S symmetric uniform in
-    [-1/2, 1/2] and A uniform in [-1, 1]; always passes validation.
-
-    Draw order is fixed (A first, then S) so the result is reproducible.
-    Raises ValueError before any draw when g^2 exceeds DEFAULT_CELL_CAP.
-    """
+def _check_random_size(g: int) -> None:
+    g = _as_int(g, "g")
     if g < 1:
         raise ValueError(f"require g >= 1, got {g}")
     if g * g > mult.DEFAULT_CELL_CAP:
         raise ValueError(f"a random g = {g} period matrix needs {g * g} cells, "
                          f"cap is {mult.DEFAULT_CELL_CAP}")
-    rng = np.random.default_rng(int(seed))
-    a = rng.uniform(-1.0, 1.0, (g, g))
-    s0 = rng.uniform(-0.5, 0.5, (g, g))
+
+
+def random_period_matrix(g: int, seed: int) -> np.ndarray:
+    """Seeded matrix Omega = S + i (A^T A + g I); always passes validation.
+
+    The first g^2 values u of ``seeded_uniform(seed)`` give A, row by row,
+    as A = k / 2^20 with the integer k = floor(2^21 u) - 2^20, so A lies in
+    [-1, 1); the next g^2 values u' give S = (S0 + S0^T) / 2 with
+    S0 = u' - 1/2.  Every product k_i k_j is an integer below 2^40 and every
+    partial sum of K^T K stays below g 2^40 < 2^53 (the cell cap keeps
+    g <= 3162), so A^T A = K^T K / 2^40 is exact: Omega has the same bits
+    under any BLAS kernel, summation order or thread count, and on every
+    Python version.  Raises ValueError before any draw for a g that is not
+    an integer >= 1 or whose g^2 exceeds DEFAULT_CELL_CAP, and for a seed
+    that is not a non-negative integer.
+    """
+    _check_random_size(g)
+    u, u_s = seeded_uniform(seed, (2, g, g))
+    k = np.floor(u * 2.0**21) - 2.0**20
+    s0 = u_s - 0.5
     s = (s0 + s0.T) / 2.0
-    return s + 1j * (a.T @ a + g * np.eye(g))
+    return s + 1j * ((k.T @ k) / 2.0**40 + g * np.eye(g))
 
 
 class ITTVerdict(Enum):
@@ -186,7 +200,7 @@ def _check_counts(config: ScenarioConfig) -> None:
     integers, simple_asserted a boolean, the seed a non-negative integer and
     checks a mapping from known keys with a boolean ``wirtinger`` and a
     non-negative integer ``spanning_modulus`` (0 or absent skips the check);
-    ``resolve_n`` and ``resolve_omega`` check n and omega in the same stage."""
+    ``resolve_n`` and ``omega_source`` check n and omega in the same stage."""
     if not _is_int(config.g) or config.g < 1:
         raise ValueError(f"g must be a positive integer, got {config.g!r}")
     if (not isinstance(config.type, (list, tuple)) or len(config.type) != config.g
@@ -233,7 +247,12 @@ def writable_bound(g: int, n: int, degree: int = 1) -> TorelliBound:
     return bound
 
 
-def resolve_omega(config: ScenarioConfig) -> np.ndarray:
+def omega_source(config: ScenarioConfig) -> Callable[[], np.ndarray]:
+    """A function that returns the period matrix of the scenario, after every
+    check that needs no draw: the shape of an explicit matrix, or the form,
+    seed and cell count of a {"random": {"seed": <int>}} request.  Raises
+    ValueError for what those checks refuse; a random matrix is drawn only
+    when the function is called."""
     if isinstance(config.omega, dict):
         request = config.omega.get("random")
         if (not isinstance(request, dict) or set(config.omega) != {"random"}
@@ -242,7 +261,8 @@ def resolve_omega(config: ScenarioConfig) -> np.ndarray:
         seed = request["seed"]
         if not _is_int(seed) or seed < 0:
             raise ValueError(f"omega seed must be a non-negative integer, got {seed!r}")
-        return random_period_matrix(config.g, seed)
+        _check_random_size(config.g)
+        return lambda: random_period_matrix(config.g, seed)
     rows, g, seq = config.omega, config.g, (list, tuple)
     square = isinstance(rows, seq) and len(rows) == g and all(
         isinstance(row, seq) and len(row) == g for row in rows)
@@ -251,7 +271,8 @@ def resolve_omega(config: ScenarioConfig) -> np.ndarray:
         raise ValueError(
             f"omega must be a {g} x {g} list of [re, im] pairs of finite numbers, got {rows!r}"
         )
-    return np.array([[complex(float(re), float(im)) for re, im in row] for row in rows])
+    matrix = np.array([[complex(float(re), float(im)) for re, im in row] for row in rows])
+    return lambda: matrix
 
 
 @dataclass(eq=False)
@@ -325,11 +346,13 @@ def run_scenario(config: ScenarioConfig) -> Report:
 
     try:
         _check_counts(config)
-        omega = resolve_omega(config)
+        make_omega = omega_source(config)
         n, note = resolve_n(config)
         if note:
             notes.append(note)
         bound = writable_bound(config.g, n, math.prod(config.type))
+        # drawn only now, so no scenario the bound refuses draws a matrix
+        omega = make_omega()
         pav = timer.time(
             "validate",
             lambda: validate_polarized(omega, config.type, config.simple_asserted),
@@ -436,8 +459,9 @@ def run_scenario(config: ScenarioConfig) -> Report:
 
 
 def _wirtinger_payload(pav: PolarizedAbelianVariety, n: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed + 17)
-    points = [pav.lattice_vector(rng.random(pav.g), rng.random(pav.g)) for _ in range(3)]
+    # three points Omega a + Delta b, each a then b
+    u = seeded_uniform(seed + 17, (3, 2, pav.g))
+    points = pav.lattice_vector(u[:, 0], u[:, 1])
     # the relation and the diagram at these points share every theta evaluation
     wirt = wirtinger_matrix(pav, n, seed, points)
     svals = np.linalg.svd(wirt.reduced, compute_uv=False)

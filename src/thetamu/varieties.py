@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -50,6 +51,25 @@ def _as_int(value, name: str) -> int:
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def seeded_uniform(seed: int, shape) -> np.ndarray:
+    """An array of the given shape, filled in C order with the first values
+    of ``random.Random(seed).random()``: doubles k / 2^53 uniform in [0, 1).
+
+    ``Random.random()`` is the one method whose sequence Python keeps the
+    same across versions for a given seed, so every machine draws the same
+    bits.  The stdlib generator is used, not ``numpy.random``, whose import
+    would load ``hashlib`` and OpenSSL into the process.  ``seed`` must be a
+    non-negative integer: ``Random`` reads a negative seed as its absolute
+    value and a float or bool as an equal int, so ValueError is raised for
+    those instead of silently sharing another seed's stream.
+    """
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    draw = random.Random(seed).random
+    return np.array([draw() for _ in range(math.prod(shape))]).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -307,13 +307,13 @@ def test_c14_determinism():
             f"{len(first)} bytes, identical = {first == second}")
 
 
-def _threshold_itt_g3(number, divisors):
+def _threshold_itt_g3(number, divisors, omega):
     # g = 3, n = g-1 = 2: h0(L) = 21 or 27 meets the bound 81/4, so mu_2 is
     # onto and Infinitesimal Torelli holds
     rank = 27 * math.prod(divisors)
     name = "-".join(map(str, divisors))
     cfg = ScenarioConfig(
-        name=f"threshold-g3-{name}", g=3, type=divisors, omega={"random": {"seed": 301}},
+        name=f"threshold-g3-{name}", g=3, type=divisors, omega=omega,
         n="g-1", seed=31, simple_asserted=True,
     )
     start = time.perf_counter()
@@ -335,11 +335,25 @@ def _threshold_itt_g3(number, divisors):
             f"ITT {p['itt']['verdict']}, exit {report.exit_code}, {elapsed:.1f} s")
 
 
+#: the period matrix that ``{"random": {"seed": 301}}`` drew at g = 3 before
+#: the seeded draws moved to the stdlib generator.  The stdlib draw of seed 301
+#: is Surjective for (1,1,21) too, but a third of the seeds near it are
+#: Inconclusive (ROADMAP item 1), so the case keeps the matrix it was run at
+_OMEGA_G3_301 = [
+    [[0.08207766608055633, 4.413244999999277], [0.14250160956362307, 1.5120895386772548],
+     [-0.14338752710413488, 1.2391393235107184]],
+    [[0.14250160956362307, 1.5120895386772548], [0.16180041990603045, 4.791950947948377],
+     [0.35692732540753747, 1.4327994484412718]],
+    [[-0.14338752710413488, 1.2391393235107184], [0.35692732540753747, 1.4327994484412718],
+     [-0.06558183922613281, 4.254964780190508]],
+]
+
+
 def test_c15_threshold_itt_g3():
     # mu_2 of type (1,1,21) is 567 x 3528
-    _threshold_itt_g3(15, (1, 1, 21))
+    _threshold_itt_g3(15, (1, 1, 21), _OMEGA_G3_301)
 
 
 def test_c16_threshold_itt_g3_139():
     # mu_2 of type (1,3,9) is 729 x 5832
-    _threshold_itt_g3(16, (1, 3, 9))
+    _threshold_itt_g3(16, (1, 3, 9), {"random": {"seed": 301}})

@@ -8,6 +8,8 @@
 * The verdict path is a small core: no package module but ``reference``
   and ``torsion`` imports either of them, and ``import thetamu`` does not
   load the reference layer.
+* Seeded draws come from the stdlib ``random``: running scenarios loads
+  neither ``numpy.random`` nor, through it, OpenSSL's ``_hashlib``.
 """
 
 import ast
@@ -83,10 +85,25 @@ def test_core_module_imports_no_reference_or_torsion(path):
     assert package_imports(path.read_text(encoding="utf-8")) & OUTSIDE_CORE == set()
 
 
-def test_import_thetamu_leaves_the_reference_layer_unloaded():
+def loaded_modules(code: str) -> list[str]:
+    """The names in sys.modules after a fresh interpreter runs ``code``."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    code = "import json, sys, thetamu; print(json.dumps(sorted(sys.modules)))"
+    code += "; import json, sys; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path}).stdout
-    loaded = json.loads(out)
+    return json.loads(out)
+
+
+def test_import_thetamu_leaves_the_reference_layer_unloaded():
+    loaded = loaded_modules("import thetamu")
     assert "thetamu.mult" in loaded and "thetamu.reference" not in loaded
+
+
+def test_scenarios_leave_numpy_random_unloaded():
+    # a mu verdict with its blocks, a Wirtinger check and a spanning check,
+    # each drawing its seeded Omega and the Wirtinger one its sample points
+    loaded = loaded_modules(
+        "import thetamu as t; names = ('elliptic-d3', 'wirtinger-g1-n1', 'spanning-g1-n2'); "
+        "[t.emit_report(t.run_scenario(c)) for c in t.catalog() if c.name in names]")
+    assert "thetamu.scenarios" in loaded
+    assert "numpy.random" not in loaded and "_hashlib" not in loaded

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,10 +54,10 @@ def test_sample_points_deterministic(elliptic_d3):
     assert s1.shape == (12, 1)
     assert np.array_equal(s1, sample_points(elliptic_d3, 12, 5))
     assert not np.array_equal(s1, sample_points(elliptic_d3, 12, 6))
-    # Omega a + Delta b from two draws of default_rng(seed), a first
-    rng = np.random.default_rng(5)
-    a = rng.random((12, 1))
-    assert np.array_equal(s1, elliptic_d3.lattice_vector(a, rng.random((12, 1))))
+    # Omega a + Delta b from one stdlib stream: all 12 a first, then all 12 b
+    draw = random.Random(5).random
+    a = [[draw()] for _ in range(12)]
+    assert np.array_equal(s1, elliptic_d3.lattice_vector(a, [[draw()] for _ in range(12)]))
 
 
 def test_expand_recovers_basis_vectors(elliptic_d3):
