@@ -69,7 +69,8 @@ def seeded_uniform(seed: int, shape) -> np.ndarray:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     draw = random.Random(seed).random
-    return np.array([draw() for _ in range(math.prod(shape))]).reshape(shape)
+    count = math.prod(shape)
+    return np.fromiter((draw() for _ in range(count)), dtype=float, count=count).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -322,15 +322,34 @@ def test_subnormal_symmetric_period_matrix_is_symmetric(tmp_path, capsys, diviso
         assert any(message in e for e in report.payload["errors"])
 
 
+#: the period matrices the catalog's Wirtinger scenarios drew before the
+#: seeded draws moved to the stdlib generator
+_WIRTINGER_OMEGAS = {
+    "wirtinger-g1-n1": [[[0.4914597754812582, 1.0763918009169688]]],
+    "wirtinger-g1-n2": [[[-0.45959984710634283, 1.930869356050938]]],
+    "wirtinger-g2-n1": [
+        [[-0.008826720634830698, 2.088281650447407], [-0.2539318142853797, -0.010685422824691785]],
+        [[-0.2539318142853797, -0.010685422824691785], [0.48957719098855, 2.222485091071155]]],
+}
+
+
+def _numpy_uniform(seed, shape):
+    # what seeded_uniform(seed, shape) drew before: the sample points took a,
+    # then b, and the Wirtinger points a, then b per point, from one
+    # default_rng(seed) each
+    return np.random.default_rng(seed).random(shape)
+
+
 def test_wirtinger_stage_fits_once(monkeypatch):
     # the relation and the diagram share every theta evaluation: per catalog
     # scenario the stage builds the level-1, theta~, level-(n+1) and
     # level-n(n+1) lattice sums once each and evaluates each once (three
     # ThetaBasis.eval_matrix calls and one ThetaTilde.eval_many call), draws
     # the samples U and V once, and takes one SVD for the fit and one of the
-    # reduced matrix.  The diagram residual is rounding: over 40 fit seeds of
-    # each catalog Wirtinger scenario it reaches 3.2e-14, so it is bounded by
-    # 1e-13, 1e5 below the 1e-8 gate of the fit
+    # reduced matrix.  The scenarios keep the matrices and draws they were
+    # run at: the residual is set by the tail the lattice sums leave at
+    # DEFAULT_EPS, so its size depends on where lambda_min falls between two
+    # box radii (on the stdlib draws wirtinger-g1-n1 reaches 1.2e-14)
     counts = dict.fromkeys(("sums", "draws", "svds", "bases", "tildes"), 0)
 
     def counting(key, fn):
@@ -357,9 +376,12 @@ def test_wirtinger_stage_fits_once(monkeypatch):
     monkeypatch.setattr(mult, "sample_points", counting("draws", mult.sample_points))
     monkeypatch.setattr(np.linalg, "svd", counting("svds", np.linalg.svd))
     monkeypatch.setattr(scenarios, "_wirtinger_payload", stage)
+    monkeypatch.setattr(mult, "seeded_uniform", _numpy_uniform)
+    monkeypatch.setattr(scenarios, "seeded_uniform", _numpy_uniform)
     for cfg in catalog():
         if cfg.checks.get("wirtinger"):
-            assert run_scenario(cfg).payload["wirtinger"]["diagram_residual_max"] < 1e-13
+            cfg = replace(cfg, omega=_WIRTINGER_OMEGAS[cfg.name])
+            assert run_scenario(cfg).payload["wirtinger"]["diagram_residual_max"] < 1e-14
     assert stage_counts == [{"sums": 4, "draws": 1, "svds": 2, "bases": 3, "tildes": 1}] * 3
 
 
