@@ -77,9 +77,9 @@ DEFAULT_POINT_CAP = 10**6
 def sample_points(pav: PolarizedAbelianVariety, count: int, seed: int) -> np.ndarray:
     """The (count, g) seeded points z_p = Omega a_p + Delta b_p with a_p, b_p
     uniform in [0,1)^g: the first 2 count g values of ``seeded_uniform(seed)``,
-    every a_p first (row by row), then every b_p.  Raises ValueError for a
-    seed that is not a non-negative integer."""
-    a, b = seeded_uniform(seed, (2, count, pav.g))
+    every a_p first (row by row), then every b_p.  Raises ValueError unless
+    count and seed are integers >= 0."""
+    a, b = seeded_uniform(seed, (2, _as_int(count, "count", 0), pav.g))
     return pav.lattice_vector(a, b)
 
 
@@ -198,6 +198,7 @@ def surjectivity_verdict(pav: PolarizedAbelianVariety, n: int) -> SurjectivityVe
     :func:`gamma_blocks` raises :class:`SizeLimit` before any evaluation when
     the blocks exceed DEFAULT_CELL_CAP.
     """
+    n = _as_int(n, "n", 1)
     required = pav.h0(n + 1)
     if pav.h0(1) * pav.h0(n) < required:
         return SurjectivityVerdict(
@@ -304,8 +305,7 @@ def gamma_blocks(pav: PolarizedAbelianVariety, n: int) -> GammaBlocks:
     :class:`SizeLimit` before any evaluation when h0(n+1) h0(n), the cells
     of all |K| blocks (one per orbit is built), exceed DEFAULT_CELL_CAP.
     """
-    if n < 1:
-        raise ValueError(f"require n >= 1, got {n}")
+    n = _as_int(n, "n", 1)
     cells = pav.h0(n + 1) * pav.h0(n)
     if cells > DEFAULT_CELL_CAP:
         raise SizeLimit(f"mu_{n} blocks need {cells} cells, cap is {DEFAULT_CELL_CAP}")
@@ -459,6 +459,7 @@ def wirtinger_matrix(
     """
     if not pav.is_principal:
         raise ValueError("the Wirtinger matrix requires a principal polarization")
+    n = _as_int(n, "n", 1)
     g = pav.g
     N = n * (n + 1)
     unknowns = (n + 1) ** g * N**g
@@ -534,9 +535,7 @@ def spanning_check(pav: PolarizedAbelianVariety, n: int, N: int) -> SpanningRepo
     if not pav.is_principal:
         raise ValueError("the spanning check requires a principal polarization")
     g = pav.g
-    N = _as_int(N, "modulus N")
-    if N < 1:
-        raise ValueError(f"require N >= 1, got {N}")
+    N = _as_int(N, "modulus N", 1)
     if N > DEFAULT_POINT_CAP:
         raise SizeLimit(f"modulus N = {N} exceeds cap {DEFAULT_POINT_CAP}")
     npts = N ** (2 * g)

@@ -17,7 +17,7 @@ from . import mult
 from .errors import NotInK1, NotLatticeVector, SizeLimit
 from .theta import ThetaBasis, ThetaTilde, _check_label, _ravel, lex_vectors, theta_constants
 from .torsion import TorsionPoint
-from .varieties import PolarizedAbelianVariety
+from .varieties import PolarizedAbelianVariety, _as_int
 
 
 def lattice_coordinates(pav: PolarizedAbelianVariety, lam):
@@ -113,8 +113,7 @@ def mu_matrix(pav: PolarizedAbelianVariety, n: int) -> np.ndarray:
     :func:`mult._mu_entries`.  Raises :class:`SizeLimit` before any
     evaluation when the matrix exceeds ``mult.DEFAULT_CELL_CAP`` cells.
     """
-    if n < 1:
-        raise ValueError(f"require n >= 1, got {n}")
+    n = _as_int(n, "n", 1)
     rows = pav.h0(n + 1)
     cols = pav.h0(1) * pav.h0(n)
     if rows * cols > mult.DEFAULT_CELL_CAP:

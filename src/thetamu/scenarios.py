@@ -62,8 +62,10 @@ class ScenarioConfig:
     ``varieties.DEFAULT_EPS`` are module constants, not fields: a scenario
     cannot raise or lower them.  However it is built, a config nested more
     than SCENARIO_DEPTH_CAP lists, tuples and dicts deep (the config counting
-    as one, like the JSON object of its file) is refused with ValueError, so
-    its report can always be written.
+    as one, like the JSON object of its file), or holding a value of a type
+    that the report writer cannot write (a numpy array or numpy bool, say),
+    is refused with ValueError, so its report can always be written.  A
+    config built in Python may hold numpy integers: it runs as its int twin.
     """
 
     name: str
@@ -77,11 +79,14 @@ class ScenarioConfig:
 
     def __post_init__(self):
         level = [getattr(self, f.name) for f in fields(self)]
-        for _ in range(SCENARIO_DEPTH_CAP - 1):
-            level = [v for x in level if isinstance(x, (dict, list, tuple))
-                     for v in (x.values() if isinstance(x, dict) else x)]
-        if any(isinstance(x, (dict, list, tuple)) for x in level):
-            raise _too_deep()
+        for depth in range(SCENARIO_DEPTH_CAP):
+            for kind in dict.fromkeys(map(type, level)):
+                if not issubclass(kind, (dict, list, tuple)) and _writer(kind) is None:
+                    raise ValueError(f"scenario value of {kind!r} cannot be written to a report")
+            level = [x for x in level if isinstance(x, (dict, list, tuple))]
+            if level and depth == SCENARIO_DEPTH_CAP - 1:
+                raise _too_deep()
+            level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)]
 
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -127,13 +132,13 @@ def load_scenario(path) -> ScenarioConfig:
     return ScenarioConfig.from_dict(data)
 
 
-def _check_random_size(g: int) -> None:
-    g = _as_int(g, "g")
-    if g < 1:
-        raise ValueError(f"require g >= 1, got {g}")
+def _check_random_size(g: int) -> int:
+    """g as a Python int, an integer >= 1 with g^2 within DEFAULT_CELL_CAP."""
+    g = _as_int(g, "g", 1)
     if g * g > mult.DEFAULT_CELL_CAP:
         raise ValueError(f"a random g = {g} period matrix needs {g * g} cells, "
                          f"cap is {mult.DEFAULT_CELL_CAP}")
+    return g
 
 
 def random_period_matrix(g: int, seed: int) -> np.ndarray:
@@ -148,9 +153,9 @@ def random_period_matrix(g: int, seed: int) -> np.ndarray:
     under any BLAS kernel, summation order or thread count, and on every
     Python version.  Raises ValueError before any draw for a g that is not
     an integer >= 1 or whose g^2 exceeds DEFAULT_CELL_CAP, and for a seed
-    that is not a non-negative integer.
+    that is not an integer >= 0.
     """
-    _check_random_size(g)
+    g = _check_random_size(g)
     u, u_s = seeded_uniform(seed, (2, g, g))
     k = np.floor(u * 2.0**21) - 2.0**20
     s0 = u_s - 0.5
@@ -175,11 +180,12 @@ def itt_verdict(pav: PolarizedAbelianVariety, n: int, verdict: Verdict) -> ITTVe
 
 
 def resolve_n(config: ScenarioConfig) -> tuple[int, str | None]:
-    """Resolve the "g-1" token (minimum n is 1; degenerate for g = 1)."""
+    """n as a Python int, the "g-1" token resolved (to 1, degenerate, for g = 1)."""
     if config.n == "g-1":
-        if config.g == 1:
+        g = _as_int(config.g, "g", 1)
+        if g == 1:
             return 1, "n token 'g-1' resolved to 1 for g = 1 (ITT implication degenerates)"
-        return config.g - 1, None
+        return g - 1, None
     if not _is_int(config.n) or config.n < 1:
         raise ValueError(f"n must be an integer >= 1 or 'g-1', got {config.n!r}")
     return int(config.n), None
@@ -195,21 +201,20 @@ def _is_finite(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _check_counts(config: ScenarioConfig) -> None:
-    """Raise ValueError unless g is a positive integer, the type a list of g
-    integers, simple_asserted a boolean, the seed a non-negative integer and
-    checks a mapping from known keys with a boolean ``wirtinger`` and a
-    non-negative integer ``spanning_modulus`` (0 or absent skips the check);
-    ``resolve_n`` and ``omega_source`` check n and omega in the same stage."""
-    if not _is_int(config.g) or config.g < 1:
-        raise ValueError(f"g must be a positive integer, got {config.g!r}")
-    if (not isinstance(config.type, (list, tuple)) or len(config.type) != config.g
+def _check_counts(config: ScenarioConfig) -> tuple[int, tuple[int, ...], int, int]:
+    """g, the type, the seed and the spanning modulus as Python ints; raises
+    ValueError unless g is an integer >= 1, the type a list of g integers,
+    simple_asserted a boolean, the seed an integer >= 0 and checks a mapping
+    from known keys with a boolean ``wirtinger`` and an integer
+    ``spanning_modulus`` >= 0 (0 or absent skips the check); ``resolve_n``
+    and ``omega_source`` check n and omega in the same stage."""
+    g = _as_int(config.g, "g", 1)
+    if (not isinstance(config.type, (list, tuple)) or len(config.type) != g
             or not all(_is_int(d) for d in config.type)):
-        raise ValueError(f"type must be a list of g = {config.g} integers, got {config.type!r}")
+        raise ValueError(f"type must be a list of g = {g} integers, got {config.type!r}")
     if not isinstance(config.simple_asserted, bool):
         raise ValueError(f"simple_asserted must be a boolean, got {config.simple_asserted!r}")
-    if not _is_int(config.seed) or config.seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
+    seed = _as_int(config.seed, "seed", 0)
     if not isinstance(config.checks, dict):
         raise ValueError(f"checks must be a mapping, got {config.checks!r}")
     unknown = set(config.checks) - _CHECK_KEYS
@@ -219,21 +224,19 @@ def _check_counts(config: ScenarioConfig) -> None:
         raise ValueError(
             f"check 'wirtinger' must be a boolean, got {config.checks['wirtinger']!r}"
         )
-    modulus = config.checks.get("spanning_modulus", 0)
-    if not _is_int(modulus) or modulus < 0:
-        raise ValueError(
-            f"check 'spanning_modulus' must be a non-negative integer, got {modulus!r}"
-        )
+    modulus = _as_int(config.checks.get("spanning_modulus", 0), "check 'spanning_modulus'", 0)
+    return g, tuple(map(int, config.type)), seed, modulus
 
 
 def writable_bound(g: int, n: int, degree: int = 1) -> TorelliBound:
-    """:func:`torelli_bound`, refused with ValueError when a report could not
-    write it or the count (n+1)^g degree: a bound past the double range, or
-    an integer with more digits than sys.get_int_max_str_digits() allows."""
+    """:func:`torelli_bound` of integers g, n and degree >= 1, refused with
+    ValueError when a report could not write it or the count (n+1)^g degree:
+    a bound past the double range, or past sys.get_int_max_str_digits()."""
+    g, n, degree = _as_int(g, "g", 1), _as_int(n, "n", 1), _as_int(degree, "degree", 1)
     past_double = f"the Torelli bound ((n+1)/n)^g g! at g = {g} is past the double range"
     # the bound is at least g!, and 170! is the largest factorial a double
     # holds: a larger g is refused before its factorial is built
-    if g > 170 and n >= 1:
+    if g > 170:
         raise ValueError(past_double)
     bound = torelli_bound(g, n)
     if bound.value > sys.float_info.max:
@@ -258,11 +261,9 @@ def omega_source(config: ScenarioConfig) -> Callable[[], np.ndarray]:
         if (not isinstance(request, dict) or set(config.omega) != {"random"}
                 or set(request) != {"seed"}):
             raise ValueError("omega mapping must be exactly {'random': {'seed': <int>}}")
-        seed = request["seed"]
-        if not _is_int(seed) or seed < 0:
-            raise ValueError(f"omega seed must be a non-negative integer, got {seed!r}")
-        _check_random_size(config.g)
-        return lambda: random_period_matrix(config.g, seed)
+        seed = _as_int(request["seed"], "omega seed", 0)
+        g = _check_random_size(config.g)
+        return lambda: random_period_matrix(g, seed)
     rows, g, seq = config.omega, config.g, (list, tuple)
     square = isinstance(rows, seq) and len(rows) == g and all(
         isinstance(row, seq) and len(row) == g for row in rows)
@@ -345,17 +346,18 @@ def run_scenario(config: ScenarioConfig) -> Report:
     }
 
     try:
-        _check_counts(config)
+        g, types, seed, modulus = _check_counts(config)
         make_omega = omega_source(config)
         n, note = resolve_n(config)
         if note:
             notes.append(note)
-        bound = writable_bound(config.g, n, math.prod(config.type))
+        # a divisor below 1 is left to validate_polarized, which names it
+        bound = writable_bound(g, n, max(math.prod(types), 1))
         # drawn only now, so no scenario the bound refuses draws a matrix
         omega = make_omega()
         pav = timer.time(
             "validate",
-            lambda: validate_polarized(omega, config.type, config.simple_asserted),
+            lambda: validate_polarized(omega, types, config.simple_asserted),
         )
     except (ValidationError, ValueError, FloatingPointError) as err:
         if isinstance(err, ValidationError):
@@ -436,11 +438,10 @@ def run_scenario(config: ScenarioConfig) -> Report:
     payload["wirtinger"] = None
     if config.checks.get("wirtinger"):
         payload["wirtinger"] = timer.run(
-            "wirtinger", lambda: _wirtinger_payload(pav, n, config.seed)
+            "wirtinger", lambda: _wirtinger_payload(pav, n, seed)
         )
 
     payload["spanning"] = None
-    modulus = config.checks.get("spanning_modulus")
     if modulus:
         span = timer.run("spanning", lambda: spanning_check(pav, n, modulus))
         if span is not None:
@@ -485,29 +486,42 @@ def _format_float(value: float) -> str:
 #: what json.dumps writes for a str
 _json_str = json.encoder.encode_basestring_ascii
 
-#: the JSON text of a scalar, by type; every writer also takes a subclass of
-#: its type, whatever the subclass's own str or format
+#: the JSON text of a scalar at the line start pad, by type (a complex is
+#: written as [re, im]); every writer also takes a subclass of its type,
+#: whatever the subclass's own str or format
 _SCALARS = {
-    float: _format_float,
-    int: int.__repr__,
-    str: _json_str,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-    np.floating: lambda value: _format_float(float(value)),
-    np.integer: lambda value: str(int(value)),
-    Fraction: lambda value: _json_str(str(value)),
+    float: lambda value, pad: _format_float(value),
+    int: lambda value, pad: int.__repr__(value),
+    str: lambda value, pad: _json_str(value),
+    bool: lambda value, pad: "true" if value else "false",
+    type(None): lambda value, pad: "null",
+    np.floating: lambda value, pad: _format_float(float(value)),
+    np.integer: lambda value, pad: str(int(value)),
+    Fraction: lambda value, pad: _json_str(str(value)),
+    complex: lambda value, pad: _serialize([value.real, value.imag], pad),
 }
+
+
+def _writer(kind: type):
+    """The writer in _SCALARS of the type ``kind``, or of its first base
+    there, which is then recorded for the type; None for a type that the
+    report cannot write as a scalar."""
+    writer = _SCALARS.get(kind)
+    if writer is None:
+        base = next((base for base in kind.__mro__ if base in _SCALARS), None)
+        if base is not None:
+            writer = _SCALARS[kind] = _SCALARS[base]
+    return writer
 
 
 def _serialize(value, pad: str) -> str:
     """The JSON text of value at the line start ``pad``, a newline and two
     spaces per level of nesting: keys sorted by str, every container item
-    on its own line.  A scalar takes the writer of its type in _SCALARS, or
-    of the type's first base there, which is then recorded for the type; a
-    complex is written as [re, im], and any other value raises TypeError."""
+    on its own line.  A scalar takes the writer that :func:`_writer` finds
+    for its type, and any other value raises TypeError."""
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
-        return scalar(value)
+        return scalar(value, pad)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -521,13 +535,10 @@ def _serialize(value, pad: str) -> str:
         inner = pad + "  "
         parts = [_serialize(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
-    if isinstance(value, complex):
-        return _serialize([value.real, value.imag], pad)
-    base = next((base for base in type(value).__mro__ if base in _SCALARS), None)
-    if base is None:
+    scalar = _writer(type(value))
+    if scalar is None:
         raise TypeError(f"cannot serialize {type(value)!r}")
-    scalar = _SCALARS[type(value)] = _SCALARS[base]
-    return scalar(value)
+    return scalar(value, pad)
 
 
 def report_json(report: Report) -> str:

@@ -153,9 +153,7 @@ def box_radius(lambda_min: float, m: int, g: int, offset: float) -> int:
     float radius bounds the tail raises :class:`TruncationOverflow`; a level
     m that is no integer >= 1 (bool and float refused) raises ValueError.
     """
-    m = _as_int(m, "level")
-    if m < 1:
-        raise ValueError(f"level must be >= 1, got {m}")
+    m = _as_int(m, "level", 1)
     if lambda_min <= 0:
         raise ValueError("lambda_min must be positive")
     a = math.pi * m * lambda_min
@@ -263,7 +261,7 @@ class _LatticeSum:
         tau = np.asarray(tau, dtype=complex)
         self.tau = tau
         self.g = tau.shape[0]
-        self.m = _as_int(m, "level")
+        self.m = _as_int(m, "level", 1)
         self.Y = tau.imag
         self.Yinv = np.linalg.inv(self.Y)
         lambda_min = float(np.linalg.eigvalsh(self.Y).min())
@@ -431,9 +429,7 @@ class ThetaBasis:
 
     def __init__(self, pav: PolarizedAbelianVariety, m: int):
         self.pav = pav
-        self.m = m = _as_int(m, "level")
-        if m < 1:
-            raise ValueError(f"level must be >= 1, got {m}")
+        self.m = m = _as_int(m, "level", 1)
         self._dims = tuple(m * di for di in pav.divisors)
         # the characteristic k_i / D_i, D_i = m d_i, farthest from an integer
         # has k_i = floor(D_i / 2)
@@ -478,11 +474,8 @@ class ThetaTilde:
     def __init__(self, pav: PolarizedAbelianVariety, n: int):
         if not pav.is_principal:
             raise ValueError("theta~ is defined for principal polarizations only")
-        n = _as_int(n, "n")
-        if n < 1:
-            raise ValueError(f"require n >= 1, got {n}")
         self.pav = pav
-        self.n = n
+        self.n = n = _as_int(n, "n", 1)
         self._sum = _LatticeSum(pav.matrix / n, 1, offset=0.5)
         self._zero = np.zeros((1, pav.g))
 
@@ -503,5 +496,5 @@ class ThetaTilde:
 
 def section_weights(pav: PolarizedAbelianVariety, m: int, zs) -> np.ndarray:
     """exp(-pi m y^T Y^{-1} y): equilibration weights for sampled sections;
-    raises ValueError unless the level m is an integer, bool excluded."""
-    return np.exp(-_log_envelope(pav.im_inv, _as_int(m, "level"), np.atleast_2d(zs)))
+    raises ValueError unless the level m is an integer >= 1, bool excluded."""
+    return np.exp(-_log_envelope(pav.im_inv, _as_int(m, "level", 1), np.atleast_2d(zs)))

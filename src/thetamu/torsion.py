@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotInGroup, NotTorsion, SizeLimit
-from .varieties import PolarizedAbelianVariety
+from .varieties import PolarizedAbelianVariety, _as_int
 
 #: cap on |K(L^m)| enumerations
 DEFAULT_GROUP_CAP = 10**6
@@ -136,8 +136,7 @@ def k_group(pav: PolarizedAbelianVariety, m: int) -> TorsionSubgroup:
     """Enumerate K(L^m)_1 and K(L^m)_2 for the polarization of ``pav``;
     raises :class:`SizeLimit` before enumerating more than DEFAULT_GROUP_CAP
     points per half."""
-    if m < 1:
-        raise ValueError(f"level must be >= 1, got {m}")
+    m = _as_int(m, "level", 1)
     d = pav.divisors
     g = pav.g
     order = pav.h0(m)
@@ -216,8 +215,7 @@ def crt_split(
     """
     if not pav.is_principal:
         raise ValueError("crt_split requires a principal polarization")
-    if n < 1:
-        raise ValueError(f"require n >= 1, got {n}")
+    n = _as_int(n, "n", 1)
     beta._compatible(pav.divisors)
     N = n * (n + 1)
     g = pav.g

@@ -45,11 +45,12 @@ def _is_int(value) -> bool:
                                   and not isinstance(value, bool))
 
 
-def _as_int(value, name: str) -> int:
-    """``value`` as a Python int, so no numpy power wraps; raises ValueError
-    for a float or bool rather than truncate it or read it as 1."""
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _as_int(value, name: str, least: int) -> int:
+    """The one integer rule: ``value`` as a Python int, so no numpy power
+    wraps; ValueError for a float or bool, not truncated or read as 0 or 1,
+    and for a value below ``least``."""
+    if not _is_int(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return operator.index(value)
 
 
@@ -60,14 +61,12 @@ def seeded_uniform(seed: int, shape) -> np.ndarray:
     ``Random.random()`` is the one method whose sequence Python keeps the
     same across versions for a given seed, so every machine draws the same
     bits.  The stdlib generator is used, not ``numpy.random``, whose import
-    would load ``hashlib`` and OpenSSL into the process.  ``seed`` must be a
-    non-negative integer: ``Random`` reads a negative seed as its absolute
-    value and a float or bool as an equal int, so ValueError is raised for
-    those instead of silently sharing another seed's stream.
+    would load ``hashlib`` and OpenSSL into the process.  ``seed`` must be an
+    integer >= 0: ``Random`` reads a negative seed as its absolute value and
+    a float or bool as an equal int, so ValueError is raised for those
+    instead of silently sharing another seed's stream.
     """
-    seed = _as_int(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed = _as_int(seed, "seed", 0)
     draw = random.Random(seed).random
     count = math.prod(shape)
     return np.fromiter((draw() for _ in range(count)), dtype=float, count=count).reshape(shape)
@@ -105,10 +104,7 @@ class PolarizedAbelianVariety:
 
     def h0(self, m: int = 1) -> int:
         """Dimension of H^0(A, L^m) = m^g d_1...d_g, for an integer m >= 1."""
-        m = _as_int(m, "level")
-        if m < 1:
-            raise ValueError(f"level must be >= 1, got {m}")
-        return m ** self.g * self.degree
+        return _as_int(m, "level", 1) ** self.g * self.degree
 
     def lattice_vector(self, a, bhat) -> np.ndarray:
         """The point Omega a + Delta bhat, row by row for arrays whose last axis is g."""
@@ -185,8 +181,7 @@ def torelli_bound(g: int, n: int) -> TorelliBound:
     Returns the exact rational ((n+1)/n)^g * g! together with the least
     integer h satisfying h > bound.
     """
-    if g < 1 or n < 1:
-        raise ValueError(f"require g >= 1 and n >= 1, got g={g}, n={n}")
+    g, n = _as_int(g, "g", 1), _as_int(n, "n", 1)
     value = Fraction(n + 1, n) ** g * math.factorial(g)
     least = value.numerator // value.denominator + 1
     return TorelliBound(value, least)

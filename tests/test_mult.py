@@ -27,8 +27,9 @@ from thetamu import (
     wirtinger_matrix,
     zero_point,
 )
-from thetamu import mult
+from thetamu import crt_split, k_group, mult, torelli_bound
 from thetamu.reference import expand_in_basis, mu_matrix, phi_map_coords
+from thetamu.scenarios import writable_bound
 from thetamu.theta import box_radius, constants_radius, lex_vectors
 
 from test_theta import characteristics
@@ -442,7 +443,7 @@ def test_spanning_surface_seventh_torsion(principal_g2):
 
 def test_spanning_modulus_below_one_is_refused(principal_g1):
     for N in (0, -3):
-        with pytest.raises(ValueError, match=f"require N >= 1, got {N}"):
+        with pytest.raises(ValueError, match=f"^modulus N must be an integer >= 1, got {N}$"):
             spanning_check(principal_g1, 1, N)
 
 
@@ -516,41 +517,63 @@ def test_gamma_blocks_gate_their_own_cells(elliptic_d3, monkeypatch):
             call(elliptic_d3, 1)
 
 
-@pytest.mark.parametrize("call", [
-    lambda pav: ThetaBasis(pav, 0),
-    lambda pav: ThetaBasis(pav, -1),
-    lambda pav: theta_constants(pav, 0),
-    lambda pav: expand_in_basis(pav, 0, np.zeros(4), np.zeros((4, 1))),
-    lambda pav: gamma_blocks(pav, 0),
-    lambda pav: mu_matrix(pav, 0),
-], ids=["basis-0", "basis-negative", "constants-0", "expand-0", "blocks-0", "mu-0"])
-def test_level_below_one_is_a_value_error(elliptic_d3, call):
-    with pytest.raises(ValueError, match=">= 1, got"):
-        call(elliptic_d3)
+#: (id, argument name, call of the variety and one value of that argument):
+#: each value of the wrong kind or below the floor is refused by the one
+#: integer rule, with a message that starts with the argument's name
+_COUNT_CALLS = [
+    ("h0", "level", lambda pav, v: pav.h0(v)),
+    ("basis", "level", lambda pav, v: ThetaBasis(pav, v)),
+    ("tilde", "n", lambda pav, v: ThetaTilde(pav, v)),
+    ("constants", "level", lambda pav, v: theta_constants(pav, v)),
+    ("radius", "level", lambda pav, v: constants_radius(pav, v)),
+    ("box-radius", "level", lambda pav, v: box_radius(1.0, v, 1, 0.5)),
+    ("weights", "level", lambda pav, v: section_weights(pav, v, np.array([0.5j]))),
+    ("verdict", "n", lambda pav, v: surjectivity_verdict(pav, v)),
+    ("blocks", "n", lambda pav, v: gamma_blocks(pav, v)),
+    ("wirtinger", "n", lambda pav, v: wirtinger_matrix(pav, v, 0)),
+    ("spanning", "modulus N", lambda pav, v: spanning_check(pav, 1, v)),
+    ("samples", "count", lambda pav, v: sample_points(pav, v, 0)),
+    ("torelli-g", "g", lambda pav, v: torelli_bound(v, 1)),
+    ("torelli-n", "n", lambda pav, v: torelli_bound(3, v)),
+    ("writable-g", "g", lambda pav, v: writable_bound(v, 1)),
+    ("writable-n", "n", lambda pav, v: writable_bound(3, v)),
+    ("writable-degree", "degree", lambda pav, v: writable_bound(3, 2, v)),
+    ("k-group", "level", lambda pav, v: k_group(pav, v)),
+    ("crt", "n", lambda pav, v: crt_split(pav, v, zero_point(pav))),
+    ("mu", "n", lambda pav, v: mu_matrix(pav, v)),
+]
+#: the floor of every argument above that is not 1
+_FLOOR = {"count": 0}
 
 
-@pytest.mark.parametrize("call", [
-    lambda pav: pav.h0(1.5),
-    lambda pav: pav.h0(True),
-    lambda pav: ThetaBasis(pav, 2.5),
-    lambda pav: ThetaTilde(pav, 2.5),
-    lambda pav: ThetaTilde(pav, True),
-    lambda pav: theta_constants(pav, 2.5),
-    lambda pav: surjectivity_verdict(pav, 1.5),
-    lambda pav: spanning_check(pav, 1, True),
-    lambda pav: spanning_check(pav, 1, 3.0),
-    lambda pav: section_weights(pav, 2.5, np.array([0.5j])),
-    lambda pav: section_weights(pav, True, np.array([0.5j])),
-    lambda pav: constants_radius(pav, 2.5),
-    lambda pav: box_radius(1.0, 2.5, 1, 0.5),
-], ids=["h0-float", "h0-bool", "basis-float", "tilde-float", "tilde-bool", "constants-float",
-        "verdict-float", "spanning-bool", "spanning-float", "weights-float", "weights-bool",
-        "radius-float", "box-radius-float"])
-def test_level_or_modulus_not_an_integer_is_a_value_error(call):
+def _refused(call, name, value):
+    pav, floor = validate_polarized(np.array([[1j]]), (1,)), _FLOOR.get(name, 1)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {floor}, got"):
+        call(pav, value)
+
+
+@pytest.mark.parametrize("call,name,value", [
+    pytest.param(lambda pav, v: ThetaBasis(pav, v), "level", -1, id="basis-negative"),
+    pytest.param(lambda pav, v: expand_in_basis(pav, v, np.zeros(4), np.zeros((4, 1))),
+                 "level", 0, id="expand-0"),
+    *(pytest.param(call, name, _FLOOR.get(name, 1) - 1,
+                   id=f"{key}-{'0' if _FLOOR.get(name, 1) else 'negative'}")
+      for key, name, call in _COUNT_CALLS),
+])
+def test_level_below_one_is_a_value_error(call, name, value):
+    # every count has its floor: a level, n, g, degree or modulus of 1, a
+    # sample count of 0
+    _refused(call, name, value)
+
+
+@pytest.mark.parametrize("call,name,value", [
+    pytest.param(call, name, value, id=f"{key}-{kind}")
+    for key, name, call in _COUNT_CALLS
+    for kind, value in (("float", 2.0), ("bool", True))
+])
+def test_level_or_modulus_not_an_integer_is_a_value_error(call, name, value):
     # a float is refused, not truncated, and a bool is not an integer here
-    pav = validate_polarized(np.array([[1j]]), (1,))
-    with pytest.raises(ValueError, match="must be an integer, got"):
-        call(pav)
+    _refused(call, name, value)
 
 
 def test_weighted_sampling_keeps_design_bounded(elliptic_d3):

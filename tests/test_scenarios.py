@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetamu import (
@@ -1221,3 +1221,67 @@ def test_run_scenario_never_raises_on_extreme_period_matrices(doc):
     # well-formed scenarios whose period matrix may hold 1e308 or 1e-320,
     # so that the extremes reach the evaluation stages
     _assert_reported(doc)
+
+
+_NUMPY_INTS = (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64)
+
+
+@st.composite
+def _numpy_twins(draw):
+    """A well-formed scenario with g <= 2, as keyword arguments of
+    ScenarioConfig, and its twin with every integer field a numpy scalar of a
+    dtype that holds the value."""
+    divisors = draw(st.sampled_from([(1,), (1, 1), (2,), (1, 2), (3,), (2, 2), (1, 3)]))
+    g = len(divisors)
+    n = draw(st.one_of(st.integers(1, 2), st.just("g-1")))
+    checks = draw(st.one_of(
+        st.just({}), st.fixed_dictionaries({"wirtinger": st.booleans()}),
+        st.fixed_dictionaries({"spanning_modulus": st.integers(0, 3)}),
+    ))
+    seed, omega_seed = draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**64 - 1))
+
+    def numpy(value):
+        kinds = [k for k in _NUMPY_INTS if np.iinfo(k).min <= value <= np.iinfo(k).max]
+        return draw(st.sampled_from(kinds))(value)
+
+    plain = dict(name="twin", g=g, type=divisors, omega={"random": {"seed": omega_seed}},
+                 n=n, seed=seed, simple_asserted=draw(st.booleans()), checks=checks)
+    twin = dict(plain, g=numpy(g), type=tuple(map(numpy, divisors)),
+                omega={"random": {"seed": numpy(omega_seed)}},
+                n=n if n == "g-1" else numpy(n), seed=numpy(seed),
+                checks={key: value if key == "wirtinger" else numpy(value)
+                        for key, value in checks.items()})
+    return plain, twin
+
+
+#: the paper's g = 3 headline, type (1, 3, 9) at n = g-1 = 2, and a type
+#: whose degree 2^64 a numpy product wraps to 0
+_HEADLINE = dict(name="twin", g=3, type=(1, 3, 9), omega={"random": {"seed": 301}}, n=2,
+                 seed=31, simple_asserted=True, checks={})
+_WIDE = dict(_HEADLINE, g=2, type=(2**32, 2**32), n=1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@example((_HEADLINE, dict(_HEADLINE, g=np.int64(3), type=tuple(np.array([1, 3, 9])),
+                          n=np.int32(2))))
+@example((_WIDE, dict(_WIDE, g=np.int64(2), type=(np.int64(2**32),) * 2)))
+@given(_numpy_twins())
+def test_numpy_integer_config_reports_as_its_int_twin(configs):
+    # every count is checked where it enters and computed with as a Python
+    # int: no numpy power or product wraps and no numpy scalar reaches a stage
+    plain, twin = (ScenarioConfig(**kwargs) for kwargs in configs)
+    assert scenarios.report_json(run_scenario(twin)) == scenarios.report_json(run_scenario(plain))
+
+
+@pytest.mark.parametrize("change", [
+    {"omega": np.array([[1j]])},
+    {"type": np.array([1, 3, 9])},
+    {"omega": [[np.array([0.0, 1.0])]]},
+    {"checks": {"wirtinger": np.bool_(True)}},
+], ids=["omega-array", "type-array", "omega-entry-array", "numpy-bool"])
+def test_config_holding_a_value_no_report_can_write_is_refused(change):
+    # run_scenario would echo the value into a report that report_json
+    # cannot write
+    with pytest.raises(ValueError, match="^scenario value of <class 'numpy[.a-z_]*'> cannot be "
+                                         "written to a report$"):
+        replace(_by_name("elliptic-d3"), **change)

@@ -145,6 +145,10 @@ def test_torelli_bound_examples():
     assert b32.value == Fraction(81, 4)
     assert b32.least_sufficient == 21
     assert torelli_bound(1, 1).value == 2
+    # a numpy g is taken as a Python int: np.int64(20) ** 20 would wrap
+    b20 = torelli_bound(np.int64(20), 1)
+    assert b20 == torelli_bound(20, 1)
+    assert type(b20.least_sufficient) is int and b20.least_sufficient == 2551082656125828464640001
 
 
 def test_torelli_bound_decreasing_in_n_and_matches_g_minus_1():
