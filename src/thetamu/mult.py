@@ -17,10 +17,13 @@ cap and the solution; a residual gate guards the fit.  The Wirtinger matrix
 is checked by the weighted misfit of the theta relation on a product grid
 U x V of seeded samples and by the divisor-map diagram at the points it is
 built with, their coordinates fit at U in one solve; both checks evaluate
-each of their four theta series once.  The spanning check reads its
-matrix off one lattice sum of shifted characteristics at real torsion
-points (the translation formula moves the Omega part of every point into
-the characteristic).
+each of their four theta series once.  The translation formula moves the
+Omega part of every sample u = Omega a + b into a characteristic, so theta
+and theta~ on the grid are each one lattice sum of the |U| characteristics
+[a; b], with the real half b, at the |V| + P points, not one sum at
+|U| (|V| + P) pair points (:class:`_DivisorGrid`).  The spanning check
+reads its matrix off one lattice sum of shifted characteristics at real
+torsion points in the same way.
 
 The verdict forms neither mu_n nor its h0(n+1) x h0(n) slice at level-1
 index 0.  mu_n commutes with the K(L)_1 translations, so its character
@@ -48,7 +51,6 @@ from .errors import FitResidualTooLarge, IllConditioned, NotInSpan, SizeLimit
 from .theta import (
     DEFAULT_TERM_CAP,
     ThetaBasis,
-    ThetaTilde,
     _LatticeSum,
     _ravel,
     constants_radius,
@@ -74,13 +76,17 @@ DEFAULT_CELL_CAP = 10**7
 DEFAULT_POINT_CAP = 10**6
 
 
+def _draw(pav: PolarizedAbelianVariety, count: int, seed: int) -> np.ndarray:
+    """The halves (a_p, b_p) of :func:`sample_points`, shape (2, count, g)."""
+    return seeded_uniform(seed, (2, _as_int(count, "count", 0), pav.g))
+
+
 def sample_points(pav: PolarizedAbelianVariety, count: int, seed: int) -> np.ndarray:
     """The (count, g) seeded points z_p = Omega a_p + Delta b_p with a_p, b_p
     uniform in [0,1)^g: the first 2 count g values of ``seeded_uniform(seed)``,
     every a_p first (row by row), then every b_p.  Raises ValueError unless
     count and seed are integers >= 0."""
-    a, b = seeded_uniform(seed, (2, _as_int(count, "count", 0), pav.g))
-    return pav.lattice_vector(a, b)
+    return pav.lattice_vector(*_draw(pav, count, seed))
 
 
 def _column_scale(x: np.ndarray) -> np.ndarray:
@@ -369,17 +375,48 @@ class WirtingerMatrix:
     diagram_residuals: np.ndarray
 
 
-def _divisor_values(one: ThetaBasis, tilde: ThetaTilde, us, bs) -> np.ndarray:
-    """theta(u + n b) theta~(u - b) for every pair of rows u of us, b of bs,
-    from the level-1 basis ``one`` and theta~ of level n = ``tilde.n``."""
-    return one.eval_matrix(us + tilde.n * bs)[0] * tilde.eval_many(us - bs)
+class _DivisorGrid:
+    """theta(u + n w) theta~(u - w) on a product grid U x W of a principally
+    polarized variety, from two characteristic x point lattice sums.
 
+    For u = Omega a + b the translation formula (Mumford, Tata Lectures on
+    Theta I, II.1)
 
-def _pairs(us: np.ndarray, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows (u, b) of every pair of a row u of us and a row b of bs, u
-    along the rows: pair i * len(bs) + j is (us[i], bs[j])."""
-    u, b = np.broadcast_arrays(us[:, None], bs[None])
-    return u.reshape(-1, us.shape[1]), b.reshape(-1, us.shape[1])
+        theta_tau(tau A + B + z) = exp(-pi i A^T tau A - 2 pi i A^T (B + z)) theta_tau[A; B](z)
+
+    moves the Omega part of u into the characteristic: theta(u + n w) is the
+    factor at tau = Omega, A = a, B = b times theta[a; b](n w), and
+    theta~(u - w), the theta series of tau = Omega / n, the factor at
+    A = n a, B = b times theta~[n a; b](-w).  So each series is one sum of
+    the |U| characteristics [a; b] at the |W| points, whose factors have
+    (2R+1)^g (|U| + |W|) cells, not (2R+1)^g |U| |W|.  The exact factor goes
+    in as the sum's log factor: its modulus joins the envelope, so a pair
+    past the double range raises :class:`TruncationOverflow` before any sum.
+    Both sums take offset 1, the reduced characteristic plus the reduced
+    point.
+    """
+
+    def __init__(self, pav: PolarizedAbelianVariety, n: int):
+        self.omega, self.n = pav.matrix, n
+        self._one = _LatticeSum(pav.matrix, 1, offset=1.0)
+        self._tilde = _LatticeSum(pav.matrix / n, 1, offset=1.0)
+
+    def terms(self, nu: int, nw: int) -> int:
+        """The lattice terms of both sums on a grid of nu x nw pairs."""
+        return self._one.terms(nu, nw) + self._tilde.terms(nu, nw)
+
+    def eval(self, a: np.ndarray, b: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """The (|U|, |W|) values at u = Omega a + b, for the rows of a and b,
+        and every row w of ws."""
+        n = self.n
+        aoa = np.einsum("ui,ij,uj->u", a, self.omega, a)[:, None]
+        ab = (a * b).sum(axis=1)[:, None]
+        aw = a @ ws.T
+        # the logs of the two translation factors
+        one = (-1j * math.pi) * (aoa + 2.0 * (ab + n * aw))
+        tilde = (-1j * math.pi * n) * (aoa + 2.0 * (ab - aw))
+        return (self._one.eval(a, n * ws, b, one)
+                * self._tilde.eval(n * a, -ws, b, tilde))
 
 
 def _wirtinger_checks(
@@ -391,10 +428,13 @@ def _wirtinger_checks(
     theta series.
 
     One draw from ``seed`` of OVERSAMPLE * h0(n+1) samples U, then h0(N)
-    samples V, N = n(n+1).  theta(.) and theta~(.) are evaluated on the grid
-    U x (V + points), the level-(n+1) basis at U only and the level-N basis
-    at V and the points; the relation reads the V columns of the grid, the
-    diagram the points columns.
+    samples V, N = n(n+1): the points of ``sample_points(pav, |U| + |V|,
+    seed)`` with their halves u = Omega a + b.  theta(.) and theta~(.) are
+    evaluated on the grid U x (V + points) by :class:`_DivisorGrid`, as the
+    |U| characteristics [a; b] of each at the |V| + P points, the
+    level-(n+1) basis at U only and the level-N basis at V and the points;
+    the relation reads the V columns of the grid, the diagram the points
+    columns.
 
     * The misfit is ||W o (L - ta^T C tb)||_F / ||W o L||_F of the grid
       L[u, v] = theta(u+nv) theta~(u-v) against the values ta = theta_alpha(U)
@@ -415,17 +455,17 @@ def _wirtinger_checks(
     bs = np.asarray(points, dtype=complex).reshape(-1, pav.g)
     N = n * (n + 1)
     nu, nv = OVERSAMPLE * pav.h0(n + 1), pav.h0(N)
-    z = sample_points(pav, nu + nv, seed)
+    a, b = _draw(pav, nu + nv, seed)
+    z = pav.lattice_vector(a, b)
     us, vs = z[:nu], z[nu:]
     w = section_weights(pav, n + 1, us)[:, None] * section_weights(pav, N, vs)
     cols = np.concatenate([vs, bs])
-    one, tilde = ThetaBasis(pav, 1), ThetaTilde(pav, n)
+    grid = _DivisorGrid(pav, n)
     basis_a, basis_b = ThetaBasis(pav, n + 1), ThetaBasis(pav, N)
-    grid = nu * len(cols)
-    terms = one.terms(grid) + tilde.terms(grid) + basis_a.terms(nu) + basis_b.terms(len(cols))
+    terms = grid.terms(nu, len(cols)) + basis_a.terms(nu) + basis_b.terms(len(cols))
     if terms > DEFAULT_TERM_CAP:
         raise SizeLimit(f"Wirtinger checks need {terms} lattice terms, cap is {DEFAULT_TERM_CAP}")
-    lhs = _divisor_values(one, tilde, *_pairs(us, cols)).reshape(nu, len(cols))
+    lhs = grid.eval(a[:nu], b[:nu], cols)
     ta = basis_a.eval_matrix(us)
     tb = basis_b.eval_matrix(cols)
     rhs = ta.T @ (C @ tb[:, :nv])

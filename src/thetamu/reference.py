@@ -79,8 +79,9 @@ def translate_action(pav: PolarizedAbelianVariety, m: int, x: TorsionPoint,
     factor the action is the pure permutation c -> c + a.  Raises ValueError
     for a point of another polarization or a k that is no level-m label, as
     :meth:`ThetaBasis.eval` does, and :class:`NotInK1` for a point outside
-    K(L^m)_1.
+    K(L^m)_1.  The level m must be an integer >= 1, bool excluded.
     """
+    m = _as_int(m, "level", 1)
     x._compatible(pav.divisors)
     dims = tuple(m * di for di in pav.divisors)
     k = _check_label(k, m, dims)
@@ -140,6 +141,22 @@ def expand_in_basis(
     return mult._weighted_fit(pav, m, ThetaBasis(pav, m).eval_matrix(zs), zs, values)
 
 
+def _pairs(us: np.ndarray, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (u, b) of every pair of a row u of us and a row b of bs, u
+    along the rows: pair i * len(bs) + j is (us[i], bs[j])."""
+    u, b = np.broadcast_arrays(us[:, None], bs[None])
+    return u.reshape(-1, us.shape[1]), b.reshape(-1, us.shape[1])
+
+
+def _divisor_values(one: ThetaBasis, tilde: ThetaTilde, us, bs) -> np.ndarray:
+    """theta(u + n b) theta~(u - b) for every pair of rows u of us, b of bs,
+    from the level-1 basis ``one`` and theta~ of level n = ``tilde.n``, each
+    evaluated at the pair points themselves: the oracle of
+    ``mult._DivisorGrid``, which reads the same values off shifted
+    characteristics."""
+    return one.eval_matrix(us + tilde.n * bs)[0] * tilde.eval_many(us - bs)
+
+
 def phi_map_coords(pav: PolarizedAbelianVariety, n: int, seed: int, points) -> mult.Expansion:
     """Coordinates in |(n+1) theta| of the divisor of u -> theta(u+nb) theta~(u-b)
     for every point b of ``points``, in the forms :func:`wirtinger_matrix`
@@ -147,10 +164,12 @@ def phi_map_coords(pav: PolarizedAbelianVariety, n: int, seed: int, points) -> m
     one draw of samples u from ``seed``.
 
     The underlying point of projective space depends only on b mod Lambda.
+    Raises ValueError unless n is an integer >= 1, bool excluded.
     """
     if not pav.is_principal:
         raise ValueError("the divisor map requires a principal polarization")
+    n = _as_int(n, "n", 1)
     bs = np.asarray(points, dtype=complex).reshape(-1, pav.g)
     us = mult.sample_points(pav, mult.OVERSAMPLE * pav.h0(n + 1), seed)
-    values = mult._divisor_values(ThetaBasis(pav, 1), ThetaTilde(pav, n), *mult._pairs(us, bs))
+    values = _divisor_values(ThetaBasis(pav, 1), ThetaTilde(pav, n), *_pairs(us, bs))
     return expand_in_basis(pav, n + 1, values.reshape(len(us), len(bs)), us)

@@ -63,8 +63,9 @@ class ScenarioConfig:
     cannot raise or lower them.  However it is built, a config nested more
     than SCENARIO_DEPTH_CAP lists, tuples and dicts deep (the config counting
     as one, like the JSON object of its file), or holding a value of a type
-    that the report writer cannot write (a numpy array or numpy bool, say),
-    is refused with ValueError, so its report can always be written.  A
+    that the report writer cannot write (a numpy array or numpy bool, say, or
+    an int past ``sys.get_int_max_str_digits()`` digits), is refused with
+    ValueError, so its report can always be written.  A
     config built in Python may hold numpy integers: it runs as its int twin.
     """
 
@@ -83,6 +84,11 @@ class ScenarioConfig:
             for kind in dict.fromkeys(map(type, level)):
                 if not issubclass(kind, (dict, list, tuple)) and _writer(kind) is None:
                     raise ValueError(f"scenario value of {kind!r} cannot be written to a report")
+                if issubclass(kind, int) and any(
+                        _past_digit_limit(x) for x in level if type(x) is kind):
+                    raise ValueError(
+                        f"scenario value of {kind!r} with more than "
+                        f"{sys.get_int_max_str_digits()} digits cannot be written to a report")
             level = [x for x in level if isinstance(x, (dict, list, tuple))]
             if level and depth == SCENARIO_DEPTH_CAP - 1:
                 raise _too_deep()
@@ -241,13 +247,20 @@ def writable_bound(g: int, n: int, degree: int = 1) -> TorelliBound:
     bound = torelli_bound(g, n)
     if bound.value > sys.float_info.max:
         raise ValueError(past_double)
-    digits = sys.get_int_max_str_digits()
     largest = max(bound.value.numerator, bound.least_sufficient, (n + 1) ** g * degree)
+    if _past_digit_limit(largest):
+        raise ValueError(
+            f"h0 or the Torelli bound needs more than {sys.get_int_max_str_digits()} digits")
+    return bound
+
+
+def _past_digit_limit(value: int) -> bool:
+    """Whether the int ``value`` has more decimal digits than str() writes:
+    sys.get_int_max_str_digits(), where 0 means no limit."""
+    digits = sys.get_int_max_str_digits()
     # 8^digits < 10^digits, so a number of at most 3 digits bits is written
     # without building 10^digits
-    if digits and largest.bit_length() > 3 * digits and largest >= 10**digits:
-        raise ValueError(f"h0 or the Torelli bound needs more than {digits} digits")
-    return bound
+    return bool(digits) and value.bit_length() > 3 * digits and abs(value) >= 10**digits
 
 
 def omega_source(config: ScenarioConfig) -> Callable[[], np.ndarray]:

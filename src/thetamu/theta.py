@@ -41,6 +41,11 @@ contraction runs in BLAS.  Q and E are each a modulus times a phase:
   x = 2 pi m Re z; Q that of x = 2 pi m X c times exp(pi i m b^T X b), one
   per box point, and its row phase exp(pi i m c^T X c) moves into C.
 
+A characteristic may carry a real half h, theta[c; h](z) = theta_c(z + h)
+(:meth:`_LatticeSum.eval`): h is real, so it enters only phases (the
+per-axis phase of Q, the row phase and the phase of each point's
+reduction), and nothing below depends on it.
+
 So a block of K characteristics and P points takes K P + (K + P) g complex
 exponentials and B (K + P) real ones, against K P + B (K + P) complex ones
 when Q and E are exponentiated entry by entry, and K B P term by term.  The
@@ -253,7 +258,8 @@ class _LatticeSum:
     point, which is within 1/2 of 0, and 0 at a real point.  So a caller
     passes 1/2 + max |c_i - round(c_i)| over the characteristics it
     evaluates, or 1/2 when every characteristic is 0 or every point is
-    real; 1 always holds.  Characteristics or points past the offset taken
+    real; 1 always holds.  A real half of the characteristic moves no
+    centre.  Characteristics or points past the offset taken
     void the eps bound of the radius and of the binning.
     """
 
@@ -287,8 +293,8 @@ class _LatticeSum:
     def _reduce(self, zs: np.ndarray):
         """Translate into the fundamental cell of tau Z^g + Z^g.
 
-        Returns (z0, bint, pref) with
-        theta_c(z) = exp(2 pi i m c.bint) * exp(pref) * theta_c(z0).
+        Returns (z0, aint, bint, pref) with z = z0 + tau aint + bint and
+        theta[c; h](z) = exp(2 pi i m (c.bint - h.aint)) * exp(pref) * theta[c; h](z0).
         """
         aint = np.round(zs.imag @ self.Yinv.T)
         shift = aint @ self.tau.T
@@ -297,32 +303,55 @@ class _LatticeSum:
         z0 = z1 - bint
         # a^T tau a + 2 a^T z0, with tau a the shift taken off
         pref = (-1j * math.pi * self.m) * (aint * (shift + 2.0 * z0)).sum(axis=1)
-        return z0, bint, pref
+        return z0, aint, bint, pref
 
     def terms(self, k: int, p: int) -> int:
         """The k (2R+1)^g p terms of k characteristics at p points."""
         return k * len(self.box) * p
 
-    def eval(self, chars: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        """Evaluate every characteristic at every point; returns (K, P).
+    def eval(self, chars: np.ndarray, zs: np.ndarray, halves=None,
+             log_factor=None) -> np.ndarray:
+        """theta[c; h](z) = sum_{l in Z^g + c} exp(pi i m l^T tau l + 2 pi i m l^T (z + h))
+        for every characteristic c, with the real half h in the same row of
+        ``halves`` (0 when None), at every point z; returns (K, P), each
+        value times exp(log_factor) when a (K, P) complex ``log_factor`` is
+        given.
+
+        h is real, so it enters only phases: the per-axis phase of Q takes
+        2 pi m (X c + h) for 2 pi m X c, the row phase gains 2 pi m c^T h,
+        and the reduction z = z0 + tau a + b of a point gains the cross term
+        exp(-2 pi i m h^T a).  The radius, the binning and every modulus are
+        those without h, and at h = 0 every value is bit for bit the one
+        without it.  The real part of ``log_factor`` joins the point's log
+        envelope ``env``, so the refusal below and the final scale see the
+        envelope of the product; its imaginary part joins the phase, so it
+        should be small (a few hundred at most) for the phase to keep its
+        digits.
 
         One scaled matrix product per (bin, bin) block and chunk of
         characteristics and points, recombined relative to each point's log
-        envelope ``env``, without a logarithm; see the module docstring for
-        why no factor overflows.  Raises :class:`SizeLimit` before any work
-        when the K (2R+1)^g P terms exceed DEFAULT_TERM_CAP.
+        envelope, without a logarithm; see the module docstring for why no
+        factor overflows.  Raises :class:`SizeLimit` before any work when
+        the K (2R+1)^g P terms exceed DEFAULT_TERM_CAP, and
+        :class:`TruncationOverflow` before any sum when a log envelope, with
+        the real part of its log factor, exceeds _LOG_MAX.
         """
         chars = np.atleast_2d(np.asarray(chars, dtype=float))
+        halves = (np.zeros_like(chars) if halves is None
+                  else np.atleast_2d(np.asarray(halves, dtype=float)))
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
         terms = self.terms(chars.shape[0], zs.shape[0])
         if terms > DEFAULT_TERM_CAP:
             raise SizeLimit(f"lattice sum needs {terms} terms, cap is {DEFAULT_TERM_CAP}")
-        z0, bint, pref = self._reduce(zs)
+        z0, aint, bint, pref = self._reduce(zs)
         env = _log_envelope(self.Yinv, self.m, z0) + pref.real
-        if env.size and float(env.max()) > _LOG_MAX:
+        # the log envelope of every value returned: of the point, or of the
+        # point times its factor
+        top = env if log_factor is None else env + log_factor.real
+        if top.size and float(top.max()) > _LOG_MAX:
             raise TruncationOverflow(
                 "section value exceeds double-precision range "
-                f"(log envelope {float(env.max()):.4g})"
+                f"(log envelope {float(top.max()):.4g})"
             )
         R, box, half, bphase = self.radius, self.box, self.half, self.bphase
         pim = math.pi * self.m
@@ -335,10 +364,10 @@ class _LatticeSum:
         for bin_rows, cbar in _bins(cshift, self.nbins):
             for lo in range(0, bin_rows.size, krows):
                 rows = bin_rows[lo:lo + krows]
-                c, crows = cshift[rows], chars[rows]
+                c, crows, h = cshift[rows], chars[rows], halves[rows]
                 cx, cy = c @ X, c @ self.Y
-                lin = (2.0 * pim) * cx
-                cxc = pim * (cx * c).sum(axis=1)[:, None]
+                lin = (2.0 * pim) * (cx + h)
+                cxc = pim * ((cx + 2.0 * h) * c).sum(axis=1)[:, None]
                 cyc = pim * (cy * c).sum(axis=1)
                 step = max(1, _CHUNK_ELEMENTS // max(box.shape[0], rows.size))
                 for cols, abar in _bins(a, self.nbins):
@@ -366,14 +395,17 @@ class _LatticeSum:
                         e = _box_phase(zr, R)
                         e *= emod
                         # rel = C exp(row scale + column scale - env), with
-                        # the row phase and the phase of the real translation
+                        # the row phase and the phases of the translation,
                         # in turns: |rel| <= exp(_SCALE_MAX)
                         phase = crows @ (self.m * bint[p].T)
+                        phase -= h @ (self.m * aint[p].T)
                         phase -= np.floor(phase)
                         phase *= 2.0 * math.pi
                         phase += c @ zr.T
                         phase += cxc
                         phase += pref.imag[p]
+                        if log_factor is not None:
+                            phase += log_factor.imag[rows[:, None], p]
                         rel = np.empty(phase.shape, dtype=complex)
                         rel.imag = phase
                         rel.real = c @ zi.T
@@ -383,7 +415,7 @@ class _LatticeSum:
                         # matmul, exp runs ~10x slower
                         np.exp(rel, out=rel)
                         rel *= q.T @ e
-                        rel *= np.exp(env[p])
+                        rel *= np.exp(env[p] if log_factor is None else top[rows[:, None], p])
                         out[rows[:, None], p] = rel
         return out
 

@@ -157,7 +157,9 @@ def k_group(pav: PolarizedAbelianVariety, m: int) -> TorsionSubgroup:
 def weil_pairing_phase(
     pav: PolarizedAbelianVariety, m: int, x: TorsionPoint, y: TorsionPoint
 ) -> Fraction:
-    """Exact phase t in [0,1) with e_m(x, y) = exp(2 pi i t)."""
+    """Exact phase t in [0,1) with e_m(x, y) = exp(2 pi i t); raises
+    ValueError unless the level m is an integer >= 1, bool excluded."""
+    m = _as_int(m, "level", 1)
     _check_torsion(pav, m, x, "x")
     _check_torsion(pav, m, y, "y")
     return (m * alternating_form(x, y)) % 1

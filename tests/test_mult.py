@@ -24,12 +24,13 @@ from thetamu import (
     surjectivity_verdict,
     theta_constants,
     validate_polarized,
+    weil_pairing_phase,
     wirtinger_matrix,
     zero_point,
 )
-from thetamu import crt_split, k_group, mult, torelli_bound
+from thetamu import crt_split, k_group, mult, reference, torelli_bound
 from thetamu.reference import expand_in_basis, mu_matrix, phi_map_coords
-from thetamu.scenarios import writable_bound
+from thetamu.scenarios import ScenarioConfig, omega_source, writable_bound
 from thetamu.theta import box_radius, constants_radius, lex_vectors
 
 from test_theta import characteristics
@@ -328,6 +329,67 @@ def test_wirtinger_matrix_is_exact_incidence(g, n):
     assert wirt.fit_residual < 1e-12
 
 
+#: the catalog's Wirtinger scenarios and principal g = 2 at n = 2 and n = 3
+_GRID_CONFIGS = [
+    *(cfg for cfg in catalog() if cfg.checks.get("wirtinger")),
+    *(ScenarioConfig(name=f"wirtinger-g2-n{n}", g=2, type=(1, 1), omega={"random": {"seed": 201}},
+                     n=n, seed=21, simple_asserted=True, checks={"wirtinger": True})
+      for n in (2, 3)),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("cfg", _GRID_CONFIGS, ids=lambda cfg: cfg.name)
+def test_divisor_grid_matches_pair_points(cfg, seed, monkeypatch):
+    # the Wirtinger stage reads theta(u+nw) theta~(u-w) off the shifted
+    # characteristics [a; b] of u = Omega a + b; evaluated at every pair
+    # point u + nw and u - w, the same values agree to 1e-13 of the product
+    # of the two envelopes
+    pav = validate_polarized(omega_source(cfg)(), cfg.type)
+    n = cfg.n
+    grids = []
+    evaluate = mult._DivisorGrid.eval
+
+    def recorded(self, a, b, ws):
+        grids.append((a, b, ws, evaluate(self, a, b, ws)))
+        return grids[-1][-1]
+
+    monkeypatch.setattr(mult._DivisorGrid, "eval", recorded)
+    N = n * (n + 1)
+    # the grid does not depend on the matrix checked
+    C = np.zeros((pav.h0(n + 1), pav.h0(N)))
+    mult._wirtinger_checks(pav, n, C, seed, sample_points(pav, 3, seed + 17))
+    [(a, b, ws, grid)] = grids
+    nu = mult.OVERSAMPLE * pav.h0(n + 1)
+    # the halves of the stage's one draw, U its first nu points
+    z = sample_points(pav, nu + pav.h0(N), seed)
+    assert np.array_equal(pav.lattice_vector(a, b), z[:nu])
+    assert grid.shape == (nu, pav.h0(N) + 3)
+    u, w = reference._pairs(z[:nu], ws)
+    pairs = reference._divisor_values(ThetaBasis(pav, 1), ThetaTilde(pav, n), u, w)
+    envelope = 1.0 / (section_weights(pav, 1, u + n * w) * section_weights(pav, n, u - w))
+    assert (np.abs(grid.ravel() - pairs) / envelope).max() <= 1e-13
+
+
+def test_wirtinger_grid_refuses_a_pair_past_the_double_range(monkeypatch):
+    # at Omega = 0.95 i and n = 15 every point n w of the level-1 sum is
+    # within the double range, and some pair point u + n w is past it: the
+    # translation factor's modulus joins the envelope, so the stage is
+    # refused before any box phase is built
+    from thetamu import TruncationOverflow, theta
+
+    pav = validate_polarized(np.array([[0.95j]]), (1,))
+    n, seed = 15, 0
+    nu = mult.OVERSAMPLE * pav.h0(n + 1)
+    z = sample_points(pav, nu + pav.h0(n * (n + 1)), seed)
+    u, w = reference._pairs(z[:nu], z[nu:])
+    assert theta._log_envelope(pav.im_inv, 1, n * w).max() <= theta._LOG_MAX
+    assert theta._log_envelope(pav.im_inv, 1, u + n * w).max() > theta._LOG_MAX
+    monkeypatch.setattr(theta, "_box_phase", _never_called)
+    with pytest.raises(TruncationOverflow, match="exceeds double-precision range"):
+        wirtinger_matrix(pav, n, seed)
+
+
 def test_wrong_wirtinger_incidence_is_rejected(principal_g1):
     n, seed = 2, 16
     rng = np.random.default_rng(61)
@@ -541,6 +603,10 @@ _COUNT_CALLS = [
     ("k-group", "level", lambda pav, v: k_group(pav, v)),
     ("crt", "n", lambda pav, v: crt_split(pav, v, zero_point(pav))),
     ("mu", "n", lambda pav, v: mu_matrix(pav, v)),
+    ("weil", "level", lambda pav, v: weil_pairing_phase(pav, v, zero_point(pav), zero_point(pav))),
+    ("translate", "level",
+     lambda pav, v: reference.translate_action(pav, v, zero_point(pav), [0])),
+    ("phi", "n", lambda pav, v: phi_map_coords(pav, v, 0, [0.5j])),
 ]
 #: the floor of every argument above that is not 1
 _FLOOR = {"count": 0}
@@ -569,10 +635,13 @@ def test_level_below_one_is_a_value_error(call, name, value):
 @pytest.mark.parametrize("call,name,value", [
     pytest.param(call, name, value, id=f"{key}-{kind}")
     for key, name, call in _COUNT_CALLS
-    for kind, value in (("float", 2.0), ("bool", True))
+    for kind, value in (("float", 2.0), ("fraction", 1.5), ("bool", True))
 ])
 def test_level_or_modulus_not_an_integer_is_a_value_error(call, name, value):
-    # a float is refused, not truncated, and a bool is not an integer here
+    # a float is refused, not truncated, and a bool is not an integer here;
+    # the message names the argument the caller passed (phi_map_coords once
+    # named n + 1 = 2.0, weil_pairing_phase and translate_action raised
+    # AttributeError at 1.5)
     _refused(call, name, value)
 
 

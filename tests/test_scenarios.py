@@ -343,11 +343,12 @@ def _numpy_uniform(seed, shape):
 def test_wirtinger_stage_fits_once(monkeypatch):
     # the relation and the diagram share every theta evaluation: per catalog
     # scenario the stage builds the level-1, theta~, level-(n+1) and
-    # level-n(n+1) lattice sums once each and evaluates each once (three
-    # ThetaBasis.eval_matrix calls and one ThetaTilde.eval_many call), draws
-    # the samples U and V once, and takes one SVD for the fit and one of the
-    # reduced matrix.  The scenarios keep the matrices and draws they were
-    # run at: the residual is set by the tail the lattice sums leave at
+    # level-n(n+1) lattice sums once each and evaluates each once (the grid
+    # sums through _LatticeSum.eval, the two bases through
+    # ThetaBasis.eval_matrix, theta~ never through ThetaTilde.eval_many),
+    # draws the samples U and V once, and takes one SVD for the fit and one
+    # of the reduced matrix.  The scenarios keep the matrices and draws they
+    # were run at: the residual is set by the tail the lattice sums leave at
     # DEFAULT_EPS, so its size depends on where lambda_min falls between two
     # box radii (on the stdlib draws wirtinger-g1-n1 reaches 1.2e-14)
     counts = dict.fromkeys(("sums", "draws", "svds", "bases", "tildes"), 0)
@@ -373,16 +374,15 @@ def test_wirtinger_stage_fits_once(monkeypatch):
                         counting("bases", theta.ThetaBasis.eval_matrix))
     monkeypatch.setattr(theta.ThetaTilde, "eval_many",
                         counting("tildes", theta.ThetaTilde.eval_many))
-    monkeypatch.setattr(mult, "sample_points", counting("draws", mult.sample_points))
     monkeypatch.setattr(np.linalg, "svd", counting("svds", np.linalg.svd))
     monkeypatch.setattr(scenarios, "_wirtinger_payload", stage)
-    monkeypatch.setattr(mult, "seeded_uniform", _numpy_uniform)
+    monkeypatch.setattr(mult, "seeded_uniform", counting("draws", _numpy_uniform))
     monkeypatch.setattr(scenarios, "seeded_uniform", _numpy_uniform)
     for cfg in catalog():
         if cfg.checks.get("wirtinger"):
             cfg = replace(cfg, omega=_WIRTINGER_OMEGAS[cfg.name])
             assert run_scenario(cfg).payload["wirtinger"]["diagram_residual_max"] < 1e-14
-    assert stage_counts == [{"sums": 4, "draws": 1, "svds": 2, "bases": 3, "tildes": 1}] * 3
+    assert stage_counts == [{"sums": 4, "draws": 1, "svds": 2, "bases": 2, "tildes": 0}] * 3
 
 
 #: the catalog's Wirtinger scenarios and the principal g = 2, n = 2 one of
@@ -450,17 +450,22 @@ def test_wirtinger_stage_matches_separate_calls(cfg, monkeypatch):
 
 
 def test_wirtinger_term_budget_spans_the_stage(monkeypatch):
-    # at Omega = 0.0001 i I each of the stage's four evaluations is under
+    # at Omega = 0.0001185 i I each of the stage's four evaluations is under
     # DEFAULT_TERM_CAP and the four together are over it: the stage is
     # refused before any evaluation.  Its grid pairs 2 * 3^2 = 18 samples U
-    # with 6^2 = 36 samples V and 3 points.
-    omega = [[[0, 1e-4], [0, 0]], [[0, 0], [0, 1e-4]]]
+    # with 6^2 = 36 samples V and 3 points, and each grid sum is counted as
+    # 18 characteristics at 39 points, at offset 1, one box radius above the
+    # level-1 and theta~ evaluators at the 702 pair points, whose count is
+    # under the cap here
+    omega = [[[0, 1.185e-4], [0, 0]], [[0, 0], [0, 1.185e-4]]]
     cfg = ScenarioConfig(name="wirtinger-budget", g=2, type=(1, 1), omega=omega, n=2,
                          checks={"wirtinger": True})
     pav = validate_polarized(scenarios.omega_source(cfg)(), (1, 1))
-    terms = [ThetaBasis(pav, 1).terms(18 * 39), ThetaTilde(pav, 2).terms(18 * 39),
-             ThetaBasis(pav, 3).terms(18), ThetaBasis(pav, 6).terms(36 + 3)]
-    assert max(terms) < theta.DEFAULT_TERM_CAP < sum(terms)
+    bases = [ThetaBasis(pav, 3).terms(18), ThetaBasis(pav, 6).terms(36 + 3)]
+    terms = [theta._LatticeSum(pav.matrix, 1, offset=1.0).terms(18, 39),
+             theta._LatticeSum(pav.matrix / 2, 1, offset=1.0).terms(18, 39), *bases]
+    pairs = [ThetaBasis(pav, 1).terms(18 * 39), ThetaTilde(pav, 2).terms(18 * 39), *bases]
+    assert max(terms) < sum(pairs) < theta.DEFAULT_TERM_CAP < sum(terms)
     monkeypatch.setattr(theta._LatticeSum, "eval", _never_called)
     report = run_scenario(cfg)
     assert report.exit_code == 3
@@ -1285,3 +1290,25 @@ def test_config_holding_a_value_no_report_can_write_is_refused(change):
     with pytest.raises(ValueError, match="^scenario value of <class 'numpy[.a-z_]*'> cannot be "
                                          "written to a report$"):
         replace(_by_name("elliptic-d3"), **change)
+
+
+@pytest.mark.parametrize("change", [
+    {"type": (10**5000,)},
+    {"seed": 10**5000},
+    {"omega": {"random": {"seed": 10**5000}}},
+    {"n": 10**5000},
+], ids=["type", "seed", "omega-seed", "n"])
+def test_config_holding_an_int_past_the_digit_limit_is_refused(change):
+    # run_scenario returned exit 2 for the type (10^5000,), and report_json
+    # of that report raised ValueError: str() writes at most 4300 digits
+    with pytest.raises(ValueError, match="^scenario value of <class 'int'> with more than 4300 "
+                                         "digits cannot be written to a report$"):
+        replace(_random("digits", 1, 1), **change)
+
+
+def test_config_holding_a_4300_digit_int_is_written():
+    # 10^4299 has 4300 digits, the most str() writes: the config is kept and
+    # its report, which echoes the type, is written
+    report = run_scenario(_random("digits", 1, 1, type_=(10**4299,)))
+    assert report.exit_code == 3
+    assert json.loads(scenarios.report_json(report))["scenario"]["type"] == [10**4299]

@@ -211,6 +211,48 @@ def test_lattice_sum_matches_per_term_reference(g, divisors, levels):
                 assert abs(vals[i, p] - ref) * w[p] <= 1e-13
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_lattice_sum_real_halves_match_per_term_reference(m):
+    # theta[c; h](z) is theta_c(z + h): the real half enters the box phase,
+    # the row phase and, for a point off the fundamental cell, the cross term
+    # of its reduction; characteristics past [0, 1) and points several cells
+    # out take every one of them
+    pav = validate_polarized(random_period_matrix(2, 62), (1, 1))
+    rng = np.random.default_rng(m)
+    chars = 4 * rng.random((5, 2)) - 2
+    halves = 3 * rng.random((5, 2)) - 1
+    zs = pav.lattice_vector(4 * rng.random((6, 2)) - 2, 4 * rng.random((6, 2)) - 2)
+    lattice = theta._LatticeSum(pav.matrix, m, offset=1.0)
+    vals = lattice.eval(chars, zs, halves)
+    w = section_weights(pav, m, zs)
+    for i, (c, h) in enumerate(zip(chars, halves)):
+        for p, z in enumerate(zs):
+            ref = per_term_theta(pav.matrix, m, c, z + h, lattice.radius)
+            assert abs(vals[i, p] - ref) * w[p] <= 1e-13
+
+
+def test_lattice_sum_log_factor_joins_the_envelope():
+    # at Omega = i the point 15i has log envelope 225 pi = 706.9, past the
+    # guard; a factor of modulus e^-10 brings the product back under it, and
+    # one of modulus e^20 refuses the point 14.8i (688.1), which passes on
+    # its own
+    pav = validate_polarized(np.array([[1j]]), (1,))
+    lattice = theta._LatticeSum(pav.matrix, 1, offset=1.0)
+    chars, z = np.array([[0.0], [0.5]]), np.array([[0.3 + 15j]])
+    with pytest.raises(TruncationOverflow):
+        lattice.eval(chars, z)
+    log_factor = np.array([[-10 + 0.4j], [-10 - 2.0j]])
+    with np.errstate(over="raise", invalid="raise"):
+        vals = lattice.eval(chars, z, log_factor=log_factor)
+    for i, c in enumerate(chars):
+        ref = np.exp(log_factor[i, 0]) * per_term_theta(pav.matrix, 1, c, z[0], lattice.radius)
+        assert abs(vals[i, 0] - ref) <= 1e-13 * math.exp(225 * math.pi - 10)
+    z = np.array([[0.3 + 14.8j]])
+    assert np.isfinite(lattice.eval(chars, z)).all()
+    with pytest.raises(TruncationOverflow):
+        lattice.eval(chars, z, log_factor=np.full((2, 1), 20.0 + 0j))
+
+
 def test_lattice_sum_cusp_probe():
     # Im Omega = 80: the factored sum must keep every term that matters in
     # range, at every corner of the fundamental cell, up to level 10
