@@ -13,6 +13,7 @@ from thetamu import (
     k_group,
     random_period_matrix,
     run_scenario,
+    sample_points,
     spanning_check,
     validate_polarized,
     wirtinger_matrix,
@@ -24,8 +25,7 @@ n = 2
 # The matrix is exact: c_{alpha beta} = 1 iff alpha + n beta = 0 mod Z^g.
 # Sampling at seeded pairs (u, v) only checks the relation; the 5 points are
 # where the divisor-map diagram below is checked, on the same theta evaluations.
-rng = np.random.default_rng(2)
-points = [rng.random(1) @ pav.matrix.T + rng.random(1) for _ in range(5)]
+points = sample_points(pav, 5, 2)
 wirt = wirtinger_matrix(pav, n, seed=16, points=points)
 print(f"full coefficient matrix: {wirt.full.shape}, entries {np.unique(wirt.full).tolist()}, "
       f"{int(wirt.full.sum(axis=1)[0])} ones per row")

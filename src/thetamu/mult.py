@@ -47,9 +47,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FitResidualTooLarge, IllConditioned, NotInSpan, SizeLimit
+from . import theta
+from .errors import FitResidualTooLarge, IllConditioned, NotInSpan
 from .theta import (
-    DEFAULT_TERM_CAP,
     ThetaBasis,
     _LatticeSum,
     _ravel,
@@ -58,7 +58,7 @@ from .theta import (
     section_weights,
     theta_constants,
 )
-from .varieties import PolarizedAbelianVariety, _as_int, seeded_uniform
+from .varieties import PolarizedAbelianVariety, _as_int, _within, seeded_uniform
 
 #: least-squares residual above which an expansion is rejected
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -312,9 +312,7 @@ def gamma_blocks(pav: PolarizedAbelianVariety, n: int) -> GammaBlocks:
     of all |K| blocks (one per orbit is built), exceed DEFAULT_CELL_CAP.
     """
     n = _as_int(n, "n", 1)
-    cells = pav.h0(n + 1) * pav.h0(n)
-    if cells > DEFAULT_CELL_CAP:
-        raise SizeLimit(f"mu_{n} blocks need {cells} cells, cap is {DEFAULT_CELL_CAP}")
+    _within(pav.h0(n + 1) * pav.h0(n), DEFAULT_CELL_CAP, "mu_n block cells")
     g = pav.g
     d = np.array(pav.divisors)
     deg = pav.degree
@@ -450,7 +448,7 @@ def _wirtinger_checks(
       divisor map commutes at b.
 
     Raises :class:`SizeLimit` before any evaluation when the four evaluations
-    together exceed DEFAULT_TERM_CAP lattice terms.
+    together exceed ``theta.DEFAULT_TERM_CAP`` lattice terms.
     """
     bs = np.asarray(points, dtype=complex).reshape(-1, pav.g)
     N = n * (n + 1)
@@ -463,8 +461,7 @@ def _wirtinger_checks(
     grid = _DivisorGrid(pav, n)
     basis_a, basis_b = ThetaBasis(pav, n + 1), ThetaBasis(pav, N)
     terms = grid.terms(nu, len(cols)) + basis_a.terms(nu) + basis_b.terms(len(cols))
-    if terms > DEFAULT_TERM_CAP:
-        raise SizeLimit(f"Wirtinger checks need {terms} lattice terms, cap is {DEFAULT_TERM_CAP}")
+    _within(terms, theta.DEFAULT_TERM_CAP, "Wirtinger check lattice terms")
     lhs = grid.eval(a[:nu], b[:nu], cols)
     ta = basis_a.eval_matrix(us)
     tb = basis_b.eval_matrix(cols)
@@ -504,9 +501,7 @@ def wirtinger_matrix(
     N = n * (n + 1)
     unknowns = (n + 1) ** g * N**g
     # h0(N) times the OVERSAMPLE * unknowns pairs of the relation
-    cells = N**g * OVERSAMPLE * unknowns
-    if cells > DEFAULT_CELL_CAP:
-        raise SizeLimit(f"Wirtinger values need {cells} cells, cap is {DEFAULT_CELL_CAP}")
+    _within(N**g * OVERSAMPLE * unknowns, DEFAULT_CELL_CAP, "Wirtinger value cells")
     k = lex_vectors((n + 1,) * g)
     j = lex_vectors((N,) * g)
     C = ((k[:, None, :] + j[None, :, :]) % (n + 1) == 0).all(axis=-1).astype(float)
@@ -566,7 +561,7 @@ def spanning_check(pav: PolarizedAbelianVariety, n: int, N: int) -> SpanningRepo
     offset 1/2.  The phases scale whole rows, so the singular values, and
     the rank, are those of the weighted rows.
 
-    Raises ValueError unless N is an integer >= 1 (bool and float refused),
+    Raises ValueError unless n and N are integers >= 1 (bool and float refused),
     and :class:`SizeLimit` before building the characteristics or the sum
     when N or |G| exceeds DEFAULT_POINT_CAP (the bound on the N^g x N^g
     grid, which fires first when (n+1)^g < 10) or the h0(n+1) x |G| values
@@ -575,16 +570,13 @@ def spanning_check(pav: PolarizedAbelianVariety, n: int, N: int) -> SpanningRepo
     if not pav.is_principal:
         raise ValueError("the spanning check requires a principal polarization")
     g = pav.g
+    n = _as_int(n, "n", 1)
     N = _as_int(N, "modulus N", 1)
-    if N > DEFAULT_POINT_CAP:
-        raise SizeLimit(f"modulus N = {N} exceeds cap {DEFAULT_POINT_CAP}")
+    _within(N, DEFAULT_POINT_CAP, "spanning modulus N")
     npts = N ** (2 * g)
-    if npts > DEFAULT_POINT_CAP:
-        raise SizeLimit(f"|G| = {npts} exceeds cap {DEFAULT_POINT_CAP}")
+    _within(npts, DEFAULT_POINT_CAP, "spanning points |G|")
     dim = pav.h0(n + 1)
-    cells = dim * npts
-    if cells > DEFAULT_CELL_CAP:
-        raise SizeLimit(f"spanning values need {cells} cells, cap is {DEFAULT_CELL_CAP}")
+    _within(dim * npts, DEFAULT_CELL_CAP, "spanning value cells")
     lattice = _LatticeSum(pav.matrix, n + 1, offset=0.5)
     steps = lex_vectors((N,) * g) / N
     # axes (s, c): the characteristics c + s/N, c = k/(n+1) lexicographic

@@ -14,10 +14,10 @@ from typing import Callable
 import numpy as np
 
 from . import mult
-from .errors import NotInK1, NotLatticeVector, SizeLimit
+from .errors import NotInK1, NotLatticeVector
 from .theta import ThetaBasis, ThetaTilde, _check_label, _ravel, lex_vectors, theta_constants
 from .torsion import TorsionPoint
-from .varieties import PolarizedAbelianVariety, _as_int
+from .varieties import PolarizedAbelianVariety, _as_int, _within
 
 
 def lattice_coordinates(pav: PolarizedAbelianVariety, lam):
@@ -117,8 +117,7 @@ def mu_matrix(pav: PolarizedAbelianVariety, n: int) -> np.ndarray:
     n = _as_int(n, "n", 1)
     rows = pav.h0(n + 1)
     cols = pav.h0(1) * pav.h0(n)
-    if rows * cols > mult.DEFAULT_CELL_CAP:
-        raise SizeLimit(f"mu_{n} needs {rows}x{cols} cells, cap is {mult.DEFAULT_CELL_CAP}")
+    _within(rows * cols, mult.DEFAULT_CELL_CAP, "mu_n cells")
     row, tau = mult._mu_entries(pav, n, lex_vectors(pav.divisors))
     row = _ravel(row, (n + 1) * np.array(pav.divisors))
     col = np.arange(cols).reshape(row.shape[:2] + (1,))

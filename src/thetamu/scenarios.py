@@ -33,6 +33,8 @@ from .varieties import (
     TorelliBound,
     _as_int,
     _is_int,
+    _past_digit_limit,
+    _within,
     bound_prediction,
     seeded_uniform,
     torelli_bound,
@@ -141,9 +143,7 @@ def load_scenario(path) -> ScenarioConfig:
 def _check_random_size(g: int) -> int:
     """g as a Python int, an integer >= 1 with g^2 within DEFAULT_CELL_CAP."""
     g = _as_int(g, "g", 1)
-    if g * g > mult.DEFAULT_CELL_CAP:
-        raise ValueError(f"a random g = {g} period matrix needs {g * g} cells, "
-                         f"cap is {mult.DEFAULT_CELL_CAP}")
+    _within(g * g, mult.DEFAULT_CELL_CAP, "random period matrix cells", ValueError)
     return g
 
 
@@ -252,15 +252,6 @@ def writable_bound(g: int, n: int, degree: int = 1) -> TorelliBound:
         raise ValueError(
             f"h0 or the Torelli bound needs more than {sys.get_int_max_str_digits()} digits")
     return bound
-
-
-def _past_digit_limit(value: int) -> bool:
-    """Whether the int ``value`` has more decimal digits than str() writes:
-    sys.get_int_max_str_digits(), where 0 means no limit."""
-    digits = sys.get_int_max_str_digits()
-    # 8^digits < 10^digits, so a number of at most 3 digits bits is written
-    # without building 10^digits
-    return bool(digits) and value.bit_length() > 3 * digits and abs(value) >= 10**digits
 
 
 def omega_source(config: ScenarioConfig) -> Callable[[], np.ndarray]:

@@ -93,8 +93,8 @@ import math
 
 import numpy as np
 
-from .errors import SizeLimit, TruncationOverflow
-from .varieties import DEFAULT_EPS, PolarizedAbelianVariety, _as_int
+from .errors import TruncationOverflow
+from .varieties import DEFAULT_EPS, PolarizedAbelianVariety, _as_int, _within
 
 #: hard cap on the number of lattice points in one summation box
 DEFAULT_CAPACITY = 4_000_000
@@ -281,11 +281,8 @@ class _LatticeSum:
         self.nbins = max(1, math.ceil(offset * math.sqrt(spread / _SCALE_MAX)))
         # the (2R+1)^g integer points b of [-R, R]^g, lexicographic, with the
         # columns pi m b^T Y b / 2 and exp(pi i m b^T X b), X = Re tau
-        cells = (2 * R + 1) ** self.g
-        if cells > DEFAULT_CAPACITY:
-            raise TruncationOverflow(
-                f"radius {R} needs {cells} lattice points, capacity is {DEFAULT_CAPACITY}"
-            )
+        _within((2 * R + 1) ** self.g, DEFAULT_CAPACITY, f"radius-{R} box lattice points",
+                TruncationOverflow)
         self.box = (lex_vectors((2 * R + 1,) * self.g) - R).astype(float)
         btb = (math.pi * self.m) * np.einsum("bi,ij,bj->b", self.box, tau, self.box)[:, None]
         self.half, self.bphase = 0.5 * btb.imag, np.exp(1j * btb.real)
@@ -340,9 +337,7 @@ class _LatticeSum:
         halves = (np.zeros_like(chars) if halves is None
                   else np.atleast_2d(np.asarray(halves, dtype=float)))
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-        terms = self.terms(chars.shape[0], zs.shape[0])
-        if terms > DEFAULT_TERM_CAP:
-            raise SizeLimit(f"lattice sum needs {terms} terms, cap is {DEFAULT_TERM_CAP}")
+        _within(self.terms(chars.shape[0], zs.shape[0]), DEFAULT_TERM_CAP, "lattice sum terms")
         z0, aint, bint, pref = self._reduce(zs)
         env = _log_envelope(self.Yinv, self.m, z0) + pref.real
         # the log envelope of every value returned: of the point, or of the

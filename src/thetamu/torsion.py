@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotInGroup, NotTorsion, SizeLimit
-from .varieties import PolarizedAbelianVariety, _as_int
+from .errors import NotInGroup, NotTorsion
+from .varieties import PolarizedAbelianVariety, _as_int, _within
 
 #: cap on |K(L^m)| enumerations
 DEFAULT_GROUP_CAP = 10**6
@@ -139,9 +139,7 @@ def k_group(pav: PolarizedAbelianVariety, m: int) -> TorsionSubgroup:
     m = _as_int(m, "level", 1)
     d = pav.divisors
     g = pav.g
-    order = pav.h0(m)
-    if order > DEFAULT_GROUP_CAP:
-        raise SizeLimit(f"|K(L^{m})| = {order} exceeds cap {DEFAULT_GROUP_CAP}")
+    _within(pav.h0(m), DEFAULT_GROUP_CAP, "points |K(L^m)|")
     ranges = [range(m * di) for di in d]
     k1 = tuple(
         TorsionPoint([Fraction(ki, m * di) for ki, di in zip(k, d)], [0] * g, d)
@@ -196,9 +194,7 @@ def characters(pav: PolarizedAbelianVariety, m: int) -> CharacterTable:
     """Character table of K(L^m)_1 with rows indexed by K(L^m)_2; raises
     :class:`SizeLimit` before any enumeration when its h0(m)^2 exact
     pairings exceed DEFAULT_GROUP_CAP."""
-    pairings = pav.h0(m) ** 2
-    if pairings > DEFAULT_GROUP_CAP:
-        raise SizeLimit(f"{pairings} pairings of K(L^{m}) exceed cap {DEFAULT_GROUP_CAP}")
+    _within(pav.h0(m) ** 2, DEFAULT_GROUP_CAP, "pairings of K(L^m)")
     group = k_group(pav, m)
     phases = tuple(
         tuple(weil_pairing_phase(pav, m, x, y) for x in group.k1) for y in group.k2

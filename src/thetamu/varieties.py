@@ -22,6 +22,7 @@ import math
 import numbers
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,7 +30,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadDivisorChain, NotPositiveDefinite, NotSymmetric, ValidationError
+from .errors import (BadDivisorChain, NotPositiveDefinite, NotSymmetric, SizeLimit,
+                     ValidationError)
 
 #: relative tolerance for the symmetry check of a period matrix
 SYMMETRY_RTOL = 1e-12
@@ -52,6 +54,27 @@ def _as_int(value, name: str, least: int) -> int:
     if not _is_int(value) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return operator.index(value)
+
+
+def _past_digit_limit(value: int) -> bool:
+    """Whether the int ``value`` has more decimal digits than str() writes:
+    sys.get_int_max_str_digits(), where 0 means no limit."""
+    digits = sys.get_int_max_str_digits()
+    # 8^digits < 10^digits, so a number of at most 3 digits bits is written
+    # without building 10^digits
+    return bool(digits) and value.bit_length() > 3 * digits and abs(value) >= 10**digits
+
+
+def _within(count: int, cap: int, what: str, error: type = SizeLimit) -> None:
+    """The one size rule: raise ``error`` before the work when ``count``
+    exceeds ``cap``, as ``"{what}: {count} exceeds cap {cap}"``.  Any count
+    is written: one past the digit limit D of str() as ``more than 10^D``
+    (10^D itself as ``10^D``)."""
+    if count > cap:
+        digits = sys.get_int_max_str_digits()
+        text = (str(count) if not _past_digit_limit(count)
+                else f"more than 10^{digits}" if count > 10**digits else f"10^{digits}")
+        raise error(f"{what}: {text} exceeds cap {cap}")
 
 
 def seeded_uniform(seed: int, shape) -> np.ndarray:

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import json
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +11,10 @@ import pytest
 from thetamu import (
     IllConditioned,
     NotInSpan,
+    SizeLimit,
     ThetaBasis,
     ThetaTilde,
+    TruncationOverflow,
     Verdict,
     catalog,
     characters,
@@ -30,7 +34,7 @@ from thetamu import (
 )
 from thetamu import crt_split, k_group, mult, reference, torelli_bound
 from thetamu.reference import expand_in_basis, mu_matrix, phi_map_coords
-from thetamu.scenarios import ScenarioConfig, omega_source, writable_bound
+from thetamu.scenarios import ScenarioConfig, omega_source, report_json, writable_bound
 from thetamu.theta import box_radius, constants_radius, lex_vectors
 
 from test_theta import characteristics
@@ -549,34 +553,123 @@ def _never_called(*args, **kwargs):
 
 
 def test_size_caps(principal_g1, monkeypatch):
-    from thetamu import SizeLimit
-
     # 1600 x 90000 cells exceed DEFAULT_CELL_CAP: refused before any evaluation
     pav = validate_polarized(random_period_matrix(2, 5), (1, 100))
     monkeypatch.setattr("thetamu.reference.theta_constants", _never_called)
-    with pytest.raises(SizeLimit, match="1600x90000"):
+    with pytest.raises(SizeLimit, match="^mu_n cells: 144000000 exceeds cap 10000000$"):
         mu_matrix(pav, 3)
     # the (h0(n+1), |G|) values, 10**6 + 1 sections at 100 points, exceed
     # DEFAULT_CELL_CAP: refused before the characteristics or the sum are built
     monkeypatch.setattr(mult, "_LatticeSum", _never_called)
     monkeypatch.setattr(mult, "lex_vectors", _never_called)
-    with pytest.raises(SizeLimit, match="100000100 cells"):
+    with pytest.raises(SizeLimit, match="^spanning value cells: 100000100 exceeds cap 10000000$"):
         spanning_check(principal_g1, 10**6, 10)
     # a numpy modulus is taken as a Python int: np.int64(2048) ** 6 wraps to 0
     principal_g3 = validate_polarized(random_period_matrix(3, 7), (1, 1, 1))
-    with pytest.raises(SizeLimit, match=r"\|G\| = 73786976294838206464 exceeds"):
+    with pytest.raises(SizeLimit,
+                       match=r"^spanning points \|G\|: 73786976294838206464 exceeds cap 1000000$"):
         spanning_check(principal_g3, 1, np.int64(2048))
 
 
 def test_gamma_blocks_gate_their_own_cells(elliptic_d3, monkeypatch):
     # a direct call is refused before any theta constant, as the verdict is
-    from thetamu import SizeLimit
-
     monkeypatch.setattr(mult, "DEFAULT_CELL_CAP", 1)
     monkeypatch.setattr(mult, "theta_constants", _never_called)
     for call in (gamma_blocks, surjectivity_verdict):
-        with pytest.raises(SizeLimit, match="^mu_1 blocks need 18 cells, cap is 1$"):
+        with pytest.raises(SizeLimit, match="^mu_n block cells: 18 exceeds cap 1$"):
             call(elliptic_d3, 1)
+
+
+def _at_i(*divisors):
+    return validate_polarized(1j * np.eye(len(divisors)), divisors)
+
+
+#: one row per size check: (id, call, the cap it reads, the count the call
+#: asks for, the work the check guards, error class, what the message names).
+#: Every call runs on type (1) or (3) at Omega = i: the level-1 basis of
+#: type (1) sums a radius-3 box; at n = 1 its Wirtinger check takes 228
+#: lattice terms
+_SIZE_CALLS = [
+    ("box", lambda: ThetaBasis(_at_i(1), 1), "theta.DEFAULT_CAPACITY", 7,
+     ["theta.lex_vectors"], TruncationOverflow, "radius-3 box lattice points"),
+    ("terms", lambda: ThetaBasis(_at_i(1), 1).eval_matrix(np.zeros((2, 1))),
+     "theta.DEFAULT_TERM_CAP", 14, ["theta._LatticeSum._reduce"], SizeLimit,
+     "lattice sum terms"),
+    ("blocks", lambda: gamma_blocks(_at_i(3), 1), "mult.DEFAULT_CELL_CAP", 18,
+     ["mult.theta_constants"], SizeLimit, "mu_n block cells"),
+    ("wirtinger-terms", lambda: wirtinger_matrix(_at_i(1), 1, 0), "theta.DEFAULT_TERM_CAP", 228,
+     ["theta._LatticeSum.eval"], SizeLimit, "Wirtinger check lattice terms"),
+    ("wirtinger-cells", lambda: wirtinger_matrix(_at_i(1), 1, 0), "mult.DEFAULT_CELL_CAP", 16,
+     ["mult.lex_vectors", "mult._wirtinger_checks"], SizeLimit, "Wirtinger value cells"),
+    ("spanning-modulus", lambda: spanning_check(_at_i(1), 1, 3), "mult.DEFAULT_POINT_CAP", 3,
+     ["mult._LatticeSum", "mult.lex_vectors"], SizeLimit, "spanning modulus N"),
+    ("spanning-points", lambda: spanning_check(_at_i(1), 1, 2), "mult.DEFAULT_POINT_CAP", 4,
+     ["mult._LatticeSum", "mult.lex_vectors"], SizeLimit, "spanning points |G|"),
+    ("spanning-cells", lambda: spanning_check(_at_i(1), 1, 3), "mult.DEFAULT_CELL_CAP", 18,
+     ["mult._LatticeSum", "mult.lex_vectors"], SizeLimit, "spanning value cells"),
+    ("mu", lambda: mu_matrix(_at_i(3), 1), "mult.DEFAULT_CELL_CAP", 54,
+     ["reference.theta_constants"], SizeLimit, "mu_n cells"),
+    ("k-group", lambda: k_group(_at_i(3), 1), "torsion.DEFAULT_GROUP_CAP", 3,
+     ["torsion.TorsionPoint"], SizeLimit, "points |K(L^m)|"),
+    ("characters", lambda: characters(_at_i(3), 1), "torsion.DEFAULT_GROUP_CAP", 9,
+     ["torsion.TorsionPoint", "torsion.k_group"], SizeLimit, "pairings of K(L^m)"),
+    ("random", lambda: random_period_matrix(2, 0), "mult.DEFAULT_CELL_CAP", 4,
+     ["scenarios.seeded_uniform"], ValueError, "random period matrix cells"),
+]
+
+
+@pytest.mark.parametrize("call,cap,count,guarded,error,what",
+                         [row[1:] for row in _SIZE_CALLS], ids=[row[0] for row in _SIZE_CALLS])
+def test_every_size_check_refuses_one_past_its_cap(call, cap, count, guarded, error, what,
+                                                   monkeypatch):
+    # with the cap one below the count, the one size rule refuses before the
+    # guarded work, with one message template
+    for target in guarded:
+        monkeypatch.setattr(f"thetamu.{target}", _never_called)
+    monkeypatch.setattr(f"thetamu.{cap}", count - 1)
+    with pytest.raises(error, match=f"^{re.escape(what)}: {count} exceeds cap {count - 1}$"):
+        call()
+
+
+#: counts past the 4300-digit limit of str(): (id, call, error class, what
+#: the message names); each once raised Python's conversion ValueError
+#: in place of its refusal
+_DIGIT_CALLS = [
+    ("mu", lambda: mu_matrix(_at_i(10**3000), 1), SizeLimit, "mu_n cells"),
+    ("characters", lambda: characters(_at_i(10**3000), 1), SizeLimit, "pairings of K(L^m)"),
+    ("k-group", lambda: k_group(_at_i(10**3000), 10**2000), SizeLimit, "points |K(L^m)|"),
+    ("spanning-n", lambda: spanning_check(_at_i(1), 10**5000, 2), SizeLimit,
+     "spanning value cells"),
+    ("spanning-modulus", lambda: spanning_check(_at_i(1), 1, 10**5000), SizeLimit,
+     "spanning modulus N"),
+    # Im Omega = 1e-300 I at g = 40: a radius past 10^151 on every axis
+    ("box-g40", lambda: ThetaBasis(validate_polarized(1e-300j * np.eye(40), (1,) * 40), 1),
+     TruncationOverflow, "box lattice points"),
+    ("random", lambda: random_period_matrix(10**3000, 0), ValueError,
+     "random period matrix cells"),
+]
+
+
+@pytest.mark.parametrize("call,error,what", [row[1:] for row in _DIGIT_CALLS],
+                         ids=[row[0] for row in _DIGIT_CALLS])
+def test_a_count_past_the_digit_limit_is_written(call, error, what):
+    with pytest.raises(error) as info:
+        call()
+    assert re.search(f"{re.escape(what)}: more than 10\\^4300 exceeds cap \\d+$", str(info.value))
+
+
+@pytest.mark.parametrize("type_,n,checks,error", [
+    ((10**4299,), 1, {}, "mu_verdict: mu_n block cells: more than 10^4300 exceeds cap 10000000"),
+    ((1,), 10**1000, {"wirtinger": True},
+     "wirtinger: Wirtinger value cells: more than 10^4300 exceeds cap 10000000"),
+], ids=["type-4300-digits", "n-1001-digits"])
+def test_a_scenario_count_past_the_digit_limit_is_reported(type_, n, checks, error):
+    # the config and its section counts are within the limit; the count the
+    # stage refuses is not
+    report = run_scenario(ScenarioConfig(name="digits", g=1, type=type_, n=n, checks=checks,
+                                         omega={"random": {"seed": 1}}))
+    assert (report.exit_code, report.payload["errors"]) == (3, [error])
+    assert json.loads(report_json(report))["errors"] == [error]
 
 
 #: (id, argument name, call of the variety and one value of that argument):
@@ -594,6 +687,7 @@ _COUNT_CALLS = [
     ("blocks", "n", lambda pav, v: gamma_blocks(pav, v)),
     ("wirtinger", "n", lambda pav, v: wirtinger_matrix(pav, v, 0)),
     ("spanning", "modulus N", lambda pav, v: spanning_check(pav, 1, v)),
+    ("spanning-n", "n", lambda pav, v: spanning_check(pav, v, 3)),
     ("samples", "count", lambda pav, v: sample_points(pav, v, 0)),
     ("torelli-g", "g", lambda pav, v: torelli_bound(v, 1)),
     ("torelli-n", "n", lambda pav, v: torelli_bound(3, v)),

@@ -178,10 +178,10 @@ def test_run_scenario_numeric_cap_exit_code(monkeypatch):
     huge = replace(spanning, name="spanning-nines", checks={"spanning_modulus": nines})
     wirtinger = ScenarioConfig(name="wirtinger-g2-n5", g=2, type=(1, 1),
                                omega={"random": {"seed": 107}}, n=5, checks={"wirtinger": True})
-    for cfg, error in [(spanning, "spanning: |G| = 1002001 exceeds cap 1000000"),
-                       (huge, f"spanning: modulus N = {nines} exceeds cap 1000000"),
-                       (wirtinger, "wirtinger: Wirtinger values need 58320000 cells, "
-                                   "cap is 10000000")]:
+    for cfg, error in [(spanning, "spanning: spanning points |G|: 1002001 exceeds cap 1000000"),
+                       (huge, f"spanning: spanning modulus N: {nines} exceeds cap 1000000"),
+                       (wirtinger, "wirtinger: Wirtinger value cells: 58320000 "
+                                   "exceeds cap 10000000")]:
         report = run_scenario(cfg)
         assert report.exit_code == 3
         assert report.payload["errors"] == [error]
@@ -199,9 +199,9 @@ _PAST_DOUBLE = "the Torelli bound ((n+1)/n)^g g! at g = {} is past the double ra
 #: could not write its bound or counts: (config, exit code, error)
 _HUGE = [
     (replace(_random("huge-n", 1, 10**12), checks={"spanning_modulus": 10}),
-     3, "spanning: spanning values need 100000000000100 cells"),
+     3, "spanning: spanning value cells: 100000000000100 exceeds cap 10000000"),
     (_random("huge-g", 10**6, "g-1"),
-     2, "a random g = 1000000 period matrix needs 1000000000000 cells"),
+     2, "random period matrix cells: 1000000000000 exceeds cap 10000000"),
     # the bound 2^151 151! and about e 171! pass the double range (2^150 150!
     # does not); 2^1800 1800! and (10^1500 + 1)^3 also pass 4300 digits
     (_random("bound-g151", 151, 1), 2, _PAST_DOUBLE.format(151)),
@@ -261,14 +261,15 @@ _EXTREME_CONTENT = [
     ((1,), [[[1e308, 1]]], 1, {"spanning_modulus": 2}, 3, "spanning: overflow encountered"),
     ((1,), [[[1e308, 1]]], 1, {"wirtinger": True}, 3, "wirtinger: overflow encountered"),
     ((1,), [[[0, 0.01]]], 26, {"wirtinger": True}, 3,
-     "wirtinger: Wirtinger values need 26611416 cells, cap is 10000000"),
+     "wirtinger: Wirtinger value cells: 26611416 exceeds cap 10000000"),
     ((3,), [[[-1e308, 1]]], 1, {}, 3, "mu_verdict: overflow encountered"),
     ((1, 1), [[[0, 1], [1e308, 0]], [[-1e308, 0], [0, 1]]], 1, {}, 2,
      "overflow encountered in subtract"),
     # Im Omega = 0.003 I: radius 44, 89^3 box points at 729 points (53 s before
     # the lattice sum's term cap)
     ((1, 1, 1), [[[0, 0.003] if i == j else [0, 0] for j in range(3)] for i in range(3)], 1,
-     {"spanning_modulus": 3}, 3, "spanning: lattice sum needs 4394826072 terms"),
+     {"spanning_modulus": 3}, 3,
+     "spanning: lattice sum terms: 4394826072 exceeds cap 1000000000"),
 ]
 _EXTREME_IDS = ["huge-im-spanning", "huge-im-wirtinger", "huge-re-spanning",
                 "huge-re-wirtinger", "n26-wirtinger", "huge-re-mu", "huge-asymmetry",
@@ -470,8 +471,8 @@ def test_wirtinger_term_budget_spans_the_stage(monkeypatch):
     report = run_scenario(cfg)
     assert report.exit_code == 3
     assert report.payload["errors"] == [
-        f"wirtinger: Wirtinger checks need {sum(terms)} lattice terms, "
-        f"cap is {theta.DEFAULT_TERM_CAP}"]
+        f"wirtinger: Wirtinger check lattice terms: {sum(terms)} "
+        f"exceeds cap {theta.DEFAULT_TERM_CAP}"]
 
 
 #: scenario values to reject, not coerce or ignore: (change, text of the error)
@@ -551,7 +552,7 @@ def test_mu_cells_cap_bounds_the_blocks(d, code, monkeypatch):
     if code:
         assert report.payload["surjectivity"] is None
         assert report.payload["errors"] == [
-            "mu_verdict: mu_1 blocks need 10008338 cells, cap is 10000000"]
+            "mu_verdict: mu_n block cells: 10008338 exceeds cap 10000000"]
     else:
         assert report.payload["surjectivity"]["verdict"] == "Surjective"
 

@@ -809,7 +809,8 @@ def test_lattice_sum_term_cap(pav_g2, monkeypatch):
         raise AssertionError("the points were reduced")
 
     monkeypatch.setattr(theta._LatticeSum, "_reduce", refuse)
-    with pytest.raises(SizeLimit, match=f"needs {basis.dim * side**2 * 4} terms"):
+    message = f"^lattice sum terms: {basis.dim * side**2 * 4} exceeds cap {theta.DEFAULT_TERM_CAP}$"
+    with pytest.raises(SizeLimit, match=message):
         basis.eval_matrix(np.zeros((4, 2)))
 
 

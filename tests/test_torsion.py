@@ -70,7 +70,7 @@ def test_k_group_cap(monkeypatch):
         raise AssertionError("k_group enumerated points past its cap")
 
     monkeypatch.setattr(torsion, "TorsionPoint", never_called)
-    with pytest.raises(SizeLimit, match="1001000"):
+    with pytest.raises(SizeLimit, match=r"^points \|K\(L\^m\)\|: 1001000 exceeds cap 1000000$"):
         k_group(pav, 1001)
 
 
@@ -83,7 +83,7 @@ def test_characters_pairing_cap(monkeypatch):
         raise AssertionError("characters enumerated points past its cap")
 
     monkeypatch.setattr(torsion, "TorsionPoint", never_called)
-    with pytest.raises(SizeLimit, match="1002001 pairings"):
+    with pytest.raises(SizeLimit, match=r"^pairings of K\(L\^m\): 1002001 exceeds cap 1000000$"):
         characters(pav, 1)
 
 
