@@ -11,13 +11,12 @@ import numpy as np
 from thetamu import (
     ThetaBasis,
     ThetaTilde,
-    TorsionPoint,
-    k_group,
     random_period_matrix,
     theta_constants,
     validate_polarized,
 )
 from thetamu.reference import automorphy_factor, quasi_periodicity_residual, translate_action
+from thetamu.torsion import TorsionPoint, k_group
 from thetamu.theta import constants_radius
 
 # --- evaluation and a closed-form cross-check --------------------------------

@@ -8,9 +8,7 @@ import numpy as np
 
 from thetamu import (
     catalog,
-    crt_split,
     emit_report,
-    k_group,
     random_period_matrix,
     run_scenario,
     sample_points,
@@ -18,6 +16,7 @@ from thetamu import (
     validate_polarized,
     wirtinger_matrix,
 )
+from thetamu.torsion import crt_split, k_group
 
 # --- the coefficient matrix of theta(u+nv) theta~(u-v) -------------------------
 pav = validate_polarized(random_period_matrix(1, 106), (1,), simple_asserted=True)

@@ -1,22 +1,20 @@
-"""Numerical verification of multiplication-map surjectivity, theta-group
-structure, and Torelli-type verdicts on concrete polarized abelian varieties.
+"""Numerical verification of multiplication-map surjectivity, its character
+blocks, and Torelli-type verdicts on concrete polarized abelian varieties.
 
-The test oracles are in ``thetamu.reference``, which this package does not
-import."""
+The test oracles are in ``thetamu.reference`` and ``thetamu.torsion``, which
+this package does not import."""
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .errors import (
     BadDivisorChain,
     FitResidualTooLarge,
     IllConditioned,
-    NotInGroup,
-    NotInK1,
     NotInSpan,
-    NotLatticeVector,
     NotPositiveDefinite,
     NotSymmetric,
-    NotTorsion,
     SizeLimit,
     ThetamuError,
     TruncationOverflow,
@@ -28,17 +26,6 @@ from .varieties import (
     bound_prediction,
     torelli_bound,
     validate_polarized,
-)
-from .torsion import (
-    CharacterTable,
-    TorsionPoint,
-    TorsionSubgroup,
-    alternating_form,
-    characters,
-    crt_split,
-    k_group,
-    weil_pairing_phase,
-    zero_point,
 )
 from .theta import (
     ThetaBasis,
@@ -70,3 +57,11 @@ from .scenarios import (
     random_period_matrix,
     run_scenario,
 )
+
+
+def __getattr__(name):
+    # only because perfbench/tracing.py walks ``thetamu.torsion`` as a layer;
+    # delete this once the benchmark drops torsion from its LAYERS
+    if name == "torsion":
+        return importlib.import_module(".torsion", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

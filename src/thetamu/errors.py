@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all thetamu modules."""
+"""Exception hierarchy of the verdict path; oracle modules define their own."""
 
 
 class ThetamuError(Exception):
@@ -46,22 +46,6 @@ class BadDivisorChain(ValidationError):
 class SizeLimit(ThetamuError):
     """A requested enumeration, matrix or lattice sum exceeds its size guard,
     a module constant such as ``mult.DEFAULT_CELL_CAP``."""
-
-
-class NotTorsion(ThetamuError):
-    """Point is not in the requested torsion kernel K(L^m)."""
-
-
-class NotInGroup(ThetamuError):
-    """Point is not a member of the expected finite group."""
-
-
-class NotLatticeVector(ThetamuError):
-    """Vector is not (numerically) a period lattice element."""
-
-
-class NotInK1(ThetamuError):
-    """Translation point is not in the isotropic half K(L^m)_1."""
 
 
 class TruncationOverflow(ThetamuError):

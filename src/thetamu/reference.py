@@ -14,10 +14,18 @@ from typing import Callable
 import numpy as np
 
 from . import mult
-from .errors import NotInK1, NotLatticeVector
+from .errors import ThetamuError
 from .theta import ThetaBasis, ThetaTilde, _check_label, _ravel, lex_vectors, theta_constants
 from .torsion import TorsionPoint
 from .varieties import PolarizedAbelianVariety, _as_int, _within
+
+
+class NotLatticeVector(ThetamuError):
+    """Vector is not (numerically) a period lattice element."""
+
+
+class NotInK1(ThetamuError):
+    """Translation point is not in the isotropic half K(L^m)_1."""
 
 
 def lattice_coordinates(pav: PolarizedAbelianVariety, lam):

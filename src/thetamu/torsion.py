@@ -7,6 +7,8 @@ A point is stored as the pair (a, b) denoting ``Omega a + b mod Lambda``;
 ``a`` is reduced mod Z^g into [0,1) componentwise and ``b`` is reduced mod
 ``Delta Z^g`` into [0, d_i).  On such representatives the alternating form
 is ``E(x, y) = a . b' - b . a'``.
+
+An oracle module beside ``reference``: ``import thetamu`` does not load it.
 """
 
 from __future__ import annotations
@@ -19,11 +21,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotInGroup, NotTorsion
+from .errors import ThetamuError
 from .varieties import PolarizedAbelianVariety, _as_int, _within
 
 #: cap on |K(L^m)| enumerations
 DEFAULT_GROUP_CAP = 10**6
+
+
+class NotTorsion(ThetamuError):
+    """Point is not in the requested torsion kernel K(L^m)."""
+
+
+class NotInGroup(ThetamuError):
+    """Point is not a member of the expected finite group."""
 
 
 def _as_fractions(v: Sequence) -> tuple[Fraction, ...]:
@@ -39,7 +49,7 @@ class TorsionPoint:
     divisors: tuple[int, ...]
 
     def __init__(self, a: Sequence, b: Sequence, divisors: Sequence[int]):
-        divisors = tuple(int(d) for d in divisors)
+        divisors = tuple(_as_int(d, "divisor", 1) for d in divisors)
         a = tuple(x % 1 for x in _as_fractions(a))
         b = tuple(x % d for x, d in zip(_as_fractions(b), divisors, strict=True))
         if len(a) != len(divisors):
@@ -86,7 +96,9 @@ class TorsionPoint:
                 f"points belong to different polarizations, {self.divisors} and {divisors}")
 
     def to_complex(self, pav: PolarizedAbelianVariety) -> np.ndarray:
-        """Embed the representative into V = C^g."""
+        """Embed the representative into V = C^g; raises ValueError for a
+        variety of another polarization."""
+        self._compatible(pav.divisors)
         a = np.array([float(x) for x in self.a])
         b = np.array([float(x) for x in self.b])
         return pav.matrix @ a + b

@@ -25,7 +25,6 @@ from thetamu import (
     catalog,
     emit_report,
     gamma_blocks,
-    k_group,
     random_period_matrix,
     run_scenario,
     spanning_check,
@@ -38,6 +37,7 @@ from fractions import Fraction
 
 from thetamu.reference import mu_matrix, quasi_periodicity_residual
 from thetamu.theta import lex_vectors
+from thetamu.torsion import k_group
 
 
 def _report(number, name, ok, detail):

@@ -1,13 +1,16 @@
-"""Import rules, checked with ``ast`` and one subprocess.
+"""Import rules, checked with ``ast`` and fresh interpreters.
 
 * Every module under src/, tests/ and demos/ uses each name it imports: a
   standard-library stand-in for a linter's unused-import rule.  Each name
   an import binds must appear as a name somewhere else in the module;
   ``from __future__`` imports and the re-exports of the package
   ``__init__`` are exempt.
-* The verdict path is a small core: no package module but ``reference``
-  and ``torsion`` imports either of them, and ``import thetamu`` does not
-  load the reference layer.
+* The verdict path is a small core: no package module but the oracle
+  modules ``reference`` and ``torsion`` imports either of them, and
+  ``import thetamu`` loads the core modules but ``cli`` and nothing else.
+* ``thetamu.torsion`` still resolves after a plain ``import thetamu``, as
+  the benchmark's tracer (``perfbench/tracing.py``) needs: it walks
+  ``torsion`` as a layer.
 * Seeded draws come from the stdlib ``random``: running scenarios loads
   neither ``numpy.random`` nor, through it, OpenSSL's ``_hashlib``.
 """
@@ -88,7 +91,7 @@ def test_core_module_imports_no_reference_or_torsion(path):
 def loaded_modules(code: str) -> list[str]:
     """The names in sys.modules after a fresh interpreter runs ``code``."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    code += "; import json, sys; print(json.dumps(sorted(sys.modules)))"
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path}).stdout
     return json.loads(out)
@@ -96,7 +99,17 @@ def loaded_modules(code: str) -> list[str]:
 
 def test_import_thetamu_leaves_the_reference_layer_unloaded():
     loaded = loaded_modules("import thetamu")
-    assert "thetamu.mult" in loaded and "thetamu.reference" not in loaded
+    assert [m for m in loaded if m.split(".")[0] == "thetamu"] == [
+        "thetamu", "thetamu.errors", "thetamu.mult", "thetamu.scenarios", "thetamu.theta",
+        "thetamu.varieties"]
+
+
+def test_the_tracer_walks_torsion_after_a_plain_import():
+    # tracing.LAYERS names torsion, which the package reaches on first access
+    loaded = loaded_modules(f"import sys\nsys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+                            "import thetamu\nimport tracing\n"
+                            "with tracing.Tracer(thetamu).installed():\n    pass")
+    assert "thetamu.torsion" in loaded and "thetamu.reference" not in loaded
 
 
 def test_scenarios_leave_numpy_random_unloaded():

@@ -17,7 +17,6 @@ from thetamu import (
     TruncationOverflow,
     Verdict,
     catalog,
-    characters,
     gamma_blocks,
     projective_residual,
     random_period_matrix,
@@ -28,11 +27,10 @@ from thetamu import (
     surjectivity_verdict,
     theta_constants,
     validate_polarized,
-    weil_pairing_phase,
     wirtinger_matrix,
-    zero_point,
 )
-from thetamu import crt_split, k_group, mult, reference, torelli_bound
+from thetamu import mult, reference, torelli_bound
+from thetamu.torsion import characters, crt_split, k_group, weil_pairing_phase, zero_point
 from thetamu.reference import expand_in_basis, mu_matrix, phi_map_coords
 from thetamu.scenarios import ScenarioConfig, omega_source, report_json, writable_bound
 from thetamu.theta import box_radius, constants_radius, lex_vectors

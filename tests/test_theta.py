@@ -9,26 +9,24 @@ import pytest
 
 from thetamu import theta
 from thetamu.reference import (
+    NotInK1,
+    NotLatticeVector,
     automorphy_factor,
     lattice_coordinates,
     quasi_periodicity_residual,
     translate_action,
 )
+from thetamu.torsion import TorsionPoint, k_group, zero_point
 from thetamu.varieties import DEFAULT_EPS
 from thetamu import (
-    NotInK1,
-    NotLatticeVector,
     SizeLimit,
     ThetaBasis,
     ThetaTilde,
-    TorsionPoint,
     TruncationOverflow,
-    k_group,
     random_period_matrix,
     section_weights,
     theta_constants,
     validate_polarized,
-    zero_point,
 )
 
 # small-imaginary-part instances keep automorphy factors within the

@@ -4,18 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thetamu import torsion
-from thetamu import (
+from thetamu import SizeLimit, random_period_matrix, torsion, validate_polarized
+from thetamu.torsion import (
     NotInGroup,
     NotTorsion,
-    SizeLimit,
     TorsionPoint,
     alternating_form,
     characters,
     crt_split,
     k_group,
-    random_period_matrix,
-    validate_polarized,
     weil_pairing_phase,
     zero_point,
 )
@@ -213,3 +210,23 @@ def test_points_of_another_polarization_are_refused():
     elliptic = validate_polarized(np.array([[1j]]), (1,))
     with pytest.raises(ValueError, match=r"different polarizations, \(2,\) and \(1,\)"):
         crt_split(elliptic, 2, TorsionPoint([Fraction(1, 6)], [0], (2,)))
+
+
+@pytest.mark.parametrize("divisor", [2.5, True, -3, 0], ids=["float", "bool", "negative", "zero"])
+def test_point_divisors_follow_the_one_integer_rule(divisor):
+    # each was once read as another type: 2.5 as 2, True as 1, -3 with the
+    # non-canonical b = -5/2, and 0 raised ZeroDivisionError
+    with pytest.raises(ValueError, match=rf"^divisor must be an integer >= 1, got {divisor!r}$"):
+        TorsionPoint([Fraction(1, 3)], [Fraction(7, 2)], (divisor,))
+
+
+def test_point_divisors_take_any_integral_type():
+    p = TorsionPoint([Fraction(1, 3)], [Fraction(7, 2)], (np.int64(3),))
+    assert p.divisors == (3,) and type(p.divisors[0]) is int and p.b == (Fraction(1, 2),)
+
+
+@pytest.mark.parametrize("divisors", [(2,), (1, 1)], ids=["other-type", "other-g"])
+def test_to_complex_refuses_a_variety_of_another_polarization(elliptic, divisors):
+    point = TorsionPoint([Fraction(1, 2)] * len(divisors), [0] * len(divisors), divisors)
+    with pytest.raises(ValueError, match="different polarizations"):
+        point.to_complex(elliptic)
