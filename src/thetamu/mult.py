@@ -16,14 +16,15 @@ weighted design that gives both the condition number checked against the
 cap and the solution; a residual gate guards the fit.  The Wirtinger matrix
 is checked by the weighted misfit of the theta relation on a product grid
 U x V of seeded samples and by the divisor-map diagram at the points it is
-built with, their coordinates fit at U in one solve; both checks evaluate
-each of their four theta series once.  The translation formula moves the
-Omega part of every sample u = Omega a + b into a characteristic, so theta
-and theta~ on the grid are each one lattice sum of the |U| characteristics
-[a; b], with the real half b, at the |V| + P points, not one sum at
-|U| (|V| + P) pair points (:class:`_DivisorGrid`).  The spanning check
-reads its matrix off one lattice sum of shifted characteristics at real
-torsion points in the same way.
+built with, their coordinates fit at U in one solve, each gated at
+DEFAULT_RESIDUAL_TOL; both checks evaluate each of their four theta series
+once.  The translation formula moves the Omega part of every sample
+u = Omega a + b into a characteristic, so theta and theta~ on the grid are
+each one lattice sum of the |U| characteristics [a; b], with the real half
+b, at the |V| + P points, not one sum at |U| (|V| + P) pair points
+(:class:`_DivisorGrid`).  The spanning check reads its matrix off one
+lattice sum of shifted characteristics at real torsion points in the same
+way.
 
 The verdict forms neither mu_n nor its h0(n+1) x h0(n) slice at level-1
 index 0.  mu_n commutes with the K(L)_1 translations, so its character
@@ -58,7 +59,8 @@ from .theta import (
     section_weights,
     theta_constants,
 )
-from .varieties import PolarizedAbelianVariety, _as_int, _within, seeded_uniform
+from .varieties import (PolarizedAbelianVariety, _as_int, _within, seeded_uniform,
+                        validate_polarized)
 
 #: least-squares residual above which an expansion is rejected
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -161,9 +163,10 @@ def _mu_entries(pav: PolarizedAbelianVariety, n: int, k1: np.ndarray):
     return row, tau
 
 
-def _ranks(s: np.ndarray) -> np.ndarray:
-    """The one rank rule: #{sigma_i > DEFAULT_RANK_TOL * sigma_max} along the last axis."""
-    return (s > DEFAULT_RANK_TOL * s[..., :1]).sum(axis=-1)
+def _ranks(s: np.ndarray, sigma_max: float) -> np.ndarray:
+    """The one rank rule: #{sigma_i > DEFAULT_RANK_TOL * sigma_max} along the
+    last axis, with sigma_max that of the whole map the spectra belong to."""
+    return (s > DEFAULT_RANK_TOL * sigma_max).sum(axis=-1)
 
 
 class Verdict(Enum):
@@ -218,7 +221,7 @@ def surjectivity_verdict(pav: PolarizedAbelianVariety, n: int) -> SurjectivityVe
         )
     blocks = gamma_blocks(pav, n)
     s = blocks.singular_values
-    rank = int(_ranks(s))
+    rank = int(_ranks(s, s[0]))
     floor = DEFAULT_RANK_TOL * float(s[0])
     # clean: no singular value within a decade of the threshold, or all zero
     clean = bool(s[0] == 0 or not ((s >= floor / 10.0) & (s <= floor * 10.0)).any())
@@ -259,9 +262,10 @@ class GammaBlocks:
     character ``representatives[i]``, the first of its orbit, and
     ``orbit[j]`` is the block of character j's orbit.  ``ranks`` holds the
     numerical rank of every character's block by the rule of
-    :func:`_ranks`.  ``singular_values`` is the union of the spectra of all
-    |K| blocks, descending; the eigenbasis transform is unitary, so it is
-    the spectrum of mu_n.
+    :func:`_ranks`, against the largest singular value of all blocks, so
+    they add up to the rank of mu_n.  ``singular_values`` is the union of
+    the spectra of all |K| blocks, descending; the eigenbasis transform is
+    unitary, so it is the spectrum of mu_n.
     """
 
     matrices: np.ndarray
@@ -349,7 +353,7 @@ def gamma_blocks(pav: PolarizedAbelianVariety, n: int) -> GammaBlocks:
     blocks = blocks.transpose(0, 2, 1, 3).reshape(len(reps), rows, -1)
     spectra = np.linalg.svd(blocks, compute_uv=False)
     union = np.repeat(spectra, np.bincount(orbit), axis=0)
-    return GammaBlocks(blocks, reps, orbit, _ranks(spectra)[orbit],
+    return GammaBlocks(blocks, reps, orbit, _ranks(spectra, spectra.max())[orbit],
                        np.sort(union, axis=None)[::-1])
 
 
@@ -384,20 +388,20 @@ class _DivisorGrid:
 
     moves the Omega part of u into the characteristic: theta(u + n w) is the
     factor at tau = Omega, A = a, B = b times theta[a; b](n w), and
-    theta~(u - w), the theta series of tau = Omega / n, the factor at
-    A = n a, B = b times theta~[n a; b](-w).  So each series is one sum of
-    the |U| characteristics [a; b] at the |W| points, whose factors have
-    (2R+1)^g (|U| + |W|) cells, not (2R+1)^g |U| |W|.  The exact factor goes
-    in as the sum's log factor: its modulus joins the envelope, so a pair
-    past the double range raises :class:`TruncationOverflow` before any sum.
-    Both sums take offset 1, the reduced characteristic plus the reduced
-    point.
+    theta~(u - w), the level-1 series of the validated quotient variety
+    (Omega / n, d), the factor at A = n a, B = b times theta~[n a; b](-w).
+    So each series is one sum of the |U| characteristics [a; b] at the |W|
+    points, whose factors have (2R+1)^g (|U| + |W|) cells, not
+    (2R+1)^g |U| |W|.  The exact factor goes in as the sum's log factor:
+    its modulus joins the envelope, so a pair past the double range raises
+    :class:`TruncationOverflow` before any sum.  Both sums take offset 1,
+    the reduced characteristic plus the reduced point.
     """
 
     def __init__(self, pav: PolarizedAbelianVariety, n: int):
         self.omega, self.n = pav.matrix, n
-        self._one = _LatticeSum(pav.matrix, 1, offset=1.0)
-        self._tilde = _LatticeSum(pav.matrix / n, 1, offset=1.0)
+        self._one = _LatticeSum(pav, 1, offset=1.0)
+        self._tilde = _LatticeSum(validate_polarized(pav.matrix / n, pav.divisors), 1, offset=1.0)
 
     def terms(self, nu: int, nw: int) -> int:
         """The lattice terms of both sums on a grid of nu x nw pairs."""
@@ -447,21 +451,22 @@ def _wirtinger_checks(
       triangle of the (n+1)-theta embedding, the coefficient form and the
       divisor map commutes at b.
 
-    Raises :class:`SizeLimit` before any evaluation when the four evaluations
+    Raises :class:`SizeLimit` before any draw when the four evaluations
     together exceed ``theta.DEFAULT_TERM_CAP`` lattice terms.
     """
     bs = np.asarray(points, dtype=complex).reshape(-1, pav.g)
     N = n * (n + 1)
     nu, nv = OVERSAMPLE * pav.h0(n + 1), pav.h0(N)
+    grid = _DivisorGrid(pav, n)
+    basis_a, basis_b = ThetaBasis(pav, n + 1), ThetaBasis(pav, N)
+    ncols = nv + len(bs)
+    terms = grid.terms(nu, ncols) + basis_a.terms(nu) + basis_b.terms(ncols)
+    _within(terms, theta.DEFAULT_TERM_CAP, "Wirtinger check lattice terms")
     a, b = _draw(pav, nu + nv, seed)
     z = pav.lattice_vector(a, b)
     us, vs = z[:nu], z[nu:]
     w = section_weights(pav, n + 1, us)[:, None] * section_weights(pav, N, vs)
     cols = np.concatenate([vs, bs])
-    grid = _DivisorGrid(pav, n)
-    basis_a, basis_b = ThetaBasis(pav, n + 1), ThetaBasis(pav, N)
-    terms = grid.terms(nu, len(cols)) + basis_a.terms(nu) + basis_b.terms(len(cols))
-    _within(terms, theta.DEFAULT_TERM_CAP, "Wirtinger check lattice terms")
     lhs = grid.eval(a[:nu], b[:nu], cols)
     ta = basis_a.eval_matrix(us)
     tb = basis_b.eval_matrix(cols)
@@ -488,27 +493,37 @@ def wirtinger_matrix(
     beta = j/(n(n+1)) that is k + j = 0 mod n+1 componentwise.  The relation
     and the diagram are checked by :func:`_wirtinger_checks`, which evaluates
     each theta series once for both.  Raises :class:`SizeLimit` before any
-    sample when h0(n(n+1)) times the 2 * unknowns relation pairs exceeds
-    DEFAULT_CELL_CAP.  That bounds the (n+1)^g (n(n+1))^g unknowns: at
-    most 16384, at g = 7, n = 1.  Raises
-    :class:`FitResidualTooLarge` when the relation misfit exceeds
-    DEFAULT_RESIDUAL_TOL.
+    sample when the largest value matrix the check holds exceeds
+    DEFAULT_CELL_CAP: theta_V, the h0(N) values of the level-N basis,
+    N = n(n+1), at the h0(N) samples V and the P points, or at n = 1, where
+    2 h0(n+1) > h0(N), the grid of the 2 h0(n+1) samples U at those
+    columns.  Raises :class:`FitResidualTooLarge` when the relation misfit
+    or the largest diagram residual exceeds DEFAULT_RESIDUAL_TOL; both gates
+    fail closed on NaN, and no points pass the diagram gate.
     """
     if not pav.is_principal:
         raise ValueError("the Wirtinger matrix requires a principal polarization")
     n = _as_int(n, "n", 1)
     g = pav.g
     N = n * (n + 1)
-    unknowns = (n + 1) ** g * N**g
-    # h0(N) times the OVERSAMPLE * unknowns pairs of the relation
-    _within(N**g * OVERSAMPLE * unknowns, DEFAULT_CELL_CAP, "Wirtinger value cells")
-    k = lex_vectors((n + 1,) * g)
-    j = lex_vectors((N,) * g)
-    C = ((k[:, None, :] + j[None, :, :]) % (n + 1) == 0).all(axis=-1).astype(float)
-    fit_residual, diagram = _wirtinger_checks(pav, n, C, seed, points)
+    bs = np.asarray(points, dtype=complex).reshape(-1, g)
+    rows = max(OVERSAMPLE * pav.h0(n + 1), pav.h0(N))
+    _within(rows * (pav.h0(N) + len(bs)), DEFAULT_CELL_CAP, "Wirtinger value cells")
+    # k + j = 0 mod n+1 componentwise: -k and j mod n+1 have one position
+    # in [0, n+1)^g, so no (n+1)^g x N^g x g array is formed
+    residues = (n + 1,) * g
+    k = lex_vectors(residues)
+    j = _ravel(lex_vectors((N,) * g) % (n + 1), residues)
+    C = (_ravel(-k % (n + 1), residues)[:, None] == j).astype(float)
+    fit_residual, diagram = _wirtinger_checks(pav, n, C, seed, bs)
     if not fit_residual <= DEFAULT_RESIDUAL_TOL:
         raise FitResidualTooLarge(
             f"Wirtinger residual {fit_residual:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}"
+        )
+    worst = float(diagram.max(initial=0.0))
+    if not worst <= DEFAULT_RESIDUAL_TOL:
+        raise FitResidualTooLarge(
+            f"Wirtinger diagram residual {worst:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}"
         )
     # columns repeat along the n-torsion shifts of beta; keep beta' = n t / (n(n+1))
     reduced_cols = _ravel(n * k, (N,) * g)
@@ -577,12 +592,13 @@ def spanning_check(pav: PolarizedAbelianVariety, n: int, N: int) -> SpanningRepo
     _within(npts, DEFAULT_POINT_CAP, "spanning points |G|")
     dim = pav.h0(n + 1)
     _within(dim * npts, DEFAULT_CELL_CAP, "spanning value cells")
-    lattice = _LatticeSum(pav.matrix, n + 1, offset=0.5)
+    lattice = _LatticeSum(pav, n + 1, offset=0.5)
     steps = lex_vectors((N,) * g) / N
     # axes (s, c): the characteristics c + s/N, c = k/(n+1) lexicographic
     chars = steps[:, None, :] + lex_vectors((n + 1,) * g) / (n + 1)
     values = lattice.eval(chars.reshape(-1, g), steps)
     # axes (s, c, t) to rows (s, t), columns c
     matrix = values.reshape(N**g, dim, N**g).transpose(0, 2, 1).reshape(npts, dim)
-    rank = int(_ranks(np.linalg.svd(matrix, compute_uv=False)))
+    s = np.linalg.svd(matrix, compute_uv=False)
+    rank = int(_ranks(s, s[0]))
     return SpanningReport(rank, (n + 1) ** g, npts)

@@ -22,9 +22,9 @@ cell of the summation lattice (the quasi-periodicity factor is restored
 exactly), then the centred integer cube [-R, R]^g is summed.  Every sum takes
 R from one rule, :func:`box_radius`: the smallest R >= 1 whose dropped terms
 provably sum to at most eps = DEFAULT_EPS times the envelope.  So an
-evaluator needs only the variety and a level: the period matrix comes from the
-validated variety, and eps is a package constant, not an option; no
-evaluation takes a radius of its own.
+evaluator takes a validated variety and a level: the variety gives the period
+matrix, (Im Omega)^{-1} and lambda_min, and eps is a package constant, not an
+option; no evaluation takes a radius of its own.
 
 The box sum is one matrix product.  Writing l = c + b with b in the box,
 each term factors as Q[c, b] * E[b, z] * C[c, z], with
@@ -89,12 +89,13 @@ raise :class:`TruncationOverflow` (arbitrary precision is out of scope).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import TruncationOverflow
-from .varieties import DEFAULT_EPS, PolarizedAbelianVariety, _as_int, _within
+from .varieties import DEFAULT_EPS, PolarizedAbelianVariety, _as_int, _within, validate_polarized
 
 #: hard cap on the number of lattice points in one summation box
 DEFAULT_CAPACITY = 4_000_000
@@ -250,8 +251,8 @@ def _bins(x: np.ndarray, nb: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 class _LatticeSum:
     """Truncated sum over Z^g + c of exp(pi i m l^T tau l + 2 pi i m l^T z)
-    over ``box``, the cube of radius :func:`box_radius`, which every
-    evaluation sums.
+    over the cube of radius :func:`box_radius`, with tau, (Im tau)^{-1} and
+    lambda_min those of the validated variety the sum is built on.
 
     ``offset`` bounds the Gaussian centre per axis: the characteristic,
     reduced mod Z^g, less the lattice coordinate Y^{-1} Im z0 of the reduced
@@ -263,15 +264,10 @@ class _LatticeSum:
     void the eps bound of the radius and of the binning.
     """
 
-    def __init__(self, tau, m: int, offset: float):
-        tau = np.asarray(tau, dtype=complex)
-        self.tau = tau
-        self.g = tau.shape[0]
+    def __init__(self, pav: PolarizedAbelianVariety, m: int, offset: float):
+        self.tau, self.Y, self.Yinv, self.g = pav.matrix, pav.matrix.imag, pav.im_inv, pav.g
         self.m = _as_int(m, "level", 1)
-        self.Y = tau.imag
-        self.Yinv = np.linalg.inv(self.Y)
-        lambda_min = float(np.linalg.eigvalsh(self.Y).min())
-        R = self.radius = box_radius(lambda_min, self.m, self.g, offset)
+        R = self.radius = box_radius(pav.lambda_min, self.m, self.g, offset)
         # binning characteristics and points into nb^g cells each keeps the
         # scale excess pi m v^T Y v, |v_i| <= offset / nb, of every
         # (characteristic, point) block under _SCALE_MAX
@@ -279,13 +275,17 @@ class _LatticeSum:
         if not math.isfinite(spread):
             raise TruncationOverflow(f"Im Omega spread {spread:.4g} is past the float range")
         self.nbins = max(1, math.ceil(offset * math.sqrt(spread / _SCALE_MAX)))
-        # the (2R+1)^g integer points b of [-R, R]^g, lexicographic, with the
-        # columns pi m b^T Y b / 2 and exp(pi i m b^T X b), X = Re tau
         _within((2 * R + 1) ** self.g, DEFAULT_CAPACITY, f"radius-{R} box lattice points",
                 TruncationOverflow)
-        self.box = (lex_vectors((2 * R + 1,) * self.g) - R).astype(float)
-        btb = (math.pi * self.m) * np.einsum("bi,ij,bj->b", self.box, tau, self.box)[:, None]
-        self.half, self.bphase = 0.5 * btb.imag, np.exp(1j * btb.real)
+
+    @functools.cached_property
+    def _cube(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (2R+1)^g integer points b of [-R, R]^g, lexicographic, with the
+        columns pi m b^T Y b / 2 and exp(pi i m b^T X b), X = Re tau; built
+        at the first evaluation, so a check of :meth:`terms` builds no box."""
+        box = (lex_vectors((2 * self.radius + 1,) * self.g) - self.radius).astype(float)
+        btb = (math.pi * self.m) * np.einsum("bi,ij,bj->b", box, self.tau, box)[:, None]
+        return box, 0.5 * btb.imag, np.exp(1j * btb.real)
 
     def _reduce(self, zs: np.ndarray):
         """Translate into the fundamental cell of tau Z^g + Z^g.
@@ -304,7 +304,7 @@ class _LatticeSum:
 
     def terms(self, k: int, p: int) -> int:
         """The k (2R+1)^g p terms of k characteristics at p points."""
-        return k * len(self.box) * p
+        return k * (2 * self.radius + 1) ** self.g * p
 
     def eval(self, chars: np.ndarray, zs: np.ndarray, halves=None,
              log_factor=None) -> np.ndarray:
@@ -348,7 +348,7 @@ class _LatticeSum:
                 "section value exceeds double-precision range "
                 f"(log envelope {float(top.max()):.4g})"
             )
-        R, box, half, bphase = self.radius, self.box, self.half, self.bphase
+        R, (box, half, bphase) = self.radius, self._cube
         pim = math.pi * self.m
         X = self.tau.real
         ybox = box @ (pim * self.Y)
@@ -428,7 +428,7 @@ def theta_constants(pav: PolarizedAbelianVariety, m: int) -> np.ndarray:
     The sum is even, theta_c(0) = theta_{-c}(0), so one characteristic of
     each pair {k, -k mod m d} is evaluated and its value written to both.
     """
-    lattice = _LatticeSum(pav.matrix, m, offset=0.5)
+    lattice = _LatticeSum(pav, m, offset=0.5)
     dims = m * np.array(pav.divisors)
     ks = lex_vectors(dims)
     # the first index of each pair {k, -k mod m d}
@@ -460,7 +460,7 @@ class ThetaBasis:
         self._dims = tuple(m * di for di in pav.divisors)
         # the characteristic k_i / D_i, D_i = m d_i, farthest from an integer
         # has k_i = floor(D_i / 2)
-        self._sum = _LatticeSum(pav.matrix, m, offset=0.5 + max(D // 2 / D for D in self._dims))
+        self._sum = _LatticeSum(pav, m, offset=0.5 + max(D // 2 / D for D in self._dims))
         self._chars = lex_vectors(self._dims) / np.array(self._dims)
 
     @property
@@ -493,9 +493,9 @@ class ThetaTilde:
     Realized as the theta series of the quotient period matrix Omega/n:
     theta~(z) = sum_{l in Z^g} exp(pi i l^T (Omega/n) l + 2 pi i l^T z).
     It satisfies the level-n factor of automorphy and equals the sum of all
-    level-n basis elements (fixed normalization, no free scalar here).  Its
-    only characteristic is 0, so the Gaussian centre of a reduced point is
-    within 1/2 of a lattice point and the radius is taken with offset 1/2.
+    level-n basis elements (fixed normalization, no free scalar here).  So it
+    is the level-1 basis of the validated quotient variety (Omega/n, d): its
+    one characteristic is 0, and that basis takes the radius of offset 1/2.
     """
 
     def __init__(self, pav: PolarizedAbelianVariety, n: int):
@@ -503,19 +503,18 @@ class ThetaTilde:
             raise ValueError("theta~ is defined for principal polarizations only")
         self.pav = pav
         self.n = n = _as_int(n, "n", 1)
-        self._sum = _LatticeSum(pav.matrix / n, 1, offset=0.5)
-        self._zero = np.zeros((1, pav.g))
+        self._basis = ThetaBasis(validate_polarized(pav.matrix / n, pav.divisors), 1)
 
     @property
     def radius(self) -> int:
-        return self._sum.radius
+        return self._basis.radius
 
     def terms(self, npoints: int) -> int:
         """The lattice terms of :meth:`eval_many` at npoints points."""
-        return self._sum.terms(1, npoints)
+        return self._basis.terms(npoints)
 
     def eval_many(self, zs) -> np.ndarray:
-        return self._sum.eval(self._zero, zs)[0]
+        return self._basis.eval_matrix(zs)[0]
 
     def eval(self, z) -> complex:
         return complex(self.eval_many(z)[0])

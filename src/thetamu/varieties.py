@@ -101,9 +101,11 @@ class PolarizedAbelianVariety:
 
     ``matrix`` is a read-only copy of Omega, ``divisors`` the tuple
     (d_1, ..., d_g), and ``im_inv`` and ``lambda_min`` the inverse and the
-    smallest eigenvalue of Im Omega, computed once at validation.  Instances
-    are immutable and safe to share across concurrent tasks.  Construct
-    through :func:`validate_polarized`.
+    smallest eigenvalue of Im Omega, computed once at validation.  Every
+    theta evaluator and lattice sum takes a variety and a level and reads
+    these fields, so neither is recomputed per sum.  Instances are immutable
+    and safe to share across concurrent tasks.  Construct through
+    :func:`validate_polarized`.
     """
 
     matrix: np.ndarray

@@ -29,7 +29,7 @@ from thetamu import (
     validate_polarized,
     wirtinger_matrix,
 )
-from thetamu import mult, reference, torelli_bound
+from thetamu import mult, reference, theta, torelli_bound
 from thetamu.torsion import characters, crt_split, k_group, weil_pairing_phase, zero_point
 from thetamu.reference import expand_in_basis, mu_matrix, phi_map_coords
 from thetamu.scenarios import ScenarioConfig, omega_source, report_json, writable_bound
@@ -143,6 +143,12 @@ def test_gates_fail_closed_on_nan(elliptic_d3, principal_g1, monkeypatch):
     monkeypatch.setattr(mult, "_wirtinger_checks", lambda *args: (float("nan"), np.zeros(0)))
     with pytest.raises(mult.FitResidualTooLarge):
         wirtinger_matrix(principal_g1, 1, 0)
+    monkeypatch.setattr(mult, "_wirtinger_checks", lambda *args: (0.0, np.array([0.0, np.nan])))
+    with pytest.raises(mult.FitResidualTooLarge, match="^Wirtinger diagram residual nan "):
+        wirtinger_matrix(principal_g1, 1, 0, np.zeros((2, 1)))
+    # no points, no diagram residual: the gate passes
+    monkeypatch.setattr(mult, "_wirtinger_checks", lambda *args: (0.0, np.zeros(0)))
+    assert wirtinger_matrix(principal_g1, 1, 0).diagram_residuals.size == 0
 
 
 def test_expand_ill_conditioned_cap(elliptic_d3):
@@ -167,19 +173,27 @@ def test_mu_matrix_surface_shape():
     assert mu.shape == (36, 81)
 
 
+def _rank_of(s) -> int:
+    """The package's numerical rank of a descending spectrum: the rank rule
+    against its largest value."""
+    return int(mult._ranks(s, s[0]))
+
+
 def _rank(matrix) -> int:
     """The package's numerical rank of a matrix: the rank rule on its SVD."""
-    return int(mult._ranks(np.linalg.svd(matrix, compute_uv=False)))
+    return _rank_of(np.linalg.svd(matrix, compute_uv=False))
 
 
 def test_rank_rule_basics():
     assert _rank(np.eye(3)) == 3
     assert _rank(np.zeros((4, 2))) == 0
     assert _rank(np.diag([1.0, 1e-15])) == 1
-    # a batch of descending spectra, each against its own sigma_max; a value
-    # at the threshold itself is not counted
+    # a batch of descending spectra, each against the sigma_max it is given;
+    # a value at the threshold itself is not counted
     spectra = np.array([[2.0, 1.0, 1e-9], [1.0, 1e-8, 0.0], [0.0, 0.0, 0.0], [4e-9, 3e-9, 2e-17]])
-    assert mult._ranks(spectra).tolist() == [2, 1, 0, 2]
+    assert mult._ranks(spectra, spectra[:, :1]).tolist() == [2, 1, 0, 2]
+    # against one sigma_max for all, the last spectrum is below the threshold
+    assert mult._ranks(spectra, 2.0).tolist() == [2, 1, 0, 0]
 
 
 @pytest.mark.parametrize("spectrum,verdict,rank,clean", [
@@ -247,7 +261,7 @@ def test_gamma_blocks_elliptic_d3(elliptic_d3):
     mu, full, _, reference = _reference_blocks(elliptic_d3, 1)
     assert np.abs(blocks.matrices[0] - reference[0]).max() <= 1e-13 * np.abs(full).max()
     _assert_union_is_dense_spectrum(blocks, mu)
-    assert blocks.ranks.sum() == mult._ranks(blocks.singular_values) == 6
+    assert blocks.ranks.sum() == _rank_of(blocks.singular_values) == 6
 
 
 def test_gamma_blocks_rank_additivity_catalog():
@@ -257,7 +271,22 @@ def test_gamma_blocks_rank_additivity_catalog():
         pav = validate_polarized(random_period_matrix(g, seed), divisors, True)
         blocks = gamma_blocks(pav, n)
         _assert_union_is_dense_spectrum(blocks, mu_matrix(pav, n))
-        assert blocks.ranks.sum() == mult._ranks(blocks.singular_values)
+        assert blocks.ranks.sum() == _rank_of(blocks.singular_values)
+
+
+@pytest.mark.parametrize("im,rank", [(0.01, 16), (0.1, 28)], ids=["im-0.01", "im-0.1"])
+def test_block_ranks_add_up_to_the_verdict_rank(im, rank):
+    # type (2, 4), n = 1 at Omega = 0.1 J + i im Y.  Each block counted
+    # against its own sigma_max gave ranks summing to 32 and 30 (the evenness
+    # cokernel caps the rank at 30) while mu_1 has rank 16 and 28; counted
+    # against sigma_max of mu_1, the block ranks add up to its rank
+    y = np.array([[1.0, 0.31], [0.31, 1.17]])
+    omega = 0.1 * np.ones((2, 2)) + 1j * im * y
+    cfg = ScenarioConfig(name="blocks", g=2, type=(2, 4), n=1,
+                         omega=[[[z.real, z.imag] for z in row] for row in omega.tolist()])
+    p = run_scenario(cfg).payload
+    assert p["surjectivity"]["rank"] == p["blocks"]["total_rank"] == rank
+    assert p["blocks"]["rank_sum"] == sum(p["blocks"]["ranks"]) == rank
 
 
 def test_wirtinger_g1_n1_lemniscatic():
@@ -543,7 +572,7 @@ def test_spanning_matrix_matches_weighted_rows(g, n, N, seed, monkeypatch):
     assert np.abs(np.abs(matrix) - np.abs(rows)).max() <= 1e-12 * np.abs(rows).max()
     fast, slow = svd(matrix, compute_uv=False), svd(rows, compute_uv=False)
     assert np.abs(fast - slow).max() <= 1e-12 * slow[0]
-    assert report.rank == mult._ranks(slow)
+    assert report.rank == _rank_of(slow)
 
 
 def _never_called(*args, **kwargs):
@@ -597,8 +626,13 @@ _SIZE_CALLS = [
      ["mult.theta_constants"], SizeLimit, "mu_n block cells"),
     ("wirtinger-terms", lambda: wirtinger_matrix(_at_i(1), 1, 0), "theta.DEFAULT_TERM_CAP", 228,
      ["theta._LatticeSum.eval"], SizeLimit, "Wirtinger check lattice terms"),
-    ("wirtinger-cells", lambda: wirtinger_matrix(_at_i(1), 1, 0), "mult.DEFAULT_CELL_CAP", 16,
+    # at n = 1 the grid of the 4 samples U at the 2 samples V, and at 3
+    # points more, outgrows theta_V (2 rows)
+    ("wirtinger-cells", lambda: wirtinger_matrix(_at_i(1), 1, 0), "mult.DEFAULT_CELL_CAP", 8,
      ["mult.lex_vectors", "mult._wirtinger_checks"], SizeLimit, "Wirtinger value cells"),
+    ("wirtinger-cells-points", lambda: wirtinger_matrix(_at_i(1), 1, 0, np.zeros((3, 1))),
+     "mult.DEFAULT_CELL_CAP", 20, ["mult.lex_vectors", "mult._wirtinger_checks"], SizeLimit,
+     "Wirtinger value cells"),
     ("spanning-modulus", lambda: spanning_check(_at_i(1), 1, 3), "mult.DEFAULT_POINT_CAP", 3,
      ["mult._LatticeSum", "mult.lex_vectors"], SizeLimit, "spanning modulus N"),
     ("spanning-points", lambda: spanning_check(_at_i(1), 1, 2), "mult.DEFAULT_POINT_CAP", 4,
@@ -658,9 +692,9 @@ def test_a_count_past_the_digit_limit_is_written(call, error, what):
 
 @pytest.mark.parametrize("type_,n,checks,error", [
     ((10**4299,), 1, {}, "mu_verdict: mu_n block cells: more than 10^4300 exceeds cap 10000000"),
-    ((1,), 10**1000, {"wirtinger": True},
+    ((1,), 10**1100, {"wirtinger": True},
      "wirtinger: Wirtinger value cells: more than 10^4300 exceeds cap 10000000"),
-], ids=["type-4300-digits", "n-1001-digits"])
+], ids=["type-4300-digits", "n-1101-digits"])
 def test_a_scenario_count_past_the_digit_limit_is_reported(type_, n, checks, error):
     # the config and its section counts are within the limit; the count the
     # stage refuses is not
@@ -937,6 +971,47 @@ def test_verdict_forms_no_dense_slice(elliptic_d3, monkeypatch):
     for pav, rank in ((elliptic_d3, 6), (surface, 36)):
         verdict = surjectivity_verdict(pav, 1)
         assert verdict.verdict is Verdict.SURJECTIVE and verdict.rank == rank
+
+
+@pytest.mark.parametrize("n,seed,refused", [(20, 0, True), (20, 1, True), (15, 0, False)],
+                         ids=["n20-seed0", "n20-seed1", "n15-seed0"])
+def test_wirtinger_gates_the_diagram_residual(n, seed, refused):
+    # at Omega = 0.03i, n = 20 the relation fits to ~1e-13 but the diagram
+    # misses by 4e-8 to 7e-8, past DEFAULT_RESIDUAL_TOL: the stage is refused,
+    # not reported; at n = 15 the diagram residual is 3.9e-9 and passes
+    cfg = ScenarioConfig(name="diagram", g=1, type=(1,), omega=[[[0, 0.03]]], n=n, seed=seed,
+                         checks={"wirtinger": True})
+    report = run_scenario(cfg)
+    if refused:
+        assert report.exit_code == 3 and report.payload["wirtinger"] is None
+        [error] = report.payload["errors"]
+        assert re.match(r"^wirtinger: Wirtinger diagram residual \S+ exceeds 1\.0e-08$", error)
+    else:
+        assert report.exit_code == 0
+        assert report.payload["wirtinger"]["diagram_residual_max"] <= mult.DEFAULT_RESIDUAL_TOL
+
+
+def test_wirtinger_cap_counts_the_largest_value_matrix(monkeypatch):
+    # past n = 1 the cap counts theta_V, the h0(N) x (h0(N) + P) values of
+    # the level-N basis, N = n(n+1): 1728 x 1731 at principal g = 3, n = 3
+    # with 3 points, within DEFAULT_CELL_CAP, though the 2 (n+1)^g N^(2g)
+    # relation cells, a matrix the check never forms, are not
+    pav = validate_polarized(random_period_matrix(3, 202), (1, 1, 1), True)
+    assert 1728 * 1731 <= mult.DEFAULT_CELL_CAP < 2 * 4**3 * 12**6
+    monkeypatch.setattr(mult, "_wirtinger_checks", lambda *args: (0.0, np.zeros(3)))
+    wirt = wirtinger_matrix(pav, 3, 21, np.zeros((3, 3)))
+    assert wirt.full.shape == (64, 1728)
+    assert np.array_equal(wirt.reduced, np.eye(64))
+
+
+def test_wirtinger_term_cap_refuses_before_any_box(monkeypatch):
+    # principal g = 9, n = 1 is within the cell cap (512 x 515 values), and
+    # its four sums ask for 2e12 terms: the term cap refuses them from the
+    # radii alone, before a sum builds its box (5^9 points at radius 2)
+    pav = validate_polarized(random_period_matrix(9, 202), (1,) * 9)
+    monkeypatch.setattr(theta._LatticeSum, "_cube", property(_never_called))
+    with pytest.raises(SizeLimit, match="^Wirtinger check lattice terms: "):
+        wirtinger_matrix(pav, 1, 21, np.zeros((3, 9)))
 
 
 def test_wirtinger_matrix_is_seed_and_period_independent():

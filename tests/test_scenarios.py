@@ -166,8 +166,8 @@ def test_run_scenario_numeric_cap_exit_code(monkeypatch):
     # 1001^2 points over DEFAULT_POINT_CAP, whose 2 x 1002001 values are
     # within DEFAULT_CELL_CAP, a modulus of 2200 nines over DEFAULT_POINT_CAP
     # before its square (4400 digits, past the int-to-text limit) is formed,
-    # and at g = 2, n = 5 the 900 level-30 values at 2 * 32400 samples over
-    # DEFAULT_CELL_CAP.  Every verdict is the dimensional shortcut, so
+    # and at g = 2, n = 8 the 5184 level-72 sections at their 5184 samples
+    # and 3 points over DEFAULT_CELL_CAP.  Every verdict is the dimensional shortcut, so
     # nothing else needs the patched helpers.
     monkeypatch.setattr(mult, "lex_vectors", _never_called)
     monkeypatch.setattr(mult, "sample_points", _never_called)
@@ -176,11 +176,11 @@ def test_run_scenario_numeric_cap_exit_code(monkeypatch):
                               checks={"spanning_modulus": 1001})
     nines = int("9" * 2200)
     huge = replace(spanning, name="spanning-nines", checks={"spanning_modulus": nines})
-    wirtinger = ScenarioConfig(name="wirtinger-g2-n5", g=2, type=(1, 1),
-                               omega={"random": {"seed": 107}}, n=5, checks={"wirtinger": True})
+    wirtinger = ScenarioConfig(name="wirtinger-g2-n8", g=2, type=(1, 1),
+                               omega={"random": {"seed": 107}}, n=8, checks={"wirtinger": True})
     for cfg, error in [(spanning, "spanning: spanning points |G|: 1002001 exceeds cap 1000000"),
                        (huge, f"spanning: spanning modulus N: {nines} exceeds cap 1000000"),
-                       (wirtinger, "wirtinger: Wirtinger value cells: 58320000 "
+                       (wirtinger, "wirtinger: Wirtinger value cells: 26889408 "
                                    "exceeds cap 10000000")]:
         report = run_scenario(cfg)
         assert report.exit_code == 3
@@ -257,11 +257,12 @@ def test_run_scenario_reports_a_radius_past_the_float_range():
 _EXTREME_CONTENT = [
     ((1,), [[[0, 1e308]]], 1, {"spanning_modulus": 2}, 3,
      "spanning: Im Omega spread inf is past the float range"),
-    ((1,), [[[0, 1e308]]], 1, {"wirtinger": True}, 3, "wirtinger: overflow encountered"),
+    ((1,), [[[0, 1e308]]], 1, {"wirtinger": True}, 3,
+     "wirtinger: Im Omega spread inf is past the float range"),
     ((1,), [[[1e308, 1]]], 1, {"spanning_modulus": 2}, 3, "spanning: overflow encountered"),
     ((1,), [[[1e308, 1]]], 1, {"wirtinger": True}, 3, "wirtinger: overflow encountered"),
     ((1,), [[[0, 0.01]]], 26, {"wirtinger": True}, 3,
-     "wirtinger: Wirtinger value cells: 26611416 exceeds cap 10000000"),
+     "wirtinger: Wirtinger diagram residual "),
     ((3,), [[[-1e308, 1]]], 1, {}, 3, "mu_verdict: overflow encountered"),
     ((1, 1), [[[0, 1], [1e308, 0]], [[-1e308, 0], [0, 1]]], 1, {}, 2,
      "overflow encountered in subtract"),
@@ -347,8 +348,8 @@ def test_wirtinger_stage_fits_once(monkeypatch):
     # level-n(n+1) lattice sums once each and evaluates each once (the grid
     # sums through _LatticeSum.eval, the two bases through
     # ThetaBasis.eval_matrix, theta~ never through ThetaTilde.eval_many),
-    # draws the samples U and V once, and takes one SVD for the fit and one
-    # of the reduced matrix.  The scenarios keep the matrices and draws they
+    # draws the samples U and V once, and takes one SVD, for the fit (the
+    # reduced matrix is the identity, so its ratio takes none).  The scenarios keep the matrices and draws they
     # were run at: the residual is set by the tail the lattice sums leave at
     # DEFAULT_EPS, so its size depends on where lambda_min falls between two
     # box radii (on the stdlib draws wirtinger-g1-n1 reaches 1.2e-14)
@@ -383,7 +384,7 @@ def test_wirtinger_stage_fits_once(monkeypatch):
         if cfg.checks.get("wirtinger"):
             cfg = replace(cfg, omega=_WIRTINGER_OMEGAS[cfg.name])
             assert run_scenario(cfg).payload["wirtinger"]["diagram_residual_max"] < 1e-14
-    assert stage_counts == [{"sums": 4, "draws": 1, "svds": 2, "bases": 2, "tildes": 0}] * 3
+    assert stage_counts == [{"sums": 4, "draws": 1, "svds": 1, "bases": 2, "tildes": 0}] * 3
 
 
 #: the catalog's Wirtinger scenarios and the principal g = 2, n = 2 one of
@@ -463,8 +464,9 @@ def test_wirtinger_term_budget_spans_the_stage(monkeypatch):
                          checks={"wirtinger": True})
     pav = validate_polarized(scenarios.omega_source(cfg)(), (1, 1))
     bases = [ThetaBasis(pav, 3).terms(18), ThetaBasis(pav, 6).terms(36 + 3)]
-    terms = [theta._LatticeSum(pav.matrix, 1, offset=1.0).terms(18, 39),
-             theta._LatticeSum(pav.matrix / 2, 1, offset=1.0).terms(18, 39), *bases]
+    quotient = validate_polarized(pav.matrix / 2, (1, 1))
+    terms = [theta._LatticeSum(pav, 1, offset=1.0).terms(18, 39),
+             theta._LatticeSum(quotient, 1, offset=1.0).terms(18, 39), *bases]
     pairs = [ThetaBasis(pav, 1).terms(18 * 39), ThetaTilde(pav, 2).terms(18 * 39), *bases]
     assert max(terms) < sum(pairs) < theta.DEFAULT_TERM_CAP < sum(terms)
     monkeypatch.setattr(theta._LatticeSum, "eval", _never_called)

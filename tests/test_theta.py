@@ -220,7 +220,7 @@ def test_lattice_sum_real_halves_match_per_term_reference(m):
     chars = 4 * rng.random((5, 2)) - 2
     halves = 3 * rng.random((5, 2)) - 1
     zs = pav.lattice_vector(4 * rng.random((6, 2)) - 2, 4 * rng.random((6, 2)) - 2)
-    lattice = theta._LatticeSum(pav.matrix, m, offset=1.0)
+    lattice = theta._LatticeSum(pav, m, offset=1.0)
     vals = lattice.eval(chars, zs, halves)
     w = section_weights(pav, m, zs)
     for i, (c, h) in enumerate(zip(chars, halves)):
@@ -235,7 +235,7 @@ def test_lattice_sum_log_factor_joins_the_envelope():
     # one of modulus e^20 refuses the point 14.8i (688.1), which passes on
     # its own
     pav = validate_polarized(np.array([[1j]]), (1,))
-    lattice = theta._LatticeSum(pav.matrix, 1, offset=1.0)
+    lattice = theta._LatticeSum(pav, 1, offset=1.0)
     chars, z = np.array([[0.0], [0.5]]), np.array([[0.3 + 15j]])
     with pytest.raises(TruncationOverflow):
         lattice.eval(chars, z)
@@ -378,7 +378,7 @@ def test_theta_constants_match_basis_and_doubled_radius(divisors, levels, monkey
         ref = basis.eval_matrix(zero)[:, 0]
         assert np.abs(consts - ref).max() <= 1e-14 * np.abs(ref).max()
         # the radius theta_constants sums, certified by doubling it
-        doubled = _doubled(monkeypatch, lambda: theta._LatticeSum(pav.matrix, m, offset=0.5))
+        doubled = _doubled(monkeypatch, lambda: theta._LatticeSum(pav, m, offset=0.5))
         assert doubled.radius == 2 * theta.constants_radius(pav, m)
         chars = np.array(characteristics(pav, m), dtype=float)
         assert np.abs(consts - doubled.eval(chars, zero)[:, 0]).max() <= DEFAULT_EPS
