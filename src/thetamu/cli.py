@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .scenarios import catalog, emit_report, load_scenario, run_scenario, writable_bound
 
@@ -17,8 +16,6 @@ def _cmd_verify(args) -> int:
     except (OSError, ValueError) as err:
         print(f"error: cannot load scenario: {err}", file=sys.stderr)
         return EXIT_USAGE
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     report = run_scenario(config)
     print(emit_report(report, args.format), end="")
     return report.exit_code
@@ -60,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run one scenario file")
     verify.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     verify.add_argument("--format", choices=("json", "table"), default="json")
-    verify.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     verify.set_defaults(func=_cmd_verify)
 
     cat = sub.add_parser("catalog", help="list or run the built-in scenarios")

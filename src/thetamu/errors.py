@@ -49,8 +49,9 @@ class SizeLimit(ThetamuError):
 
 
 class TruncationOverflow(ThetamuError):
-    """A lattice sum needs more box points than ``theta.DEFAULT_CAPACITY``,
-    or a radius, binning or value beyond double-precision range."""
+    """A lattice sum needs more box cells, (2R+1)^g points times g, than
+    ``theta.DEFAULT_CAPACITY``, or a radius or binning beyond double-precision
+    range, or a value whose log envelope is not within ``theta._LOG_MAX``."""
 
 
 class IllConditioned(ThetamuError):

@@ -113,11 +113,11 @@ def _weighted_fit(
     one thin SVD ``design = U diag(s) Vh`` of the weighted design gives both
     the condition ``s_0 / s_min`` and the solution ``Vh^H ((U^H rhs) / s)``.
     Raises ValueError for fewer than 2 h0(m) samples,
-    :class:`IllConditioned` when the condition exceeds DEFAULT_COND_CAP and
-    :class:`NotInSpan` when the largest relative column residual exceeds
-    DEFAULT_RESIDUAL_TOL (every admissible section lies in the span, so that
-    is a numerical fault).  Both gates fail closed: a NaN condition or
-    residual raises too.  The residuals are taken on columns scaled by
+    :class:`IllConditioned` unless the condition is within DEFAULT_COND_CAP
+    and :class:`NotInSpan` unless the largest relative column residual is
+    within DEFAULT_RESIDUAL_TOL (every admissible section lies in the span,
+    so that is a numerical fault), both by ``varieties._within``, so a NaN
+    raises too.  The residuals are taken on columns scaled by
     :func:`_column_scale`, so finite values too large to square still get
     one.
     """
@@ -128,8 +128,7 @@ def _weighted_fit(
     design = (sections * w[None, :]).T
     u, s, vh = np.linalg.svd(design, full_matrices=False)
     cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
-    if not cond <= DEFAULT_COND_CAP:
-        raise IllConditioned(f"sample matrix condition {cond:.3e} exceeded {DEFAULT_COND_CAP:.1e}")
+    _within(cond, DEFAULT_COND_CAP, "sample matrix condition", IllConditioned)
     values = np.asarray(values, dtype=complex)
     rhs = values.reshape(len(zs), -1) * w[:, None]
     coef = vh.conj().T @ ((u.conj().T @ rhs) / s[:, None])
@@ -139,8 +138,7 @@ def _weighted_fit(
     # initial=0 for no columns; a NaN still propagates through the max
     residual = float(np.divide(misfit, norms, out=np.zeros_like(misfit),
                                where=norms != 0).max(initial=0.0))
-    if not residual <= DEFAULT_RESIDUAL_TOL:
-        raise NotInSpan(f"expansion residual {residual:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}")
+    _within(residual, DEFAULT_RESIDUAL_TOL, "expansion residual", NotInSpan)
     return Expansion(coef.reshape(dim, *values.shape[1:]), residual)
 
 
@@ -497,9 +495,10 @@ def wirtinger_matrix(
     DEFAULT_CELL_CAP: theta_V, the h0(N) values of the level-N basis,
     N = n(n+1), at the h0(N) samples V and the P points, or at n = 1, where
     2 h0(n+1) > h0(N), the grid of the 2 h0(n+1) samples U at those
-    columns.  Raises :class:`FitResidualTooLarge` when the relation misfit
-    or the largest diagram residual exceeds DEFAULT_RESIDUAL_TOL; both gates
-    fail closed on NaN, and no points pass the diagram gate.
+    columns.  Raises ValueError for a point that is not finite, and
+    :class:`FitResidualTooLarge` unless the relation misfit and the largest
+    diagram residual are within DEFAULT_RESIDUAL_TOL, by ``varieties._within``:
+    both gates fail closed on NaN, and no points pass the diagram gate.
     """
     if not pav.is_principal:
         raise ValueError("the Wirtinger matrix requires a principal polarization")
@@ -507,6 +506,8 @@ def wirtinger_matrix(
     g = pav.g
     N = n * (n + 1)
     bs = np.asarray(points, dtype=complex).reshape(-1, g)
+    if not np.isfinite(bs).all():
+        raise ValueError("Wirtinger check points must be finite")
     rows = max(OVERSAMPLE * pav.h0(n + 1), pav.h0(N))
     _within(rows * (pav.h0(N) + len(bs)), DEFAULT_CELL_CAP, "Wirtinger value cells")
     # k + j = 0 mod n+1 componentwise: -k and j mod n+1 have one position
@@ -516,15 +517,9 @@ def wirtinger_matrix(
     j = _ravel(lex_vectors((N,) * g) % (n + 1), residues)
     C = (_ravel(-k % (n + 1), residues)[:, None] == j).astype(float)
     fit_residual, diagram = _wirtinger_checks(pav, n, C, seed, bs)
-    if not fit_residual <= DEFAULT_RESIDUAL_TOL:
-        raise FitResidualTooLarge(
-            f"Wirtinger residual {fit_residual:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}"
-        )
-    worst = float(diagram.max(initial=0.0))
-    if not worst <= DEFAULT_RESIDUAL_TOL:
-        raise FitResidualTooLarge(
-            f"Wirtinger diagram residual {worst:.3e} exceeds {DEFAULT_RESIDUAL_TOL:.1e}"
-        )
+    _within(fit_residual, DEFAULT_RESIDUAL_TOL, "Wirtinger residual", FitResidualTooLarge)
+    _within(diagram.max(initial=0.0), DEFAULT_RESIDUAL_TOL, "Wirtinger diagram residual",
+            FitResidualTooLarge)
     # columns repeat along the n-torsion shifts of beta; keep beta' = n t / (n(n+1))
     reduced_cols = _ravel(n * k, (N,) * g)
     return WirtingerMatrix(

@@ -31,19 +31,21 @@ class NotInK1(ThetamuError):
 def lattice_coordinates(pav: PolarizedAbelianVariety, lam):
     """Integer coordinates (a, bhat) with lam = Omega a + Delta bhat.
 
-    Raises :class:`NotLatticeVector` when lam is not a period within 1e-9.
+    Raises :class:`NotLatticeVector` unless each half of lam is a period
+    within 1e-9 (1 + max |integer coordinate|), by the bound rule of
+    ``varieties._within``: a NaN or infinite vector is no period.
     """
     tol = 1e-9
     lam = np.asarray(lam, dtype=complex)
     a = pav.im_inv @ lam.imag
     aint = np.round(a)
-    if np.abs(a - aint).max() > tol * (1.0 + np.abs(aint).max()):
-        raise NotLatticeVector(f"imaginary part off-lattice by {np.abs(a - aint).max():.3e}")
+    _within(np.abs(a - aint).max(), tol * (1.0 + np.abs(aint).max()),
+            "imaginary part off the lattice", NotLatticeVector)
     rest = lam.real - pav.matrix.real @ aint
     bhat = rest / pav.divisors
     bint = np.round(bhat)
-    if np.abs(bhat - bint).max() > tol * (1.0 + np.abs(bint).max()):
-        raise NotLatticeVector(f"real part off Delta Z^g by {np.abs(bhat - bint).max():.3e}")
+    _within(np.abs(bhat - bint).max(), tol * (1.0 + np.abs(bint).max()),
+            "real part off Delta Z^g", NotLatticeVector)
     return aint.astype(int), bint.astype(int)
 
 

@@ -70,7 +70,7 @@ fixed number of elements, so temporary memory grows with neither K nor P.
 No factor of the recombination overflows:
 
 * 0 <= env <= _LOG_MAX: env is the log envelope of the point as given, and
-  a larger one raises :class:`TruncationOverflow` before any sum;
+  a larger or NaN one raises :class:`TruncationOverflow` before any sum;
 * the binning keeps row scale + column scale + Re log C at most _SCALE_MAX
   above the envelope of the reduced point, which is env less the real part
   of the reduction's log factor, so |rel| <= exp(_SCALE_MAX) = e^300;
@@ -97,7 +97,8 @@ import numpy as np
 from .errors import TruncationOverflow
 from .varieties import DEFAULT_EPS, PolarizedAbelianVariety, _as_int, _within, validate_polarized
 
-#: hard cap on the number of lattice points in one summation box
+#: hard cap on the (2R+1)^g g cells of one summation box, its points times
+#: their g coordinates: the index arrays of :meth:`_LatticeSum._cube` hold that many
 DEFAULT_CAPACITY = 4_000_000
 #: cap on the K x (2R+1)^g x P terms of one evaluation, a few seconds of work
 DEFAULT_TERM_CAP = 10**9
@@ -275,7 +276,7 @@ class _LatticeSum:
         if not math.isfinite(spread):
             raise TruncationOverflow(f"Im Omega spread {spread:.4g} is past the float range")
         self.nbins = max(1, math.ceil(offset * math.sqrt(spread / _SCALE_MAX)))
-        _within((2 * R + 1) ** self.g, DEFAULT_CAPACITY, f"radius-{R} box lattice points",
+        _within((2 * R + 1) ** self.g * self.g, DEFAULT_CAPACITY, f"radius-{R} box cells",
                 TruncationOverflow)
 
     @functools.cached_property
@@ -328,26 +329,25 @@ class _LatticeSum:
         One scaled matrix product per (bin, bin) block and chunk of
         characteristics and points, recombined relative to each point's log
         envelope, without a logarithm; see the module docstring for why no
-        factor overflows.  Raises :class:`SizeLimit` before any work when
-        the K (2R+1)^g P terms exceed DEFAULT_TERM_CAP, and
-        :class:`TruncationOverflow` before any sum when a log envelope, with
-        the real part of its log factor, exceeds _LOG_MAX.
+        factor overflows.  Raises ValueError for a point that is not
+        finite, :class:`SizeLimit` before any work when the K (2R+1)^g P
+        terms exceed DEFAULT_TERM_CAP, and :class:`TruncationOverflow`
+        before any sum unless every log envelope, with the real part of its
+        log factor, is within _LOG_MAX: a NaN one is refused too.
         """
         chars = np.atleast_2d(np.asarray(chars, dtype=float))
         halves = (np.zeros_like(chars) if halves is None
                   else np.atleast_2d(np.asarray(halves, dtype=float)))
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
+        if not np.isfinite(zs).all():
+            raise ValueError("evaluation points must be finite")
         _within(self.terms(chars.shape[0], zs.shape[0]), DEFAULT_TERM_CAP, "lattice sum terms")
         z0, aint, bint, pref = self._reduce(zs)
         env = _log_envelope(self.Yinv, self.m, z0) + pref.real
         # the log envelope of every value returned: of the point, or of the
         # point times its factor
         top = env if log_factor is None else env + log_factor.real
-        if top.size and float(top.max()) > _LOG_MAX:
-            raise TruncationOverflow(
-                "section value exceeds double-precision range "
-                f"(log envelope {float(top.max()):.4g})"
-            )
+        _within(top.max(initial=0.0), _LOG_MAX, "section value log envelope", TruncationOverflow)
         R, (box, half, bphase) = self.radius, self._cube
         pim = math.pi * self.m
         X = self.tau.real

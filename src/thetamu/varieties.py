@@ -65,16 +65,20 @@ def _past_digit_limit(value: int) -> bool:
     return bool(digits) and value.bit_length() > 3 * digits and abs(value) >= 10**digits
 
 
-def _within(count: int, cap: int, what: str, error: type = SizeLimit) -> None:
-    """The one size rule: raise ``error`` before the work when ``count``
-    exceeds ``cap``, as ``"{what}: {count} exceeds cap {cap}"``.  Any count
-    is written: one past the digit limit D of str() as ``more than 10^D``
-    (10^D itself as ``10^D``)."""
-    if count > cap:
-        digits = sys.get_int_max_str_digits()
-        text = (str(count) if not _past_digit_limit(count)
-                else f"more than 10^{digits}" if count > 10**digits else f"10^{digits}")
-        raise error(f"{what}: {text} exceeds cap {cap}")
+def _bound_text(x) -> str:
+    """x as :func:`_within` writes it: a float ``.3e``, an int in decimal, one
+    past the digit limit D of str() as ``more than 10^D`` (10^D as ``10^D``)."""
+    digits = sys.get_int_max_str_digits()
+    return (format(x, ".3e") if isinstance(x, float) else str(x) if not _past_digit_limit(x)
+            else f"more than 10^{digits}" if x > 10**digits else f"10^{digits}")
+
+
+def _within(count, cap, what: str, error: type = SizeLimit) -> None:
+    """The one bound rule, for every size cap and every tolerance: raise
+    ``error`` before the work unless ``count <= cap``, as ``"{what}: {count}
+    exceeds cap {cap}"``, so a NaN is never within its bound."""
+    if not count <= cap:
+        raise error(f"{what}: {_bound_text(count)} exceeds cap {_bound_text(cap)}")
 
 
 def seeded_uniform(seed: int, shape) -> np.ndarray:

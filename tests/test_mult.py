@@ -110,6 +110,22 @@ def test_expand_rejects_non_finite_values(elliptic_d3, bad):
         expand_in_basis(elliptic_d3, 2, values, samples)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda pav, zs: ThetaBasis(pav, 2).eval_matrix(zs),
+    lambda pav, zs: ThetaTilde(pav, 2).eval_many(zs),
+    lambda pav, zs: wirtinger_matrix(pav, 1, 0, zs),
+], ids=["basis", "tilde", "wirtinger"])
+def test_non_finite_points_are_refused_where_they_enter(principal_g1, call, bad, monkeypatch):
+    # a point that is not finite is bad input: ValueError before any sum or
+    # draw, not a NaN value, a RuntimeWarning or a fit error
+    monkeypatch.setattr(theta._LatticeSum, "_reduce", _never_called)
+    monkeypatch.setattr(mult, "_draw", _never_called)
+    for z in (complex(bad, 0.1), complex(0.2, bad)):
+        with pytest.raises(ValueError, match="points must be finite$"):
+            call(principal_g1, np.array([[0.2 + 0.1j], [z]]))
+
+
 def test_expand_huge_finite_values(elliptic_d3):
     # columns too large to square keep their residual: scaling a column by a
     # power of two changes no digit of the residual or the coefficients
@@ -137,18 +153,32 @@ def test_gates_fail_closed_on_nan(elliptic_d3, principal_g1, monkeypatch):
         return u, np.full_like(s, np.nan), vh
 
     monkeypatch.setattr(mult.np.linalg, "svd", nan_spectrum)
-    with pytest.raises(IllConditioned):
+    with pytest.raises(IllConditioned,
+                       match=r"^sample matrix condition: nan exceeds cap 1\.000e\+10$"):
         expand_in_basis(elliptic_d3, 2, basis.eval_matrix(samples)[0], samples)
     monkeypatch.undo()
     monkeypatch.setattr(mult, "_wirtinger_checks", lambda *args: (float("nan"), np.zeros(0)))
-    with pytest.raises(mult.FitResidualTooLarge):
+    with pytest.raises(mult.FitResidualTooLarge,
+                       match=r"^Wirtinger residual: nan exceeds cap 1\.000e-08$"):
         wirtinger_matrix(principal_g1, 1, 0)
     monkeypatch.setattr(mult, "_wirtinger_checks", lambda *args: (0.0, np.array([0.0, np.nan])))
-    with pytest.raises(mult.FitResidualTooLarge, match="^Wirtinger diagram residual nan "):
+    with pytest.raises(mult.FitResidualTooLarge,
+                       match=r"^Wirtinger diagram residual: nan exceeds cap 1\.000e-08$"):
         wirtinger_matrix(principal_g1, 1, 0, np.zeros((2, 1)))
     # no points, no diagram residual: the gate passes
     monkeypatch.setattr(mult, "_wirtinger_checks", lambda *args: (0.0, np.zeros(0)))
     assert wirtinger_matrix(principal_g1, 1, 0).diagram_residuals.size == 0
+    # the envelope guard of a lattice sum, fed a NaN log factor
+    lattice = theta._LatticeSum(principal_g1, 1, offset=1.0)
+    with pytest.raises(TruncationOverflow,
+                       match=r"^section value log envelope: nan exceeds cap 7\.000e\+02$"):
+        lattice.eval(np.zeros((1, 1)), np.zeros((1, 1)), log_factor=np.full((1, 1), np.nan + 0j))
+    # the off-lattice tests of the oracle: a NaN in either half is no period
+    for lam in ([np.nan], [complex(0.0, np.nan)]):
+        with pytest.raises(reference.NotLatticeVector, match=": nan exceeds cap nan$"):
+            reference.lattice_coordinates(principal_g1, lam)
+        with pytest.raises(reference.NotLatticeVector):
+            reference.automorphy_factor(principal_g1, 1, lam, [0.1])
 
 
 def test_expand_ill_conditioned_cap(elliptic_d3):
@@ -417,7 +447,7 @@ def test_wirtinger_grid_refuses_a_pair_past_the_double_range(monkeypatch):
     assert theta._log_envelope(pav.im_inv, 1, n * w).max() <= theta._LOG_MAX
     assert theta._log_envelope(pav.im_inv, 1, u + n * w).max() > theta._LOG_MAX
     monkeypatch.setattr(theta, "_box_phase", _never_called)
-    with pytest.raises(TruncationOverflow, match="exceeds double-precision range"):
+    with pytest.raises(TruncationOverflow, match=r"^section value log envelope: \S+ exceeds cap "):
         wirtinger_matrix(pav, n, seed)
 
 
@@ -618,7 +648,7 @@ def _at_i(*divisors):
 #: lattice terms
 _SIZE_CALLS = [
     ("box", lambda: ThetaBasis(_at_i(1), 1), "theta.DEFAULT_CAPACITY", 7,
-     ["theta.lex_vectors"], TruncationOverflow, "radius-3 box lattice points"),
+     ["theta.lex_vectors"], TruncationOverflow, "radius-3 box cells"),
     ("terms", lambda: ThetaBasis(_at_i(1), 1).eval_matrix(np.zeros((2, 1))),
      "theta.DEFAULT_TERM_CAP", 14, ["theta._LatticeSum._reduce"], SizeLimit,
      "lattice sum terms"),
@@ -676,7 +706,7 @@ _DIGIT_CALLS = [
      "spanning modulus N"),
     # Im Omega = 1e-300 I at g = 40: a radius past 10^151 on every axis
     ("box-g40", lambda: ThetaBasis(validate_polarized(1e-300j * np.eye(40), (1,) * 40), 1),
-     TruncationOverflow, "box lattice points"),
+     TruncationOverflow, "box cells"),
     ("random", lambda: random_period_matrix(10**3000, 0), ValueError,
      "random period matrix cells"),
 ]
@@ -985,7 +1015,8 @@ def test_wirtinger_gates_the_diagram_residual(n, seed, refused):
     if refused:
         assert report.exit_code == 3 and report.payload["wirtinger"] is None
         [error] = report.payload["errors"]
-        assert re.match(r"^wirtinger: Wirtinger diagram residual \S+ exceeds 1\.0e-08$", error)
+        assert re.match(r"^wirtinger: Wirtinger diagram residual: \S+ exceeds cap 1\.000e-08$",
+                        error)
     else:
         assert report.exit_code == 0
         assert report.payload["wirtinger"]["diagram_residual_max"] <= mult.DEFAULT_RESIDUAL_TOL
@@ -1005,12 +1036,25 @@ def test_wirtinger_cap_counts_the_largest_value_matrix(monkeypatch):
 
 
 def test_wirtinger_term_cap_refuses_before_any_box(monkeypatch):
-    # principal g = 9, n = 1 is within the cell cap (512 x 515 values), and
-    # its four sums ask for 2e12 terms: the term cap refuses them from the
-    # radii alone, before a sum builds its box (5^9 points at radius 2)
+    # principal g = 8, n = 1 is within the cell cap (512 x 259 grid values) and
+    # within the box cap (5^8 points of 8 coordinates at radius 2), and its
+    # four sums ask for 1e11 terms: the term cap refuses them from the radii
+    # alone, before a sum builds its box
+    pav = validate_polarized(random_period_matrix(8, 202), (1,) * 8)
+    monkeypatch.setattr(theta._LatticeSum, "_cube", property(_never_called))
+    with pytest.raises(SizeLimit,
+                       match="^Wirtinger check lattice terms: 104894983936 exceeds cap 1000000000$"):
+        wirtinger_matrix(pav, 1, 21, np.zeros((3, 8)))
+
+
+def test_a_box_past_the_cell_cap_is_refused_before_it_is_built(monkeypatch):
+    # at principal g = 9 the radius-2 box has 5^9 points of 9 coordinates,
+    # whose temporaries take ~270 MB: the box cap counts those cells, not the
+    # points, and refuses the first sum at construction
     pav = validate_polarized(random_period_matrix(9, 202), (1,) * 9)
     monkeypatch.setattr(theta._LatticeSum, "_cube", property(_never_called))
-    with pytest.raises(SizeLimit, match="^Wirtinger check lattice terms: "):
+    with pytest.raises(TruncationOverflow,
+                       match="^radius-2 box cells: 17578125 exceeds cap 4000000$"):
         wirtinger_matrix(pav, 1, 21, np.zeros((3, 9)))
 
 

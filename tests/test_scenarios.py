@@ -262,7 +262,7 @@ _EXTREME_CONTENT = [
     ((1,), [[[1e308, 1]]], 1, {"spanning_modulus": 2}, 3, "spanning: overflow encountered"),
     ((1,), [[[1e308, 1]]], 1, {"wirtinger": True}, 3, "wirtinger: overflow encountered"),
     ((1,), [[[0, 0.01]]], 26, {"wirtinger": True}, 3,
-     "wirtinger: Wirtinger diagram residual "),
+     "wirtinger: Wirtinger diagram residual: "),
     ((3,), [[[-1e308, 1]]], 1, {}, 3, "mu_verdict: overflow encountered"),
     ((1, 1), [[[0, 1], [1e308, 0]], [[-1e308, 0], [0, 1]]], 1, {}, 2,
      "overflow encountered in subtract"),
@@ -655,14 +655,15 @@ def test_deep_config_is_refused_however_built():
 
 
 def test_cli_seed_leaves_a_seeded_omega_alone(tmp_path, capsys):
-    # the omega mapping names its own seed, so --seed moves only the
-    # sampled checks, never the period matrix or the verdict
-    doc = {"name": "seeded", "g": 1, "type": [3], "omega": {"random": {"seed": 101}}, "n": 1}
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps(doc))
+    # the omega mapping names its own seed, so the scenario seed moves only
+    # the sampled checks, never the period matrix or the verdict
     reports = []
-    for seed in ("1", "2"):
-        assert cli_main(["verify", "--scenario", str(path), "--seed", seed]) == 0
+    for seed in (1, 2):
+        doc = {"name": "seeded", "g": 1, "type": [3], "omega": {"random": {"seed": 101}},
+               "n": 1, "seed": seed}
+        path = tmp_path / f"s{seed}.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["verify", "--scenario", str(path)]) == 0
         reports.append(json.loads(capsys.readouterr().out))
     for key in ("resolved", "surjectivity"):
         assert reports[0][key] == reports[1][key]
@@ -1038,7 +1039,7 @@ def test_cli_verify(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["surjectivity"]["verdict"] == "Surjective"
-    code = cli_main(["verify", "--scenario", str(path), "--format", "table", "--seed", "99"])
+    code = cli_main(["verify", "--scenario", str(path), "--format", "table"])
     out = capsys.readouterr().out
     assert code == 0
     assert "Surjective" in out
